@@ -47,6 +47,7 @@ from .solvers import (
     procrustes_project,
     rho,
     solve,
+    solve_batch,
 )
 from .analysis import (
     DistortionReport,

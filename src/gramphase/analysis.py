@@ -9,7 +9,7 @@ Three questions about a block structure and a linear prior:
   (:func:`transversality_check`, a dense grid search over the product
   of per-block O(1)/O(2) grids)
 * How much does the Gram-square-root measurement map distort
-  distances, modulo sign?  (:func:`distortion_estimate`)
+  distances, modulo the global sign or phase?  (:func:`distortion_estimate`)
 
 The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
@@ -504,9 +504,12 @@ def distortion_ratios(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement-to-signal distance ratios for a batch of pairs.
 
-    Returns ``(ratios, used)`` where ``used`` flags pairs whose
-    sign-invariant distance exceeds 1e-12 (the rest are sign flips of
-    each other, where both distances vanish)."""
+    The signal distance is taken modulo the global phase the Grams cannot
+    see: ``||x - u y||`` with ``u`` the phase of ``<y, x>`` (``1`` when
+    that product is 0), which minimizes it over unit ``u``.  For real
+    data ``u`` is a sign.  Returns ``(ratios, used)`` where ``used`` flags
+    pairs whose distance exceeds 1e-12 (the rest are sign or phase copies
+    of each other, where both distances vanish)."""
     x_amb = np.atleast_2d(x_amb)
     y_amb = np.atleast_2d(y_amb)
     sx = _batched_sqrt_grams(x_amb, structure)
@@ -514,9 +517,10 @@ def distortion_ratios(
     num_sq = np.zeros(x_amb.shape[0])
     for a, b in zip(sx, sy):
         num_sq += np.linalg.norm((a - b).reshape(a.shape[0], -1), axis=1) ** 2
-    d_minus = np.linalg.norm(x_amb - y_amb, axis=1)
-    d_plus = np.linalg.norm(x_amb + y_amb, axis=1)
-    denom = np.minimum(d_minus, d_plus)
+    inner = np.vecdot(y_amb, x_amb)
+    size = np.abs(inner)
+    phase = np.where(size > 0, inner / np.where(size > 0, size, 1.0), 1.0)
+    denom = np.linalg.norm(x_amb - phase[:, None] * y_amb, axis=1)
     used = denom >= 1e-12
     ratios = np.sqrt(num_sq[used]) / denom[used]
     return ratios, used
@@ -573,7 +577,7 @@ def distortion_estimate(
     bt = prior.basis.T
     ratios, used = distortion_ratios(cx @ bt, cy @ bt, structure)
     if ratios.size == 0:
-        raise ValueError("all sampled pairs were sign-degenerate; widen the sampling")
+        raise ValueError("all sampled pairs were sign- or phase-degenerate; widen the sampling")
     counts, edges = np.histogram(ratios, bins=bins)
     return DistortionReport(
         alpha_lower=float(ratios.min()),

@@ -22,6 +22,7 @@ sign block for the Nyquist frequency when N is even.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,10 +48,52 @@ __all__ = [
     "compose",
     "haar_sample",
     "random_signal",
+    "frobenius_norms",
 ]
 
 # Max-entry tolerance for D* D == I on group elements.
 UNITARY_TOL = 1e-10
+
+
+def _sums_of_squares(flat: list[np.ndarray]) -> np.ndarray:
+    acc = 0.0
+    for a in flat:
+        if np.iscomplexobj(a):
+            sq = np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag)
+        else:
+            sq = np.vecdot(a, a)
+        # each block's norm squared with C pow, as ``np.linalg.norm(block)
+        # ** 2`` is on a scalar; pow and x * x differ in the last bit on a
+        # few inputs
+        acc = acc + np.array([n**2 for n in np.sqrt(sq)])
+    return acc
+
+
+def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-wise Frobenius norm of several stacks taken together.
+
+    Every array has the same leading length ``T``; entry ``t`` of the
+    result is ``sqrt(sum_l ||stacks[l][t]||**2)``, summed exactly as
+    ``np.linalg.norm`` of each block, squared and added, so it is bitwise
+    that plain formula wherever the sum of squares is a normal number
+    well inside the floating-point range.  Rows where it is not, because
+    a square overflowed or underflowed, are summed again after scaling
+    by the power of two nearest their largest magnitude, and the result
+    is scaled back.
+    """
+    flat = [np.asarray(a).reshape(len(a), -1) for a in stacks]
+    with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
+        acc = _sums_of_squares(flat)
+    norms = np.sqrt(acc)
+    odd = ~((acc >= 2.0**-960) & (acc <= 2.0**960))
+    if odd.any():
+        sub = [a[odd] for a in flat]
+        peak = np.max([np.abs(a).max(axis=1, initial=0.0) for a in sub], axis=0)
+        # clipped so that the scale of a subnormal peak stays finite
+        exp = np.maximum(np.frexp(peak)[1], -1000)
+        scale = np.ldexp(1.0, -exp)[:, None]
+        norms[odd] = np.ldexp(np.sqrt(_sums_of_squares([a * scale for a in sub])), exp)
+    return norms
 
 
 class DimensionMismatch(ValueError):
@@ -133,7 +176,7 @@ class BlockSignal:
 
     def norm(self) -> float:
         """Euclidean norm of the ambient vector (= total Frobenius norm)."""
-        return float(np.sqrt(sum(np.linalg.norm(m) ** 2 for m in self.matrices)))
+        return float(frobenius_norms([m[None] for m in self.matrices])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,7 +81,6 @@ _DEFAULTS = {
     "action": "full",
     "gram": None,
     "prior": None,
-    "synthetic": False,
 }
 
 
@@ -119,16 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of observations")
     p.add_argument("--action", choices=["full", "cyclic"], help="group action kind")
 
-    p = sub.add_parser("solve", help="solve one instance from files or synthetic data")
+    p = sub.add_parser(
+        "solve", help="solve one instance from files, or a random one without them"
+    )
     _add_common(p)
     p.add_argument("--gram", help="JSON file with the measured Gram tuple")
     p.add_argument("--prior", help="JSON file with the prior")
-    p.add_argument(
-        "--synthetic",
-        action="store_const",
-        const=True,
-        help="generate a solvable random instance instead of reading files",
-    )
 
     p = sub.add_parser("exp-iterations", help="median iterations vs subspace dimension")
     _add_common(p)
@@ -206,7 +201,6 @@ def _to_config(command: str, merged: dict) -> ExperimentConfig:
         action=merged["action"],
         gram_file=merged["gram"],
         prior_file=merged["prior"],
-        synthetic=bool(merged["synthetic"]),
     )
     if command == "exp-iterations":
         if k is not None:

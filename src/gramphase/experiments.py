@@ -2,7 +2,10 @@
 
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
-scheduled: serial and process-pool runs write the same CSV.  All output
+scheduled: serial and process-pool runs write the same CSV.  Trials
+that share a structure and subspace dimension are solved together as
+one stack by :func:`~gramphase.solvers.solve_batch`, whose rows do not
+depend on the stack they sit in.  All output
 files carry ``#`` provenance comments with a hash of the semantic
 config (worker count and output paths excluded) and the master seed.
 """
@@ -13,6 +16,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -28,15 +32,15 @@ from .blocks import (
 )
 from .moments import (
     GramTuple,
-    _clamp_psd,
     analytic_second_moment,
+    clamp_psd,
     empirical_second_moment,
     extract_gram,
     gram_tuple,
     sample_observations,
 )
 from .priors import PriorSpec, random_subspace_prior
-from .solvers import SolveReport, SolverConfig, solve
+from .solvers import SolveReport, SolverConfig, solve, solve_batch
 from .analysis import distortion_estimate, transversality_check
 from . import serialize
 
@@ -83,7 +87,6 @@ class ExperimentConfig:
     action: str = "full"
     gram_file: str | None = None
     prior_file: str | None = None
-    synthetic: bool = False
 
     def __post_init__(self):
         if self.master_seed < 0:
@@ -106,14 +109,14 @@ class ExperimentConfig:
             return self.trials
         return PAPER_TRIALS if self.paper_scale else default
 
-    def solver_config(self, stop_on: str, seed: int | None = None) -> SolverConfig:
+    def solver_config(self, stop_on: str) -> SolverConfig:
+        """The solver settings, with the CLI's ``ap`` spelled out."""
         algo = {"ap": "alternating_projection"}.get(self.algorithm, self.algorithm)
         return SolverConfig(
             algorithm=algo,
             beta=self.beta,
             max_iters=self.max_iters,
             tol=self.tol,
-            seed=seed,
             stop_on=stop_on,
         )
 
@@ -152,12 +155,70 @@ def _trial_rng(master_seed: int, slot: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, slot, trial]))
 
 
-def _run_pool(func, argslist, workers: int) -> list:
+# ---------------------------------------------------------------------------
+# random trials, solved in stacks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TrialSpec:
+    """One random trial: a signal in a random ``k``-dimensional subspace,
+    drawn from the RNG stream ``(master_seed, slot, index)``.
+
+    ``sigma=None`` measures the exact Gram tuple and draws no noise;
+    otherwise the signal is perturbed by Gaussian noise of that level
+    before its Grams are taken (and clamped to PSD).
+    """
+
+    structure: RepresentationStructure
+    k: int
+    slot: int
+    index: int
+    master_seed: int
+    sigma: float | None = None
+
+
+def _trial_instance(spec: TrialSpec):
+    """``(measured, prior, init, truth)`` of one trial."""
+    s = spec.structure
+    rng = _trial_rng(spec.master_seed, spec.slot, spec.index)
+    prior = random_subspace_prior(s, spec.k, rng)
+    truth_amb = prior.basis @ rng.standard_normal(spec.k)
+    truth = decompose(truth_amb, s)
+    if spec.sigma is None:
+        measured = gram_tuple(truth)
+    else:
+        noise = spec.sigma * rng.standard_normal(s.ambient_dim)
+        if s.field == "complex":
+            noise = noise + 1j * spec.sigma * rng.standard_normal(s.ambient_dim)
+        noisy = gram_tuple(decompose(truth_amb + noise, s))
+        measured = GramTuple(s, tuple(clamp_psd(g) for g in noisy.grams))
+    return measured, prior, random_signal(s, rng), truth
+
+
+def _solve_trials(specs: list[TrialSpec], config: SolverConfig) -> list[tuple]:
+    """``(iterations, converged, oracle_error)`` per trial, solved as one stack."""
+    measured, priors, inits, truths = zip(*map(_trial_instance, specs))
+    reports = solve_batch(measured, priors, config, inits, truths)
+    return [(r.iterations_used, r.converged, r.oracle_error) for r in reports]
+
+
+def _run_stacks(stacks: list[list[TrialSpec]], config: SolverConfig, workers: int):
+    """Solve each list of trials as one stack.  With several workers each
+    stack is split into index-ordered chunks solved in parallel; a row's
+    result does not depend on its stack, so the output is the same."""
     if workers <= 1:
-        return [func(a) for a in argslist]
-    chunk = max(1, len(argslist) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, argslist, chunksize=chunk))
+        return [_solve_trials(specs, config) for specs in stacks]
+    jobs = []
+    for i, specs in enumerate(stacks):
+        bounds = [len(specs) * w // workers for w in range(workers + 1)]
+        jobs += [(i, specs[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    out = [[] for _ in stacks]
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        futures = [(i, pool.submit(_solve_trials, chunk, config)) for i, chunk in jobs]
+        for i, future in futures:
+            out[i] += future.result()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +226,20 @@ def _run_pool(func, argslist, workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _iterations_trial(args):
-    blocks, fld, k, slot, trial, seed, algorithm, beta, max_iters, tol = args
-    s = RepresentationStructure(blocks, fld)
-    rng = _trial_rng(seed, slot, trial)
-    prior = random_subspace_prior(s, k, rng)
-    truth = decompose(prior.basis @ rng.standard_normal(k), s)
-    init = random_signal(s, rng)
-    config = SolverConfig(
-        algorithm=algorithm, beta=beta, max_iters=max_iters, tol=tol, stop_on="oracle"
-    )
-    report = solve(gram_tuple(truth), prior, config, init=init, truth=truth)
-    return trial, report.iterations_used, report.converged
-
-
 def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     """Median iterations to reach the oracle tolerance, per subspace
-    dimension; capped trials keep the cap value in the median."""
+    dimension; capped trials keep the cap value in the median.  The
+    trials of each dimension are solved as one stack."""
     trials = cfg.resolved_trials()
-    algo = {"ap": "alternating_projection"}.get(cfg.algorithm, cfg.algorithm)
+    stacks = [
+        [TrialSpec(cfg.structure, k, slot, t, cfg.master_seed) for t in range(trials)]
+        for slot, k in enumerate(cfg.k_values)
+    ]
+    results = _run_stacks(stacks, cfg.solver_config("oracle"), cfg.workers)
     rows = []
-    for slot, k in enumerate(cfg.k_values):
-        args = [
-            (cfg.structure.blocks, cfg.structure.field, k, slot, t, cfg.master_seed,
-             algo, cfg.beta, cfg.max_iters, cfg.tol)
-            for t in range(trials)
-        ]
-        results = sorted(_run_pool(_iterations_trial, args, cfg.workers))
-        iters = np.array([r[1] for r in results], dtype=float)
-        conv = np.array([r[2] for r in results], dtype=bool)
+    for k, res in zip(cfg.k_values, results):
+        iters = np.array([r[0] for r in res], dtype=float)
+        conv = np.array([r[1] for r in res], dtype=bool)
         rows.append(
             {
                 "K": k,
@@ -216,48 +262,29 @@ def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _noise_trial(args):
-    (blocks, fld, k, sigma, slot, trial, seed, algorithm, beta, max_iters, tol) = args
-    s = RepresentationStructure(blocks, fld)
-    rng = _trial_rng(seed, slot, trial)
-    prior = random_subspace_prior(s, k, rng)
-    truth_amb = prior.basis @ rng.standard_normal(k)
-    truth = decompose(truth_amb, s)
-    noise = sigma * rng.standard_normal(s.ambient_dim)
-    if s.field == "complex":
-        noise = noise + 1j * sigma * rng.standard_normal(s.ambient_dim)
-    perturbed = gram_tuple(decompose(truth_amb + noise, s))
-    measured = GramTuple(s, tuple(_clamp_psd(g) for g in perturbed.grams))
-    init = random_signal(s, rng)
-    # oracle stopping makes the noiseless row equivalent to the iteration
-    # experiment; above the noise floor neither rule ever fires early
-    config = SolverConfig(
-        algorithm=algorithm, beta=beta, max_iters=max_iters, tol=tol, stop_on="oracle"
-    )
-    report = solve(measured, prior, config, init=init, truth=truth)
-    return trial, report.oracle_error, report.converged
-
-
 def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     """Median sign-resolved relative error per noise level.
 
     The noiseless row keeps only converged trials in its median (the
     stalled rest is visible through the convergence rate); noisy rows
     aggregate every trial, since nothing converges below a noise floor.
+    Every (noise level, trial) pair is solved in one stack.  Oracle
+    stopping makes the noiseless row equivalent to the iteration
+    experiment; above the noise floor neither rule ever fires early.
     """
     trials = cfg.resolved_trials()
     k = cfg.subspace_dim if cfg.subspace_dim is not None else 10
-    algo = {"ap": "alternating_projection"}.get(cfg.algorithm, cfg.algorithm)
+    specs = [
+        TrialSpec(cfg.structure, k, slot, t, cfg.master_seed, float(sigma))
+        for slot, sigma in enumerate(cfg.sigma_values)
+        for t in range(trials)
+    ]
+    (results,) = _run_stacks([specs], cfg.solver_config("oracle"), cfg.workers)
     rows = []
     for slot, sigma in enumerate(cfg.sigma_values):
-        args = [
-            (cfg.structure.blocks, cfg.structure.field, k, float(sigma), slot, t,
-             cfg.master_seed, algo, cfg.beta, cfg.max_iters, cfg.tol)
-            for t in range(trials)
-        ]
-        results = sorted(_run_pool(_noise_trial, args, cfg.workers))
-        errs = np.array([r[1] for r in results], dtype=float)
-        conv = np.array([r[2] for r in results], dtype=bool)
+        res = results[slot * trials:(slot + 1) * trials]
+        errs = np.array([r[2] for r in res], dtype=float)
+        conv = np.array([r[1] for r in res], dtype=bool)
         if sigma == 0 and conv.any():
             median = float(np.median(errs[conv]))
         else:
@@ -299,7 +326,7 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     truth = None
     if cfg.gram_file or cfg.prior_file:
         if not (cfg.gram_file and cfg.prior_file):
-            raise ValueError("need both --gram and --prior (or --synthetic)")
+            raise ValueError("need both --gram and --prior, or neither for a random instance")
         measured = serialize.gram_from_dict(serialize.load_json(cfg.gram_file))
         prior = serialize.prior_from_dict(serialize.load_json(cfg.prior_file))
         s = measured.structure

@@ -22,6 +22,7 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     apply,
+    frobenius_norms,
     haar_sample,
     reconstruct,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "sample_observations",
     "empirical_second_moment",
     "extract_gram",
+    "clamp_psd",
 ]
 
 HERMITIAN_TOL = 1e-10
@@ -72,7 +74,7 @@ class GramTuple:
 
     def total_norm(self) -> float:
         """Frobenius norm of the concatenated tuple."""
-        return float(np.sqrt(sum(np.linalg.norm(g) ** 2 for g in self.grams)))
+        return float(frobenius_norms([g[None] for g in self.grams])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +190,7 @@ def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:
     return m - bias * np.eye(y.shape[1], dtype=m.dtype)
 
 
-def _clamp_psd(g: np.ndarray) -> np.ndarray:
+def clamp_psd(g: np.ndarray) -> np.ndarray:
     """Hermitian-symmetrize, then zero out negative eigenvalues if any."""
     g = (g + g.conj().T) / 2.0
     w, v = np.linalg.eigh(g)
@@ -223,5 +225,5 @@ def extract_gram(
         sub = moment[sl, sl].reshape(r, n, r, n)
         # (i, j) sub-block of the moment is G[j, i] / n * I
         g = np.einsum("iaja->ji", sub)
-        grams.append(_clamp_psd(g) if clamp else g)
+        grams.append(clamp_psd(g) if clamp else g)
     return GramTuple(structure, tuple(grams))

@@ -4,12 +4,13 @@ Each prior is a set in ambient coordinates together with a Euclidean
 nearest-point map.  The projectors are idempotent; any object with a
 compatible ``project`` contract (idempotent, distance non-increasing to
 its set) can stand in for these in the solver, which only ever calls
-:func:`project_prior`.
+:func:`project_prior`.  The solver projects a whole stack of iterates at
+once, one prior per row, through a :class:`PriorStack`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +21,11 @@ __all__ = [
     "SparsityPrior",
     "SupportPrior",
     "PriorSpec",
+    "PriorStack",
     "RankDeficiencyError",
     "project_prior",
     "random_subspace_prior",
+    "stack_priors",
 ]
 
 ORTHONORMAL_TOL = 1e-10
@@ -105,47 +108,94 @@ class SupportPrior:
 PriorSpec = LinearSubspacePrior | SparsityPrior | SupportPrior
 
 
-def _hard_threshold(v: np.ndarray, k: int) -> np.ndarray:
-    if k >= v.shape[0]:
-        return v.copy()
-    # stable sort on descending magnitude: ties keep the lowest index
-    order = np.argsort(-np.abs(v), kind="stable")
-    out = np.zeros_like(v)
-    keep = order[:k]
-    out[keep] = v[keep]
-    return out
+@dataclass(frozen=True, eq=False)
+class PriorStack:
+    """One prior per row of a ``(T, d)`` stack, all of one type, held as
+    stacked arrays so that one :func:`project_prior` call projects every
+    row.  Build it with :func:`stack_priors`."""
+
+    kind: type
+    dim: int  # ambient length the priors apply to; 0 for any length
+    basis: np.ndarray | None = None  # (T, d, m) subspace bases or sparsity dictionaries
+    k: np.ndarray | None = None  # (T,) sparsity levels
+    mask: np.ndarray | None = None  # (T, d) supports
+
+    def take(self, rows: np.ndarray) -> PriorStack:
+        """The stack of the selected rows (an index array or boolean mask)."""
+        fields = ("basis", "k", "mask")
+        return replace(
+            self, **{f: getattr(self, f)[rows] for f in fields if getattr(self, f) is not None}
+        )
 
 
-def project_prior(v: np.ndarray, prior: PriorSpec) -> np.ndarray:
-    """Euclidean nearest point of the prior set (idempotent)."""
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    try:
+        return np.array(arrays)
+    except ValueError:
+        raise ValueError("priors in one stack must have the same shape") from None
+
+
+def stack_priors(priors: list[PriorSpec]) -> PriorStack:
+    """Stack priors of one type and one shape, one per row."""
+    if not priors:
+        raise ValueError("need at least one prior")
+    kind = type(priors[0])
+    if kind not in (LinearSubspacePrior, SparsityPrior, SupportPrior):
+        raise TypeError(f"unknown prior type {kind.__name__}")
+    if any(type(p) is not kind for p in priors):
+        raise ValueError("priors in one stack must all have the same type")
+    if kind is LinearSubspacePrior:
+        basis = _stacked([p.basis for p in priors])
+        return PriorStack(kind, basis.shape[1], basis=basis)
+    if kind is SupportPrior:
+        mask = _stacked([p.mask for p in priors])
+        return PriorStack(kind, mask.shape[1], mask=mask)
+    k = np.array([p.k for p in priors])
+    if all(p.dictionary is None for p in priors):
+        return PriorStack(kind, 0, k=k)
+    basis = _stacked([p.dictionary for p in priors])
+    return PriorStack(kind, basis.shape[1], basis=basis, k=k)
+
+
+def _hard_threshold(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Keep the ``k[t]`` largest magnitudes of row ``t``; a stable sort on
+    descending magnitude breaks ties toward the lowest index."""
+    order = np.argsort(-np.abs(v), axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(v.shape[1]), axis=1)
+    return np.where(rank < k[:, None], v, 0.0)
+
+
+def _apply(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.matmul(basis, v[..., None])[..., 0]
+
+
+def project_prior(v: np.ndarray, prior: PriorSpec | PriorStack) -> np.ndarray:
+    """Euclidean nearest point of the prior set (idempotent).
+
+    ``v`` is one ambient vector with one prior, or a ``(T, d)`` stack
+    with a :class:`PriorStack` of ``T`` priors, which projects row ``t``
+    onto prior ``t``.  Each row's result is bitwise the same as its own
+    single-vector projection.
+    """
     v = np.asarray(v)
-    if isinstance(prior, LinearSubspacePrior):
-        b = prior.basis
-        if v.shape[0] != b.shape[0]:
+    if not isinstance(prior, PriorStack):
+        return project_prior(v[None], stack_priors([prior]))[0]
+    length = v.shape[1]
+    if prior.kind is SparsityPrior and prior.basis is None:
+        if prior.k.max() > length:
             raise DimensionMismatch(
-                f"vector length {v.shape[0]} vs basis rows {b.shape[0]}"
+                f"sparsity level {prior.k.max()} exceeds vector length {length}"
             )
-        return b @ (b.conj().T @ v)
-    if isinstance(prior, SupportPrior):
-        if v.shape[0] != prior.mask.shape[0]:
-            raise DimensionMismatch(
-                f"vector length {v.shape[0]} vs mask length {prior.mask.shape[0]}"
-            )
+        return _hard_threshold(v, prior.k)
+    if length != prior.dim:
+        raise DimensionMismatch(f"vector length {length} vs prior dimension {prior.dim}")
+    if prior.kind is SupportPrior:
         return np.where(prior.mask, v, 0.0 * v)
-    if isinstance(prior, SparsityPrior):
-        if prior.dictionary is None:
-            if prior.k > v.shape[0]:
-                raise DimensionMismatch(
-                    f"sparsity level {prior.k} exceeds vector length {v.shape[0]}"
-                )
-            return _hard_threshold(v, prior.k)
-        d = prior.dictionary
-        if v.shape[0] != d.shape[0]:
-            raise DimensionMismatch(
-                f"vector length {v.shape[0]} vs dictionary rows {d.shape[0]}"
-            )
-        return d @ _hard_threshold(d.conj().T @ v, prior.k)
-    raise TypeError(f"unknown prior type {type(prior).__name__}")
+    adjoint = prior.basis.conj().transpose(0, 2, 1)
+    if prior.kind is LinearSubspacePrior:
+        return _apply(prior.basis, _apply(adjoint, v))
+    return _apply(prior.basis, _hard_threshold(_apply(adjoint, v), prior.k))
 
 
 def random_subspace_prior(

@@ -14,10 +14,25 @@ problems where plain alternation stagnates.  Both iterate in ambient
 coordinates.  Convergence for these non-convex constraint sets is not
 guaranteed and the residual may oscillate; the solver simply reports
 whether the stopping criterion was met.
+
+One engine, :func:`solve_batch`, iterates a ``(T, d)`` stack of
+instances on one structure: each iteration is one stacked prior
+projection and, per block, one stacked product, one batched SVD and one
+product back.  Rows that stop are written out and dropped from the
+stack.  :func:`solve` is the same engine on a stack of one.  Stacked
+``matmul`` and ``svd`` call LAPACK and BLAS once per matrix, with the
+same memory layout as a single call, so each row's result is bitwise
+independent of the batch it was solved in.
+
+The SVD's sign (phase) freedom is left unpinned: ``U V*`` is the sum of
+``u_i v_i*`` over singular pairs, and each term is unchanged when its
+pair is multiplied by a sign or a phase, so pinning them would not
+change the projection.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +42,12 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     decompose,
+    frobenius_norms,
     random_signal,
     reconstruct,
 )
 from .moments import GramTuple
-from .priors import PriorSpec, project_prior
+from .priors import PriorSpec, PriorStack, project_prior, stack_priors
 
 __all__ = [
     "SolverConfig",
@@ -40,6 +56,7 @@ __all__ = [
     "procrustes_project",
     "rho",
     "solve",
+    "solve_batch",
 ]
 
 HERMITIAN_INPUT_TOL = 1e-8
@@ -111,21 +128,10 @@ def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _fix_svd_signs(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pin the SVD sign/phase freedom: first nonzero entry of every right
-    singular vector made positive real, for run-to-run reproducibility."""
-    big = np.abs(vh) > 1e-12
-    has = big.any(axis=1)
-    pivots = vh[np.arange(vh.shape[0]), np.where(has, big.argmax(axis=1), 0)]
-    safe = np.where(pivots == 0, 1.0, pivots)
-    phases = np.where(has, safe / np.abs(safe), 1.0)
-    return u * phases[None, :], vh * np.conj(phases)[:, None]
-
-
 def _procrustes_from_sqrt(sqrt_g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
-    m = xtilde @ sqrt_g
-    u, _, vh = np.linalg.svd(m, full_matrices=False)
-    u, vh = _fix_svd_signs(u, vh)
+    """Measurement projection of a stack of blocks ``(T, n, r)`` given the
+    stacked square roots ``(T, r, r)`` of their target Grams."""
+    u, _, vh = np.linalg.svd(xtilde @ sqrt_g, full_matrices=False)
     return (u @ vh) @ sqrt_g
 
 
@@ -165,10 +171,6 @@ def rho(x: BlockSignal, y: BlockSignal) -> float:
     return float(np.sqrt(min(minus, plus)))
 
 
-def _ambient_rho(u: np.ndarray, w: np.ndarray) -> float:
-    return float(min(np.linalg.norm(u - w), np.linalg.norm(u + w)))
-
-
 def solve(
     measured: GramTuple,
     prior: PriorSpec,
@@ -183,14 +185,105 @@ def solve(
     prior projection of the final iterate, so it satisfies the prior
     exactly; its residual is the normalized Gram mismatch.  When
     ``truth`` is given the report carries the sign-resolved relative
-    error ``rho(estimate, truth) / ||truth||``.
+    error ``rho(estimate, truth) / ||truth||``.  This is
+    :func:`solve_batch` on a stack of one.
     """
-    s = measured.structure
-    if init is not None and init.structure != s:
+    if init is None:
+        init = random_signal(measured.structure, np.random.default_rng(config.seed))
+    truths = None if truth is None else [truth]
+    return solve_batch([measured], [prior], config, [init], truths)[0]
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """Per-row constants of the rows still iterating in a stacked solve."""
+
+    index: np.ndarray  # position of each row in the caller's batch
+    prior: PriorStack
+    sqrt_grams: list[np.ndarray]  # per block, (T, r, r)
+    grams: list[np.ndarray]  # per block, (T, r, r)
+    gram_scale: np.ndarray
+    truth: np.ndarray | None
+    truth_scale: np.ndarray | None
+
+    def take(self, keep: np.ndarray) -> _Rows:
+        has_truth = self.truth is not None
+        return _Rows(
+            self.index[keep],
+            self.prior.take(keep),
+            [a[keep] for a in self.sqrt_grams],
+            [a[keep] for a in self.grams],
+            self.gram_scale[keep],
+            self.truth[keep] if has_truth else None,
+            self.truth_scale[keep] if has_truth else None,
+        )
+
+    def residuals(self, p: np.ndarray, structure: RepresentationStructure) -> np.ndarray:
+        """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row."""
+        errs = []
+        for (n, r), sl, g in zip(structure.blocks, structure.block_slices, self.grams):
+            x = _block_stack(p, sl, n, r)
+            errs.append(x.conj().transpose(0, 2, 1) @ x - g)
+        return frobenius_norms(errs) / self.gram_scale
+
+    def oracle_errors(self, p: np.ndarray) -> np.ndarray:
+        """Sign-resolved distance to the truth over the truth's norm."""
+        minus = frobenius_norms([p - self.truth])
+        plus = frobenius_norms([p + self.truth])
+        return np.minimum(minus, plus) / self.truth_scale
+
+
+def _block_stack(p: np.ndarray, sl: slice, n: int, r: int) -> np.ndarray:
+    """Block ``sl`` of every row as a ``(T, n, r)`` view, in the
+    column-major layout of :func:`~gramphase.blocks.decompose`."""
+    return p[:, sl].reshape(len(p), r, n).transpose(0, 2, 1)
+
+
+def _project_measurement(
+    p: np.ndarray, sqrt_grams: list[np.ndarray], structure: RepresentationStructure
+) -> np.ndarray:
+    out = np.empty_like(p)
+    for (n, r), sl, sq in zip(structure.blocks, structure.block_slices, sqrt_grams):
+        y = _procrustes_from_sqrt(sq, _block_stack(p, sl, n, r))
+        out[:, sl] = y.transpose(0, 2, 1).reshape(len(p), n * r)
+    return out
+
+
+def _nonzero(scale: np.ndarray) -> np.ndarray:
+    return np.where(scale > 0, scale, 1.0)
+
+
+def solve_batch(
+    measured: Sequence[GramTuple],
+    priors: Sequence[PriorSpec],
+    config: SolverConfig,
+    inits: Sequence[BlockSignal],
+    truths: Sequence[BlockSignal] | None = None,
+) -> list[SolveReport]:
+    """Solve ``T`` instances on one structure together, as one stack.
+
+    Row ``t`` recovers a signal with Gram tuple ``measured[t]`` under
+    ``priors[t]`` from ``inits[t]`` (and measures its error against
+    ``truths[t]``); the priors share one type and shape.  Each iteration
+    projects the whole stack at once.  A row leaves the stack when it
+    meets the stopping rule or the iteration cap, and its report is
+    bitwise the report of solving it alone with :func:`solve`.
+    """
+    count = len(measured)
+    if count == 0:
+        raise ValueError("need at least one instance")
+    if len(priors) != count or len(inits) != count or (
+        truths is not None and len(truths) != count
+    ):
+        raise ValueError("need exactly one prior, init and truth per measurement")
+    s = measured[0].structure
+    if any(m.structure != s for m in measured):
+        raise StructureMismatch("measurements in one stack use different structures")
+    if any(x.structure != s for x in inits):
         raise StructureMismatch("init uses a different structure than the measurement")
-    if truth is not None and truth.structure != s:
+    if truths is not None and any(x.structure != s for x in truths):
         raise StructureMismatch("truth uses a different structure than the measurement")
-    if config.stop_on == "oracle" and truth is None:
+    if config.stop_on == "oracle" and truths is None:
         raise ValueError("stop_on='oracle' requires a ground-truth signal")
     for (n, r) in s.blocks:
         if n < r:
@@ -198,82 +291,66 @@ def solve(
                 f"wide block ({n}, {r}): the measurement projector needs rows >= columns"
             )
 
-    sqrt_grams = [matrix_sqrt_psd(g) for g in measured.grams]
-    gram_norm = measured.total_norm()
-    gram_scale = gram_norm if gram_norm > 0 else 1.0
-    truth_amb = None
-    truth_scale = 1.0
-    if truth is not None:
-        truth_amb = reconstruct(truth)
-        tn = float(np.linalg.norm(truth_amb))
-        truth_scale = tn if tn > 0 else 1.0
-
-    slices = s.block_slices
-    shapes = s.blocks
-
-    def measurement_residual(p: np.ndarray) -> float:
-        acc = 0.0
-        for (n, r), sl, g in zip(shapes, slices, measured.grams):
-            xl = p[sl].reshape((n, r), order="F")
-            acc += np.linalg.norm(xl.conj().T @ xl - g) ** 2
-        return float(np.sqrt(acc)) / gram_scale
-
-    def project_measurement(p: np.ndarray) -> np.ndarray:
-        out = np.empty_like(p)
-        for (n, r), sl, sq in zip(shapes, slices, sqrt_grams):
-            xl = p[sl].reshape((n, r), order="F")
-            out[sl] = _procrustes_from_sqrt(sq, xl).flatten(order="F")
-        return out
-
-    if init is None:
-        rng = np.random.default_rng(config.seed)
-        v = reconstruct(random_signal(s, rng))
-    else:
-        v = reconstruct(init)
-
-    trajectory: list[float] = []
-    converged = False
-    iterations = 0
-    p = v
-    residual = np.inf
+    grams = [np.stack(g) for g in zip(*(m.grams for m in measured))]
+    truth = truth_scale = None
+    if truths is not None:
+        truth = np.stack([reconstruct(x) for x in truths])
+        truth_scale = _nonzero(frobenius_norms([truth]))
+    rows = _Rows(
+        index=np.arange(count),
+        prior=stack_priors(list(priors)),
+        sqrt_grams=[np.stack([matrix_sqrt_psd(g) for g in stack]) for stack in grams],
+        grams=grams,
+        gram_scale=_nonzero(frobenius_norms(grams)),
+        truth=truth,
+        truth_scale=truth_scale,
+    )
+    v = np.stack([reconstruct(x) for x in inits])
+    reports: list[SolveReport | None] = [None] * count
+    trajectories = [[] for _ in range(count)] if config.track_trajectory else None
+    # The residual is needed every iteration only to stop on it or to
+    # track it; otherwise each row's is computed once, when it stops.
+    every_residual = config.stop_on == "residual" or config.track_trajectory
 
     for k in range(config.max_iters + 1):
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
+            row = int(rows.index[np.argmin(np.isfinite(v).all(axis=1))])
             raise FloatingPointError(
-                f"iterate became non-finite entering iteration {k}; "
+                f"iterate of row {row} became non-finite entering iteration {k}; "
                 "check the measurement and prior for scale problems"
             )
-        p = project_prior(v, prior)
-        residual = measurement_residual(p)
-        if config.track_trajectory:
-            trajectory.append(residual)
-        if config.stop_on == "oracle":
-            crit = _ambient_rho(p, truth_amb) / truth_scale
-        else:
-            crit = residual
-        if crit < config.tol:
-            converged = True
-            iterations = k
-            break
-        if k == config.max_iters:
-            iterations = config.max_iters
-            break
+        p = project_prior(v, rows.prior)
+        residual = rows.residuals(p, s) if every_residual else None
+        if trajectories is not None:
+            for t, value in zip(rows.index, residual.tolist()):
+                trajectories[t].append(value)
+        crit = residual if config.stop_on == "residual" else rows.oracle_errors(p)
+        converged = crit < config.tol
+        stop = converged if k < config.max_iters else np.ones(len(p), dtype=bool)
+        if stop.any():
+            done = rows.take(stop)
+            p_done = p[stop]
+            res = residual[stop] if every_residual else done.residuals(p_done, s)
+            err = None
+            if truth is not None:
+                err = crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
+            for j, (t, ok) in enumerate(zip(done.index, converged[stop])):
+                reports[t] = SolveReport(
+                    estimate=decompose(p_done[j], s),
+                    iterations_used=k,
+                    converged=bool(ok),
+                    residual_final=float(res[j]),
+                    residual_trajectory=None if trajectories is None else trajectories[t],
+                    oracle_error=None if err is None else float(err[j]),
+                )
+            if stop.all():
+                break
+            keep = ~stop
+            rows, v, p = rows.take(keep), v[keep], p[keep]
         if config.algorithm == "alternating_projection":
-            v = project_measurement(p)
+            v = _project_measurement(p, rows.sqrt_grams, s)
         else:
             # relaxed reflect-and-average step
-            reflected = project_measurement(2.0 * p - v)
+            reflected = _project_measurement(2.0 * p - v, rows.sqrt_grams, s)
             v = v + config.beta * (reflected - p)
-
-    estimate = decompose(p, s)
-    oracle_error = None
-    if truth_amb is not None:
-        oracle_error = _ambient_rho(p, truth_amb) / truth_scale
-    return SolveReport(
-        estimate=estimate,
-        iterations_used=iterations,
-        converged=converged,
-        residual_final=residual,
-        residual_trajectory=trajectory if config.track_trajectory else None,
-        oracle_error=oracle_error,
-    )
+    return reports

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 
 from gramphase import (
     BlockSignal,
@@ -196,6 +197,45 @@ class TestDistortion:
         ratios, used = distortion_ratios(x[None, :], -x[None, :], s)
         assert ratios.size == 0
         assert not used[0]
+
+    def test_phase_rotated_complex_pairs_skipped(self):
+        s = RepresentationStructure(((8, 4), (3, 2)), "complex")
+        rng = np.random.default_rng(12)
+        x = np.stack([reconstruct(random_signal(s, rng)) for _ in range(200)])
+        phases = np.exp(2j * np.pi * rng.random(200))
+        ratios, used = distortion_ratios(x, phases[:, None] * x, s)
+        assert ratios.size == 0
+        assert not used.any()
+
+    def test_local_complex_pairs_match_phase_aligned_reference(self):
+        s = RepresentationStructure(((8, 4), (3, 2)), "complex")
+        rng = np.random.default_rng(13)
+        basis = random_subspace_prior(s, 3, rng).basis
+
+        def coeffs(count):
+            return rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
+
+        base = coeffs(400)
+        x = base @ basis.T
+        y = (base + 1e-3 * coeffs(400)) @ basis.T
+        ratios, used = distortion_ratios(x, y, s)
+        assert used.all()
+
+        def sqrt_grams(v):
+            return [sqrtm(m.conj().T @ m) for m in decompose(v, s).matrices]
+
+        reference, sign_only = [], []
+        for a, b in zip(x, y):
+            num = np.sqrt(sum(
+                np.linalg.norm(p - q) ** 2 for p, q in zip(sqrt_grams(a), sqrt_grams(b))
+            ))
+            aligned = np.exp(1j * np.angle(np.vdot(b, a))) * b
+            reference.append(num / np.linalg.norm(a - aligned))
+            sign_only.append(num / min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
+        np.testing.assert_allclose(ratios, reference, rtol=1e-6)
+        assert abs(ratios.min() / min(reference) - 1.0) < 1e-6
+        # the sign-only distance would put the lower bound well below
+        assert min(sign_only) < 0.8 * min(reference)
 
     def test_ratios_invariant_under_sign_and_group(self):
         s = RepresentationStructure(((8, 4),))

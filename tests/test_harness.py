@@ -111,7 +111,6 @@ class TestDemoSolve:
             subspace_dim=4,
             master_seed=7,
             out=str(tmp_path),
-            synthetic=True,
         )
         report = run_demo_solve(cfg)
         assert report.converged
@@ -129,7 +128,7 @@ class TestDemoSolve:
             out = tmp_path / tag
             cfg = ExperimentConfig(
                 experiment="solve", subspace_dim=3, master_seed=11,
-                out=str(out), synthetic=True,
+                out=str(out),
             )
             run_demo_solve(cfg)
             blobs.append(

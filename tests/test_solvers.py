@@ -7,6 +7,7 @@ from gramphase import (
     LinearSubspacePrior,
     RepresentationStructure,
     SolverConfig,
+    SparsityPrior,
     SupportPrior,
     decompose,
     gram_tuple,
@@ -17,8 +18,22 @@ from gramphase import (
     reconstruct,
     rho,
     solve,
+    solve_batch,
 )
+from gramphase.blocks import frobenius_norms
 from tests._oracles import procrustes_grid_best
+
+
+def _pinned_signs(u, vh):
+    """The sign/phase pinning the measurement projector once applied: the
+    first entry above 1e-12 of every right singular vector made real
+    positive."""
+    big = np.abs(vh) > 1e-12
+    has = big.any(axis=1)
+    pivots = vh[np.arange(vh.shape[0]), np.where(has, big.argmax(axis=1), 0)]
+    safe = np.where(pivots == 0, 1.0, pivots)
+    phases = np.where(has, safe / np.abs(safe), 1.0)
+    return u * phases[None, :], vh * np.conj(phases)[:, None]
 
 
 class TestMatrixSqrt:
@@ -98,6 +113,25 @@ class TestProcrustes:
     def test_wide_block_rejected(self):
         with pytest.raises(ValueError, match="wide"):
             procrustes_project(np.eye(3), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_sign_pinning_would_not_change_the_projection(self, field):
+        # U V* sums u_i v_i* over singular pairs, and a sign or phase on a
+        # pair cancels in its term, so pinning them is a no-op
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            r = int(rng.integers(1, n + 1))
+            rank = int(rng.integers(0, r + 1))
+            a = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, r))
+            if field == "complex":
+                a = a + 1j * (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, r)))
+            u, _, vh = np.linalg.svd(a, full_matrices=False)
+            pu, pvh = _pinned_signs(u, vh)
+            if field == "real":
+                np.testing.assert_array_equal(pu @ pvh, u @ vh)
+            else:
+                assert np.max(np.abs(pu @ pvh - u @ vh)) <= 1e-15
 
 
 class TestRho:
@@ -253,3 +287,123 @@ class TestSolve:
             SolverConfig(tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(algorithm="rrrr")
+
+
+def _batch_instances(field, kind, rows, seed):
+    """``rows`` random solvable instances on 8x4,3x2 sharing one prior shape."""
+    s = RepresentationStructure(((8, 4), (3, 2)), field)
+    d = s.ambient_dim
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if field == "complex" else a
+
+    out = []
+    for _ in range(rows):
+        if kind == "subspace":
+            basis = np.linalg.qr(draw(d, 3))[0]
+            prior, truth = LinearSubspacePrior(basis), basis @ draw(3)
+        elif kind == "sparsity":
+            coeffs = np.zeros(d, dtype=s.dtype)
+            coeffs[rng.choice(d, 6, replace=False)] = draw(6)
+            prior, truth = SparsityPrior(6), coeffs
+        else:
+            mask = np.zeros(d, dtype=bool)
+            mask[rng.choice(d, 16, replace=False)] = True
+            prior, truth = SupportPrior(mask), np.where(mask, draw(d), 0.0)
+        t = decompose(truth, s)
+        out.append((gram_tuple(t), prior, decompose(draw(d), s), t))
+    return out
+
+
+def _assert_same_report(a, b):
+    assert a.iterations_used == b.iterations_used
+    assert a.converged == b.converged
+    assert a.residual_final == b.residual_final
+    assert a.oracle_error == b.oracle_error
+    np.testing.assert_array_equal(reconstruct(a.estimate), reconstruct(b.estimate))
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("algorithm", ["alternating_projection", "rrr"])
+    @pytest.mark.parametrize("kind", ["subspace", "sparsity", "support"])
+    def test_every_row_equals_its_single_solve(self, field, algorithm, kind):
+        rows = _batch_instances(field, kind, 8, seed=1)
+        config = SolverConfig(algorithm=algorithm, max_iters=150)
+        singles = [solve(m, p, config, init=i, truth=t) for m, p, i, t in rows]
+        # rows leave the stack at different iterations, some at the cap
+        assert len({r.iterations_used for r in singles}) > 1
+
+        def batch(order):
+            measured, priors, inits, truths = zip(*(rows[j] for j in order))
+            return solve_batch(measured, priors, config, inits, truths)
+
+        for j, report in enumerate(batch(range(len(rows)))):
+            _assert_same_report(report, singles[j])
+        order = np.random.default_rng(0).permutation(len(rows))
+        for part in (order[:3], order[3:]):
+            for j, report in zip(part, batch(part)):
+                _assert_same_report(report, singles[j])
+
+    def test_oracle_stopping_rows_equal_single_solves(self):
+        rows = _batch_instances("real", "subspace", 6, seed=4)
+        config = SolverConfig(max_iters=200, stop_on="oracle", track_trajectory=True)
+        measured, priors, inits, truths = zip(*rows)
+        batched = solve_batch(measured, priors, config, inits, truths)
+        for (m, p, i, t), report in zip(rows, batched):
+            single = solve(m, p, config, init=i, truth=t)
+            _assert_same_report(report, single)
+            assert report.residual_trajectory == single.residual_trajectory
+
+    def test_priors_of_mixed_type_or_shape_rejected(self):
+        rows = _batch_instances("real", "subspace", 1, 0)
+        rows += _batch_instances("real", "support", 1, 0)
+        measured, priors, inits, _ = zip(*rows)
+        with pytest.raises(ValueError, match="same type"):
+            solve_batch(measured, priors, SolverConfig(), inits)
+        wider = random_subspace_prior(measured[0].structure, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="same shape"):
+            solve_batch(measured, [priors[0], wider], SolverConfig(), inits)
+
+
+class TestScaleRobustness:
+    def test_norms_match_the_plain_formula_in_range_and_scale_outside(self):
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            mats = [
+                rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-8, 8),
+                rng.standard_normal((2, 3)),
+            ]
+            if rng.random() < 0.5:
+                mats = [m + 1j * rng.standard_normal(m.shape) for m in mats]
+            plain = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in mats))
+            assert frobenius_norms([m[None] for m in mats])[0] == plain
+            assert frobenius_norms([mats[0][None]])[0] == np.linalg.norm(mats[0])
+            for c in (1e-200, 1e200):
+                scaled = frobenius_norms([c * m[None] for m in mats])[0]
+                assert abs(scaled / (c * plain) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-75, 1e75, 1e150])
+    def test_scaled_instances_converge_like_unscaled(self, c):
+        s = RepresentationStructure(((8, 4),))
+        config = SolverConfig(max_iters=400, tol=1e-8)
+        hits = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            prior = random_subspace_prior(s, 2, rng)
+            truth = prior.basis @ rng.standard_normal(2)
+            init = reconstruct(random_signal(s, rng))
+            t = decompose(truth, s)
+            base = solve(gram_tuple(t), prior, config, init=decompose(init, s), truth=t)
+            if not base.converged:
+                continue
+            hits += 1
+            t = decompose(c * truth, s)
+            report = solve(gram_tuple(t), prior, config, init=decompose(c * init, s), truth=t)
+            assert report.converged
+            assert report.iterations_used == base.iterations_used > 0
+            assert report.residual_final < config.tol
+            assert report.oracle_error < 1e-6
+        assert hits > 0
