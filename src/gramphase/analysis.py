@@ -57,6 +57,18 @@ __all__ = [
 ]
 
 
+# grid search limits: product grids up to BRUTE_CAP elements are
+# enumerated outright, larger ones go through the hull engine within
+# its two caps; margins below VIOLATION_STEPS grid steps are violations
+BRUTE_CAP = 2_000_000
+MAX_BASE_COMBOS = 4_200_000
+MAX_ITER_COMBOS = 65_536
+MAX_MENU_STORAGE = 10_000_000
+VIOLATION_STEPS = 10.0
+# bins of the distortion-ratio histogram
+HISTOGRAM_BINS = 50
+
+
 class IntractableGridError(ValueError):
     """The requested ambiguity-group grid is too large to enumerate."""
 
@@ -339,11 +351,6 @@ def transversality_check(
     rng: np.random.Generator,
     *,
     exclude_tol: float = 0.5,
-    threshold: float | None = None,
-    brute_cap: int = 2_000_000,
-    max_base_combos: int = 4_200_000,
-    max_iter_combos: int = 65_536,
-    max_menu_storage: int = 10_000_000,
     points: list[np.ndarray] | None = None,
 ) -> TransversalityReport:
     """Grid search for non-sign orbit returns into a linear subspace.
@@ -353,7 +360,7 @@ def transversality_check(
     rotations and reflections at ``2 pi / grid_resolution`` spacing) is
     searched for the element, not within ``exclude_tol`` of a global
     sign flip, whose image lies nearest the subspace.  Margins below
-    ``threshold`` (default ten grid steps) are reported as violations:
+    ten grid steps (``VIOLATION_STEPS``) are reported as violations:
     at this resolution they are indistinguishable from an actual orbit
     intersection, which is exactly what a transversal configuration
     must not produce.
@@ -381,12 +388,10 @@ def transversality_check(
     storage = sum(
         2 if n == 1 else 2 * grid_resolution for n, _ in structure.blocks
     )
-    if storage > max_menu_storage:
-        raise IntractableGridError(f"grid storage {storage} exceeds {max_menu_storage}")
+    if storage > MAX_MENU_STORAGE:
+        raise IntractableGridError(f"grid storage {storage} exceeds {MAX_MENU_STORAGE}")
 
-    step = 2.0 * np.pi / grid_resolution
-    if threshold is None:
-        threshold = 10.0 * step
+    threshold = VIOLATION_STEPS * (2.0 * np.pi / grid_resolution)
     m = prior.dim
     k_eff, _ = effective_dimension(structure)
     # excluded iff min ||y -+ x|| <= exclude_tol, i.e. |<y, x>| >= tau
@@ -419,10 +424,10 @@ def transversality_check(
         )
         menus = _build_menus(x_sig, basis, grid_resolution)
         total = np.prod([menu.size for menu in menus], dtype=np.float64)
-        if total <= brute_cap:
+        if total <= BRUTE_CAP:
             hit = _brute_grid_max(menus, tau)
         elif m <= 2:
-            hit = _hull_grid_max(menus, tau, max_iter_combos, max_base_combos)
+            hit = _hull_grid_max(menus, tau, MAX_ITER_COMBOS, MAX_BASE_COMBOS)
         else:
             raise IntractableGridError(
                 f"product grid of {total:.2e} elements with a {m}-dimensional "
@@ -531,8 +536,6 @@ def distortion_estimate(
     prior: LinearSubspacePrior,
     num_pairs: int,
     rng: np.random.Generator,
-    *,
-    bins: int = 50,
 ) -> DistortionReport:
     """Monte Carlo bounds on the distance distortion of the measurement.
 
@@ -578,7 +581,7 @@ def distortion_estimate(
     ratios, used = distortion_ratios(cx @ bt, cy @ bt, structure)
     if ratios.size == 0:
         raise ValueError("all sampled pairs were sign- or phase-degenerate; widen the sampling")
-    counts, edges = np.histogram(ratios, bins=bins)
+    counts, edges = np.histogram(ratios, bins=HISTOGRAM_BINS)
     return DistortionReport(
         alpha_lower=float(ratios.min()),
         beta_upper=float(ratios.max()),

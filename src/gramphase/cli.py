@@ -60,28 +60,19 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-# flag -> (parser, default) ; None defaults mean "fall back to config file,
-# then to this table's resolved default"
-_DEFAULTS = {
-    "structure": "8x4",
-    "K": None,
-    "sigma": None,
-    "trials": None,
-    "seed": 0,
-    "algorithm": "ap",
-    "beta": 0.5,
-    "max_iters": 1000,
-    "tol": 1e-6,
-    "out": None,
-    "paper_scale": False,
-    "workers": 1,
-    "grid_res": 512,
-    "exclude_tol": 0.5,
-    "n": 1000,
-    "action": "full",
-    "gram": None,
-    "prior": None,
+# config-file keys and flag names that differ from their ExperimentConfig
+# field; ``K``, ``sigma`` and ``structure`` are mapped by ``_config``
+_RENAMES = {
+    "seed": "master_seed",
+    "grid_res": "grid_resolution",
+    "n": "n_samples",
+    "gram": "gram_file",
+    "prior": "prior_file",
 }
+_KEYS = frozenset({
+    "structure", "K", "sigma", "trials", "algorithm", "beta", "max_iters", "tol",
+    "out", "paper_scale", "workers", "exclude_tol", "action", *_RENAMES,
+})
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -90,7 +81,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--K", type=_int_list, help="subspace dimension(s), comma separated")
     p.add_argument("--sigma", type=_float_list, help="noise level(s), comma separated")
     p.add_argument("--trials", type=int, help="trials / points / pairs per sweep value")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, help="master seed")
     p.add_argument("--algorithm", choices=["ap", "rrr"], help="solver variant")
     p.add_argument("--beta", type=float, help="relaxation step for rrr")
     p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
@@ -103,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         const=True,
         help="use 10,000 trials instead of the desk-scale default",
     )
-    p.add_argument("--workers", type=int, help="process pool size (default 1)")
+    p.add_argument("--workers", type=int, help="process pool size")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,83 +137,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = load_json(args.config)
-        unknown = set(file_cfg) - set(_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown config file keys: {sorted(unknown)}")
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in file_cfg:
-            merged[key] = file_cfg[key]
-        else:
-            merged[key] = default
-    return merged
+def _values(value) -> tuple:
+    return tuple(value) if isinstance(value, (tuple, list)) else (value,)
 
 
 def _single(value, what: str):
-    if value is None:
-        return None
-    if isinstance(value, (tuple, list)):
-        if len(value) != 1:
-            raise ValueError(f"{what} takes a single value here, got {value}")
-        return value[0]
-    return value
+    values = _values(value)
+    if len(values) != 1:
+        raise ValueError(f"{what} takes a single value here, got {value}")
+    return values[0]
 
 
-def _to_config(command: str, merged: dict) -> ExperimentConfig:
-    structure = merged["structure"]
-    if isinstance(structure, str):
-        structure = parse_structure(structure)
-    else:
-        structure = structure_from_dict(structure)
-    k = merged["K"]
-    sigma = merged["sigma"]
-    cfg = ExperimentConfig(
-        experiment=command,
-        structure=structure,
-        trials=merged["trials"],
-        master_seed=merged["seed"],
-        out=merged["out"],
-        algorithm=merged["algorithm"],
-        beta=merged["beta"],
-        max_iters=merged["max_iters"],
-        tol=merged["tol"],
-        paper_scale=bool(merged["paper_scale"]),
-        workers=merged["workers"],
-        grid_resolution=merged["grid_res"],
-        exclude_tol=merged["exclude_tol"],
-        n_samples=merged["n"],
-        action=merged["action"],
-        gram_file=merged["gram"],
-        prior_file=merged["prior"],
-    )
-    if command == "exp-iterations":
-        if k is not None:
-            cfg.k_values = tuple(k) if isinstance(k, (tuple, list)) else (k,)
-    elif command == "exp-noise":
-        if sigma is not None:
-            cfg.sigma_values = tuple(sigma) if isinstance(sigma, (tuple, list)) else (sigma,)
-        cfg.subspace_dim = _single(k, "--K")
-    else:
-        cfg.subspace_dim = _single(k, "--K")
-        s = _single(sigma, "--sigma")
-        if s is not None:
-            cfg.sigma = s
-    return cfg
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file overlaid with the flags given; everything else is
+    left to the ExperimentConfig defaults."""
+    given = load_json(args.config) if args.config else {}
+    unknown = set(given) - _KEYS
+    if unknown:
+        raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+    for key in _KEYS:
+        if getattr(args, key, None) is not None:
+            given[key] = getattr(args, key)
+    k = given.pop("K", None)
+    sigma = given.pop("sigma", None)
+    kwargs = {_RENAMES.get(key, key): value for key, value in given.items()}
+    if isinstance(kwargs.get("structure"), str):
+        kwargs["structure"] = parse_structure(kwargs["structure"])
+    elif "structure" in kwargs:
+        kwargs["structure"] = structure_from_dict(kwargs["structure"])
+    if k is not None:
+        if args.command == "exp-iterations":
+            kwargs["k_values"] = _values(k)
+        else:
+            kwargs["subspace_dim"] = _single(k, "--K")
+    if sigma is not None:
+        if args.command == "exp-noise":
+            kwargs["sigma_values"] = _values(sigma)
+        elif args.command != "exp-iterations":
+            kwargs["sigma"] = _single(sigma, "--sigma")
+    return ExperimentConfig(experiment=args.command, **kwargs)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        merged = _merge(args)
-        cfg = _to_config(args.command, merged)
+        cfg = _config(args)
         if args.command == "simulate":
             result = run_simulate(cfg)
             print(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -62,9 +62,14 @@ def _default_structure() -> RepresentationStructure:
     return RepresentationStructure(((8, 4),), "real")
 
 
+# fields that change no result: left out of the config hash
+_UNHASHED = frozenset({"out", "workers", "gram_file", "prior_file"})
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a runner needs; mirrors the CLI flags one to one."""
+    """Everything a runner needs, and the one place that holds its
+    defaults and checks; the CLI passes only what the user set."""
 
     experiment: str = "iterations_vs_k"
     structure: RepresentationStructure = field(default_factory=_default_structure)
@@ -76,7 +81,7 @@ class ExperimentConfig:
     n_samples: int = 1000
     master_seed: int = 0
     out: str | None = None
-    algorithm: str = "alternating_projection"
+    algorithm: str = "alternating_projection"  # "ap" is accepted for it
     beta: float = 0.5
     max_iters: int = 1000
     tol: float = 1e-6
@@ -84,11 +89,18 @@ class ExperimentConfig:
     workers: int = 1
     grid_resolution: int = 512
     exclude_tol: float = 0.5
-    action: str = "full"
+    action: str = "full"  # or "cyclic"
     gram_file: str | None = None
     prior_file: str | None = None
 
     def __post_init__(self):
+        if self.algorithm == "ap":
+            self.algorithm = "alternating_projection"
+        self.paper_scale = bool(self.paper_scale)
+        if self.algorithm not in ("alternating_projection", "rrr"):
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.action not in ("full", "cyclic"):
+            raise ValueError(f"unknown action {self.action!r}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.workers < 1:
@@ -99,6 +111,12 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
+        if self.subspace_dim is not None and self.subspace_dim < 1:
+            raise ValueError("subspace_dim must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValueError("subspace dimension sweep must be nonempty and positive")
         if not self.sigma_values or any(s < 0 for s in self.sigma_values):
@@ -110,10 +128,8 @@ class ExperimentConfig:
         return PAPER_TRIALS if self.paper_scale else default
 
     def solver_config(self, stop_on: str) -> SolverConfig:
-        """The solver settings, with the CLI's ``ap`` spelled out."""
-        algo = {"ap": "alternating_projection"}.get(self.algorithm, self.algorithm)
         return SolverConfig(
-            algorithm=algo,
+            algorithm=self.algorithm,
             beta=self.beta,
             max_iters=self.max_iters,
             tol=self.tol,
@@ -122,25 +138,10 @@ class ExperimentConfig:
 
     def provenance(self, **extra) -> list[str]:
         payload = {
-            "experiment": self.experiment,
-            "structure": serialize.structure_to_dict(self.structure),
-            "trials": self.trials,
-            "k_values": list(self.k_values),
-            "sigma_values": list(self.sigma_values),
-            "subspace_dim": self.subspace_dim,
-            "sigma": self.sigma,
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "algorithm": self.algorithm,
-            "beta": self.beta,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "paper_scale": self.paper_scale,
-            "grid_resolution": self.grid_resolution,
-            "exclude_tol": self.exclude_tol,
-            "action": self.action,
-            **extra,
+            f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED
         }
+        payload["structure"] = serialize.structure_to_dict(self.structure)
+        payload.update(extra)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()[:16]
@@ -344,14 +345,16 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
         reconstruct(report.estimate)[None, :],
         cfg.provenance(file="estimate"),
     )
-    row = {"trial_id": 0, "K": cfg.subspace_dim or "", "sigma": cfg.sigma}
-    row.update(report.to_row())
-    serialize.write_csv(
-        out / "solve.csv",
-        ["trial_id", "K", "sigma", "iterations", "converged", "residual", "oracle_error"],
-        [row],
-        cfg.provenance(file="solve"),
-    )
+    row = {
+        "trial_id": 0,
+        "K": cfg.subspace_dim or "",
+        "sigma": cfg.sigma,
+        "iterations": report.iterations_used,
+        "converged": int(report.converged),
+        "residual": report.residual_final,
+        "oracle_error": "" if report.oracle_error is None else report.oracle_error,
+    }
+    serialize.write_csv(out / "solve.csv", list(row), [row], cfg.provenance(file="solve"))
     return report
 
 

@@ -199,20 +199,15 @@ def clamp_psd(g: np.ndarray) -> np.ndarray:
     return (v * np.clip(w, 0.0, None)) @ v.conj().T
 
 
-def extract_gram(
-    moment: np.ndarray,
-    structure: RepresentationStructure,
-    clamp: bool = True,
-) -> GramTuple:
+def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> GramTuple:
     """Read the Gram tuple out of an ambient second moment.
 
     Each Gram entry is the trace down the diagonal of the matching
     ``(l, i, j)`` sub-block: averaging the ``n_l`` diagonal entries
-    instead of picking one reduces estimator variance for free.  With
-    ``clamp`` the result is symmetrized and eigenvalue-clamped so noisy
-    estimates stay PSD; on an exact moment this changes nothing and the
-    composition with :func:`analytic_second_moment` inverts
-    :func:`gram_tuple`.
+    instead of picking one reduces estimator variance for free.  The
+    result is symmetrized and eigenvalue-clamped so noisy estimates stay
+    PSD; on an exact moment this changes nothing and the composition
+    with :func:`analytic_second_moment` inverts :func:`gram_tuple`.
     """
     moment = np.asarray(moment)
     d = structure.ambient_dim
@@ -225,5 +220,5 @@ def extract_gram(
         sub = moment[sl, sl].reshape(r, n, r, n)
         # (i, j) sub-block of the moment is G[j, i] / n * I
         g = np.einsum("iaja->ji", sub)
-        grams.append(clamp_psd(g) if clamp else g)
+        grams.append(clamp_psd(g))
     return GramTuple(structure, tuple(grams))

@@ -102,15 +102,6 @@ class SolveReport:
     residual_trajectory: list[float] | None = None
     oracle_error: float | None = None
 
-    def to_row(self) -> dict:
-        """Flat summary for CSV export."""
-        return {
-            "iterations": self.iterations_used,
-            "converged": int(self.converged),
-            "residual": self.residual_final,
-            "oracle_error": "" if self.oracle_error is None else self.oracle_error,
-        }
-
 
 def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
     """Unique Hermitian PSD square root via eigendecomposition.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gramphase import RepresentationStructure
-from gramphase.cli import main, parse_structure
+from gramphase.cli import _build_parser, _config, main, parse_structure
 from gramphase.experiments import (
     ExperimentConfig,
     run_demo_solve,
@@ -36,6 +36,48 @@ class TestStructureParsing:
         s = parse_structure('{"field": "real", "blocks": [[8, 4]]}')
         assert s == RepresentationStructure(((8, 4),), "real")
         assert parse_structure("[[2, 1], [1, 3]]").blocks == ((2, 1), (1, 3))
+
+
+class TestExperimentConfig:
+    def test_ap_alias_resolved_on_construction(self):
+        cfg = ExperimentConfig(algorithm="ap")
+        assert cfg.algorithm == "alternating_projection"
+        assert cfg.provenance() == ExperimentConfig().provenance()
+        assert cfg.solver_config("oracle").algorithm == "alternating_projection"
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"algorithm": "foo"}, "algorithm"),
+            ({"action": "cyc"}, "action"),
+            ({"sigma": -0.1}, "sigma"),
+            ({"subspace_dim": 0}, "subspace_dim"),
+            ({"n_samples": 0}, "n_samples"),
+        ],
+    )
+    def test_rejects_invalid_values(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**kwargs)
+
+    def test_config_hash_pinned(self):
+        # values written by earlier releases; the hash payload must not move
+        assert ExperimentConfig().provenance()[1] == "config_hash=2f6f80763f45a39a"
+        rrr = ExperimentConfig(
+            experiment="exp-noise",
+            structure=RepresentationStructure(((8, 4), (3, 2)), "complex"),
+            algorithm="rrr", beta=0.7, subspace_dim=3, trials=11, sigma_values=(0.0, 0.1),
+        )
+        assert rrr.provenance()[1] == "config_hash=a722cfcedabf8866"
+        assert (
+            rrr.provenance(resolved_trials=200, subspace_dim_resolved=10)[1]
+            == "config_hash=e8ef6d15130d24d7"
+        )
+        # output paths and the worker count are left out of the hash
+        sim = ExperimentConfig(
+            experiment="simulate", action="cyclic", n_samples=50, sigma=0.2, master_seed=2,
+            out="x", workers=3, gram_file="g", prior_file="p",
+        )
+        assert sim.provenance(file="estimate")[1] == "config_hash=3301183f36515222"
 
 
 class TestIterationsExperiment:
@@ -200,6 +242,42 @@ class TestCli:
         cfg_file.write_text(json.dumps({"trils": 3}))
         assert main(["exp-iterations", "--config", str(cfg_file)]) == 1
         assert "trils" in capsys.readouterr().err
+
+    def test_negative_sigma_sweep_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "noise.csv"
+        assert main(["exp-noise", "--sigma=-0.1,0.01", "--trials", "2", "--out", str(out)]) == 1
+        assert "noise sweep" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_k_sweep_in_config_file_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"K": []}))
+        assert main(["exp-iterations", "--config", str(cfg_file)]) == 1
+        assert "subspace dimension sweep" in capsys.readouterr().err
+
+    def test_cli_csv_matches_api_csv(self, tmp_path):
+        cli_out, api_out = tmp_path / "cli.csv", tmp_path / "api.csv"
+        code = main(
+            ["exp-iterations", "--trials", "3", "--K", "2", "--max-iters", "20",
+             "--seed", "3", "--out", str(cli_out)]
+        )
+        assert code == 0
+        run_iterations_vs_k(
+            ExperimentConfig(
+                experiment="exp-iterations", trials=3, k_values=(2,), max_iters=20,
+                master_seed=3, out=str(api_out),
+            )
+        )
+        assert cli_out.read_bytes() == api_out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["simulate", "solve", "exp-iterations", "exp-noise", "transversality", "bilipschitz"],
+    )
+    def test_no_flags_gives_the_api_defaults(self, command):
+        cfg = _config(_build_parser().parse_args([command]))
+        assert cfg == ExperimentConfig(experiment=command)
+        assert cfg.provenance() == ExperimentConfig(experiment=command).provenance()
 
     def test_seed_repetition_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
