@@ -37,6 +37,9 @@ from .blocks import (
     GroupElement,
     RepresentationStructure,
     apply,
+    block_stacks,
+    decompose,
+    flat_block,
     reconstruct,
 )
 from .moments import gram_tuple
@@ -143,11 +146,6 @@ class _Menu:
         return self.a.shape[0]
 
 
-def _flatten_cols(y: np.ndarray) -> np.ndarray:
-    # (g, n, r) stacks -> (g, n*r) in the column-major ambient layout
-    return y.transpose(0, 2, 1).reshape(y.shape[0], -1)
-
-
 def _build_menus(
     x: BlockSignal, basis: np.ndarray, grid_resolution: int
 ) -> list[_Menu]:
@@ -161,18 +159,14 @@ def _build_menus(
     o2_labels = [("rotation", int(t)) for t in range(grid_resolution)] + [
         ("reflection", int(t)) for t in range(grid_resolution)
     ]
+    signs = np.array([[[1.0]], [[-1.0]]])
     x_amb = reconstruct(x)
-    for (n, r), sl, m in zip(s.blocks, s.block_slices, x.matrices):
+    for (n, _), sl, m in zip(s.blocks, s.block_slices, x.matrices):
         if n == 1:
-            mats = np.array([[[1.0]], [[-1.0]]])
-            flat = np.stack([m.flatten(order="F"), -m.flatten(order="F")])
-            labels = [("sign", 1), ("sign", -1)]
-            kind = "sign"
+            mats, labels, kind = signs, [("sign", 1), ("sign", -1)], "sign"
         else:
-            mats = o2
-            flat = _flatten_cols(np.einsum("gij,jr->gir", o2, m))
-            labels = o2_labels
-            kind = "o2"
+            mats, labels, kind = o2, o2_labels, "o2"
+        flat = flat_block(np.einsum("gij,jr->gir", mats, m))
         a = flat @ x_amb[sl]
         b = flat @ basis[sl, 1:]
         if b.shape[1] == 0:
@@ -343,6 +337,24 @@ def _rebased_subspace(basis: np.ndarray, x_amb: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_subspace_point(point, idx: int, basis: np.ndarray) -> np.ndarray:
+    """A point scaled to unit norm, checked to be finite, nonzero and in
+    the span of ``basis`` (distance from it at most 1e-8 times its norm)."""
+    x = np.asarray(point, dtype=float)
+    if x.shape != (basis.shape[0],):
+        raise ValueError(f"point {idx} has shape {x.shape}")
+    # an exact power-of-two rescale keeps the squares in the norm in range
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
+    nrm = np.linalg.norm(x)
+    off = np.linalg.norm(x - basis @ (basis.T @ x))
+    if not (np.isfinite(nrm) and nrm > 0 and off <= 1e-8 * nrm):
+        raise ValueError(
+            f"point {idx} must be finite, nonzero and in the prior's span: "
+            f"norm {nrm:.3e}, distance from the span {off:.3e}"
+        )
+    return x / nrm
+
+
 def transversality_check(
     structure: RepresentationStructure,
     prior: LinearSubspacePrior,
@@ -366,7 +378,8 @@ def transversality_check(
     must not produce.
 
     ``points`` overrides the random sampling with explicit ambient
-    vectors (normalized here), e.g. to probe a suspected intersection.
+    vectors (normalized here), e.g. to probe a suspected intersection;
+    each must be finite, nonzero and in the prior's span.
     """
     if not isinstance(prior, LinearSubspacePrior):
         raise TypeError("the grid check needs a linear subspace prior")
@@ -381,8 +394,10 @@ def transversality_check(
             f"subspace lives in dimension {prior.basis.shape[0]}, structure has "
             f"{structure.ambient_dim}"
         )
+    if points is not None:
+        num_points = len(points)
     if num_points < 1 or grid_resolution < 4:
-        raise ValueError("need num_points >= 1 and grid_resolution >= 4")
+        raise ValueError("need at least one point and grid_resolution >= 4")
     if not 0.0 < exclude_tol < 2.0:
         raise ValueError("exclude_tol must be in (0, 2)")
     storage = sum(
@@ -397,32 +412,14 @@ def transversality_check(
     # excluded iff min ||y -+ x|| <= exclude_tol, i.e. |<y, x>| >= tau
     tau = 1.0 - exclude_tol**2 / 2.0
 
-    if points is not None:
-        num_points = len(points)
-
+    if points is None:
+        points = [prior.basis @ rng.standard_normal(m) for _ in range(num_points)]
+    points = [_unit_subspace_point(x, i, prior.basis) for i, x in enumerate(points)]
     margins = []
     violations = []
-    for idx in range(num_points):
-        if points is not None:
-            x_amb = np.asarray(points[idx], dtype=float)
-            if x_amb.shape != (structure.ambient_dim,):
-                raise ValueError(f"point {idx} has shape {x_amb.shape}")
-        else:
-            x_amb = prior.basis @ rng.standard_normal(m)
-        nrm = np.linalg.norm(x_amb)
-        while nrm < 1e-12:
-            x_amb = prior.basis @ rng.standard_normal(m)
-            nrm = np.linalg.norm(x_amb)
-        x_amb = x_amb / nrm
+    for idx, x_amb in enumerate(points):
         basis = _rebased_subspace(prior.basis, x_amb)
-        x_sig = BlockSignal(
-            structure,
-            tuple(
-                x_amb[sl].reshape((n, r), order="F")
-                for (n, r), sl in zip(structure.blocks, structure.block_slices)
-            ),
-        )
-        menus = _build_menus(x_sig, basis, grid_resolution)
+        menus = _build_menus(decompose(x_amb, structure), basis, grid_resolution)
         total = np.prod([menu.size for menu in menus], dtype=np.float64)
         if total <= BRUTE_CAP:
             hit = _brute_grid_max(menus, tau)
@@ -495,8 +492,7 @@ def _batched_sqrt_grams(amb: np.ndarray, structure: RepresentationStructure):
     """Per-block PSD square roots of the Gram matrices for a batch of
     ambient row vectors."""
     out = []
-    for (n, r), sl in zip(structure.blocks, structure.block_slices):
-        xl = amb[:, sl].reshape(-1, r, n).transpose(0, 2, 1)
+    for xl in block_stacks(amb, structure):
         g = np.einsum("pni,pnj->pij", xl.conj(), xl)
         w, v = np.linalg.eigh(g)
         w = np.clip(w, 0.0, None)

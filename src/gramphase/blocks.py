@@ -10,8 +10,11 @@ multiplicity copy.
 
 The ambient layout is fixed once: blocks in order, each flattened
 column by column (multiplicity copies contiguous).  All conversions
-between ambient vectors and block matrices go through ``decompose`` /
-``reconstruct`` so the bijection lives in one place.
+between ambient vectors and block matrices go through ``block_stacks``
+/ ``flat_block`` on ``(T, d)`` stacks of ambient rows, and through
+their one-row forms ``decompose`` / ``reconstruct`` on signals, so the
+bijection lives in one place.  Haar draws likewise come from one
+stacked sampler, ``haar_stack``.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -40,6 +43,8 @@ __all__ = [
     "full_ambiguity_action",
     "decompose",
     "reconstruct",
+    "block_stacks",
+    "flat_block",
     "decompose_cyclic",
     "reconstruct_cyclic",
     "cyclic_shift_element",
@@ -47,6 +52,7 @@ __all__ = [
     "apply",
     "compose",
     "haar_sample",
+    "haar_stack",
     "random_signal",
     "frobenius_norms",
 ]
@@ -246,13 +252,30 @@ def full_ambiguity_action(structure: RepresentationStructure) -> GroupAction:
     return GroupAction(structure, "full_ambiguity")
 
 
-def decompose(v: np.ndarray, structure: RepresentationStructure) -> BlockSignal:
-    """Split an ambient vector into its block coefficient matrices.
+def block_stacks(p: np.ndarray, structure: RepresentationStructure) -> list[np.ndarray]:
+    """Every block of a ``(T, d)`` stack of ambient rows, as ``(T, n_l, r_l)``
+    views into ``p`` (writing through a view writes into ``p``).
 
     Layout: blocks in order, each segment of length ``n_l * r_l`` read
     column-major, so copy ``i`` of block ``l`` occupies ``n_l``
     contiguous entries.
     """
+    t = len(p)
+    return [
+        p[:, sl].reshape(t, r, n).transpose(0, 2, 1)
+        for (n, r), sl in zip(structure.blocks, structure.block_slices)
+    ]
+
+
+def flat_block(y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`block_stacks` on one block: ``(T, n, r)`` stacked
+    block matrices back to their ``(T, n * r)`` ambient segments."""
+    return y.transpose(0, 2, 1).reshape(len(y), -1)
+
+
+def decompose(v: np.ndarray, structure: RepresentationStructure) -> BlockSignal:
+    """Split an ambient vector into its block coefficient matrices: the
+    one-row case of :func:`block_stacks`."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-d ambient vector, got shape {v.shape}")
@@ -264,16 +287,13 @@ def decompose(v: np.ndarray, structure: RepresentationStructure) -> BlockSignal:
     if structure.field == "real" and np.iscomplexobj(v):
         raise ValueError("complex data passed to a real-field structure")
     v = v.astype(structure.dtype, copy=False)
-    mats = [
-        v[sl].reshape((n, r), order="F")
-        for (n, r), sl in zip(structure.blocks, structure.block_slices)
-    ]
-    return BlockSignal(structure, tuple(mats))
+    return BlockSignal(structure, tuple(m[0] for m in block_stacks(v[None], structure)))
 
 
 def reconstruct(x: BlockSignal) -> np.ndarray:
-    """Inverse of :func:`decompose`: flatten blocks back to the ambient vector."""
-    return np.concatenate([m.flatten(order="F") for m in x.matrices])
+    """Inverse of :func:`decompose`: flatten blocks back to the ambient
+    vector, the one-row case of :func:`flat_block`."""
+    return np.concatenate([flat_block(m[None])[0] for m in x.matrices])
 
 
 def decompose_cyclic(x: np.ndarray, field: str | None = None) -> BlockSignal:
@@ -370,34 +390,33 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(tuple(a @ b for a, b in zip(g.blocks, h.blocks)))
 
 
-def _haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((n, n))
+def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent Haar-distributed ``n x n`` orthogonal (real
+    field) or unitary (complex field) matrices, as a ``(count, n, n)``
+    stack."""
+    a = rng.standard_normal((count, n, n))
+    if field == "complex":
+        a = (a + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
     q, r = np.linalg.qr(a)
     # Plain QR of a Gaussian matrix is not Haar; correcting each column
-    # by the sign of the R diagonal makes the distribution exact.
-    d = np.diagonal(r)
-    return q * np.where(d < 0, -1.0, 1.0)
-
-
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    a = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
+    # by the sign (phase) of the R diagonal makes the distribution exact.
+    d = np.diagonal(r, axis1=1, axis2=2)
     phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
-    return q * phases
+    q *= phases[:, None, :]
+    return q
 
 
 def haar_sample(action: GroupAction, rng: np.random.Generator) -> GroupElement:
     """Draw a uniformly distributed element of the action's group.
 
     Cyclic: a uniform shift index mapped to its DFT-diagonal element.
-    Full ambiguity: independent Haar orthogonal/unitary matrix per block
-    via phase-corrected QR of a Gaussian matrix.
+    Full ambiguity: an independent Haar orthogonal/unitary matrix per
+    block from :func:`haar_stack`.
     """
     if action.kind == "cyclic":
         return cyclic_shift_element(action, int(rng.integers(action.cyclic_n)))
-    sampler = _haar_unitary if action.structure.field == "complex" else _haar_orthogonal
-    return GroupElement(tuple(sampler(n, rng) for n, _ in action.structure.blocks))
+    s = action.structure
+    return GroupElement(tuple(haar_stack(n, 1, s.field, rng)[0] for n, _ in s.blocks))
 
 
 def random_signal(

@@ -25,6 +25,7 @@ from .blocks import (
     GroupAction,
     RepresentationStructure,
     cyclic_action,
+    cyclic_structure,
     decompose,
     full_ambiguity_action,
     random_signal,
@@ -359,14 +360,16 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
 
 
 def _action_for(cfg: ExperimentConfig) -> GroupAction:
-    if cfg.action == "cyclic":
-        n = (
-            cfg.structure.num_blocks
-            if cfg.structure.field == "complex"
-            else cfg.structure.ambient_dim
+    s = cfg.structure
+    if cfg.action == "full":
+        return full_ambiguity_action(s)
+    if cyclic_structure(s.ambient_dim, s.field) != s:
+        suffix = ":complex" if s.field == "complex" else ""
+        raise ValueError(
+            f"--action cyclic needs a cyclic structure such as "
+            f"--structure cyclic:{s.ambient_dim}{suffix}, got blocks {s.blocks}"
         )
-        return cyclic_action(n, cfg.structure.field)
-    return full_ambiguity_action(cfg.structure)
+    return cyclic_action(s.ambient_dim, s.field)
 
 
 def run_simulate(cfg: ExperimentConfig) -> dict:

@@ -22,8 +22,10 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     apply,
+    block_stacks,
     frobenius_norms,
     haar_sample,
+    haar_stack,
     reconstruct,
 )
 
@@ -124,29 +126,6 @@ def analytic_second_moment(x: BlockSignal) -> np.ndarray:
     return out
 
 
-def _sample_full_ambiguity(
-    x: BlockSignal, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Batched rotated copies for the per-block product group."""
-    s = x.structure
-    out = np.empty((n, s.ambient_dim), dtype=s.dtype)
-    for (dim, r), sl, m in zip(s.blocks, s.block_slices, x.matrices):
-        a = rng.standard_normal((n, dim, dim))
-        if s.field == "complex":
-            a = (a + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0)
-        q, rr = np.linalg.qr(a)
-        d = np.diagonal(rr, axis1=1, axis2=2)
-        if s.field == "complex":
-            corr = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
-        else:
-            corr = np.where(d < 0, -1.0, 1.0)
-        q = q * corr[:, None, :]
-        rotated = np.einsum("kab,br->kar", q, m)
-        # column-major block layout: transpose copies in front of rows
-        out[:, sl] = rotated.transpose(0, 2, 1).reshape(n, -1)
-    return out
-
-
 def sample_observations(
     x: BlockSignal,
     action: GroupAction,
@@ -166,7 +145,10 @@ def sample_observations(
     s = x.structure
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if action.kind == "full_ambiguity":
-        obs = _sample_full_ambiguity(x, n, rng)
+        # one Haar stack per block, rotating that block of every observation
+        obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
+        for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
+            y[...] = np.einsum("kab,br->kar", haar_stack(dim, n, s.field, rng), m)
     else:
         obs = np.stack([reconstruct(apply(haar_sample(action, rng), x)) for _ in range(n)])
     noise = sigma * rng.standard_normal(obs.shape)

@@ -41,6 +41,7 @@ from .blocks import (
     BlockSignal,
     RepresentationStructure,
     StructureMismatch,
+    block_stacks,
     decompose,
     frobenius_norms,
     random_signal,
@@ -104,19 +105,23 @@ class SolveReport:
 
 
 def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
-    """Unique Hermitian PSD square root via eigendecomposition.
+    """Unique Hermitian PSD square root via eigendecomposition, of one
+    matrix or of each matrix in a ``(..., r, r)`` stack.
 
     Eigenvalues pushed slightly negative by noise are clamped to zero;
-    genuinely non-Hermitian input is rejected.
+    genuinely non-Hermitian input is rejected, each matrix measured
+    against its own largest entry.
     """
     g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if np.max(np.abs(g - g.conj().T)) > HERMITIAN_INPUT_TOL * scale:
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {g.shape}")
+    gh = np.swapaxes(g, -1, -2).conj()
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    if np.any(np.max(np.abs(g - gh), axis=(-2, -1)) > HERMITIAN_INPUT_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w, v = np.linalg.eigh((g + gh) / 2.0)
+    vh = np.swapaxes(v, -1, -2).conj()
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vh
 
 
 def _procrustes_from_sqrt(sqrt_g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
@@ -211,10 +216,10 @@ class _Rows:
 
     def residuals(self, p: np.ndarray, structure: RepresentationStructure) -> np.ndarray:
         """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row."""
-        errs = []
-        for (n, r), sl, g in zip(structure.blocks, structure.block_slices, self.grams):
-            x = _block_stack(p, sl, n, r)
-            errs.append(x.conj().transpose(0, 2, 1) @ x - g)
+        errs = [
+            x.conj().transpose(0, 2, 1) @ x - g
+            for x, g in zip(block_stacks(p, structure), self.grams)
+        ]
         return frobenius_norms(errs) / self.gram_scale
 
     def oracle_errors(self, p: np.ndarray) -> np.ndarray:
@@ -224,19 +229,12 @@ class _Rows:
         return np.minimum(minus, plus) / self.truth_scale
 
 
-def _block_stack(p: np.ndarray, sl: slice, n: int, r: int) -> np.ndarray:
-    """Block ``sl`` of every row as a ``(T, n, r)`` view, in the
-    column-major layout of :func:`~gramphase.blocks.decompose`."""
-    return p[:, sl].reshape(len(p), r, n).transpose(0, 2, 1)
-
-
 def _project_measurement(
     p: np.ndarray, sqrt_grams: list[np.ndarray], structure: RepresentationStructure
 ) -> np.ndarray:
     out = np.empty_like(p)
-    for (n, r), sl, sq in zip(structure.blocks, structure.block_slices, sqrt_grams):
-        y = _procrustes_from_sqrt(sq, _block_stack(p, sl, n, r))
-        out[:, sl] = y.transpose(0, 2, 1).reshape(len(p), n * r)
+    for x, y, sq in zip(block_stacks(p, structure), block_stacks(out, structure), sqrt_grams):
+        y[...] = _procrustes_from_sqrt(sq, x)
     return out
 
 
@@ -290,7 +288,7 @@ def solve_batch(
     rows = _Rows(
         index=np.arange(count),
         prior=stack_priors(list(priors)),
-        sqrt_grams=[np.stack([matrix_sqrt_psd(g) for g in stack]) for stack in grams],
+        sqrt_grams=[matrix_sqrt_psd(stack) for stack in grams],
         grams=grams,
         gram_scale=_nonzero(frobenius_norms(grams)),
         truth=truth,

@@ -130,6 +130,32 @@ class TestGridEngines:
 
 
 class TestTransversalityCheck:
+    @pytest.mark.parametrize(
+        "points,reason",
+        [
+            ([np.zeros(8)], "nonzero"),
+            ([np.full(8, np.nan)], "finite"),
+            ([np.ones(8)], "span"),
+            ([], "at least one point"),
+        ],
+        ids=["zero", "nan", "off_span", "none"],
+    )
+    def test_bad_points_rejected(self, points, reason):
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(0)
+        prior = random_subspace_prior(s, 2, rng)
+        with pytest.raises(ValueError, match=reason):
+            transversality_check(s, prior, 1, 64, rng, points=points)
+
+    def test_point_scale_does_not_change_the_margin(self):
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(0)
+        prior = random_subspace_prior(s, 2, rng)
+        x = prior.basis @ np.array([1.0, 2.0])
+        points = [c * x for c in (1e-160, 1.0, 1e160)]
+        report = transversality_check(s, prior, 1, 64, rng, points=points)
+        assert len(set(report.point_margins)) == 1
+
     def test_designed_intersection_reports_violation(self):
         s = cyclic_structure(8, "real")
         rng = np.random.default_rng(3)

@@ -23,6 +23,7 @@ from gramphase import (
     reconstruct,
     reconstruct_cyclic,
 )
+from gramphase.blocks import block_stacks, flat_block
 from tests._oracles import brute_dft
 
 structures = st.builds(
@@ -30,6 +31,12 @@ structures = st.builds(
     st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=4),
     st.sampled_from(["real", "complex"]),
 )
+multi_block_structures = structures.filter(lambda s: s.num_blocks > 1)
+
+
+def _stack(s, rows, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([reconstruct(random_signal(s, rng)) for _ in range(rows)])
 
 
 class TestLayout:
@@ -70,6 +77,27 @@ class TestLayout:
         v = reconstruct(x)
         back = reconstruct(decompose(v, s))
         assert np.linalg.norm(back - v) <= 1e-12 * max(np.linalg.norm(v), 1.0)
+
+    @given(structures, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_block_stack_rows_are_decompose(self, s, rows, seed):
+        p = _stack(s, rows, seed)
+        stacks = block_stacks(p, s)
+        for t in range(rows):
+            for y, m in zip(stacks, decompose(p[t], s).matrices):
+                assert y[t].shape == m.shape and np.array_equal(y[t], m)
+
+    @given(multi_block_structures, st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_flat_block_inverts_block_stacks(self, s, rows, seed):
+        p = _stack(s, rows, seed)
+        flat = np.concatenate([flat_block(y) for y in block_stacks(p, s)], axis=1)
+        assert np.array_equal(flat, p)
+        # the stacks are views: writing through them fills the ambient rows
+        out = np.zeros_like(p)
+        for y, x in zip(block_stacks(out, s), block_stacks(p, s)):
+            y[...] = x
+        assert np.array_equal(out, p)
 
 
 class TestCyclic:

@@ -237,6 +237,12 @@ class TestCli:
         _, body2, _ = read_csv(out2)
         assert len(body2) == 2
 
+    def test_cyclic_action_on_a_non_cyclic_structure_exits_1(self, tmp_path, capsys):
+        code = main(["simulate", "--action", "cyclic", "--n", "5", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--action cyclic" in err and "--structure cyclic:32" in err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"trils": 3}))

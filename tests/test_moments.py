@@ -132,6 +132,17 @@ class TestSampling:
         samples = sample_observations(sig, cyclic_action(1), 0.0, 5, seed=1)
         np.testing.assert_allclose(samples.observations, 2.5 * np.ones((5, 1)), atol=1e-14)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_ambiguity_draw_is_haar_sample_on_the_same_stream(self, field):
+        s = RepresentationStructure(((4, 2), (3, 3), (1, 2)), field)
+        action = full_ambiguity_action(s)
+        x = random_signal(s, np.random.default_rng(2))
+        for seed in range(5):
+            obs = sample_observations(x, action, 0.0, 1, seed).observations[0]
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            ref = reconstruct(apply(haar_sample(action, rng), x))
+            assert np.max(np.abs(obs - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_deterministic(self):
         s = RepresentationStructure(((4, 2),))
         x = random_signal(s, np.random.default_rng(0))

@@ -64,6 +64,28 @@ class TestMatrixSqrt:
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stack_rows_equal_single_calls_bitwise(self, field):
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((2, 40, 4, 3))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal(a.shape)
+        a[1, :, 2:] = 0.0  # rank-deficient half
+        g = a.conj().swapaxes(-1, -2) @ a
+        stacked = matrix_sqrt_psd(g)
+        for row, single in zip(stacked.reshape(-1, 3, 3), g.reshape(-1, 3, 3)):
+            assert np.array_equal(row, matrix_sqrt_psd(single))
+
+    def test_one_non_hermitian_matrix_in_a_stack_rejected(self):
+        g = np.stack([np.eye(2)] * 3)
+        g[1, 0, 1] = 1.0
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix_sqrt_psd(g)
+        # each matrix is measured against its own scale, not the stack's
+        g = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-6], [0.0, 1.0]])])
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix_sqrt_psd(g)
+
 
 class TestProcrustes:
     def test_fixed_point(self):
