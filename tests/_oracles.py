@@ -149,7 +149,8 @@ def brute_transversality_margin(
 ):
     """Direct enumeration of the whole product grid: min distance to the
     subspace over images not within ``exclude_tol`` of a sign flip.
-    Returns ``inf`` if everything is excluded.  Tiny grids only."""
+    Returns ``inf`` if everything is excluded.  Tiny grids only; the
+    product is walked in row-major chunks of 2**16 images."""
     proj = basis @ basis.T
     per_block = []
     for (n, r), sl in zip(structure.blocks, structure.block_slices):
@@ -163,11 +164,17 @@ def brute_transversality_margin(
                 c, s = math.cos(th), math.sin(th)
                 for d in (np.array([[c, -s], [s, c]]), np.array([[c, s], [s, -c]])):
                     cands.append((d @ xl).flatten(order="F"))
-        per_block.append(cands)
+        per_block.append(np.array(cands))
+    sizes = tuple(len(cands) for cands in per_block)
+    total = math.prod(sizes)
     best = np.inf
-    for combo in itertools.product(*per_block):
-        y = np.concatenate(combo)
-        if min(np.linalg.norm(y - x_amb), np.linalg.norm(y + x_amb)) <= exclude_tol:
-            continue
-        best = min(best, float(np.linalg.norm(y - proj @ y)))
+    for start in range(0, total, 2**16):
+        combo = np.unravel_index(np.arange(start, min(start + 2**16, total)), sizes)
+        y = np.concatenate([cands[i] for cands, i in zip(per_block, combo)], axis=1)
+        near = np.minimum(
+            np.linalg.norm(y - x_amb, axis=1), np.linalg.norm(y + x_amb, axis=1)
+        )
+        dist = np.linalg.norm(y - y @ proj.T, axis=1)[near > exclude_tol]
+        if dist.size:
+            best = min(best, float(dist.min()))
     return best
