@@ -15,12 +15,15 @@ The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
 distance from a rotated copy to the subspace depends only on the sums
 of per-block coordinate pairs, and the exclusion of near-sign-flips
-becomes an interval constraint on the first coordinate.  Sorting one
-large partial product by that coordinate and pre-reducing buckets of
-it to their planar convex hulls turns each remaining grid assignment
-into a farthest-point query over a few thousand hull vertices, which
-is exact: the farthest point of a set from any query is attained at a
-hull vertex, and bucket boundaries are handled element-wise.
+becomes a slab constraint on the first coordinate.  One large partial
+product is binned by that coordinate and the other grid assignments
+(the queries) are grouped the same way.  Rounding is monotone, so the
+value at the largest corner of the box of sums a (group, bin) or
+(query, bin) pair spans bounds every value computed inside it; pairs
+are evaluated exactly in order of descending bound until the next bound
+falls below the best value, which is then the exact maximum of the same
+floating-point sums.  Ties go to the lowest row-major index into the
+query menus, then into the base menus, whatever the evaluation order.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .blocks import (
     BlockSignal,
@@ -61,12 +63,16 @@ __all__ = [
 
 
 # grid search limits: product grids up to BRUTE_CAP elements are
-# enumerated outright, larger ones go through the hull engine within
-# its two caps; margins below VIOLATION_STEPS grid steps are violations
+# enumerated outright, larger ones go through the bound-and-prune engine
+# within its two caps, with its bins, query groups and evaluation chunk;
+# margins below VIOLATION_STEPS grid steps are violations
 BRUTE_CAP = 2_000_000
 MAX_BASE_COMBOS = 4_200_000
 MAX_ITER_COMBOS = 65_536
 MAX_MENU_STORAGE = 10_000_000
+BASE_BINS = 4096
+QUERY_GROUPS = 64
+EVAL_CHUNK = 2**16
 VIOLATION_STEPS = 10.0
 # bins of the distortion-ratio histogram
 HISTOGRAM_BINS = 50
@@ -176,14 +182,20 @@ def _build_menus(
     return menus
 
 
+def _product_sums(menus):
+    """Subspace coordinates summed over the row-major product of ``menus``,
+    shapes ``(N,)`` and ``(N, m - 1)``; one zero entry for no menus."""
+    a, b = np.zeros(1), np.zeros((1, menus[0].b.shape[1] if menus else 1))
+    for menu in menus:
+        a = (a[:, None] + menu.a).ravel()
+        b = (b[:, None] + menu.b).reshape(a.shape[0], -1)
+    return a, b
+
+
 def _brute_grid_max(menus, tau):
     """Exact max of the squared subspace alignment over the feasible grid,
     by materializing the whole product (small grids only)."""
-    a_tot = np.zeros(1)
-    b_tot = np.zeros((1, menus[0].b.shape[1]))
-    for menu in menus:
-        a_tot = (a_tot[:, None] + menu.a[None, :]).ravel()
-        b_tot = (b_tot[:, None, :] + menu.b[None, :, :]).reshape(-1, b_tot.shape[1])
+    a_tot, b_tot = _product_sums(menus)
     feasible = np.abs(a_tot) < tau
     if not feasible.any():
         return None
@@ -194,129 +206,115 @@ def _brute_grid_max(menus, tau):
     return float(f[best]), {i: int(j) for i, j in enumerate(combo)}
 
 
-class _SortedBase:
-    """Two-menu partial product, sorted by the exclusion coordinate and
-    pre-reduced to per-bucket convex hulls for farthest-point queries."""
+def _binned(u, w, count):
+    """Entries ``(u, w)`` sorted stably into ``count`` equal-width bins of
+    ``u``: the order, the nonempty bins' starts and sizes, the sorted ``u``
+    and ``w``, and each bin's stacked (min, max) of ``u`` and of ``w``."""
+    key = u - u.min()
+    span = key.max()
+    if span > 0:
+        key /= span
+        key *= count
+    key = np.minimum(key.astype(np.int16), max(count, 1) - 1)
+    order = np.argsort(key, kind="stable")  # a radix sort on int16 keys
+    sizes = np.bincount(key)
+    sizes = sizes[sizes > 0]
+    starts = np.cumsum(sizes) - sizes
+    u, w = u[order], w[order]
+    boxes = [np.stack([f.reduceat(v, starts) for f in (np.minimum, np.maximum)]) for v in (u, w)]
+    return order, starts, sizes, u, w, boxes
 
-    def __init__(self, menu_i, menu_j, bucket_size=4096):
-        self.sizes = (menu_i.size, menu_j.size)
-        a = (menu_i.a[:, None] + menu_j.a[None, :]).ravel()
-        b = (menu_i.b[:, None, 0] + menu_j.b[None, :, 0]).ravel()
-        order = np.argsort(a, kind="stable")
-        self.order = order
-        self.a = a[order]
-        self.b = b[order]
-        n = self.a.shape[0]
-        nb = max(1, min(512, n // bucket_size))
-        self.bounds = np.linspace(0, n, nb + 1).astype(np.intp)
-        va, vb, vidx, vbucket = [], [], [], []
-        for j in range(nb):
-            lo, hi = self.bounds[j], self.bounds[j + 1]
-            pts_a, pts_b = self.a[lo:hi], self.b[lo:hi]
-            local = None
-            if hi - lo >= 8:
-                try:
-                    hull = ConvexHull(np.column_stack([pts_a, pts_b]))
-                    local = hull.vertices
-                except QhullError:
-                    local = None
-            if local is None:
-                local = np.arange(hi - lo)
-            va.append(pts_a[local])
-            vb.append(pts_b[local])
-            vidx.append(local + lo)
-            vbucket.append(np.full(local.shape[0], j, dtype=np.intp))
-        self.va = np.concatenate(va)
-        self.vb = np.concatenate(vb)
-        self.vidx = np.concatenate(vidx)
-        self.vbucket = np.concatenate(vbucket)
 
-    def query(self, c, d, tau):
-        """Max of (a+c)^2 + (b+d)^2 over entries with |a + c| < tau.
+def _corner_bound(x, y):
+    """Largest ``x**2 + y**2`` over the corners of boxes whose (min, max)
+    of ``x`` and of ``y`` are stacked on the first axis."""
+    return np.maximum(x[0] ** 2, x[1] ** 2) + np.maximum(y[0] ** 2, y[1] ** 2)
 
-        Returns (value, sorted_index) or None if nothing is feasible.
-        Full buckets inside the feasible interval are answered from
-        their hull vertices (exact for this convex objective); the two
-        partial buckets at the interval ends are scanned directly.
-        """
-        lo, hi = -tau - c, tau - c
-        i_lo = int(np.searchsorted(self.a, lo, side="right"))
-        i_hi = int(np.searchsorted(self.a, hi, side="left"))
-        if i_lo >= i_hi:
-            return None
-        b_lo = int(np.searchsorted(self.bounds, i_lo, side="left"))
-        b_hi = int(np.searchsorted(self.bounds, i_hi, side="right")) - 1
-        best_val, best_idx = -np.inf, -1
-        if b_lo < b_hi:
-            f = (self.va + c) ** 2 + (self.vb + d) ** 2
-            f = np.where((self.vbucket >= b_lo) & (self.vbucket < b_hi), f, -np.inf)
-            k = int(np.argmax(f))
-            if f[k] > best_val:
-                best_val, best_idx = float(f[k]), int(self.vidx[k])
-            edges = [
-                (i_lo, int(self.bounds[b_lo])),
-                (int(self.bounds[b_hi]), i_hi),
-            ]
-        else:
-            edges = [(i_lo, i_hi)]
-        for st, en in edges:
-            st, en = max(st, i_lo), min(en, i_hi)
-            if st >= en:
-                continue
-            f = (self.a[st:en] + c) ** 2 + (self.b[st:en] + d) ** 2
-            k = int(np.argmax(f))
-            if f[k] > best_val:
-                best_val, best_idx = float(f[k]), st + k
-        if best_idx < 0:
-            return None
-        return best_val, best_idx
 
-    def decode(self, sorted_index):
-        flat = int(self.order[sorted_index])
-        return divmod(flat, self.sizes[1])
+def _ranges(starts, sizes):
+    """``starts[k] + arange(sizes[k])`` for every ``k``, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) - np.repeat(ends - sizes - starts, sizes)
 
 
 def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
-    """Exact feasible max for two-dimensional subspaces on large grids."""
+    """Exact feasible max for two-dimensional subspaces on large grids.
+
+    The two largest menus (the lower index first among equal sizes) make
+    the base product of first-coordinate pairs ``(a, b)``, the other menus
+    the queries ``(c, d)``.  Returns the max of ``(a + c)**2 + (b + d)**2``
+    over entries with ``-tau - c < a < tau - c`` and the combo attaining
+    it, ties going to the lowest row-major index into the query menus and
+    then the base menus, or ``None`` if nothing is feasible.  Base entries
+    are binned by ``a`` into BASE_BINS bins and queries by ``c`` into
+    QUERY_GROUPS groups (fewer for small products); (group, bin) and then
+    (query, bin) pairs are evaluated in order of descending corner bound,
+    EVAL_CHUNK entries at a time.
+    """
     by_size = sorted(range(len(menus)), key=lambda i: menus[i].size, reverse=True)
-    base_ids = by_size[:2] if len(menus) >= 2 else by_size[:1]
-    rest_ids = [i for i in by_size[len(base_ids):]]
-    base_combos = int(np.prod([menus[i].size for i in base_ids]))
-    iter_combos = int(np.prod([menus[i].size for i in rest_ids], dtype=np.int64)) if rest_ids else 1
-    if base_combos > max_base_combos or iter_combos > max_iter_combos:
+    base_ids, rest_ids = by_size[:2], by_size[2:]
+    base_shape = tuple(menus[i].size for i in base_ids)
+    rest_shape = tuple(menus[i].size for i in rest_ids)
+    n_base, n_rest = math.prod(base_shape), math.prod(rest_shape)
+    if n_base > max_base_combos or n_rest > max_iter_combos:
         raise IntractableGridError(
-            f"grid too large: base product {base_combos}, remaining product "
-            f"{iter_combos} (caps {max_base_combos}, {max_iter_combos}); "
+            f"grid too large: base product {n_base}, remaining product "
+            f"{n_rest} (caps {max_base_combos}, {max_iter_combos}); "
             "lower the resolution or the block count"
         )
-    if len(base_ids) == 1:
-        menu = menus[base_ids[0]]
-        base = _SortedBase(menu, _Menu("sign", np.zeros(1), np.zeros((1, 1)), None, [None]))
-    else:
-        base = _SortedBase(menus[base_ids[0]], menus[base_ids[1]])
+    a, b = _product_sums([menus[i] for i in base_ids])
+    a_order, bin_start, bin_size, a, b, (a_box, b_box) = _binned(
+        a, b[:, 0], min(BASE_BINS, n_base // 256))
+    c, d = _product_sums([menus[i] for i in rest_ids])
+    c_order, group_start, group_size, c, d, (c_box, d_box) = _binned(
+        c, d[:, 0], min(QUERY_GROUPS, n_rest // 64))
+    lo, hi = -tau - c, tau - c
 
-    rest_shape = tuple(menus[i].size for i in rest_ids)
-    rest_a = np.zeros(1)
-    rest_b = np.zeros(1)
-    for i in rest_ids:
-        rest_a = (rest_a[:, None] + menus[i].a[None, :]).ravel()
-        rest_b = (rest_b[:, None] + menus[i].b[None, :, 0]).ravel()
-
-    best = None
-    for p in range(rest_a.shape[0]):
-        hit = base.query(rest_a[p], rest_b[p], tau)
-        if hit is not None and (best is None or hit[0] > best[0]):
-            best = (hit[0], hit[1], p)
-    if best is None:
+    # (group, bin) pairs whose boxes meet the slab, by descending bound
+    bound = _corner_bound(a_box[:, None] + c_box[..., None], b_box[:, None] + d_box[..., None])
+    meets = (a_box[1] > -tau - c_box[1][:, None]) & (a_box[0] < tau - c_box[0][:, None])
+    walk = np.flatnonzero(meets)
+    walk = walk[np.argsort(-bound.ravel()[walk])]
+    groups, bins = np.divmod(walk, bin_start.shape[0])
+    walked = np.concatenate([[0], np.cumsum(group_size[groups])])
+    best, best_key = -np.inf, -1
+    s = 0
+    while s < walk.shape[0] and bound.flat[walk[s]] >= best:
+        # (query, bin) pairs of the next (group, bin) pairs, EVAL_CHUNK at most
+        e = max(s + 1, int(np.searchsorted(walked, walked[s] + EVAL_CHUNK, "right")) - 1)
+        g, bn = groups[s:e], bins[s:e]
+        s = e
+        q, bn = _ranges(group_start[g], group_size[g]), np.repeat(bn, group_size[g])
+        qa = np.take(a_box, bn, axis=1)
+        qb = _corner_bound(qa + c[q], np.take(b_box, bn, axis=1) + d[q])
+        keep = np.flatnonzero((qb >= best) & (qa[1] > lo[q]) & (qa[0] < hi[q]))
+        keep = keep[np.argsort(-qb[keep])]
+        q, bn, qb = q[keep], bn[keep], qb[keep]
+        # their entries as one stream, EVAL_CHUNK at a time
+        ends = np.cumsum(bin_size[bn])
+        starts = ends - bin_size[bn]
+        for e0 in range(0, int(ends[-1]) if keep.size else 0, EVAL_CHUNK):
+            k0 = int(np.searchsorted(ends, e0, "right"))
+            if qb[k0] < best:
+                break
+            ks = slice(k0, int(np.searchsorted(starts, e0 + EVAL_CHUNK)))
+            first = np.maximum(starts[ks], e0)
+            take = np.minimum(ends[ks], e0 + EVAL_CHUNK) - first
+            pos = _ranges(bin_start[bn[ks]] + first - starts[ks], take)
+            qi = np.repeat(q[ks], take)
+            ap = a[pos]
+            f = (ap + c[qi]) ** 2 + (b[pos] + d[qi]) ** 2
+            f[(ap <= lo[qi]) | (ap >= hi[qi])] = -np.inf
+            top = f.max()
+            if top > -np.inf and top >= best:
+                hit = np.flatnonzero(f == top)
+                key = int((c_order[qi[hit]] * n_base + a_order[pos[hit]]).min())
+                if top > best or key < best_key:
+                    best, best_key = top, key
+    if best_key < 0:
         return None
-    i1, i2 = base.decode(best[1])
-    combo = {base_ids[0]: int(i1)}
-    if len(base_ids) == 2:
-        combo[base_ids[1]] = int(i2)
-    if rest_ids:
-        rest_combo = np.unravel_index(best[2], rest_shape)
-        combo.update({i: int(j) for i, j in zip(rest_ids, rest_combo)})
-    return best[0], combo
+    combo = np.unravel_index(best_key, rest_shape + base_shape)
+    return float(best), {i: int(j) for i, j in zip(rest_ids + base_ids, combo)}
 
 
 def _element_from_combo(menus, combo) -> tuple[GroupElement, tuple]:

@@ -96,24 +96,132 @@ class TestSqrtGramMap:
             assert np.max(np.abs(a - b)) < 1e-10
 
 
+TAU = 1.0 - 0.5**2 / 2.0  # the slab half-width at exclude_tol 0.5
+
+
+def _engine_order_max(menus, tau):
+    """What ``_hull_grid_max`` returns, by enumerating its whole product:
+    base the two largest menus, queries the rest, the same sums in the same
+    order, ties to the lowest row-major (rest, base) index."""
+    ids = sorted(range(len(menus)), key=lambda i: -menus[i].size)
+    base, rest = ids[:2], ids[2:]
+
+    def sums(sel):
+        a, b = np.zeros(1), np.zeros(1)
+        for i in sel:
+            a = (a[:, None] + menus[i].a).ravel()
+            b = (b[:, None] + menus[i].b[:, 0]).ravel()
+        return a, b
+
+    (a, b), (c, d) = sums(base), sums(rest)
+    c, d = c[:, None], d[:, None]
+    f = (a + c) ** 2 + (b + d) ** 2
+    f[(a <= -tau - c) | (a >= tau - c)] = -np.inf
+    k = int(np.argmax(f))
+    if f.flat[k] == -np.inf:
+        return None
+    combo = np.unravel_index(k, tuple(menus[i].size for i in rest + base))
+    return float(f.flat[k]), {i: int(j) for i, j in zip(rest + base, combo)}
+
+
+def _check_engine(menus, tau):
+    """``_hull_grid_max`` equals the enumeration of its own sums bitwise,
+    combo included, and the brute engine, which sums in menu order, to
+    rounding."""
+    hit = _hull_grid_max(menus, tau, 65536, 4_200_000)
+    assert hit == _engine_order_max(menus, tau)
+    fb, _ = _brute_grid_max(menus, tau)
+    assert abs(fb - hit[0]) <= 4 * np.finfo(float).eps
+    return hit
+
+
+def _apply_labels(labels, x_amb, structure, res):
+    """The image of ``x_amb`` under the grid element the labels describe."""
+    out = []
+    for (kind, t), (n, r), sl in zip(labels, structure.blocks, structure.block_slices):
+        xl = x_amb[sl].reshape((n, r), order="F")
+        th = 2.0 * np.pi * t / res
+        c, s = np.cos(th), np.sin(th)
+        g = {"sign": np.array([[float(t)]]),
+             "rotation": np.array([[c, -s], [s, c]]),
+             "reflection": np.array([[c, s], [s, -c]])}[kind]
+        out.append((g @ xl).flatten(order="F"))
+    return np.concatenate(out)
+
+
+def _unit_point(basis, rng):
+    x = basis @ rng.standard_normal(basis.shape[1])
+    return x / np.linalg.norm(x)
+
+
 class TestGridEngines:
     @pytest.mark.parametrize("n,seed", [(6, 0), (6, 1), (8, 2)])
     def test_hull_engine_matches_brute_enumeration(self, n, seed):
         s = cyclic_structure(n, "real")
         rng = np.random.default_rng(seed)
         prior = random_subspace_prior(s, 2, rng)
-        x_amb = prior.basis @ rng.standard_normal(2)
-        x_amb /= np.linalg.norm(x_amb)
+        x_amb = _unit_point(prior.basis, rng)
         res = 32
-        tau = 1.0 - 0.5**2 / 2.0
         basis = _rebased_subspace(prior.basis, x_amb)
         menus = _build_menus(decompose(x_amb, s), basis, res)
-        fb, _ = _brute_grid_max(menus, tau)
-        fh, _ = _hull_grid_max(menus, tau, 65536, 4_200_000)
-        assert abs(fb - fh) < 1e-12
-        # and both agree with the fully independent enumeration oracle
+        fh, _ = _check_engine(menus, TAU)
+        # and the fully independent enumeration oracle agrees
         oracle = brute_transversality_margin(s, prior.basis, x_amb, res, 0.5)
-        assert abs(np.sqrt(max(1.0 - fb, 0.0)) - oracle) < 1e-10
+        assert abs(np.sqrt(max(1.0 - fh, 0.0)) - oracle) < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_several_rest_menus(self, seed):
+        # cyclic:10 leaves two O(2) and two sign menus to the queries
+        s = cyclic_structure(10, "real")
+        rng = np.random.default_rng(seed)
+        prior = random_subspace_prior(s, 2, rng)
+        x_amb = _unit_point(prior.basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(prior.basis, x_amb), 16)
+        _check_engine(menus, TAU)
+
+    def test_one_dimensional_prior(self):
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(7)
+        basis = np.linalg.qr(rng.standard_normal((8, 1)))[0]
+        x_amb = basis[:, 0]
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(basis, x_amb), 32)
+        assert all(not menu.b.any() for menu in menus)
+        fh, _ = _check_engine(menus, TAU)
+        oracle = brute_transversality_margin(s, basis, x_amb, 32, 0.5)
+        assert abs(np.sqrt(max(1.0 - fh, 0.0)) - oracle) < 1e-10
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_prior_vanishing_on_one_block(self, block):
+        # every element of the vanishing block ties; the lowest index wins
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(20 + block)
+        basis = rng.standard_normal((8, 2))
+        basis[s.block_slices[block]] = 0.0
+        basis = np.linalg.qr(basis)[0]
+        x_amb = _unit_point(basis, rng)
+        res = 32
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(basis, x_amb), res)
+        assert not menus[block].a.any() and not menus[block].b.any()
+        fh, combo = _check_engine(menus, TAU)
+        assert combo[block] == 0
+        labels = [menus[i].labels[combo[i]] for i in range(len(menus))]
+        y = _apply_labels(labels, x_amb, s, res)
+        assert min(np.linalg.norm(y - x_amb), np.linalg.norm(y + x_amb)) > 0.5
+        dist = np.linalg.norm(y - basis @ (basis.T @ y))
+        assert abs(dist - np.sqrt(max(1.0 - fh, 0.0))) < 1e-12
+
+    def test_nothing_feasible(self):
+        # exclude_tol 1.9 leaves an empty slab: every image is excluded
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(5)
+        prior = random_subspace_prior(s, 2, rng)
+        x_amb = _unit_point(prior.basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(prior.basis, x_amb), 32)
+        tau = 1.0 - 1.9**2 / 2.0
+        assert _hull_grid_max(menus, tau, 65536, 4_200_000) is None
+        assert _brute_grid_max(menus, tau) is None
+        report = transversality_check(s, prior, 1, 64, rng, exclude_tol=1.9, points=[x_amb])
+        assert report.worst_margin == np.inf
 
     def test_check_against_oracle_margins(self):
         s = RepresentationStructure(((1, 1), (2, 1), (2, 1)))

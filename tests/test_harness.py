@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,15 @@ class TestSimulateModule:
                              n_samples=5000, sigma=0.0, master_seed=1, out=str(tmp_path / "l"))
         )
         assert large["moment_error"] < small["moment_error"]
+
+
+class TestPackage:
+    def test_import_does_not_load_scipy(self):
+        import gramphase
+
+        src = str(Path(gramphase.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, gramphase; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
