@@ -9,7 +9,10 @@ K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
 cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), a complex
 noise sweep and a complex distortion run, simulate under the full real,
 full complex and cyclic actions, solve with real alternating projection
-and complex RRR, and a SHA-256 of 200 Haar draws per action.  Run it
+and complex RRR, a SHA-256 of 200 Haar draws per action, and a SHA-256
+of the observations ``sample_observations`` draws on a few full and
+cyclic actions (10,001 full-ambiguity draws cross the slices in which
+``haar_stack`` factors its stack).  Run it
 once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.
@@ -31,6 +34,7 @@ from gramphase.experiments import (
     run_simulate,
     run_transversality,
 )
+from gramphase.moments import sample_observations
 
 COMPLEX = "8x4,3x2:complex"
 
@@ -48,6 +52,12 @@ def _haar_digest(action, draws=200, seed=2026):
         for d in blocks.haar_sample(action, rng).blocks:
             h.update(np.ascontiguousarray(d).tobytes())
     return h.hexdigest()
+
+
+def _observation_digest(action, n, seed=2026):
+    x = blocks.random_signal(action.structure, np.random.default_rng(seed))
+    obs = sample_observations(x, action, 0.3, n, seed).observations
+    return hashlib.sha256(np.ascontiguousarray(obs).tobytes()).hexdigest()
 
 
 def main(out: Path) -> None:
@@ -83,6 +93,16 @@ def main(out: Path) -> None:
     for n, field in ((8, "real"), (6, "complex")):
         lines.append(f"cyclic:{n}:{field} {_haar_digest(blocks.cyclic_action(n, field))}")
     (out / "haar_sha256.txt").write_text("\n".join(lines) + "\n")
+    lines = []
+    for name, action, n in (
+        ("full 8x4,3x2", blocks.full_ambiguity_action(parse_structure("8x4,3x2")), 10_001),
+        ("full 8x4,3x2:complex", blocks.full_ambiguity_action(parse_structure(COMPLEX)), 10_001),
+        ("cyclic:16", blocks.cyclic_action(16), 2000),
+        ("cyclic:1024", blocks.cyclic_action(1024), 10),
+        ("cyclic:7:complex", blocks.cyclic_action(7, "complex"), 500),
+    ):
+        lines.append(f"{name} n={n} {_observation_digest(action, n)}")
+    (out / "observations_sha256.txt").write_text("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":

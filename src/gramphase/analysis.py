@@ -245,7 +245,8 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
     the queries ``(c, d)``.  Returns the max of ``(a + c)**2 + (b + d)**2``
     over entries with ``-tau - c < a < tau - c`` and the combo attaining
     it, ties going to the lowest row-major index into the query menus and
-    then the base menus, or ``None`` if nothing is feasible.  Base entries
+    then the base menus, or ``None`` if nothing is feasible.  Queries with
+    equal ``(c, d)`` are kept once, under the lowest index.  Base entries
     are binned by ``a`` into BASE_BINS bins and queries by ``c`` into
     QUERY_GROUPS groups (fewer for small products); (group, bin) and then
     (query, bin) pairs are evaluated in order of descending corner bound,
@@ -266,8 +267,14 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
     a_order, bin_start, bin_size, a, b, (a_box, b_box) = _binned(
         a, b[:, 0], min(BASE_BINS, n_base // 256))
     c, d = _product_sums([menus[i] for i in rest_ids])
+    d = d[:, 0]
+    # queries with equal sums tie everywhere: keep the lowest index of each
+    order = np.lexsort((d, c))  # stable, so each run of equals starts lowest
+    cs, ds = c[order], d[order]
+    first = np.sort(order[np.r_[True, (cs[1:] != cs[:-1]) | (ds[1:] != ds[:-1])]])
     c_order, group_start, group_size, c, d, (c_box, d_box) = _binned(
-        c, d[:, 0], min(QUERY_GROUPS, n_rest // 64))
+        c[first], d[first], min(QUERY_GROUPS, len(first) // 64))
+    c_order = first[c_order]
     lo, hi = -tau - c, tau - c
 
     # (group, bin) pairs whose boxes meet the slab, by descending bound

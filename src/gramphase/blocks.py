@@ -13,8 +13,11 @@ column by column (multiplicity copies contiguous).  All conversions
 between ambient vectors and block matrices go through ``block_stacks``
 / ``flat_block`` on ``(T, d)`` stacks of ambient rows, and through
 their one-row forms ``decompose`` / ``reconstruct`` on signals, so the
-bijection lives in one place.  Haar draws likewise come from one
-stacked sampler, ``haar_stack``.
+bijection lives in one place.  Group elements likewise come in stacks,
+one ``(T, n_l, n_l)`` array per block: ``haar_stack`` draws Haar
+matrices and ``cyclic_shift_stack`` builds shift elements, and the
+validated single elements of ``haar_sample`` / ``cyclic_shift_element``
+are their one-row cases.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -47,6 +50,7 @@ __all__ = [
     "flat_block",
     "decompose_cyclic",
     "reconstruct_cyclic",
+    "cyclic_shift_stack",
     "cyclic_shift_element",
     "identity_element",
     "apply",
@@ -59,6 +63,8 @@ __all__ = [
 
 # Max-entry tolerance for D* D == I on group elements.
 UNITARY_TOL = 1e-10
+# Matrices per np.linalg.qr call in haar_stack.
+HAAR_CHUNK = 4096
 
 
 def _sums_of_squares(flat: list[np.ndarray]) -> np.ndarray:
@@ -144,6 +150,15 @@ class RepresentationStructure:
     @property
     def dtype(self):
         return np.complex128 if self.field == "complex" else np.float64
+
+    @cached_property
+    def shape_groups(self) -> tuple[tuple[tuple[int, int], np.ndarray], ...]:
+        """Blocks grouped by shape: ``((n, r), indices)`` per distinct
+        shape, shapes in order of first appearance, indices ascending."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for l, shape in enumerate(self.blocks):
+            groups.setdefault(shape, []).append(l)
+        return tuple((shape, np.array(idx)) for shape, idx in groups.items())
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
@@ -343,27 +358,43 @@ def reconstruct_cyclic(x: BlockSignal) -> np.ndarray:
     return (np.fft.ifft(f) * np.sqrt(n)).real
 
 
+def cyclic_shift_stack(action: GroupAction, shifts) -> list[np.ndarray]:
+    """The DFT-diagonal group elements of cyclic shifts by each of
+    ``shifts``, as one ``(T, n_l, n_l)`` stack per block.
+
+    Row ``t`` applied to ``decompose_cyclic(x)`` equals
+    ``decompose_cyclic(np.roll(x, shifts[t]))``.  The angles and phases
+    are computed entrywise exactly as for a single shift, so every row is
+    bitwise the element of that shift alone.
+    """
+    if action.kind != "cyclic":
+        raise ValueError("shift elements exist only for cyclic actions")
+    n = action.cyclic_n
+    s = (np.asarray(shifts, dtype=np.int64) % n)[:, None]
+    t = len(s)
+    if action.structure.field == "complex":
+        phases = np.exp(-2j * np.pi * np.arange(n) * s / n).reshape(t, n, 1, 1)
+        return [phases[:, k] for k in range(n)]
+    theta = -2.0 * np.pi * np.arange(1, (n - 1) // 2 + 1) * s / n
+    c, sn = np.cos(theta), np.sin(theta)
+    rot = np.stack([np.stack([c, -sn], axis=-1), np.stack([sn, c], axis=-1)], axis=-2)
+    mats = [np.ones((t, 1, 1))] + [rot[:, k] for k in range(rot.shape[1])]
+    if n % 2 == 0 and n >= 2:
+        mats.append(np.where(s % 2 == 1, -1.0, 1.0).reshape(t, 1, 1))
+    return mats
+
+
 def cyclic_shift_element(action: GroupAction, shift: int) -> GroupElement:
-    """The DFT-diagonal group element of a cyclic shift by ``shift``.
+    """The DFT-diagonal group element of a cyclic shift by ``shift``: the
+    one-row case of :func:`cyclic_shift_stack`.
 
     Applying it to ``decompose_cyclic(x)`` equals
     ``decompose_cyclic(np.roll(x, shift))``.
     """
     if action.kind != "cyclic":
         raise ValueError("shift elements exist only for cyclic actions")
-    n = action.cyclic_n
-    s = int(shift) % n
-    if action.structure.field == "complex":
-        phases = np.exp(-2j * np.pi * np.arange(n) * s / n)
-        return GroupElement(tuple(np.array([[p]]) for p in phases))
-    mats: list[np.ndarray] = [np.array([[1.0]])]
-    for k in range(1, (n - 1) // 2 + 1):
-        theta = -2.0 * np.pi * k * s / n
-        c, sn = np.cos(theta), np.sin(theta)
-        mats.append(np.array([[c, -sn], [sn, c]]))
-    if n % 2 == 0 and n >= 2:
-        mats.append(np.array([[(-1.0) ** s]]))
-    return GroupElement(tuple(mats))
+    rows = cyclic_shift_stack(action, [int(shift) % action.cyclic_n])
+    return GroupElement(tuple(d[0] for d in rows))
 
 
 def identity_element(structure: RepresentationStructure) -> GroupElement:
@@ -393,30 +424,41 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """``count`` independent Haar-distributed ``n x n`` orthogonal (real
     field) or unitary (complex field) matrices, as a ``(count, n, n)``
-    stack."""
+    stack.
+
+    The Gaussian stack is drawn whole, then factored HAAR_CHUNK matrices
+    at a time with each slice's result written back into it: LAPACK
+    factors every matrix on its own, so the draws do not depend on the
+    slicing, and memory stays at about one stack.
+    """
     a = rng.standard_normal((count, n, n))
     if field == "complex":
         a = (a + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    # Plain QR of a Gaussian matrix is not Haar; correcting each column
-    # by the sign (phase) of the R diagonal makes the distribution exact.
-    d = np.diagonal(r, axis1=1, axis2=2)
-    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
-    q *= phases[:, None, :]
-    return q
+    for i in range(0, count, HAAR_CHUNK):
+        q, r = np.linalg.qr(a[i : i + HAAR_CHUNK])
+        # Plain QR of a Gaussian matrix is not Haar; correcting each column
+        # by the sign (phase) of the R diagonal makes the distribution exact.
+        d = np.diagonal(r, axis1=1, axis2=2)
+        phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
+        q *= phases[:, None, :]
+        a[i : i + HAAR_CHUNK] = q
+    return a
 
 
 def haar_sample(action: GroupAction, rng: np.random.Generator) -> GroupElement:
-    """Draw a uniformly distributed element of the action's group.
+    """Draw a uniformly distributed element of the action's group: the
+    one-row case of the stacked draws.
 
-    Cyclic: a uniform shift index mapped to its DFT-diagonal element.
-    Full ambiguity: an independent Haar orthogonal/unitary matrix per
-    block from :func:`haar_stack`.
+    Cyclic: a uniform shift index mapped to its DFT-diagonal element by
+    :func:`cyclic_shift_stack`.  Full ambiguity: an independent Haar
+    orthogonal/unitary matrix per block from :func:`haar_stack`.
     """
-    if action.kind == "cyclic":
-        return cyclic_shift_element(action, int(rng.integers(action.cyclic_n)))
     s = action.structure
-    return GroupElement(tuple(haar_stack(n, 1, s.field, rng)[0] for n, _ in s.blocks))
+    if action.kind == "cyclic":
+        stacks = cyclic_shift_stack(action, rng.integers(action.cyclic_n, size=1))
+    else:
+        stacks = [haar_stack(n, 1, s.field, rng) for n, _ in s.blocks]
+    return GroupElement(tuple(d[0] for d in stacks))
 
 
 def random_signal(

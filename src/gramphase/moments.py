@@ -7,6 +7,17 @@ second moment is block diagonal with each ``(l, i, j)`` sub-block equal
 to ``<x_l[i], x_l[j]> / n_l`` times the identity.  Equivalently, the
 second moment carries exactly the tuple of Gram matrices
 ``G_l = X_l* X_l``, which is what :func:`extract_gram` reads off.
+
+Sampling works on stacks and builds no validated group elements.  A
+cyclic action draws all shifts in one call, shifts the signal once per
+distinct shift with the stacked elements of
+:func:`~gramphase.blocks.cyclic_shift_stack`, and gathers the rows into
+observation order; a full-ambiguity action rotates each block of every
+observation by one :func:`~gramphase.blocks.haar_stack`.  Cyclic
+observations are bitwise those of one :func:`~gramphase.blocks.haar_sample`
+per observation applied with :func:`~gramphase.blocks.apply`, on the same
+random stream.  The Gram checks of :class:`GramTuple` and the PSD clamp
+of :func:`extract_gram` run once per block shape on stacked matrices.
 """
 
 from __future__ import annotations
@@ -21,12 +32,14 @@ from .blocks import (
     GroupAction,
     RepresentationStructure,
     StructureMismatch,
-    apply,
+    # apply and haar_sample are no longer called here; bench/measure.py
+    # still traces them under these names
+    apply,  # noqa: F401
     block_stacks,
+    cyclic_shift_stack,
     frobenius_norms,
-    haar_sample,
+    haar_sample,  # noqa: F401
     haar_stack,
-    reconstruct,
 )
 
 __all__ = [
@@ -53,25 +66,36 @@ class GramTuple:
     grams: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(np.asarray(g, dtype=self.structure.dtype) for g in self.grams)
-        if len(mats) != self.structure.num_blocks:
+        s = self.structure
+        mats = tuple(np.asarray(g, dtype=s.dtype) for g in self.grams)
+        if len(mats) != s.num_blocks:
             raise StructureMismatch(
-                f"expected {self.structure.num_blocks} Gram matrices, got {len(mats)}"
+                f"expected {s.num_blocks} Gram matrices, got {len(mats)}"
             )
-        for l, (g, (_, r)) in enumerate(zip(mats, self.structure.blocks)):
+        for l, (g, (_, r)) in enumerate(zip(mats, s.blocks)):
             if g.shape != (r, r):
                 raise StructureMismatch(
                     f"block {l}: expected Gram shape ({r}, {r}), got {g.shape}"
                 )
-            scale = max(1.0, float(np.max(np.abs(g))))
-            if np.max(np.abs(g - g.conj().T)) > HERMITIAN_TOL * scale:
+        skew = np.empty(s.num_blocks, dtype=bool)
+        lowest = np.empty(s.num_blocks)
+        floor = np.empty(s.num_blocks)
+        for _, idx in s.shape_groups:
+            g = np.stack([mats[l] for l in idx])
+            gh = np.swapaxes(g.conj(), 1, 2)
+            scale = np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
+            skew[idx] = np.abs(g - gh).max(axis=(1, 2)) > HERMITIAN_TOL * scale
+            lowest[idx] = np.linalg.eigvalsh((g + gh) / 2.0).min(axis=1)
+            trace = np.real(np.trace(g, axis1=1, axis2=2))
+            floor[idx] = -PSD_TOL * np.maximum(trace, np.finfo(float).tiny)
+        bad = np.flatnonzero(skew | (lowest < floor))
+        if bad.size:
+            l = int(bad[0])
+            if skew[l]:
                 raise ValueError(f"block {l}: Gram matrix is not Hermitian")
-            w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-            trace = max(float(np.real(np.trace(g))), np.finfo(float).tiny)
-            if w.min() < -PSD_TOL * trace:
-                raise ValueError(
-                    f"block {l}: Gram matrix has negative eigenvalue {w.min():.3e}"
-                )
+            raise ValueError(
+                f"block {l}: Gram matrix has negative eigenvalue {lowest[l]:.3e}"
+            )
         object.__setattr__(self, "grams", mats)
 
     def total_norm(self) -> float:
@@ -150,7 +174,12 @@ def sample_observations(
         for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
             y[...] = np.einsum("kab,br->kar", haar_stack(dim, n, s.field, rng), m)
     else:
-        obs = np.stack([reconstruct(apply(haar_sample(action, rng), x)) for _ in range(n)])
+        # one shifted copy per distinct shift, gathered into observation order
+        shifts, inverse = np.unique(rng.integers(action.cyclic_n, size=n), return_inverse=True)
+        rows = np.empty((len(shifts), s.ambient_dim), dtype=s.dtype)
+        for d, y, m in zip(cyclic_shift_stack(action, shifts), block_stacks(rows, s), x.matrices):
+            np.matmul(d, m, out=y)
+        obs = rows[inverse]
     noise = sigma * rng.standard_normal(obs.shape)
     if s.field == "complex":
         noise = noise + 1j * sigma * rng.standard_normal(obs.shape)
@@ -173,12 +202,18 @@ def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:
 
 
 def clamp_psd(g: np.ndarray) -> np.ndarray:
-    """Hermitian-symmetrize, then zero out negative eigenvalues if any."""
-    g = (g + g.conj().T) / 2.0
+    """Hermitian-symmetrize, then zero out negative eigenvalues if any.
+
+    Takes one matrix or a ``(T, r, r)`` stack, treated matrix by matrix.
+    """
+    g = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
     w, v = np.linalg.eigh(g)
-    if w.min() >= 0.0:
+    neg = ~(w.min(axis=-1) >= 0.0)
+    if not neg.any():
         return g
-    return (v * np.clip(w, 0.0, None)) @ v.conj().T
+    v, w = v[neg], w[neg]
+    g[neg] = (v * np.clip(w, 0.0, None)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return g
 
 
 def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> GramTuple:
@@ -201,6 +236,8 @@ def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> Gram
     for (n, r), sl in zip(structure.blocks, structure.block_slices):
         sub = moment[sl, sl].reshape(r, n, r, n)
         # (i, j) sub-block of the moment is G[j, i] / n * I
-        g = np.einsum("iaja->ji", sub)
-        grams.append(clamp_psd(g))
+        grams.append(np.einsum("iaja->ji", sub))
+    for _, idx in structure.shape_groups:
+        for l, g in zip(idx, clamp_psd(np.stack([grams[l] for l in idx]))):
+            grams[l] = g
     return GramTuple(structure, tuple(grams))

@@ -19,8 +19,29 @@ from gramphase import (
     reconstruct,
     sample_observations,
 )
-from gramphase.moments import MraSampleSet
+from gramphase import blocks
+from gramphase.blocks import cyclic_shift_stack, haar_stack
+from gramphase.moments import MraSampleSet, clamp_psd
 from tests._oracles import cyclic_average_outer
+
+
+def _noisy(rows, sigma, rng):
+    """Rows plus the sampler's noise, drawn after the rotations."""
+    noise = sigma * rng.standard_normal(rows.shape)
+    if np.iscomplexobj(rows):
+        noise = noise + 1j * sigma * rng.standard_normal(rows.shape)
+    return rows + noise
+
+
+def _unsliced_haar_stack(n, count, field, rng):
+    """Haar draws with one np.linalg.qr call over the whole stack."""
+    a = rng.standard_normal((count, n, n))
+    if field == "complex":
+        a = (a + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)[:, None, :]
+    return q
 
 
 class TestGramTuple:
@@ -63,6 +84,20 @@ class TestGramTuple:
         s = RepresentationStructure(((1, 2),))
         with pytest.raises(ValueError, match="negative eigenvalue"):
             GramTuple(s, (np.array([[1.0, 2.0], [2.0, 1.0]]),))
+
+    @pytest.mark.parametrize("bad,message", [
+        ({1: "skew", 2: "indefinite"}, "block 1: Gram matrix is not Hermitian"),
+        ({2: "indefinite", 3: "skew"}, r"block 2: .* negative eigenvalue -1\.000e\+00"),
+        ({3: "skew", 4: "indefinite"}, "block 3: Gram matrix is not Hermitian"),
+        ({4: "indefinite"}, r"block 4: .* negative eigenvalue -1\.000e\+00"),
+    ])
+    def test_error_names_the_first_bad_block(self, bad, message):
+        # blocks 0, 2, 4 share one shape and 1, 3 another
+        s = RepresentationStructure(((2, 2), (3, 2), (2, 2), (3, 2), (2, 2)))
+        kinds = {"skew": np.array([[1.0, 1.0], [0.0, 1.0]]), "indefinite": np.diag([-1.0, 1.0])}
+        grams = [kinds[bad[l]] if l in bad else np.eye(2) for l in range(s.num_blocks)]
+        with pytest.raises(ValueError, match=message):
+            GramTuple(s, tuple(grams))
 
 
 class TestAnalyticMoment:
@@ -143,6 +178,54 @@ class TestSampling:
             ref = reconstruct(apply(haar_sample(action, rng), x))
             assert np.max(np.abs(obs - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "n_cyc,n_obs", [(1, 1), (1, 30), (2, 1), (2, 60), (3, 2), (3, 90), (8, 5),
+                        (8, 400), (17, 9), (17, 700), (1024, 12)])
+    def test_cyclic_draw_is_per_row_shift_on_the_same_stream(self, field, n_cyc, n_obs):
+        rng = np.random.default_rng(n_cyc)
+        x = rng.standard_normal(n_cyc)
+        if field == "complex":
+            x = x + 1j * rng.standard_normal(n_cyc)
+        sig = decompose_cyclic(x, field)
+        action = cyclic_action(n_cyc, field)
+        got = sample_observations(sig, action, 0.2, n_obs, seed=n_obs).observations
+        ref_rng = np.random.default_rng(np.random.SeedSequence(n_obs))
+        shifts = [int(ref_rng.integers(n_cyc)) for _ in range(n_obs)]
+        rows = {k: reconstruct(apply(cyclic_shift_element(action, k), sig)) for k in set(shifts)}
+        want = _noisy(np.stack([rows[k] for k in shifts]), 0.2, ref_rng)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_haar_stack_slices_equal_one_qr_call(self, field, offset):
+        count = blocks.HAAR_CHUNK + offset
+        got = haar_stack(3, count, field, np.random.default_rng(count))
+        want = _unsliced_haar_stack(3, count, field, np.random.default_rng(count))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_full_ambiguity_draw_across_slices_equals_one_qr_call(self, field):
+        s = RepresentationStructure(((3, 2), (2, 1)), field)
+        x = random_signal(s, np.random.default_rng(5))
+        n = 2 * blocks.HAAR_CHUNK + 1
+        got = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=6).observations
+        rng = np.random.default_rng(np.random.SeedSequence(6))
+        rows = np.empty_like(got)
+        for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
+            y[...] = np.einsum("kab,br->kar", _unsliced_haar_stack(dim, n, field, rng), m)
+        assert np.array_equal(got, _noisy(rows, 0.1, rng))
+
+    def test_sampling_builds_no_group_element(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("GroupElement built while sampling")
+
+        monkeypatch.setattr(blocks.GroupElement, "__post_init__", refuse)
+        full = full_ambiguity_action(RepresentationStructure(((3, 2),)))
+        for action in (cyclic_action(8), full):
+            x = random_signal(action.structure, np.random.default_rng(0))
+            sample_observations(x, action, 0.1, 50, seed=1)
+
     def test_deterministic(self):
         s = RepresentationStructure(((4, 2),))
         x = random_signal(s, np.random.default_rng(0))
@@ -157,6 +240,24 @@ class TestSampling:
         # each part has unit variance, so E|y_j|^2 == 2
         second = np.mean(np.abs(samples.observations) ** 2)
         assert abs(second - 2.0) < 0.05
+
+
+class TestShiftStack:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
+    def test_element_is_row_of_stack(self, field, n):
+        action = cyclic_action(n, field)
+        stack = cyclic_shift_stack(action, np.arange(n))
+        assert [d.shape for d in stack] == [(n, k, k) for k, _ in action.structure.blocks]
+        for shift in range(-n, 2 * n):
+            element = cyclic_shift_element(action, shift)
+            for d, rows in zip(element.blocks, stack):
+                assert np.array_equal(d, rows[shift % n])
+
+    def test_rejects_full_ambiguity(self):
+        action = full_ambiguity_action(RepresentationStructure(((2, 1),)))
+        with pytest.raises(ValueError, match="cyclic"):
+            cyclic_shift_stack(action, [0])
 
 
 class TestEmpiricalMoment:
@@ -222,6 +323,17 @@ class TestExtractGram:
         g = extract_gram(moment, s).grams[0]
         assert np.max(np.abs(g - g.conj().T)) < 1e-14
         assert np.linalg.eigvalsh(g).min() >= -1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_grouped_clamp_equals_per_block_clamp(self, field):
+        s = RepresentationStructure(((2, 2), (1, 3), (2, 2), (3, 1), (1, 3)), field)
+        rng = np.random.default_rng(8)
+        d = s.ambient_dim
+        moment = analytic_second_moment(random_signal(s, rng)) + 0.5 * rng.standard_normal((d, d))
+        got = extract_gram(moment, s).grams
+        for (n, r), sl, g in zip(s.blocks, s.block_slices, got):
+            want = clamp_psd(np.einsum("iaja->ji", moment[sl, sl].reshape(r, n, r, n)))
+            assert np.array_equal(g, want)
 
     def test_dimension_check(self):
         s = RepresentationStructure(((2, 2),))
