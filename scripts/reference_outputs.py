@@ -11,8 +11,10 @@ noise sweep and a complex distortion run, simulate under the full real,
 full complex and cyclic actions, solve with real alternating projection
 and complex RRR, a SHA-256 of 200 Haar draws per action, and a SHA-256
 of the observations ``sample_observations`` draws on a few full and
-cyclic actions (10,001 full-ambiguity draws cross the slices in which
-``haar_stack`` factors its stack).  Run it
+cyclic actions.  Those cross every chunk boundary of the sampler: 10,001
+full-ambiguity draws cross the chunks of ``haar_chunks`` and the noise
+blocks, and cyclic:16 x 20,000 and cyclic:7:complex x 30,000 cross the
+noise blocks of a real and a complex cyclic draw.  Run it
 once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.
@@ -100,6 +102,8 @@ def main(out: Path) -> None:
         ("cyclic:16", blocks.cyclic_action(16), 2000),
         ("cyclic:1024", blocks.cyclic_action(1024), 10),
         ("cyclic:7:complex", blocks.cyclic_action(7, "complex"), 500),
+        ("cyclic:16", blocks.cyclic_action(16), 20_000),
+        ("cyclic:7:complex", blocks.cyclic_action(7, "complex"), 30_000),
     ):
         lines.append(f"{name} n={n} {_observation_digest(action, n)}")
     (out / "observations_sha256.txt").write_text("\n".join(lines) + "\n")

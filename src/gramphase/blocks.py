@@ -14,10 +14,13 @@ between ambient vectors and block matrices go through ``block_stacks``
 / ``flat_block`` on ``(T, d)`` stacks of ambient rows, and through
 their one-row forms ``decompose`` / ``reconstruct`` on signals, so the
 bijection lives in one place.  Group elements likewise come in stacks,
-one ``(T, n_l, n_l)`` array per block: ``haar_stack`` draws Haar
-matrices and ``cyclic_shift_stack`` builds shift elements, and the
-validated single elements of ``haar_sample`` / ``cyclic_shift_element``
-are their one-row cases.
+one ``(T, n_l, n_l)`` array per block: ``haar_chunks`` draws Haar
+matrices at most HAAR_CHUNK at a time (``haar_stack`` joins its chunks)
+and ``cyclic_shift_stack`` builds shift elements, and the validated
+single elements of ``haar_sample`` / ``cyclic_shift_element`` are their
+one-row cases.  A real Haar draw holds one chunk of Gaussians at a time;
+a complex one also holds the real parts of the whole stack, because the
+random stream gives every real part before the first imaginary part.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -56,6 +59,7 @@ __all__ = [
     "apply",
     "compose",
     "haar_sample",
+    "haar_chunks",
     "haar_stack",
     "random_signal",
     "frobenius_norms",
@@ -63,7 +67,7 @@ __all__ = [
 
 # Max-entry tolerance for D* D == I on group elements.
 UNITARY_TOL = 1e-10
-# Matrices per np.linalg.qr call in haar_stack.
+# Matrices per np.linalg.qr call in haar_chunks.
 HAAR_CHUNK = 4096
 
 
@@ -421,28 +425,40 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(tuple(a @ b for a, b in zip(g.blocks, h.blocks)))
 
 
-def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
+def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     """``count`` independent Haar-distributed ``n x n`` orthogonal (real
-    field) or unitary (complex field) matrices, as a ``(count, n, n)``
-    stack.
+    field) or unitary (complex field) matrices, yielded as ``(start,
+    stop, q)`` with ``q`` the ``(stop - start, n, n)`` stack of draws
+    ``start`` to ``stop``, at most HAAR_CHUNK matrices at a time.
 
-    The Gaussian stack is drawn whole, then factored HAAR_CHUNK matrices
-    at a time with each slice's result written back into it: LAPACK
-    factors every matrix on its own, so the draws do not depend on the
-    slicing, and memory stays at about one stack.
+    The Gaussians come from the stream of one whole ``(count, n, n)``
+    draw, and LAPACK factors every matrix on its own, so the draws do not
+    depend on the chunking.  A real draw holds one chunk at a time.  On
+    the complex field every real part precedes every imaginary part in
+    that stream, so the real parts are drawn whole first (a float64
+    ``(count, n, n)`` array) and the imaginary parts chunk by chunk.
     """
-    a = rng.standard_normal((count, n, n))
-    if field == "complex":
-        a = (a + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+    re = rng.standard_normal((count, n, n)) if field == "complex" else None
     for i in range(0, count, HAAR_CHUNK):
-        q, r = np.linalg.qr(a[i : i + HAAR_CHUNK])
+        j = min(i + HAAR_CHUNK, count)
+        a = rng.standard_normal((j - i, n, n))
+        if re is not None:
+            a = (re[i:j] + 1j * a) / np.sqrt(2.0)
+        q, r = np.linalg.qr(a)
         # Plain QR of a Gaussian matrix is not Haar; correcting each column
         # by the sign (phase) of the R diagonal makes the distribution exact.
         d = np.diagonal(r, axis1=1, axis2=2)
         phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
         q *= phases[:, None, :]
-        a[i : i + HAAR_CHUNK] = q
-    return a
+        yield i, j, q
+
+
+def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
+    """The draws of :func:`haar_chunks` as one ``(count, n, n)`` stack."""
+    out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
+    for i, j, q in haar_chunks(n, count, field, rng):
+        out[i:j] = q
+    return out
 
 
 def haar_sample(action: GroupAction, rng: np.random.Generator) -> GroupElement:

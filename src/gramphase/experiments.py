@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
@@ -62,6 +63,16 @@ PAPER_TRIALS = 10_000
 def _default_structure() -> RepresentationStructure:
     return RepresentationStructure(((8, 4),), "real")
 
+
+# per experiment, the subspace dimension and the trial count a runner
+# uses when the config leaves them unset; transversality counts sampled
+# points and bilipschitz signal pairs
+_FALLBACKS = {
+    "exp-noise": (10, DESK_TRIALS),
+    "solve": (4, DESK_TRIALS),
+    "transversality": (2, 20),
+    "bilipschitz": (4, 100_000),
+}
 
 # fields that change no result: left out of the config hash
 _UNHASHED = frozenset({"out", "workers", "gram_file", "prior_file"})
@@ -112,21 +123,35 @@ class ExperimentConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.subspace_dim is not None and self.subspace_dim < 1:
             raise ValueError("subspace_dim must be >= 1")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValueError("subspace dimension sweep must be nonempty and positive")
-        if not self.sigma_values or any(s < 0 for s in self.sigma_values):
-            raise ValueError("noise sweep must be nonempty and nonnegative")
+        if not self.sigma_values or not all(
+            math.isfinite(s) and s >= 0 for s in self.sigma_values
+        ):
+            raise ValueError("noise sweep must be nonempty, finite and nonnegative")
 
-    def resolved_trials(self, default: int = DESK_TRIALS) -> int:
+    def resolved_trials(self) -> int:
         if self.trials is not None:
             return self.trials
-        return PAPER_TRIALS if self.paper_scale else default
+        if self.paper_scale:
+            return PAPER_TRIALS
+        return _FALLBACKS.get(self.experiment, (None, DESK_TRIALS))[1]
+
+    def resolved_subspace_dim(self) -> int:
+        if self.subspace_dim is not None:
+            return self.subspace_dim
+        if self.experiment not in _FALLBACKS:
+            raise ValueError(
+                f"experiment {self.experiment!r} has no default subspace dimension; "
+                "set subspace_dim"
+            )
+        return _FALLBACKS[self.experiment][0]
 
     def solver_config(self, stop_on: str) -> SolverConfig:
         return SolverConfig(
@@ -275,7 +300,7 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     experiment; above the noise floor neither rule ever fires early.
     """
     trials = cfg.resolved_trials()
-    k = cfg.subspace_dim if cfg.subspace_dim is not None else 10
+    k = cfg.resolved_subspace_dim()
     specs = [
         TrialSpec(cfg.structure, k, slot, t, cfg.master_seed, float(sigma))
         for slot, sigma in enumerate(cfg.sigma_values)
@@ -333,7 +358,7 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
         prior = serialize.prior_from_dict(serialize.load_json(cfg.prior_file))
         s = measured.structure
     else:
-        m = cfg.subspace_dim if cfg.subspace_dim is not None else 4
+        m = cfg.resolved_subspace_dim()
         prior = random_subspace_prior(s, m, rng)
         truth = decompose(prior.basis @ rng.standard_normal(m), s)
         measured = gram_tuple(truth)
@@ -400,13 +425,13 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 def run_transversality(cfg: ExperimentConfig) -> dict:
     s = cfg.structure
-    m = cfg.subspace_dim if cfg.subspace_dim is not None else 2
+    m = cfg.resolved_subspace_dim()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 2]))
     prior = random_subspace_prior(s, m, rng)
     report = transversality_check(
         s,
         prior,
-        cfg.resolved_trials(default=20),
+        cfg.resolved_trials(),
         cfg.grid_resolution,
         rng,
         exclude_tol=cfg.exclude_tol,
@@ -446,10 +471,10 @@ def run_transversality(cfg: ExperimentConfig) -> dict:
 
 def run_bilipschitz(cfg: ExperimentConfig) -> dict:
     s = cfg.structure
-    m = cfg.subspace_dim if cfg.subspace_dim is not None else 4
+    m = cfg.resolved_subspace_dim()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 3]))
     prior = random_subspace_prior(s, m, rng)
-    pairs = cfg.resolved_trials(default=100_000)
+    pairs = cfg.resolved_trials()
     report = distortion_estimate(s, prior, pairs, rng)
     payload = {
         "alpha_lower": report.alpha_lower,

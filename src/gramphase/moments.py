@@ -13,15 +13,22 @@ cyclic action draws all shifts in one call, shifts the signal once per
 distinct shift with the stacked elements of
 :func:`~gramphase.blocks.cyclic_shift_stack`, and gathers the rows into
 observation order; a full-ambiguity action rotates each block of every
-observation by one :func:`~gramphase.blocks.haar_stack`.  Cyclic
-observations are bitwise those of one :func:`~gramphase.blocks.haar_sample`
-per observation applied with :func:`~gramphase.blocks.apply`, on the same
+observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
+draw, written straight into the observation array.  The noise is then
+added in place, NOISE_CHUNK entries at a time.  So the sampler holds the
+``(n, d)`` output plus one chunk (and, for a cyclic action, one row per
+distinct shift); a complex full-ambiguity draw also holds the float64
+real parts of one block's whole Haar stack.  The chunking changes no
+bit: every observation is that of one whole-stack draw, and cyclic
+observations are those of one :func:`~gramphase.blocks.haar_sample` per
+observation applied with :func:`~gramphase.blocks.apply`, on the same
 random stream.  The Gram checks of :class:`GramTuple` and the PSD clamp
 of :func:`extract_gram` run once per block shape on stacked matrices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +45,8 @@ from .blocks import (
     block_stacks,
     cyclic_shift_stack,
     frobenius_norms,
+    haar_chunks,
     haar_sample,  # noqa: F401
-    haar_stack,
 )
 
 __all__ = [
@@ -56,6 +63,8 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 # Eigenvalues above -PSD_TOL * trace count as nonnegative.
 PSD_TOL = 1e-10
+# Noise entries drawn per block by sample_observations.
+NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +130,8 @@ class MraSampleSet:
             )
         if obs.shape[0] < 1:
             raise ValueError("need at least one observation")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         object.__setattr__(self, "observations", obs)
 
     @property
@@ -150,6 +159,19 @@ def analytic_second_moment(x: BlockSignal) -> np.ndarray:
     return out
 
 
+def _add_noise(obs: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
+    """Add i.i.d. ``N(0, sigma^2)`` noise to every real coordinate of
+    ``obs`` in place, from the stream of one whole-array draw (all real
+    parts, then all imaginary parts on the complex field), in row blocks
+    of at most NOISE_CHUNK entries."""
+    rows = max(1, NOISE_CHUNK // obs.shape[1])
+    for part in (obs.real, obs.imag) if np.iscomplexobj(obs) else (obs,):
+        for i in range(0, len(part), rows):
+            noise = rng.standard_normal(part[i : i + rows].shape)
+            noise *= sigma
+            part[i : i + rows] += noise
+
+
 def sample_observations(
     x: BlockSignal,
     action: GroupAction,
@@ -162,17 +184,19 @@ def sample_observations(
     part for the complex field)."""
     if n < 1:
         raise ValueError("need n >= 1 observations")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if action.structure != x.structure:
         raise StructureMismatch("action and signal use different structures")
     s = x.structure
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if action.kind == "full_ambiguity":
-        # one Haar stack per block, rotating that block of every observation
+        # one chunked Haar draw per block, rotating that block of every
+        # observation in place
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
         for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
-            y[...] = np.einsum("kab,br->kar", haar_stack(dim, n, s.field, rng), m)
+            for i, j, q in haar_chunks(dim, n, s.field, rng):
+                y[i:j] = np.einsum("kab,br->kar", q, m)
     else:
         # one shifted copy per distinct shift, gathered into observation order
         shifts, inverse = np.unique(rng.integers(action.cyclic_n, size=n), return_inverse=True)
@@ -180,10 +204,8 @@ def sample_observations(
         for d, y, m in zip(cyclic_shift_stack(action, shifts), block_stacks(rows, s), x.matrices):
             np.matmul(d, m, out=y)
         obs = rows[inverse]
-    noise = sigma * rng.standard_normal(obs.shape)
-    if s.field == "complex":
-        noise = noise + 1j * sigma * rng.standard_normal(obs.shape)
-    return MraSampleSet(s, obs + noise, float(sigma), int(seed))
+    _add_noise(obs, sigma, rng)
+    return MraSampleSet(s, obs, float(sigma), int(seed))
 
 
 def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:

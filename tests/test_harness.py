@@ -57,11 +57,30 @@ class TestExperimentConfig:
             ({"sigma": -0.1}, "sigma"),
             ({"subspace_dim": 0}, "subspace_dim"),
             ({"n_samples": 0}, "n_samples"),
+            ({"sigma": float("nan")}, "sigma"),
+            ({"sigma": float("inf")}, "sigma"),
+            ({"sigma_values": (0.1, float("nan"))}, "noise sweep"),
+            ({"sigma_values": (float("inf"),)}, "noise sweep"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "experiment, subspace_dim, trials",
+        [("exp-noise", 10, 200), ("solve", 4, 200), ("transversality", 2, 20),
+         ("bilipschitz", 4, 100_000)],
+    )
+    def test_runner_fallbacks(self, experiment, subspace_dim, trials):
+        cfg = ExperimentConfig(experiment=experiment)
+        assert (cfg.resolved_subspace_dim(), cfg.resolved_trials()) == (subspace_dim, trials)
+        cfg = ExperimentConfig(experiment=experiment, subspace_dim=3, trials=5)
+        assert (cfg.resolved_subspace_dim(), cfg.resolved_trials()) == (3, 5)
+
+    def test_no_subspace_fallback_without_an_experiment_entry(self):
+        with pytest.raises(ValueError, match="subspace_dim"):
+            ExperimentConfig(experiment="exp-iterations").resolved_subspace_dim()
 
     def test_config_hash_pinned(self):
         # values written by earlier releases; the hash payload must not move
@@ -258,6 +277,12 @@ class TestCli:
         assert main(["exp-noise", "--sigma=-0.1,0.01", "--trials", "2", "--out", str(out)]) == 1
         assert "noise sweep" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_exits_1(self, tmp_path, capsys, sigma):
+        assert main(["simulate", "--sigma", sigma, "--n", "5", "--out", str(tmp_path)]) == 1
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_empty_k_sweep_in_config_file_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from gramphase import (
 )
 from gramphase import blocks
 from gramphase.blocks import cyclic_shift_stack, haar_stack
-from gramphase.moments import MraSampleSet, clamp_psd
+from gramphase.moments import NOISE_CHUNK, MraSampleSet, clamp_psd
 from tests._oracles import cyclic_average_outer
 
 
@@ -215,6 +217,54 @@ class TestSampling:
         for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
             y[...] = np.einsum("kab,br->kar", _unsliced_haar_stack(dim, n, field, rng), m)
         assert np.array_equal(got, _noisy(rows, 0.1, rng))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["full", "cyclic"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_noise_blocks_equal_one_whole_array_draw(self, kind, field, offset):
+        if kind == "full":
+            action = full_ambiguity_action(RepresentationStructure(((3, 2), (2, 1)), field))
+        else:
+            action = cyclic_action(16 if field == "real" else 7, field)
+        s = action.structure
+        n = 2 * (NOISE_CHUNK // s.ambient_dim) + offset
+        x = random_signal(s, np.random.default_rng(n))
+        got = sample_observations(x, action, 0.3, n, seed=n).observations
+        # the rotations drawn unchunked, then all the noise in one draw
+        rng = np.random.default_rng(np.random.SeedSequence(n))
+        if kind == "full":
+            rows = np.empty_like(got)
+            for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
+                y[...] = np.einsum("kab,br->kar", _unsliced_haar_stack(dim, n, field, rng), m)
+        else:
+            shifts = rng.integers(action.cyclic_n, size=n)
+            shifted = [reconstruct(apply(cyclic_shift_element(action, k), x))
+                       for k in range(action.cyclic_n)]
+            rows = np.stack([shifted[k] for k in shifts])
+        assert np.array_equal(got, _noisy(rows, 0.3, rng))
+
+    @pytest.mark.parametrize("field, bound", [("real", 1.5), ("complex", 2.5)])
+    def test_traced_peak_is_about_the_output(self, field, bound):
+        # the output plus one chunk; a complex draw also holds the real
+        # parts of one block's Haar stack
+        s = RepresentationStructure(((8, 4), (3, 2)), field)
+        x = random_signal(s, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            obs = sample_observations(x, full_ambiguity_action(s), 0.1, 100_000, 1).observations
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * obs.nbytes
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+    def test_rejects_bad_sigma(self, sigma):
+        s = RepresentationStructure(((2, 1),))
+        x = random_signal(s, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sigma"):
+            sample_observations(x, full_ambiguity_action(s), sigma, 5, seed=1)
 
     def test_sampling_builds_no_group_element(self, monkeypatch):
         def refuse(self):

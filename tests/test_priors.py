@@ -12,6 +12,7 @@ from gramphase import (
     project_prior,
     random_subspace_prior,
 )
+from gramphase.priors import stack_priors
 from tests._oracles import brute_sparse_project
 
 vectors = st.integers(0, 2**32 - 1).map(
@@ -104,6 +105,37 @@ class TestProjectorContracts:
         p = LinearSubspacePrior(np.eye(4)[:, :1])
         with pytest.raises(Exception, match="3"):
             project_prior(np.zeros(3), p)
+
+
+def _orthonormal(rng, dim, m, field="real"):
+    a = rng.standard_normal((dim, m))
+    if field == "complex":
+        a = a + 1j * rng.standard_normal((dim, m))
+    return np.linalg.qr(a)[0]
+
+
+class TestSingleVectorPath:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: LinearSubspacePrior(_orthonormal(rng, 9, 4)),
+            lambda rng: LinearSubspacePrior(np.asfortranarray(_orthonormal(rng, 9, 4))),
+            lambda rng: LinearSubspacePrior(_orthonormal(rng, 9, 4, "complex")),
+            lambda rng: SparsityPrior(3),
+            lambda rng: SparsityPrior(3, dictionary=np.asfortranarray(_orthonormal(rng, 9, 9))),
+            lambda rng: SupportPrior(rng.random(9) < 0.5),
+        ],
+        ids=["subspace", "subspace-fortran", "subspace-complex", "sparsity",
+             "sparsity-dictionary-fortran", "support"],
+    )
+    def test_equals_its_stacked_row(self, make):
+        rng = np.random.default_rng(12)
+        priors = [make(rng) for _ in range(3)]
+        real = rng.standard_normal((3, 9))
+        for v in (real, real + 1j * rng.standard_normal((3, 9))):
+            stacked = project_prior(v, stack_priors(priors))
+            for t, p in enumerate(priors):
+                assert np.array_equal(project_prior(v[t], p), stacked[t])
 
 
 class TestRandomSubspace:
