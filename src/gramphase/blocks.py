@@ -59,7 +59,6 @@ __all__ = [
     "apply",
     "compose",
     "haar_sample",
-    "haar_chunks",
     "haar_stack",
     "random_signal",
     "frobenius_norms",
@@ -437,6 +436,9 @@ def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     the complex field every real part precedes every imaginary part in
     that stream, so the real parts are drawn whole first (a float64
     ``(count, n, n)`` array) and the imaginary parts chunk by chunk.
+    The draws are taken from ``rng`` lazily, as the generator is
+    iterated, so the caller must exhaust it before drawing anything else
+    from ``rng``.
     """
     re = rng.standard_normal((count, n, n)) if field == "complex" else None
     for i in range(0, count, HAAR_CHUNK):

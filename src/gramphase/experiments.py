@@ -64,9 +64,9 @@ def _default_structure() -> RepresentationStructure:
     return RepresentationStructure(((8, 4),), "real")
 
 
-# per experiment, the subspace dimension and the trial count a runner
-# uses when the config leaves them unset; transversality counts sampled
-# points and bilipschitz signal pairs
+# per runner, the subspace dimension and the trial count it uses when the
+# config leaves them unset; transversality counts sampled points and
+# bilipschitz signal pairs
 _FALLBACKS = {
     "exp-noise": (10, DESK_TRIALS),
     "solve": (4, DESK_TRIALS),
@@ -136,22 +136,20 @@ class ExperimentConfig:
         ):
             raise ValueError("noise sweep must be nonempty, finite and nonnegative")
 
-    def resolved_trials(self) -> int:
+    def resolved_trials(self, runner: str | None = None) -> int:
+        """The trial count ``runner`` (a ``_FALLBACKS`` key) runs; runners
+        without an entry fall back to ``DESK_TRIALS``."""
         if self.trials is not None:
             return self.trials
         if self.paper_scale:
             return PAPER_TRIALS
-        return _FALLBACKS.get(self.experiment, (None, DESK_TRIALS))[1]
+        return DESK_TRIALS if runner is None else _FALLBACKS[runner][1]
 
-    def resolved_subspace_dim(self) -> int:
+    def resolved_subspace_dim(self, runner: str) -> int:
+        """The subspace dimension ``runner`` (a ``_FALLBACKS`` key) uses."""
         if self.subspace_dim is not None:
             return self.subspace_dim
-        if self.experiment not in _FALLBACKS:
-            raise ValueError(
-                f"experiment {self.experiment!r} has no default subspace dimension; "
-                "set subspace_dim"
-            )
-        return _FALLBACKS[self.experiment][0]
+        return _FALLBACKS[runner][0]
 
     def solver_config(self, stop_on: str) -> SolverConfig:
         return SolverConfig(
@@ -299,8 +297,8 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     stopping makes the noiseless row equivalent to the iteration
     experiment; above the noise floor neither rule ever fires early.
     """
-    trials = cfg.resolved_trials()
-    k = cfg.resolved_subspace_dim()
+    trials = cfg.resolved_trials("exp-noise")
+    k = cfg.resolved_subspace_dim("exp-noise")
     specs = [
         TrialSpec(cfg.structure, k, slot, t, cfg.master_seed, float(sigma))
         for slot, sigma in enumerate(cfg.sigma_values)
@@ -358,7 +356,7 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
         prior = serialize.prior_from_dict(serialize.load_json(cfg.prior_file))
         s = measured.structure
     else:
-        m = cfg.resolved_subspace_dim()
+        m = cfg.resolved_subspace_dim("solve")
         prior = random_subspace_prior(s, m, rng)
         truth = decompose(prior.basis @ rng.standard_normal(m), s)
         measured = gram_tuple(truth)
@@ -425,13 +423,13 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 def run_transversality(cfg: ExperimentConfig) -> dict:
     s = cfg.structure
-    m = cfg.resolved_subspace_dim()
+    m = cfg.resolved_subspace_dim("transversality")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 2]))
     prior = random_subspace_prior(s, m, rng)
     report = transversality_check(
         s,
         prior,
-        cfg.resolved_trials(),
+        cfg.resolved_trials("transversality"),
         cfg.grid_resolution,
         rng,
         exclude_tol=cfg.exclude_tol,
@@ -471,10 +469,10 @@ def run_transversality(cfg: ExperimentConfig) -> dict:
 
 def run_bilipschitz(cfg: ExperimentConfig) -> dict:
     s = cfg.structure
-    m = cfg.resolved_subspace_dim()
+    m = cfg.resolved_subspace_dim("bilipschitz")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 3]))
     prior = random_subspace_prior(s, m, rng)
-    pairs = cfg.resolved_trials()
+    pairs = cfg.resolved_trials("bilipschitz")
     report = distortion_estimate(s, prior, pairs, rng)
     payload = {
         "alpha_lower": report.alpha_lower,

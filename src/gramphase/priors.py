@@ -129,6 +129,10 @@ class PriorStack:
 
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    # one prior: a view, made C-contiguous as a copy would be, so that
+    # matmul takes the same BLAS path
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
     try:
         return np.array(arrays)
     except ValueError:
@@ -157,25 +161,6 @@ def stack_priors(priors: list[PriorSpec]) -> PriorStack:
     return PriorStack(kind, basis.shape[1], basis=basis, k=k)
 
 
-def _one_row(prior: PriorSpec) -> PriorStack:
-    """The one-row stack of ``prior``, as :func:`stack_priors` builds it
-    but from ``[None]`` views; a basis is made C-contiguous as stacking
-    makes it, so that matmul takes the same BLAS path."""
-    kind = type(prior)
-    if kind is LinearSubspacePrior:
-        basis = np.ascontiguousarray(prior.basis)[None]
-        return PriorStack(kind, basis.shape[1], basis=basis)
-    if kind is SupportPrior:
-        return PriorStack(kind, len(prior.mask), mask=prior.mask[None])
-    if kind is not SparsityPrior:
-        raise TypeError(f"unknown prior type {kind.__name__}")
-    k = np.array([prior.k])
-    if prior.dictionary is None:
-        return PriorStack(kind, 0, k=k)
-    basis = np.ascontiguousarray(prior.dictionary)[None]
-    return PriorStack(kind, basis.shape[1], basis=basis, k=k)
-
-
 def _hard_threshold(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Keep the ``k[t]`` largest magnitudes of row ``t``; a stable sort on
     descending magnitude breaks ties toward the lowest index."""
@@ -199,7 +184,7 @@ def project_prior(v: np.ndarray, prior: PriorSpec | PriorStack) -> np.ndarray:
     """
     v = np.asarray(v)
     if not isinstance(prior, PriorStack):
-        return project_prior(v[None], _one_row(prior))[0]
+        return project_prior(v[None], stack_priors([prior]))[0]
     length = v.shape[1]
     if prior.kind is SparsityPrior and prior.basis is None:
         if prior.k.max() > length:

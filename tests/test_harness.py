@@ -15,6 +15,7 @@ from gramphase.experiments import (
     run_error_vs_noise,
     run_iterations_vs_k,
     run_simulate,
+    run_transversality,
 )
 from gramphase.serialize import read_csv
 
@@ -68,19 +69,24 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize(
-        "experiment, subspace_dim, trials",
+        "runner, subspace_dim, trials",
         [("exp-noise", 10, 200), ("solve", 4, 200), ("transversality", 2, 20),
          ("bilipschitz", 4, 100_000)],
     )
-    def test_runner_fallbacks(self, experiment, subspace_dim, trials):
-        cfg = ExperimentConfig(experiment=experiment)
-        assert (cfg.resolved_subspace_dim(), cfg.resolved_trials()) == (subspace_dim, trials)
-        cfg = ExperimentConfig(experiment=experiment, subspace_dim=3, trials=5)
-        assert (cfg.resolved_subspace_dim(), cfg.resolved_trials()) == (3, 5)
+    def test_runner_fallbacks(self, runner, subspace_dim, trials):
+        # keyed by the runner, not by the config's experiment name
+        cfg = ExperimentConfig()
+        assert (cfg.resolved_subspace_dim(runner), cfg.resolved_trials(runner)) == (
+            subspace_dim, trials,
+        )
+        cfg = ExperimentConfig(subspace_dim=3, trials=5)
+        assert (cfg.resolved_subspace_dim(runner), cfg.resolved_trials(runner)) == (3, 5)
 
-    def test_no_subspace_fallback_without_an_experiment_entry(self):
-        with pytest.raises(ValueError, match="subspace_dim"):
-            ExperimentConfig(experiment="exp-iterations").resolved_subspace_dim()
+    def test_runner_uses_its_own_fallbacks_under_another_experiment_name(self):
+        cfg = ExperimentConfig(structure=RepresentationStructure(((2, 2), (1, 1)), "real"))
+        assert cfg.experiment != "transversality"
+        report = run_transversality(cfg)
+        assert (report["m_dim"], report["samples_checked"]) == (2, 20)
 
     def test_config_hash_pinned(self):
         # values written by earlier releases; the hash payload must not move
