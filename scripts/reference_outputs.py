@@ -14,19 +14,24 @@ of the observations ``sample_observations`` draws on a few full and
 cyclic actions.  Those cross every chunk boundary of the sampler: 10,001
 full-ambiguity draws cross the chunks of ``haar_chunks`` and the noise
 blocks, and cyclic:16 x 20,000 and cyclic:7:complex x 30,000 cross the
-noise blocks of a real and a complex cyclic draw.  Run it
+noise blocks of a real and a complex cyclic draw.  ``cli_stdout.txt``
+holds what each subcommand prints, and its exit code, on a small config
+(its files go to a temporary directory, named ``OUT_DIR`` there).  Run it
 once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.
 """
 import hashlib
+import io
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 
-from gramphase import blocks
-from gramphase.cli import parse_structure
+from gramphase import blocks, serialize
+from gramphase.cli import main as cli_main, parse_structure
 from gramphase.experiments import (
     ExperimentConfig,
     run_bilipschitz,
@@ -36,7 +41,8 @@ from gramphase.experiments import (
     run_simulate,
     run_transversality,
 )
-from gramphase.moments import sample_observations
+from gramphase.moments import gram_tuple, sample_observations
+from gramphase.priors import random_subspace_prior
 
 COMPLEX = "8x4,3x2:complex"
 
@@ -60,6 +66,39 @@ def _observation_digest(action, n, seed=2026):
     x = blocks.random_signal(action.structure, np.random.default_rng(seed))
     obs = sample_observations(x, action, 0.3, n, seed).observations
     return hashlib.sha256(np.ascontiguousarray(obs).tobytes()).hexdigest()
+
+
+# subcommand runs: a converged and a capped (exit 2) solve, a solve from
+# files, and a bare transversality, which cannot grid 8x4 (exit 1)
+CLI_RUNS = (
+    "simulate --structure cyclic:8 --action cyclic --n 50 --sigma 0.2 --seed 2 --out {d}/sim",
+    "solve --K 4 --seed 7 --out {d}/solve",
+    "solve --K 4 --seed 7 --max-iters 3 --out {d}/solve_capped",
+    "solve --gram {d}/gram.json --prior {d}/prior.json --seed 3 --out {d}/solve_files",
+    "exp-iterations --trials 5 --K 2,4 --max-iters 200 --seed 3",
+    "exp-noise --trials 4 --sigma 0,0.01 --K 4 --max-iters 80 --seed 17",
+    "transversality --structure cyclic:6 --K 2 --trials 2 --grid-res 64 --seed 1",
+    "transversality",
+    "bilipschitz --structure 8x4 --K 4 --trials 500 --seed 3",
+)
+
+
+def _cli_stdout() -> str:
+    lines = []
+    with tempfile.TemporaryDirectory() as d:
+        s = parse_structure("6x2")
+        rng = np.random.default_rng(0)
+        prior = random_subspace_prior(s, 2, rng)
+        truth = blocks.decompose(prior.basis @ rng.standard_normal(2), s)
+        serialize.save_json(f"{d}/gram.json", serialize.gram_to_dict(gram_tuple(truth)))
+        serialize.save_json(f"{d}/prior.json", serialize.prior_to_dict(prior))
+        for run in CLI_RUNS:
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = cli_main(run.format(d=d).split())
+            lines += [f"$ gramphase {run.format(d='OUT_DIR')}",
+                      stdout.getvalue().replace(d, "OUT_DIR") + f"exit {code}"]
+    return "\n".join(lines) + "\n"
 
 
 def main(out: Path) -> None:
@@ -107,6 +146,7 @@ def main(out: Path) -> None:
     ):
         lines.append(f"{name} n={n} {_observation_digest(action, n)}")
     (out / "observations_sha256.txt").write_text("\n".join(lines) + "\n")
+    (out / "cli_stdout.txt").write_text(_cli_stdout())
 
 
 if __name__ == "__main__":

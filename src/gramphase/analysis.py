@@ -140,8 +140,7 @@ class TransversalityReport:
 class _Menu:
     """All grid images of one block, with their two subspace coordinates."""
 
-    def __init__(self, kind, a, b, mats, labels):
-        self.kind = kind  # "sign" | "o2"
+    def __init__(self, a, b, mats, labels):
         self.a = a  # (g,) inner products with the checked point
         self.b = b  # (g, m-1) inner products with the rest of the basis
         self.mats = mats  # (g, n, n) the group-element blocks themselves
@@ -169,16 +168,16 @@ def _build_menus(
     x_amb = reconstruct(x)
     for (n, _), sl, m in zip(s.blocks, s.block_slices, x.matrices):
         if n == 1:
-            mats, labels, kind = signs, [("sign", 1), ("sign", -1)], "sign"
+            mats, labels = signs, [("sign", 1), ("sign", -1)]
         else:
-            mats, labels, kind = o2, o2_labels, "o2"
+            mats, labels = o2, o2_labels
         flat = flat_block(np.einsum("gij,jr->gir", mats, m))
         a = flat @ x_amb[sl]
         b = flat @ basis[sl, 1:]
         if b.shape[1] == 0:
             # one-dimensional subspace: no coordinates besides the point itself
             b = np.zeros((flat.shape[0], 1))
-        menus.append(_Menu(kind, a, b, mats, labels))
+        menus.append(_Menu(a, b, mats, labels))
     return menus
 
 

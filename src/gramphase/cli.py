@@ -178,58 +178,38 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(experiment=args.command, **kwargs)
 
 
+# per subcommand, its runner and the summary line printed per result row
+_COMMANDS = {
+    "simulate": (run_simulate, "simulated n={n} observations; "
+                 "moment error {moment_error:.3e}; wrote {out}"),
+    "solve": (run_demo_solve, "converged={converged} iterations={iterations_used} "
+              "residual={residual_final:.3e}"),
+    "exp-iterations": (run_iterations_vs_k, "K={K} median_iterations={median_iterations} "
+                       "convergence_rate={convergence_rate:.3f}"),
+    "exp-noise": (run_error_vs_noise, "sigma={sigma:g} median_error={median_error:.3e} "
+                  "convergence_rate={convergence_rate:.3f}"),
+    "transversality": (run_transversality, "worst_margin={worst_margin:.6f} "
+                       "violations={num_violations} (threshold {threshold:.6f})"),
+    "bilipschitz": (run_bilipschitz, "alpha_lower={alpha_lower:.6f} "
+                    "beta_upper={beta_upper:.6f} pairs={pairs_sampled}"),
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; exit 1 on bad input, 2 on an unconverged solve."""
+    args = _build_parser().parse_args(argv)
+    runner, summary = _COMMANDS[args.command]
     try:
-        cfg = _config(args)
-        if args.command == "simulate":
-            result = run_simulate(cfg)
-            print(
-                f"simulated n={result['n']} observations; "
-                f"moment error {result['moment_error']:.3e}; wrote {result['out']}"
-            )
-        elif args.command == "solve":
-            report = run_demo_solve(cfg)
-            print(
-                f"converged={report.converged} iterations={report.iterations_used} "
-                f"residual={report.residual_final:.3e}"
-            )
-            if not report.converged:
-                return 2
-        elif args.command == "exp-iterations":
-            for row in run_iterations_vs_k(cfg):
-                print(
-                    f"K={row['K']} median_iterations={row['median_iterations']} "
-                    f"convergence_rate={row['convergence_rate']:.3f}"
-                )
-        elif args.command == "exp-noise":
-            for row in run_error_vs_noise(cfg):
-                print(
-                    f"sigma={row['sigma']:g} median_error={row['median_error']:.3e} "
-                    f"convergence_rate={row['convergence_rate']:.3f}"
-                )
-        elif args.command == "transversality":
-            payload = run_transversality(cfg)
-            print(
-                f"worst_margin={payload['worst_margin']:.6f} "
-                f"violations={payload['num_violations']} "
-                f"(threshold {payload['threshold']:.6f})"
-            )
-        elif args.command == "bilipschitz":
-            payload = run_bilipschitz(cfg)
-            print(
-                f"alpha_lower={payload['alpha_lower']:.6f} "
-                f"beta_upper={payload['beta_upper']:.6f} "
-                f"pairs={payload['pairs_sampled']}"
-            )
+        result = runner(_config(args))
+        for row in result if isinstance(result, list) else [result]:
+            print(summary.format_map(row if isinstance(row, dict) else vars(row)))
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError, KeyError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 2 if args.command == "solve" and not result.converged else 0
 
 
 if __name__ == "__main__":

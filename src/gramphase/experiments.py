@@ -109,8 +109,7 @@ class ExperimentConfig:
         if self.algorithm == "ap":
             self.algorithm = "alternating_projection"
         self.paper_scale = bool(self.paper_scale)
-        if self.algorithm not in ("alternating_projection", "rrr"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        self.solver_config("residual")  # SolverConfig checks algorithm, beta, max_iters, tol
         if self.action not in ("full", "cyclic"):
             raise ValueError(f"unknown action {self.action!r}")
         if self.master_seed < 0:
@@ -119,10 +118,6 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.subspace_dim is not None and self.subspace_dim < 1:
@@ -138,12 +133,12 @@ class ExperimentConfig:
 
     def resolved_trials(self, runner: str | None = None) -> int:
         """The trial count ``runner`` (a ``_FALLBACKS`` key) runs; runners
-        without an entry fall back to ``DESK_TRIALS``."""
+        without an entry fall back to ``DESK_TRIALS``, which paper scale
+        replaces by ``PAPER_TRIALS``."""
         if self.trials is not None:
             return self.trials
-        if self.paper_scale:
-            return PAPER_TRIALS
-        return DESK_TRIALS if runner is None else _FALLBACKS[runner][1]
+        fallback = DESK_TRIALS if runner is None else _FALLBACKS[runner][1]
+        return PAPER_TRIALS if self.paper_scale and fallback == DESK_TRIALS else fallback
 
     def resolved_subspace_dim(self, runner: str) -> int:
         """The subspace dimension ``runner`` (a ``_FALLBACKS`` key) uses."""
@@ -345,22 +340,20 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     """Load (or synthesize) a measurement and prior, solve, write report
-    and estimate files into the output directory."""
-    s = cfg.structure
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 0]))
-    truth = None
+    and estimate files into the output directory.  A synthesized instance
+    is trial 0 of slot 0, with its signal perturbed at ``cfg.sigma``."""
+    k = sigma = ""
     if cfg.gram_file or cfg.prior_file:
         if not (cfg.gram_file and cfg.prior_file):
             raise ValueError("need both --gram and --prior, or neither for a random instance")
         measured = serialize.gram_from_dict(serialize.load_json(cfg.gram_file))
         prior = serialize.prior_from_dict(serialize.load_json(cfg.prior_file))
-        s = measured.structure
+        init = random_signal(measured.structure, _trial_rng(cfg.master_seed, 0, 0))
+        truth = None
     else:
-        m = cfg.resolved_subspace_dim("solve")
-        prior = random_subspace_prior(s, m, rng)
-        truth = decompose(prior.basis @ rng.standard_normal(m), s)
-        measured = gram_tuple(truth)
-    init = random_signal(s, rng)
+        k, sigma = cfg.resolved_subspace_dim("solve"), cfg.sigma
+        spec = TrialSpec(cfg.structure, k, 0, 0, cfg.master_seed, sigma or None)
+        measured, prior, init, truth = _trial_instance(spec)
     report = solve(measured, prior, cfg.solver_config("residual"), init=init, truth=truth)
     out = _outdir(cfg)
     serialize.save_json(out / "report.json", serialize.solve_report_to_dict(report))
@@ -371,8 +364,8 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     )
     row = {
         "trial_id": 0,
-        "K": cfg.subspace_dim or "",
-        "sigma": cfg.sigma,
+        "K": k,
+        "sigma": sigma,
         "iterations": report.iterations_used,
         "converged": int(report.converged),
         "residual": report.residual_final,

@@ -145,13 +145,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path, fieldnames, rows, comments=()) -> None:
-    """Comma-separated with a header row; comments become leading ``#`` lines."""
+def _write_table(path, fieldnames, cells, comments) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(fieldnames))
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in fieldnames))
+    lines.extend(",".join(row) for row in cells)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_csv(path, fieldnames, rows, comments=()) -> None:
+    """Comma-separated with a header row; comments become leading ``#`` lines."""
+    _write_table(path, fieldnames, ([_fmt(row[k]) for k in fieldnames] for row in rows), comments)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]], list[str]]:
@@ -178,25 +181,21 @@ def write_matrix_csv(path, matrix, comments=()) -> None:
     m = np.atleast_2d(np.asarray(matrix))
     if np.iscomplexobj(m):
         names = [f"c{j}_{p}" for j in range(m.shape[1]) for p in ("re", "im")]
-        rows = [
-            {
-                f"c{j}_{p}": (v.real if p == "re" else v.imag)
-                for j, v in enumerate(row)
-                for p in ("re", "im")
-            }
-            for row in m
-        ]
+        cells = (
+            [repr(v) for z in row for v in (z.real, z.imag)]
+            for row in m.astype(complex).tolist()
+        )
     else:
         names = [f"c{j}" for j in range(m.shape[1])]
-        rows = [{f"c{j}": float(v) for j, v in enumerate(row)} for row in m]
-    write_csv(path, names, rows, comments)
+        cells = ([repr(v) for v in row] for row in m.astype(float).tolist())
+    _write_table(path, names, cells, comments)
 
 
 def read_matrix_csv(path) -> np.ndarray:
     header, rows, _ = read_csv(path)
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = np.array([[float(v) for v in row] for row in rows]).reshape(len(rows), len(header))
     if header and header[0].endswith("_re"):
-        return data[:, 0::2] + 1j * data[:, 1::2]
+        return data.view(complex)  # re/im pairs, bitwise: no arithmetic on nan or -0.0
     return data
 
 

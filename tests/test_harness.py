@@ -62,6 +62,9 @@ class TestExperimentConfig:
             ({"sigma": float("inf")}, "sigma"),
             ({"sigma_values": (0.1, float("nan"))}, "noise sweep"),
             ({"sigma_values": (float("inf"),)}, "noise sweep"),
+            ({"algorithm": "rrr", "beta": 1.5}, "beta"),
+            ({"max_iters": 0}, "max_iters"),
+            ({"tol": 0.0}, "tol"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, match):
@@ -151,6 +154,12 @@ class TestIterationsBaselines:
         assert ExperimentConfig(experiment="exp-iterations").resolved_trials() == 200
         assert ExperimentConfig(experiment="x", trials=7, paper_scale=True).resolved_trials() == 7
 
+    def test_paper_scale_replaces_only_the_desk_default(self):
+        cfg = ExperimentConfig(paper_scale=True)
+        assert cfg.resolved_trials("exp-noise") == 10_000
+        assert cfg.resolved_trials("transversality") == 20
+        assert cfg.resolved_trials("bilipschitz") == 100_000
+
 
 class TestNoiseExperiment:
     def test_columns_and_zero_sigma_semantics(self, tmp_path):
@@ -207,6 +216,17 @@ class TestDemoSolve:
             )
         assert blobs[0] == blobs[1]
 
+    def test_solve_csv_describes_the_generated_instance(self, tmp_path):
+        rows = {}
+        for tag, flags in (("plain", []), ("noisy", ["--sigma", "0.5"])):
+            out = tmp_path / tag
+            main(["solve", "--max-iters", "50", "--out", str(out), *flags])
+            rows[tag] = read_csv(out / "solve.csv")[1][0]
+        assert rows["plain"][1:3] == ["4", "0.0"]
+        assert rows["noisy"][1:3] == ["4", "0.5"]
+        # the noise reaches the measured Grams, so the two solves differ
+        assert rows["noisy"][5:] != rows["plain"][5:]
+
     def test_file_driven_solve(self, tmp_path):
         # make an instance with the library, dump it, and solve from files
         from gramphase import gram_tuple, random_subspace_prior, decompose
@@ -229,6 +249,8 @@ class TestDemoSolve:
         )
         assert code in (0, 2)
         assert (tmp_path / "out" / "report.json").exists()
+        # K and sigma describe a generated instance only
+        assert read_csv(tmp_path / "out" / "solve.csv")[1][0][1:3] == ["", ""]
 
 
 class TestCli:
@@ -361,6 +383,41 @@ class TestCli:
         payload = json.loads((tmp_path / "bilipschitz.json").read_text())
         assert payload["alpha_lower"] > 0
         assert (tmp_path / "ratio_histogram.csv").exists()
+
+
+class TestCliStdout:
+    """The summary lines each subcommand prints, pinned on tiny configs."""
+
+    @pytest.mark.parametrize(
+        "argv, lines, code",
+        [
+            (["simulate", "--structure", "cyclic:8", "--action", "cyclic", "--n", "50",
+              "--sigma", "0.2", "--seed", "2"],
+             ["simulated n=50 observations; moment error 1.035e+00; wrote {out}"], 0),
+            (["solve", "--K", "4", "--seed", "7"],
+             ["converged=True iterations=177 residual=9.641e-07"], 0),
+            (["solve", "--K", "4", "--seed", "7", "--max-iters", "3"],
+             ["converged=False iterations=3 residual=3.919e-01"], 2),
+            (["exp-iterations", "--trials", "5", "--K", "2,4", "--max-iters", "200",
+              "--seed", "3"],
+             ["K=2 median_iterations=34.0 convergence_rate=1.000",
+              "K=4 median_iterations=122.0 convergence_rate=0.800"], 0),
+            (["exp-noise", "--trials", "4", "--sigma", "0,0.01", "--K", "4",
+              "--max-iters", "80", "--seed", "17"],
+             ["sigma=0 median_error=5.168e-03 convergence_rate=0.000",
+              "sigma=0.01 median_error=4.601e-02 convergence_rate=0.000"], 0),
+            (["transversality", "--structure", "cyclic:6", "--K", "2", "--trials", "2",
+              "--grid-res", "64", "--seed", "1"],
+             ["worst_margin=0.234990 violations=2 (threshold 0.981748)"], 0),
+            (["bilipschitz", "--structure", "8x4", "--K", "4", "--trials", "500",
+              "--seed", "3"],
+             ["alpha_lower=0.186883 beta_upper=0.992645 pairs=500"], 0),
+        ],
+    )
+    def test_summary_lines(self, tmp_path, capsys, argv, lines, code):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out.splitlines() == [s.format(out=out) for s in lines]
 
 
 class TestSimulateModule:

@@ -69,6 +69,27 @@ def test_matrix_csv_roundtrip(tmp_path):
         assert comments == ["unit=test"]
 
 
+def test_matrix_csv_bytes(tmp_path):
+    real = np.array([[-0.0, np.nan, np.inf], [1e-300, 0.1, -2.0]])
+    cplx = np.empty(real.shape, dtype=complex)
+    cplx.real, cplx.imag = real, real[::-1]
+    cases = (
+        (real, "c0,c1,c2\n-0.0,nan,inf\n1e-300,0.1,-2.0\n"),
+        (cplx, "c0_re,c0_im,c1_re,c1_im,c2_re,c2_im\n"
+               "-0.0,1e-300,nan,0.1,inf,-2.0\n1e-300,-0.0,0.1,nan,-2.0,inf\n"),
+        (np.array([[1, 0]]), "c0,c1\n1.0,0.0\n"),
+        (np.zeros((0, 3)), "c0,c1,c2\n"),
+    )
+    for m, text in cases:
+        path = tmp_path / "m.csv"
+        ser.write_matrix_csv(path, m, comments=["unit=test"])
+        assert path.read_text() == "# unit=test\n" + text
+        back = ser.read_matrix_csv(path)
+        # bitwise, so the sign of zero and the NaNs survive too
+        assert back.shape == m.shape
+        assert back.tobytes() == m.astype(back.dtype).tobytes()
+
+
 def test_basis_loadable_from_csv(tmp_path):
     basis = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 2)))[0]
     path = tmp_path / "basis.csv"
