@@ -4,6 +4,10 @@ the orbit-intersection grid search and the distortion bounds of the
 Gram-square-root measurement map.
 
     python3 scripts/run_analysis_checks.py --out results/analysis
+
+Extra arguments go to both subcommands, so pass only flags both take:
+``--structure``, ``--K``, ``--trials``, ``--seed`` and ``--out``
+(``bilipschitz`` refuses ``--grid-res``, for one).
 """
 import sys
 

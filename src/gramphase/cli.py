@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``simulate``, ``solve``, ``exp-iterations``, ``exp-noise``,
-``transversality``, ``bilipschitz``.  Every flag can also live in a JSON
-config file passed with ``--config``; explicit flags override the file.
+``transversality``, ``bilipschitz``.  Each takes only the flags its runner
+reads, as listed in ``_COMMANDS``; any of them can also live in a JSON
+config file passed with ``--config``, and explicit flags override the
+file.  A flag or config-file key the subcommand does not read is an
+error, as are ``structure``, ``K`` and ``sigma`` on a solve from
+``--gram``/``--prior``.
 
 Structures are given as ``8x4`` (blocks, real field), ``8x4,3x2:complex``,
 ``cyclic:16`` / ``cyclic:16:complex``, or inline JSON like
@@ -61,79 +65,82 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 # config-file keys and flag names that differ from their ExperimentConfig
-# field; ``K``, ``sigma`` and ``structure`` are mapped by ``_config``
+# field, and the sweeps that take ``K`` or ``sigma`` as a list of values
 _RENAMES = {
+    "K": "subspace_dim",
     "seed": "master_seed",
     "grid_res": "grid_resolution",
     "n": "n_samples",
     "gram": "gram_file",
     "prior": "prior_file",
 }
-_KEYS = frozenset({
-    "structure", "K", "sigma", "trials", "algorithm", "beta", "max_iters", "tol",
-    "out", "paper_scale", "workers", "exclude_tol", "action", *_RENAMES,
-})
+_SWEEPS = {("exp-iterations", "K"): "k_values", ("exp-noise", "sigma"): "sigma_values"}
 
+# argparse options per flag, keyed by its config-file name; the flag is
+# spelled ``"--" + name.replace("_", "-")``
+_FLAGS = {
+    "structure": dict(help="block structure, e.g. 8x4 or cyclic:16"),
+    "K": dict(type=_int_list, help="subspace dimension(s), comma separated"),
+    "sigma": dict(type=_float_list, help="noise level(s), comma separated"),
+    "trials": dict(type=int, help="trials / points / pairs per sweep value"),
+    "seed": dict(type=int, help="master seed"),
+    "algorithm": dict(choices=["ap", "rrr"], help="solver variant"),
+    "beta": dict(type=float, help="relaxation step for rrr"),
+    "max_iters": dict(type=int, help="iteration cap"),
+    "tol": dict(type=float, help="stopping tolerance"),
+    "out": dict(help="output CSV path (experiments) or directory"),
+    "paper_scale": dict(action="store_const", const=True, help="10,000 trials instead of 200"),
+    "workers": dict(type=int, help="process pool size"),
+    "n": dict(type=int, help="number of observations"),
+    "action": dict(choices=["full", "cyclic"], help="group action kind"),
+    "gram": dict(help="JSON file with the measured Gram tuple"),
+    "prior": dict(help="JSON file with the prior"),
+    "grid_res": dict(type=int, help="angles per O(2) block"),
+    "exclude_tol": dict(type=float, help="radius around +-x excluded from the margin search"),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-    p.add_argument("--structure", help="block structure, e.g. 8x4 or cyclic:16")
-    p.add_argument("--K", type=_int_list, help="subspace dimension(s), comma separated")
-    p.add_argument("--sigma", type=_float_list, help="noise level(s), comma separated")
-    p.add_argument("--trials", type=int, help="trials / points / pairs per sweep value")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--algorithm", choices=["ap", "rrr"], help="solver variant")
-    p.add_argument("--beta", type=float, help="relaxation step for rrr")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
-    p.add_argument("--tol", type=float, help="stopping tolerance")
-    p.add_argument("--out", help="output CSV path (experiments) or directory")
-    p.add_argument(
-        "--paper-scale",
-        dest="paper_scale",
-        action="store_const",
-        const=True,
-        help="use 10,000 trials instead of the desk-scale default",
-    )
-    p.add_argument("--workers", type=int, help="process pool size")
+# per subcommand: its runner, its help, the flags (config-file keys) the
+# runner reads, and the summary line printed per result row
+_COMMANDS = {
+    "simulate": (
+        run_simulate, "sample observations and estimate moments",
+        "structure sigma seed out n action",
+        "simulated n={n} observations; moment error {moment_error:.3e}; wrote {out}"),
+    "solve": (
+        run_demo_solve, "solve one instance from files, or a random one without them",
+        "structure K sigma seed algorithm beta max_iters tol out gram prior",
+        "converged={converged} iterations={iterations_used} residual={residual_final:.3e}"),
+    "exp-iterations": (
+        run_iterations_vs_k, "median iterations vs subspace dimension",
+        "structure K trials seed algorithm beta max_iters tol out paper_scale workers",
+        "K={K} median_iterations={median_iterations} convergence_rate={convergence_rate:.3f}"),
+    "exp-noise": (
+        run_error_vs_noise, "median recovery error vs noise level",
+        "structure K sigma trials seed algorithm beta max_iters tol out paper_scale workers",
+        "sigma={sigma:g} median_error={median_error:.3e} "
+        "convergence_rate={convergence_rate:.3f}"),
+    "transversality": (
+        run_transversality, "orbit-intersection grid check",
+        "structure K trials seed out grid_res exclude_tol",
+        "worst_margin={worst_margin:.6f} violations={num_violations} "
+        "(threshold {threshold:.6f})"),
+    "bilipschitz": (
+        run_bilipschitz, "distortion bounds of the measurement map",
+        "structure K trials seed out",
+        "alpha_lower={alpha_lower:.6f} beta_upper={beta_upper:.6f} pairs={pairs_sampled}"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gramphase",
-        description="signal recovery from per-block Gram measurements",
+        prog="gramphase", description="signal recovery from per-block Gram measurements"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="sample observations and estimate moments")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="number of observations")
-    p.add_argument("--action", choices=["full", "cyclic"], help="group action kind")
-
-    p = sub.add_parser(
-        "solve", help="solve one instance from files, or a random one without them"
-    )
-    _add_common(p)
-    p.add_argument("--gram", help="JSON file with the measured Gram tuple")
-    p.add_argument("--prior", help="JSON file with the prior")
-
-    p = sub.add_parser("exp-iterations", help="median iterations vs subspace dimension")
-    _add_common(p)
-
-    p = sub.add_parser("exp-noise", help="median recovery error vs noise level")
-    _add_common(p)
-
-    p = sub.add_parser("transversality", help="orbit-intersection grid check")
-    _add_common(p)
-    p.add_argument("--grid-res", dest="grid_res", type=int, help="angles per O(2) block")
-    p.add_argument(
-        "--exclude-tol",
-        dest="exclude_tol",
-        type=float,
-        help="radius around +-x excluded from the margin search",
-    )
-
-    p = sub.add_parser("bilipschitz", help="distortion bounds of the measurement map")
-    _add_common(p)
+    for command, (_, help_, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--config", help="JSON file with defaults for any flag")
+        for name in flags.split():
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     return parser
 
 
@@ -151,54 +158,35 @@ def _single(value, what: str):
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The config file overlaid with the flags given; everything else is
     left to the ExperimentConfig defaults."""
+    flags = _COMMANDS[args.command][2].split()
     given = load_json(args.config) if args.config else {}
-    unknown = set(given) - _KEYS
-    if unknown:
-        raise ValueError(f"unknown config file keys: {sorted(unknown)}")
-    for key in _KEYS:
-        if getattr(args, key, None) is not None:
-            given[key] = getattr(args, key)
-    k = given.pop("K", None)
-    sigma = given.pop("sigma", None)
-    kwargs = {_RENAMES.get(key, key): value for key, value in given.items()}
-    if isinstance(kwargs.get("structure"), str):
-        kwargs["structure"] = parse_structure(kwargs["structure"])
-    elif "structure" in kwargs:
-        kwargs["structure"] = structure_from_dict(kwargs["structure"])
-    if k is not None:
-        if args.command == "exp-iterations":
-            kwargs["k_values"] = _values(k)
+    unread = set(given) - set(flags)
+    if unread:
+        raise ValueError(f"config file keys {args.command} does not read: {sorted(unread)}")
+    given.update({key: getattr(args, key) for key in flags if getattr(args, key) is not None})
+    generated = [key for key in ("structure", "K", "sigma") if key in given]
+    if generated and (given.get("gram") or given.get("prior")):
+        raise ValueError(f"a solve from --gram/--prior takes no {', '.join(generated)}: "
+                         "they describe a generated instance")
+    kwargs = {}
+    for key, value in given.items():
+        sweep = _SWEEPS.get((args.command, key))
+        if sweep:
+            kwargs[sweep] = _values(value)
+        elif key in ("K", "sigma"):
+            kwargs[_RENAMES.get(key, key)] = _single(value, "--" + key)
+        elif key == "structure":
+            parse = parse_structure if isinstance(value, str) else structure_from_dict
+            kwargs[key] = parse(value)
         else:
-            kwargs["subspace_dim"] = _single(k, "--K")
-    if sigma is not None:
-        if args.command == "exp-noise":
-            kwargs["sigma_values"] = _values(sigma)
-        elif args.command != "exp-iterations":
-            kwargs["sigma"] = _single(sigma, "--sigma")
+            kwargs[_RENAMES.get(key, key)] = value
     return ExperimentConfig(experiment=args.command, **kwargs)
-
-
-# per subcommand, its runner and the summary line printed per result row
-_COMMANDS = {
-    "simulate": (run_simulate, "simulated n={n} observations; "
-                 "moment error {moment_error:.3e}; wrote {out}"),
-    "solve": (run_demo_solve, "converged={converged} iterations={iterations_used} "
-              "residual={residual_final:.3e}"),
-    "exp-iterations": (run_iterations_vs_k, "K={K} median_iterations={median_iterations} "
-                       "convergence_rate={convergence_rate:.3f}"),
-    "exp-noise": (run_error_vs_noise, "sigma={sigma:g} median_error={median_error:.3e} "
-                  "convergence_rate={convergence_rate:.3f}"),
-    "transversality": (run_transversality, "worst_margin={worst_margin:.6f} "
-                       "violations={num_violations} (threshold {threshold:.6f})"),
-    "bilipschitz": (run_bilipschitz, "alpha_lower={alpha_lower:.6f} "
-                    "beta_upper={beta_upper:.6f} pairs={pairs_sampled}"),
-}
 
 
 def main(argv=None) -> int:
     """Run one subcommand; exit 1 on bad input, 2 on an unconverged solve."""
     args = _build_parser().parse_args(argv)
-    runner, summary = _COMMANDS[args.command]
+    runner, _, _, summary = _COMMANDS[args.command]
     try:
         result = runner(_config(args))
         for row in result if isinstance(result, list) else [result]:

@@ -112,8 +112,10 @@ class ExperimentConfig:
         self.solver_config("residual")  # SolverConfig checks algorithm, beta, max_iters, tol
         if self.action not in ("full", "cyclic"):
             raise ValueError(f"unknown action {self.action!r}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be nonnegative")
+        if not 0 <= self.master_seed < 2**32:
+            # a larger seed spans several SeedSequence words, so its trial
+            # streams would alias those of another (seed, slot, trial)
+            raise ValueError(f"master_seed must be in [0, 2**32), got {self.master_seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.trials is not None and self.trials < 1:
@@ -397,20 +399,19 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     truth = random_signal(s, rng)
     samples = sample_observations(truth, action, cfg.sigma, cfg.n_samples, cfg.master_seed)
     moment = empirical_second_moment(samples)
+    analytic = analytic_second_moment(truth)
     est = extract_gram(moment, s)
     out = _outdir(cfg)
     prov = cfg.provenance(file="simulate")
     serialize.save_json(out / "truth.json", serialize.signal_to_dict(truth))
     serialize.write_samples_csv(out / "samples.csv", samples, prov)
     serialize.write_matrix_csv(out / "empirical_moment.csv", moment, prov)
-    serialize.write_matrix_csv(
-        out / "analytic_moment.csv", analytic_second_moment(truth), prov
-    )
+    serialize.write_matrix_csv(out / "analytic_moment.csv", analytic, prov)
     serialize.save_json(out / "gram_estimated.json", serialize.gram_to_dict(est))
     serialize.save_json(
         out / "gram_true.json", serialize.gram_to_dict(gram_tuple(truth))
     )
-    err = float(np.linalg.norm(moment - analytic_second_moment(truth)))
+    err = float(np.linalg.norm(moment - analytic))
     return {"moment_error": err, "n": samples.n, "out": str(out)}
 
 

@@ -11,19 +11,21 @@ second moment carries exactly the tuple of Gram matrices
 Sampling works on stacks and builds no validated group elements.  A
 cyclic action draws all shifts in one call, shifts the signal once per
 distinct shift with the stacked elements of
-:func:`~gramphase.blocks.cyclic_shift_stack`, and gathers the rows into
-observation order; a full-ambiguity action rotates each block of every
+:func:`~gramphase.blocks.cyclic_shift_stack`, built over slices of at
+most ``NOISE_CHUNK // d`` shifts, and gathers the rows into observation
+order; a full-ambiguity action rotates each block of every
 observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
 draw, written straight into the observation array.  The noise is then
 added in place, NOISE_CHUNK entries at a time.  So the sampler holds the
 ``(n, d)`` output plus one chunk (and, for a cyclic action, one row per
-distinct shift); a complex full-ambiguity draw also holds the float64
-real parts of one block's whole Haar stack.  The chunking changes no
-bit: every observation is that of one whole-stack draw, and cyclic
-observations are those of one :func:`~gramphase.blocks.haar_sample` per
-observation applied with :func:`~gramphase.blocks.apply`, on the same
-random stream.  The Gram checks of :class:`GramTuple` and the PSD clamp
-of :func:`extract_gram` run once per block shape on stacked matrices.
+distinct shift and the elements of one slice of shifts); a complex
+full-ambiguity draw also holds the float64 real parts of one block's
+whole Haar stack.  The chunking changes no bit: every observation is
+that of one whole-stack draw, and cyclic observations are those of one
+:func:`~gramphase.blocks.haar_sample` per observation applied with
+:func:`~gramphase.blocks.apply`, on the same random stream.  The Gram
+checks of :class:`GramTuple` and the PSD clamp of :func:`extract_gram`
+run once per block shape on stacked matrices.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 # Eigenvalues above -PSD_TOL * trace count as nonnegative.
 PSD_TOL = 1e-10
-# Noise entries drawn per block by sample_observations.
+# Noise entries drawn per block, and shifts times ambient dimension per
+# slice of cyclic shift elements, in sample_observations.
 NOISE_CHUNK = 1 << 16
 
 
@@ -198,11 +201,18 @@ def sample_observations(
             for i, j, q in haar_chunks(dim, n, s.field, rng):
                 y[i:j] = np.einsum("kab,br->kar", q, m)
     else:
-        # one shifted copy per distinct shift, gathered into observation order
+        # one shifted copy per distinct shift, built over slices of the
+        # shifts and gathered into observation order
         shifts, inverse = np.unique(rng.integers(action.cyclic_n, size=n), return_inverse=True)
         rows = np.empty((len(shifts), s.ambient_dim), dtype=s.dtype)
-        for d, y, m in zip(cyclic_shift_stack(action, shifts), block_stacks(rows, s), x.matrices):
-            np.matmul(d, m, out=y)
+        step = max(1, NOISE_CHUNK // s.ambient_dim)
+        for i in range(0, len(shifts), step):
+            for d, y, m in zip(
+                cyclic_shift_stack(action, shifts[i : i + step]),
+                block_stacks(rows[i : i + step], s),
+                x.matrices,
+            ):
+                np.matmul(d, m, out=y)
         obs = rows[inverse]
     _add_noise(obs, sigma, rng)
     return MraSampleSet(s, obs, float(sigma), int(seed))

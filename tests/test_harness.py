@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,11 +66,15 @@ class TestExperimentConfig:
             ({"algorithm": "rrr", "beta": 1.5}, "beta"),
             ({"max_iters": 0}, "max_iters"),
             ({"tol": 0.0}, "tol"),
+            ({"master_seed": 2**32}, r"master_seed must be in \[0, 2\*\*32\)"),
         ],
     )
     def test_rejects_invalid_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    def test_largest_seed_accepted(self):
+        assert ExperimentConfig(master_seed=2**32 - 1).master_seed == 2**32 - 1
 
     @pytest.mark.parametrize(
         "runner, subspace_dim, trials",
@@ -184,6 +189,20 @@ class TestNoiseExperiment:
         assert rows[1]["median_error"] > rows[0]["median_error"]
 
 
+def _write_instance(path):
+    """Make an instance with the library and dump ``gram.json`` and
+    ``prior.json`` into ``path``."""
+    from gramphase import gram_tuple, random_subspace_prior, decompose
+    from gramphase import serialize as ser
+
+    s = RepresentationStructure(((6, 2),))
+    rng = np.random.default_rng(0)
+    prior = random_subspace_prior(s, 2, rng)
+    truth = decompose(prior.basis @ rng.standard_normal(2), s)
+    ser.save_json(path / "gram.json", ser.gram_to_dict(gram_tuple(truth)))
+    ser.save_json(path / "prior.json", ser.prior_to_dict(prior))
+
+
 class TestDemoSolve:
     def test_synthetic_writes_files(self, tmp_path):
         cfg = ExperimentConfig(
@@ -228,16 +247,7 @@ class TestDemoSolve:
         assert rows["noisy"][5:] != rows["plain"][5:]
 
     def test_file_driven_solve(self, tmp_path):
-        # make an instance with the library, dump it, and solve from files
-        from gramphase import gram_tuple, random_subspace_prior, decompose
-        from gramphase import serialize as ser
-
-        s = RepresentationStructure(((6, 2),))
-        rng = np.random.default_rng(0)
-        prior = random_subspace_prior(s, 2, rng)
-        truth = decompose(prior.basis @ rng.standard_normal(2), s)
-        ser.save_json(tmp_path / "gram.json", ser.gram_to_dict(gram_tuple(truth)))
-        ser.save_json(tmp_path / "prior.json", ser.prior_to_dict(prior))
+        _write_instance(tmp_path)
         code = main(
             [
                 "solve",
@@ -383,6 +393,113 @@ class TestCli:
         payload = json.loads((tmp_path / "bilipschitz.json").read_text())
         assert payload["alpha_lower"] > 0
         assert (tmp_path / "ratio_histogram.csv").exists()
+
+
+# the flags each subcommand's runner reads, by config-file name
+SOLVER = "algorithm beta max_iters tol"
+READS = {
+    "simulate": "structure sigma seed out n action",
+    "solve": f"structure K sigma seed {SOLVER} out gram prior",
+    "exp-iterations": f"structure K trials seed {SOLVER} out paper_scale workers",
+    "exp-noise": f"structure K sigma trials seed {SOLVER} out paper_scale workers",
+    "transversality": "structure K trials seed out grid_res exclude_tol",
+    "bilipschitz": "structure K trials seed out",
+}
+# what every subcommand took before the flags were cut to what it reads
+OLD_COMMON = f"structure K sigma trials seed {SOLVER} out paper_scale workers"
+# per flag: its non-default argv, the same value as a config-file entry,
+# and the config fields it sets
+FLAG_CASES = {
+    "structure": (["--structure", "3x2"], "3x2",
+                  {"structure": RepresentationStructure(((3, 2),))}),
+    "K": (["--K", "3"], 3, {"subspace_dim": 3}),
+    "sigma": (["--sigma", "0.25"], 0.25, {"sigma": 0.25}),
+    "trials": (["--trials", "7"], 7, {"trials": 7}),
+    "seed": (["--seed", "5"], 5, {"master_seed": 5}),
+    "algorithm": (["--algorithm", "rrr"], "rrr", {"algorithm": "rrr"}),
+    "beta": (["--beta", "0.25"], 0.25, {"beta": 0.25}),
+    "max_iters": (["--max-iters", "9"], 9, {"max_iters": 9}),
+    "tol": (["--tol", "0.001"], 0.001, {"tol": 0.001}),
+    "out": (["--out", "o"], "o", {"out": "o"}),
+    "paper_scale": (["--paper-scale"], True, {"paper_scale": True}),
+    "workers": (["--workers", "2"], 2, {"workers": 2}),
+    "n": (["--n", "9"], 9, {"n_samples": 9}),
+    "action": (["--action", "cyclic"], "cyclic", {"action": "cyclic"}),
+    "gram": (["--gram", "g.json"], "g.json", {"gram_file": "g.json"}),
+    "prior": (["--prior", "p.json"], "p.json", {"prior_file": "p.json"}),
+    "grid_res": (["--grid-res", "64"], 64, {"grid_resolution": 64}),
+    "exclude_tol": (["--exclude-tol", "0.25"], 0.25, {"exclude_tol": 0.25}),
+}
+# sweeps take K and sigma as lists
+SWEEP_FIELDS = {("exp-iterations", "K"): {"k_values": (3,)},
+                ("exp-noise", "sigma"): {"sigma_values": (0.25,)}}
+
+
+def _unread(command):
+    return sorted(set(OLD_COMMON.split()) - set(READS[command].split()))
+
+
+class TestCliFlags:
+    """Each subcommand takes exactly the flags its runner reads."""
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_exactly_the_read_flags(self, command):
+        sub = next(a for a in _build_parser()._actions if a.choices and command in a.choices)
+        text = sub.choices[command].format_help()
+        flags = set(re.findall(r"^\s+(--[\w-]+)", text, re.MULTILINE))
+        assert flags == {"--config"} | {FLAG_CASES[k][0][0] for k in READS[command].split()}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, flags in READS.items() for f in flags.split()],
+    )
+    def test_every_read_flag_lands_in_the_config(self, command, flag):
+        argv, _, fields = FLAG_CASES[flag]
+        fields = SWEEP_FIELDS.get((command, flag), fields)
+        cfg = _config(_build_parser().parse_args([command, *argv]))
+        assert {f: getattr(cfg, f) for f in fields} == fields
+        assert cfg == ExperimentConfig(experiment=command, **fields)
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in READS for f in _unread(c)])
+    def test_unread_flag_is_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args([command, *FLAG_CASES[flag][0]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [(c, k) for c in READS for k in _unread(c)])
+    def test_unread_config_key_is_refused(self, command, key, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: FLAG_CASES[key][1]}))
+        args = _build_parser().parse_args([command, "--config", str(cfg_file)])
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            _config(args)
+
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            (["--K", "3"], {}, "K"),
+            (["--structure", "6x2", "--sigma", "0.5"], {}, "structure, sigma"),
+            ([], {"K": 3, "sigma": 0.5}, "K, sigma"),
+        ],
+    )
+    def test_file_driven_solve_refuses_generated_instance_flags(
+        self, tmp_path, capsys, flags, config, named
+    ):
+        _write_instance(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"gram": str(tmp_path / "gram.json"), **config}))
+        out = tmp_path / "out"
+        argv = ["solve", "--config", str(cfg_file), "--prior", str(tmp_path / "prior.json"),
+                "--seed", "3", "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_beyond_32_bits_exits_1(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", str(2**32), "--n", "5", "--out", str(tmp_path)]) == 1
+        assert "2**32" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCliStdout:

@@ -46,6 +46,20 @@ def _unsliced_haar_stack(n, count, field, rng):
     return q
 
 
+def _traced_sampling_peak(action, n):
+    """Traced peak bytes of drawing ``n`` observations of a random
+    signal, above what was held before, and the observations."""
+    x = random_signal(action.structure, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        obs = sample_observations(x, action, 0.1, n, 1).observations
+        return tracemalloc.get_traced_memory()[1] - before, obs
+    finally:
+        tracemalloc.stop()
+
+
 class TestGramTuple:
     def test_orthonormal_columns_give_identity(self):
         s = RepresentationStructure(((2, 2),))
@@ -183,7 +197,7 @@ class TestSampling:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
         "n_cyc,n_obs", [(1, 1), (1, 30), (2, 1), (2, 60), (3, 2), (3, 90), (8, 5),
-                        (8, 400), (17, 9), (17, 700), (1024, 12)])
+                        (8, 400), (17, 9), (17, 700), (1024, 12), (1024, 100)])
     def test_cyclic_draw_is_per_row_shift_on_the_same_stream(self, field, n_cyc, n_obs):
         rng = np.random.default_rng(n_cyc)
         x = rng.standard_normal(n_cyc)
@@ -247,17 +261,15 @@ class TestSampling:
     def test_traced_peak_is_about_the_output(self, field, bound):
         # the output plus one chunk; a complex draw also holds the real
         # parts of one block's Haar stack
-        s = RepresentationStructure(((8, 4), (3, 2)), field)
-        x = random_signal(s, np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            obs = sample_observations(x, full_ambiguity_action(s), 0.1, 100_000, 1).observations
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        action = full_ambiguity_action(RepresentationStructure(((8, 4), (3, 2)), field))
+        peak, obs = _traced_sampling_peak(action, 100_000)
         assert peak <= bound * obs.nbytes
+
+    def test_cyclic_traced_peak_is_about_the_output(self):
+        # the output, one row per distinct shift and one slice of shift
+        # elements, not the elements of every distinct shift at once
+        peak, obs = _traced_sampling_peak(cyclic_action(1024), 2000)
+        assert peak <= 1.75 * obs.nbytes
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_sigma(self, sigma):
