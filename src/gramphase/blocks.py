@@ -11,12 +11,14 @@ multiplicity copy.
 The ambient layout is fixed once: blocks in order, each flattened
 column by column (multiplicity copies contiguous).  All conversions
 between ambient vectors and block matrices go through ``block_stacks``
-/ ``flat_block`` on ``(T, d)`` stacks of ambient rows, and through
-their one-row forms ``decompose`` / ``reconstruct`` on signals, so the
-bijection lives in one place.  Group elements likewise come in stacks,
-one ``(T, n_l, n_l)`` array per block: ``haar_chunks`` draws Haar
-matrices at most HAAR_CHUNK at a time (``haar_stack`` joins its chunks)
-and ``cyclic_shift_stack`` builds shift elements, and the validated
+/ ``flat_block`` on ``(T, d)`` stacks of ambient rows (``group_stacks``
+/ ``ungroup_stacks`` gather the blocks of each shape into one
+``(T, G, n, r)`` array), and through their one-row forms ``decompose`` /
+``reconstruct`` on signals, so the bijection lives in one place.  Group
+elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
+``haar_chunks`` draws Haar matrices at most HAAR_CHUNK at a time
+(``haar_stack`` joins its chunks) and ``cyclic_shift_stack`` builds shift
+elements, and the validated
 single elements of ``haar_sample`` / ``cyclic_shift_element`` are their
 one-row cases.  A real Haar draw holds one chunk of Gaussians at a time;
 a complex one also holds the real parts of the whole stack, because the
@@ -31,9 +33,12 @@ sign block for the Nyquist frequency when N is even.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add
 
 import numpy as np
 
@@ -50,6 +55,8 @@ __all__ = [
     "decompose",
     "reconstruct",
     "block_stacks",
+    "group_stacks",
+    "ungroup_stacks",
     "flat_block",
     "decompose_cyclic",
     "reconstruct_cyclic",
@@ -70,21 +77,35 @@ UNITARY_TOL = 1e-10
 HAAR_CHUNK = 4096
 
 
-def _sums_of_squares(flat: list[np.ndarray]) -> np.ndarray:
-    acc = 0.0
+def _square_sums(flat: list[np.ndarray], order) -> np.ndarray:
+    """Sum of squared magnitudes of each block: ``(T, L)`` in block order."""
+    sums = []
     for a in flat:
         if np.iscomplexobj(a):
-            sq = np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag)
+            sums.append(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
         else:
-            sq = np.vecdot(a, a)
-        # each block's norm squared with C pow, as ``np.linalg.norm(block)
-        # ** 2`` is on a scalar; pow and x * x differ in the last bit on a
-        # few inputs
-        acc = acc + np.array([n**2 for n in np.sqrt(sq)])
-    return acc
+            sums.append(np.vecdot(a, a))
+    sq = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+    return sq if order is None else sq[:, order]
 
 
-def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+def _sums_of_squares(sq: np.ndarray) -> list[float]:
+    # each block's norm squared with C pow, as ``np.linalg.norm(block)
+    # ** 2`` is on a scalar (pow and x * x differ in the last bit on a few
+    # inputs, and so does the vectorized np.power), then added up block
+    # by block, as a running sum
+    roots = np.sqrt(sq).ravel().tolist()
+    t, l = sq.shape
+    if l > 1 and t * l > 256:  # cumsum adds in order too, and is quicker on many blocks
+        squares = np.fromiter(map(math.pow, roots, repeat(2.0)), float, len(roots))
+        return np.cumsum(squares.reshape(t, l), axis=1)[:, -1].tolist()
+    squares = [math.pow(x, 2.0) for x in roots]
+    if l == 1:
+        return squares
+    return [reduce(add, squares[i : i + l], 0.0) for i in range(0, t * l, l)]
+
+
+def frobenius_norms(stacks: Sequence[np.ndarray], order=None) -> np.ndarray:
     """Row-wise Frobenius norm of several stacks taken together.
 
     Every array has the same leading length ``T``; entry ``t`` of the
@@ -95,19 +116,28 @@ def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     a square overflowed or underflowed, are summed again after scaling
     by the power of two nearest their largest magnitude, and the result
     is scaled back.
+
+    With ``order``, each array is ``(T, G, ...)`` and holds ``G`` blocks,
+    and ``order`` indexes the blocks of all arrays, taken in turn, into
+    summation order: for the stacks of :func:`group_stacks`, the
+    structure's ``group_order`` sums them in block order.
     """
-    flat = [np.asarray(a).reshape(len(a), -1) for a in stacks]
+    if order is None:
+        flat = [np.asarray(a).reshape(len(a), 1, -1) for a in stacks]
+    else:
+        flat = [np.asarray(a).reshape(a.shape[0], a.shape[1], -1) for a in stacks]
     with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
-        acc = _sums_of_squares(flat)
+        acc = _sums_of_squares(_square_sums(flat, order))
     norms = np.sqrt(acc)
-    odd = ~((acc >= 2.0**-960) & (acc <= 2.0**960))
-    if odd.any():
+    odd = [t for t, a in enumerate(acc) if not 2.0**-960 <= a <= 2.0**960]
+    if odd:
         sub = [a[odd] for a in flat]
-        peak = np.max([np.abs(a).max(axis=1, initial=0.0) for a in sub], axis=0)
+        peak = np.max([np.abs(a).max(axis=(1, 2), initial=0.0) for a in sub], axis=0)
         # clipped so that the scale of a subnormal peak stays finite
         exp = np.maximum(np.frexp(peak)[1], -1000)
-        scale = np.ldexp(1.0, -exp)[:, None]
-        norms[odd] = np.ldexp(np.sqrt(_sums_of_squares([a * scale for a in sub])), exp)
+        scale = np.ldexp(1.0, -exp)[:, None, None]
+        sums = _sums_of_squares(_square_sums([a * scale for a in sub], order))
+        norms[odd] = np.ldexp(np.sqrt(sums), exp)
     return norms
 
 
@@ -170,6 +200,28 @@ class RepresentationStructure:
         for n, r in self.blocks:
             out.append(slice(offset, offset + n * r))
             offset += n * r
+        return tuple(out)
+
+    @cached_property
+    def group_order(self) -> slice | np.ndarray:
+        """Where each block sits among the blocks of ``shape_groups`` taken
+        group by group: an index array, or ``slice(None)`` when they are
+        already in block order."""
+        order = np.argsort(np.concatenate([idx for _, idx in self.shape_groups]))
+        return slice(None) if (order == np.arange(len(order))).all() else order
+
+    @cached_property
+    def group_positions(self) -> tuple[slice | np.ndarray, ...]:
+        """Per entry of ``shape_groups``, the ambient positions of its
+        blocks in block order: a slice when the blocks are adjacent,
+        otherwise an index array."""
+        out = []
+        for _, idx in self.shape_groups:
+            slices = [self.block_slices[l] for l in idx]
+            if all(a.stop == b.start for a, b in zip(slices, slices[1:])):
+                out.append(slice(slices[0].start, slices[-1].stop))
+            else:
+                out.append(np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]))
         return tuple(out)
 
 
@@ -283,6 +335,31 @@ def block_stacks(p: np.ndarray, structure: RepresentationStructure) -> list[np.n
         p[:, sl].reshape(t, r, n).transpose(0, 2, 1)
         for (n, r), sl in zip(structure.blocks, structure.block_slices)
     ]
+
+
+def group_stacks(p: np.ndarray, structure: RepresentationStructure) -> list[np.ndarray]:
+    """Every shape group of a ``(T, d)`` stack of ambient rows, as
+    ``(T, G, n, r)``: the group's ``G`` blocks of shape ``(n, r)`` in block
+    order, groups in ``shape_groups`` order.  Views into ``p`` where the
+    group's blocks are adjacent, copies otherwise; each matrix has the
+    memory layout of its :func:`block_stacks` view."""
+    t = len(p)
+    return [
+        p[:, pos].reshape(t, len(idx), r, n).mT
+        for ((n, r), idx), pos in zip(structure.shape_groups, structure.group_positions)
+    ]
+
+
+def ungroup_stacks(ys: list[np.ndarray], structure: RepresentationStructure) -> np.ndarray:
+    """Inverse of :func:`group_stacks`: the ``(T, d)`` ambient rows whose
+    shape groups are ``ys``."""
+    t = len(ys[0])
+    if len(ys) == 1:  # one shape, in block order
+        return ys[0].mT.reshape(t, -1)
+    out = np.empty((t, structure.ambient_dim), dtype=np.result_type(*ys))
+    for y, pos in zip(ys, structure.group_positions):
+        out[:, pos] = y.mT.reshape(t, -1)
+    return out
 
 
 def flat_block(y: np.ndarray) -> np.ndarray:

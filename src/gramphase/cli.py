@@ -4,9 +4,11 @@ Subcommands: ``simulate``, ``solve``, ``exp-iterations``, ``exp-noise``,
 ``transversality``, ``bilipschitz``.  Each takes only the flags its runner
 reads, as listed in ``_COMMANDS``; any of them can also live in a JSON
 config file passed with ``--config``, and explicit flags override the
-file.  A flag or config-file key the subcommand does not read is an
-error, as are ``structure``, ``K`` and ``sigma`` on a solve from
-``--gram``/``--prior``.
+file.  A config-file value must have the JSON type its flag parses to
+(``null`` leaves the key unset).  A flag or config-file key the
+subcommand does not read is an error, reported by the subcommand's own
+parser for a flag, as are ``structure``, ``K`` and ``sigma`` on a solve
+from ``--gram``/``--prior``.
 
 Structures are given as ``8x4`` (blocks, real field), ``8x4,3x2:complex``,
 ``cyclic:16`` / ``cyclic:16:complex``, or inline JSON like
@@ -138,10 +140,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_, flags, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_)
+        p.set_defaults(parser=p)  # so that an unknown flag is reported by its subcommand
         p.add_argument("--config", help="JSON file with defaults for any flag")
         for name in flags.split():
             p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAGS[name])
     return parser
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _one_or_list(check):
+    return lambda value: check(value) or (isinstance(value, list) and all(map(check, value)))
+
+
+# per argparse type of a flag, how its config-file value is checked
+_CONFIG_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    _int_list: (_one_or_list(_is_int), "an integer or a list of integers"),
+    _float_list: (_one_or_list(_is_number), "a number or a list of numbers"),
+    str: (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def _check_config_value(key: str, value) -> None:
+    """Refuse a config-file value of the wrong JSON type, naming the key."""
+    options = _FLAGS[key]
+    if key == "structure":
+        ok, expected = isinstance(value, (str, dict)), "a string or an object"
+    elif options.get("action") == "store_const":
+        ok, expected = isinstance(value, bool), "true or false"
+    else:
+        check, expected = _CONFIG_TYPES[options.get("type", str)]
+        ok = check(value)
+    if not ok:
+        raise ValueError(f"config file key {key!r} must be {expected}, got {value!r}")
 
 
 def _values(value) -> tuple:
@@ -160,9 +199,14 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     left to the ExperimentConfig defaults."""
     flags = _COMMANDS[args.command][2].split()
     given = load_json(args.config) if args.config else {}
+    if not isinstance(given, dict):
+        raise ValueError(f"config file must hold a JSON object, got {type(given).__name__}")
+    given = {key: value for key, value in given.items() if value is not None}
     unread = set(given) - set(flags)
     if unread:
         raise ValueError(f"config file keys {args.command} does not read: {sorted(unread)}")
+    for key, value in given.items():
+        _check_config_value(key, value)
     given.update({key: getattr(args, key) for key in flags if getattr(args, key) is not None})
     generated = [key for key in ("structure", "K", "sigma") if key in given]
     if generated and (given.get("gram") or given.get("prior")):
@@ -185,7 +229,9 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     """Run one subcommand; exit 1 on bad input, 2 on an unconverged solve."""
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     runner, _, _, summary = _COMMANDS[args.command]
     try:
         result = runner(_config(args))

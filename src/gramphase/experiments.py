@@ -2,10 +2,10 @@
 
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
-scheduled: serial and process-pool runs write the same CSV.  Trials
-that share a structure and subspace dimension are solved together as
-one stack by :func:`~gramphase.solvers.solve_batch`, whose rows do not
-depend on the stack they sit in.  All output
+scheduled: serial and process-pool runs write the same CSV.  All the
+trials of one runner call are solved together as one stack by
+:func:`~gramphase.solvers.solve_batch`, whose rows do not depend on the
+stack they sit in, whatever their subspace dimension.  All output
 files carry ``#`` provenance comments with a hash of the semantic
 config (worker count and output paths excluded) and the master seed.
 """
@@ -225,21 +225,20 @@ def _solve_trials(specs: list[TrialSpec], config: SolverConfig) -> list[tuple]:
     return [(r.iterations_used, r.converged, r.oracle_error) for r in reports]
 
 
-def _run_stacks(stacks: list[list[TrialSpec]], config: SolverConfig, workers: int):
-    """Solve each list of trials as one stack.  With several workers each
-    stack is split into index-ordered chunks solved in parallel; a row's
-    result does not depend on its stack, so the output is the same."""
+def _run_trials(specs: list[TrialSpec], config: SolverConfig, workers: int) -> list[tuple]:
+    """Solve the trials as one stack.  With several workers the stack is
+    dealt out round robin, one share per worker, solved in parallel; a
+    row's result does not depend on its stack, so the output is the same."""
     if workers <= 1:
-        return [_solve_trials(specs, config) for specs in stacks]
-    jobs = []
-    for i, specs in enumerate(stacks):
-        bounds = [len(specs) * w // workers for w in range(workers + 1)]
-        jobs += [(i, specs[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
-    out = [[] for _ in stacks]
+        return _solve_trials(specs, config)
+    out = [None] * len(specs)
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        futures = [(i, pool.submit(_solve_trials, chunk, config)) for i, chunk in jobs]
-        for i, future in futures:
-            out[i] += future.result()
+        futures = [
+            (w, pool.submit(_solve_trials, specs[w::workers], config))
+            for w in range(min(workers, len(specs)))
+        ]
+        for w, future in futures:
+            out[w::workers] = future.result()
     return out
 
 
@@ -250,16 +249,18 @@ def _run_stacks(stacks: list[list[TrialSpec]], config: SolverConfig, workers: in
 
 def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     """Median iterations to reach the oracle tolerance, per subspace
-    dimension; capped trials keep the cap value in the median.  The
-    trials of each dimension are solved as one stack."""
+    dimension; capped trials keep the cap value in the median.  Every
+    (dimension, trial) pair is solved in one stack."""
     trials = cfg.resolved_trials()
-    stacks = [
-        [TrialSpec(cfg.structure, k, slot, t, cfg.master_seed) for t in range(trials)]
+    specs = [
+        TrialSpec(cfg.structure, k, slot, t, cfg.master_seed)
         for slot, k in enumerate(cfg.k_values)
+        for t in range(trials)
     ]
-    results = _run_stacks(stacks, cfg.solver_config("oracle"), cfg.workers)
+    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
     rows = []
-    for k, res in zip(cfg.k_values, results):
+    for slot, k in enumerate(cfg.k_values):
+        res = results[slot * trials:(slot + 1) * trials]
         iters = np.array([r[0] for r in res], dtype=float)
         conv = np.array([r[1] for r in res], dtype=bool)
         rows.append(
@@ -301,7 +302,7 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
         for slot, sigma in enumerate(cfg.sigma_values)
         for t in range(trials)
     ]
-    (results,) = _run_stacks([specs], cfg.solver_config("oracle"), cfg.workers)
+    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
     rows = []
     for slot, sigma in enumerate(cfg.sigma_values):
         res = results[slot * trials:(slot + 1) * trials]

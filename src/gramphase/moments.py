@@ -226,11 +226,13 @@ def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:
     the estimate converges to :func:`analytic_second_moment`.
     """
     y = samples.observations
-    m = (y.T @ y.conj()) / samples.n
+    m = y.T @ y.conj()
+    m /= samples.n
     bias = samples.sigma**2
     if samples.structure.field == "complex":
         bias = 2.0 * bias
-    return m - bias * np.eye(y.shape[1], dtype=m.dtype)
+    m.flat[:: m.shape[0] + 1] -= bias  # the diagonal, in place
+    return m
 
 
 def clamp_psd(g: np.ndarray) -> np.ndarray:

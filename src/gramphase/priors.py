@@ -5,12 +5,14 @@ nearest-point map.  The projectors are idempotent; any object with a
 compatible ``project`` contract (idempotent, distance non-increasing to
 its set) can stand in for these in the solver, which only ever calls
 :func:`project_prior`.  The solver projects a whole stack of iterates at
-once, one prior per row, through a :class:`PriorStack`.
+once, one prior per row, through one :class:`PriorStack` per type and
+shape of prior (:func:`group_priors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +25,7 @@ __all__ = [
     "PriorSpec",
     "PriorStack",
     "RankDeficiencyError",
+    "group_priors",
     "project_prior",
     "random_subspace_prior",
     "stack_priors",
@@ -127,6 +130,11 @@ class PriorStack:
             self, **{f: getattr(self, f)[rows] for f in fields if getattr(self, f) is not None}
         )
 
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """The conjugate transposes ``(T, m, d)`` of the bases, built once."""
+        return self.basis.conj().transpose(0, 2, 1)
+
 
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     # one prior: a view, made C-contiguous as a copy would be, so that
@@ -159,6 +167,24 @@ def stack_priors(priors: list[PriorSpec]) -> PriorStack:
         return PriorStack(kind, 0, k=k)
     basis = _stacked([p.dictionary for p in priors])
     return PriorStack(kind, basis.shape[1], basis=basis, k=k)
+
+
+def _stack_key(prior: PriorSpec):
+    # the array whose shape and dtype a stack of this type shares, if any
+    array = getattr(prior, "basis", getattr(prior, "mask", getattr(prior, "dictionary", None)))
+    return type(prior), None if array is None else (array.shape, array.dtype)
+
+
+def group_priors(priors: list[PriorSpec]) -> list[tuple[np.ndarray, PriorStack]]:
+    """Priors of any types and shapes, stacked by type and shape: one
+    ``(rows, stack)`` pair per group, in order of first appearance, where
+    ``rows`` are the positions in ``priors`` of the stack's rows."""
+    groups: dict = {}
+    for t, prior in enumerate(priors):
+        groups.setdefault(_stack_key(prior), []).append(t)
+    return [
+        (np.array(rows), stack_priors([priors[t] for t in rows])) for rows in groups.values()
+    ]
 
 
 def _hard_threshold(v: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -196,10 +222,9 @@ def project_prior(v: np.ndarray, prior: PriorSpec | PriorStack) -> np.ndarray:
         raise DimensionMismatch(f"vector length {length} vs prior dimension {prior.dim}")
     if prior.kind is SupportPrior:
         return np.where(prior.mask, v, 0.0 * v)
-    adjoint = prior.basis.conj().transpose(0, 2, 1)
     if prior.kind is LinearSubspacePrior:
-        return _apply(prior.basis, _apply(adjoint, v))
-    return _apply(prior.basis, _hard_threshold(_apply(adjoint, v), prior.k))
+        return _apply(prior.basis, _apply(prior.adjoint, v))
+    return _apply(prior.basis, _hard_threshold(_apply(prior.adjoint, v), prior.k))
 
 
 def random_subspace_prior(

@@ -5,8 +5,17 @@ signal model (see :mod:`gramphase.priors`).  The measurement projector
 maps a block matrix onto the set of matrices with a prescribed Gram
 matrix by solving an orthogonal Procrustes problem per block: with
 ``S`` the PSD square root of ``G``, the nearest ``Y`` with
-``Y* Y = G`` is ``U V* S`` where ``U diag(s) V*`` is the thin SVD of
-``Xtilde S``.
+``Y* Y = G`` is ``Q S``, where ``Q`` is the unitary polar factor of
+``A = Xtilde S``.  For one column (``r = 1``) that is the closed form
+``sqrt(g) x / ||x||`` (Fienup's Fourier-magnitude projection), with a
+zero column sent to ``sqrt(g) e_1``.  For ``r > 1``, ``Q`` is
+``A V diag(w)^-1/2 V*`` from the eigendecomposition ``V diag(w) V*`` of
+the r x r ``A* A``, which is cheaper than an SVD of ``A``.  Forming
+``A* A`` squares the condition number, so a block whose ``w_min / w_max``
+falls below ``POLAR_RCOND``, or whose Gram does, takes the thin SVD
+``U diag(s) V*`` of ``A`` and ``Q = U V*`` instead: rank-deficient
+blocks, such as sparsity and support priors make, land there, and a
+block that fails the test once takes the SVD from then on.
 
 Alternating projection composes measurement after prior; a relaxed
 reflect-and-average variant with step ``beta`` is available for
@@ -16,24 +25,30 @@ guaranteed and the residual may oscillate; the solver simply reports
 whether the stopping criterion was met.
 
 One engine, :func:`solve_batch`, iterates a ``(T, d)`` stack of
-instances on one structure: each iteration is one stacked prior
-projection and, per block, one stacked product, one batched SVD and one
-product back.  Rows that stop are written out and dropped from the
-stack.  :func:`solve` is the same engine on a stack of one.  Stacked
-``matmul`` and ``svd`` call LAPACK and BLAS once per matrix, with the
-same memory layout as a single call, so each row's result is bitwise
-independent of the batch it was solved in.
+instances on one structure, with priors of any types and shapes: each
+iteration is one stacked prior projection per stack of priors of one
+type and shape, and one measurement projection and one residual per
+group of blocks of one shape (``RepresentationStructure.shape_groups``).
+Rows that stop are written out and dropped from the stack.
+:func:`solve` is the same engine on a stack of one.  Stacked ``matmul``,
+``eigh`` and ``svd`` call BLAS and LAPACK once per matrix, with the same
+memory layout as a single call, elementwise steps treat each entry
+alone, and every block chooses between the eigendecomposition and the
+SVD by its own values, so each row's result is bitwise independent of
+the batch it was solved in.
 
 The SVD's sign (phase) freedom is left unpinned: ``U V*`` is the sum of
 ``u_i v_i*`` over singular pairs, and each term is unchanged when its
 pair is multiplied by a sign or a phase, so pinning them would not
-change the projection.
+change the projection; ``V diag(w)^-1/2 V*`` is likewise unchanged by
+the signs of the eigenvectors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +56,15 @@ from .blocks import (
     BlockSignal,
     RepresentationStructure,
     StructureMismatch,
-    block_stacks,
     decompose,
     frobenius_norms,
+    group_stacks,
     random_signal,
     reconstruct,
+    ungroup_stacks,
 )
 from .moments import GramTuple
-from .priors import PriorSpec, PriorStack, project_prior, stack_priors
+from .priors import PriorSpec, PriorStack, group_priors, project_prior
 
 __all__ = [
     "SolverConfig",
@@ -61,6 +77,13 @@ __all__ = [
 ]
 
 HERMITIAN_INPUT_TOL = 1e-8
+# w_min / w_max of A* A below which the polar factor of A comes from the
+# SVD.  Above it the eigendecomposition keeps Y* Y - G within about
+# 20 eps / (w_min / w_max) of ||G|| (4e-10 here) when A is ill-conditioned
+# through Xtilde, and within a few eps when through S; the blocks of the
+# experiment sweeps stay above 1e-4.
+POLAR_RCOND = 1e-5
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -124,21 +147,140 @@ def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vh
 
 
-def _procrustes_from_sqrt(sqrt_g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
-    """Measurement projection of a stack of blocks ``(T, n, r)`` given the
-    stacked square roots ``(T, r, r)`` of their target Grams."""
-    u, _, vh = np.linalg.svd(xtilde @ sqrt_g, full_matrices=False)
-    return (u @ vh) @ sqrt_g
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``X* X`` of each matrix of a ``(..., n, r)`` stack (for one column,
+    the same sum as ``matmul``'s, without a call per matrix)."""
+    if x.shape[-1] == 1:
+        return np.vecdot(x[..., 0], x[..., 0])[..., None, None]
+    return x.conj().mT @ x
+
+
+def _unit_vectors(x: np.ndarray) -> np.ndarray:
+    """``x / ||x||`` for each vector of a ``(..., n)`` stack; a zero vector
+    maps to ``e_1``."""
+    # an exact power of two per vector keeps its squares in range
+    peak = np.abs(x).max(axis=-1, keepdims=True)
+    x = x * np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1000))
+    norm = np.sqrt(np.vecdot(x, x).real)[..., None]
+    q = x / np.where(norm > 0.0, norm, 1.0)
+    q[..., 0] = np.where(norm[..., 0] > 0.0, q[..., 0], 1.0)
+    return q
+
+
+def _eigh_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``A V diag(w)^-1/2 V*`` from ``A* A = V diag(w) V*`` for each matrix
+    of a ``(..., n, r)`` stack, and whether ``w_min / w_max`` reaches
+    ``POLAR_RCOND``, below which the result is not to be used."""
+    w, v = np.linalg.eigh(a.conj().mT @ a)
+    # the floor only keeps the matrices that fail the test free of 1 / 0
+    root = np.sqrt(np.maximum(w, _SMALLEST))
+    q = (a @ (v / root[..., None, :])) @ v.conj().mT
+    return q, w[..., 0] > POLAR_RCOND * w[..., -1]
+
+
+def _all(mask: np.ndarray) -> bool:
+    # scanning the list beats a numpy reduction on the few entries of the
+    # small stacks, where such per-call costs dominate
+    return all(mask.ravel().tolist())
+
+
+def _svd_polar(a: np.ndarray) -> np.ndarray:
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
+
+
+def _mask_or_bool(mask: np.ndarray) -> np.ndarray | bool:
+    """``mask``, or one bool when all its entries agree."""
+    if _all(mask) or not mask.any():
+        return bool(mask.all())
+    return mask
+
+
+def _polar(a: np.ndarray, try_eigh: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray | bool]:
+    """Unitary polar factor ``U V*`` of each matrix of a ``(..., n, r)``
+    stack, ``n >= r``, and which matrices took it from the eigendecomposition.
+
+    The matrices marked in ``try_eigh`` (a mask, or one bool for all) take
+    it from the eigendecomposition of the r x r ``A* A``.  Forming ``A* A``
+    squares the condition number, so the rest, and those whose
+    ``w_min / w_max`` falls below ``POLAR_RCOND`` (rank deficient, or
+    nearly), take the thin SVD.  Each matrix takes its path by its own
+    values, so a row's result does not depend on the stack.  ``A`` should
+    be near unit size, so that ``A* A`` neither overflows nor underflows.
+    """
+    if try_eigh is False:
+        return _svd_polar(a), False
+    if try_eigh is True:
+        q, ok = _eigh_polar(a)
+        if _all(ok):
+            return q, True
+    else:
+        q, ok = np.empty_like(a), np.zeros(try_eigh.shape, dtype=bool)
+        if try_eigh.any():
+            q[try_eigh], ok[try_eigh] = _eigh_polar(a[try_eigh])
+    bad = ~ok
+    if bad.any():
+        q[bad] = _svd_polar(a[bad])
+    return q, _mask_or_bool(ok)
+
+
+def _unit_scale(size: np.ndarray) -> np.ndarray:
+    """The power of two nearest ``1 / size``."""
+    return np.ldexp(1.0, -np.clip(np.frexp(size)[1], -1000, 1000))
+
+
+class _Shape(NamedTuple):
+    """Constants of the measurement projection of one shape group of
+    blocks, over a stack of rows."""
+
+    gram: np.ndarray  # (T, G, r, r)
+    sqrt: np.ndarray  # their PSD square roots
+    # the roots times a power of two per row that brings X S near unit
+    # size for the row's iterates X (the polar factor does not change)
+    scaled: np.ndarray
+    # (T, G): whether the polar factor may come from the eigendecomposition;
+    # one bool if the same for all
+    try_eigh: np.ndarray | bool
+
+    def take(self, keep: np.ndarray) -> _Shape:
+        return _Shape(*(a if isinstance(a, bool) else a[keep] for a in self))
+
+
+def _shape_constants(gram: np.ndarray, unit: np.ndarray) -> _Shape:
+    sqrt = matrix_sqrt_psd(gram)
+    # near a solution A* A = S X* X S is about G**2, so a Gram whose
+    # w_min / w_max is below sqrt(POLAR_RCOND) would send its block to the
+    # SVD at every iteration: it goes there at once
+    w = np.linalg.eigvalsh(gram)
+    try_eigh = _mask_or_bool(w[..., 0] > np.sqrt(POLAR_RCOND) * w[..., -1])
+    return _Shape(gram, sqrt, sqrt * unit, try_eigh)
+
+
+def _procrustes(c: _Shape, xtilde: np.ndarray) -> tuple[np.ndarray, _Shape]:
+    """Measurement projection of a ``(..., n, r)`` stack of blocks, and the
+    constants for the next one: a block whose polar factor once failed the
+    eigendecomposition's test (a sparse iterate can keep a zero column
+    while its Gram has full rank) takes the SVD from then on, rather than
+    paying for both at every iteration."""
+    if xtilde.shape[-1] == 1:
+        return _unit_vectors(xtilde[..., 0])[..., None] * c.sqrt, c
+    q, took_eigh = _polar(xtilde @ c.scaled, c.try_eigh)
+    return q @ c.sqrt, c if took_eigh is c.try_eigh else c._replace(try_eigh=took_eigh)
 
 
 def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
     """Nearest matrix to ``xtilde`` with Gram matrix exactly ``g``.
 
-    Requires a tall or square block (rows >= columns).  The constraint
-    ``Y* Y = g`` holds to machine precision even for rank-deficient
-    ``g``; optimality is exact whenever ``xtilde @ sqrt(g)`` has full
-    rank (otherwise the SVD's null-space convention picks one minimizer
-    deterministically).
+    Requires a tall or square block (rows >= columns).  With ``S`` the
+    PSD square root of ``g``, the answer is ``Q S`` where ``Q`` is the
+    unitary polar factor of ``xtilde @ S``: in closed form
+    ``xtilde / ||xtilde||`` for one column (``e_1`` for a zero column),
+    otherwise from the eigendecomposition of ``(xtilde S)* (xtilde S)``,
+    or from the thin SVD when that matrix is ill-conditioned.  The
+    constraint ``Y* Y = g`` holds to machine precision even for
+    rank-deficient ``g``; optimality is exact whenever ``xtilde @ S`` has
+    full rank (otherwise the SVD's null-space convention picks one
+    minimizer deterministically).
     """
     g = np.asarray(g)
     xtilde = np.asarray(xtilde)
@@ -151,7 +293,9 @@ def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
         )
     if g.shape != (r, r):
         raise ValueError(f"Gram must be ({r}, {r}) for this block, got {g.shape}")
-    return _procrustes_from_sqrt(matrix_sqrt_psd(g), xtilde)
+    c = _shape_constants(g[None], 1.0)
+    unit = _unit_scale(np.abs(xtilde @ c.sqrt[0]).max(initial=0.0))
+    return _procrustes(c._replace(scaled=c.sqrt * unit), xtilde[None])[0][0]
 
 
 def rho(x: BlockSignal, y: BlockSignal) -> float:
@@ -190,52 +334,80 @@ def solve(
     return solve_batch([measured], [prior], config, [init], truths)[0]
 
 
+def _rows_of(index: np.ndarray) -> slice | np.ndarray:
+    """Ascending row positions, as a slice when they are a contiguous run
+    (a view of the stack, where an index array copies it)."""
+    if index[-1] - index[0] + 1 == len(index):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 @dataclass(frozen=True)
 class _Rows:
-    """Per-row constants of the rows still iterating in a stacked solve."""
+    """Per-row constants of the rows still iterating in a stacked solve.
+
+    The Grams are held per shape group of the structure; the priors as
+    one stack per type and shape, with the rows it holds.
+    """
 
     index: np.ndarray  # position of each row in the caller's batch
-    prior: PriorStack
-    sqrt_grams: list[np.ndarray]  # per block, (T, r, r)
-    grams: list[np.ndarray]  # per block, (T, r, r)
+    priors: list[tuple[slice | np.ndarray, PriorStack]]
+    shapes: list[_Shape]
+    order: slice | np.ndarray  # the structure's group_order
     gram_scale: np.ndarray
     truth: np.ndarray | None
     truth_scale: np.ndarray | None
 
     def take(self, keep: np.ndarray) -> _Rows:
+        """The rows of a boolean mask."""
         has_truth = self.truth is not None
+        position = np.cumsum(keep) - 1
+        priors = [
+            (_rows_of(position[rows][sel]), stack.take(sel))
+            for rows, stack in self.priors
+            for sel in [keep[rows]]
+            if sel.any()
+        ]
         return _Rows(
             self.index[keep],
-            self.prior.take(keep),
-            [a[keep] for a in self.sqrt_grams],
-            [a[keep] for a in self.grams],
+            priors,
+            [c.take(keep) for c in self.shapes],
+            self.order,
             self.gram_scale[keep],
             self.truth[keep] if has_truth else None,
             self.truth_scale[keep] if has_truth else None,
         )
 
-    def residuals(self, p: np.ndarray, structure: RepresentationStructure) -> np.ndarray:
-        """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row."""
-        errs = [
-            x.conj().transpose(0, 2, 1) @ x - g
-            for x, g in zip(block_stacks(p, structure), self.grams)
-        ]
-        return frobenius_norms(errs) / self.gram_scale
+    def prior_projection(self, v: np.ndarray) -> np.ndarray:
+        """Each row projected onto its own prior, one call per stack."""
+        if len(self.priors) == 1:
+            return project_prior(v, self.priors[0][1])
+        parts = [(rows, project_prior(v[rows], stack)) for rows, stack in self.priors]
+        p = np.empty(v.shape, np.result_type(*(q for _, q in parts)))
+        for rows, q in parts:
+            p[rows] = q
+        return p
+
+    def residuals(self, xs: list[np.ndarray]) -> np.ndarray:
+        """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row,
+        from the shape groups ``xs`` of its blocks."""
+        errs = [_gram(x) - c.gram for x, c in zip(xs, self.shapes)]
+        return frobenius_norms(errs, self.order) / self.gram_scale
 
     def oracle_errors(self, p: np.ndarray) -> np.ndarray:
         """Sign-resolved distance to the truth over the truth's norm."""
-        minus = frobenius_norms([p - self.truth])
-        plus = frobenius_norms([p + self.truth])
-        return np.minimum(minus, plus) / self.truth_scale
+        both = frobenius_norms([np.concatenate([p - self.truth, p + self.truth])])
+        return np.minimum(both[: len(p)], both[len(p):]) / self.truth_scale
 
 
 def _project_measurement(
-    p: np.ndarray, sqrt_grams: list[np.ndarray], structure: RepresentationStructure
+    xs: list[np.ndarray], rows: _Rows, structure: RepresentationStructure
 ) -> np.ndarray:
-    out = np.empty_like(p)
-    for x, y, sq in zip(block_stacks(p, structure), block_stacks(out, structure), sqrt_grams):
-        y[...] = _procrustes_from_sqrt(sq, x)
-    return out
+    """The ambient rows of the measurement projection of shape groups
+    ``xs``; ``rows`` takes the constants for the next projection."""
+    projected = [_procrustes(c, x) for c, x in zip(rows.shapes, xs)]
+    rows.shapes[:] = [c for _, c in projected]
+    return ungroup_stacks([y for y, _ in projected], structure)
 
 
 def _nonzero(scale: np.ndarray) -> np.ndarray:
@@ -253,8 +425,10 @@ def solve_batch(
 
     Row ``t`` recovers a signal with Gram tuple ``measured[t]`` under
     ``priors[t]`` from ``inits[t]`` (and measures its error against
-    ``truths[t]``); the priors share one type and shape.  Each iteration
-    projects the whole stack at once.  A row leaves the stack when it
+    ``truths[t]``); the priors may differ in type and shape.  Each
+    iteration projects the whole stack at once: one prior projection per
+    type and shape of prior, one measurement projection per shape of
+    block.  A row leaves the stack when it
     meets the stopping rule or the iteration cap, and its report is
     bitwise the report of solving it alone with :func:`solve`.
     """
@@ -280,17 +454,21 @@ def solve_batch(
                 f"wide block ({n}, {r}): the measurement projector needs rows >= columns"
             )
 
-    grams = [np.stack(g) for g in zip(*(m.grams for m in measured))]
+    groups = [idx for _, idx in s.shape_groups]
+    grams = [np.array([[m.grams[l] for l in idx] for m in measured]) for idx in groups]
+    gram_scale = _nonzero(frobenius_norms(grams, s.group_order))
+    # the blocks of an iterate have about the norms of the Grams' roots
+    unit = _unit_scale(gram_scale)[:, None, None, None]
     truth = truth_scale = None
     if truths is not None:
         truth = np.stack([reconstruct(x) for x in truths])
         truth_scale = _nonzero(frobenius_norms([truth]))
     rows = _Rows(
         index=np.arange(count),
-        prior=stack_priors(list(priors)),
-        sqrt_grams=[matrix_sqrt_psd(stack) for stack in grams],
-        grams=grams,
-        gram_scale=_nonzero(frobenius_norms(grams)),
+        priors=[(_rows_of(rows), stack) for rows, stack in group_priors(list(priors))],
+        shapes=[_shape_constants(stack, unit) for stack in grams],
+        order=s.group_order,
+        gram_scale=gram_scale,
         truth=truth,
         truth_scale=truth_scale,
     )
@@ -308,18 +486,19 @@ def solve_batch(
                 f"iterate of row {row} became non-finite entering iteration {k}; "
                 "check the measurement and prior for scale problems"
             )
-        p = project_prior(v, rows.prior)
-        residual = rows.residuals(p, s) if every_residual else None
+        p = rows.prior_projection(v)
+        xs = group_stacks(p, s)
+        residual = rows.residuals(xs) if every_residual else None
         if trajectories is not None:
             for t, value in zip(rows.index, residual.tolist()):
                 trajectories[t].append(value)
         crit = residual if config.stop_on == "residual" else rows.oracle_errors(p)
         converged = crit < config.tol
         stop = converged if k < config.max_iters else np.ones(len(p), dtype=bool)
-        if stop.any():
+        if any(stop.tolist()):
             done = rows.take(stop)
             p_done = p[stop]
-            res = residual[stop] if every_residual else done.residuals(p_done, s)
+            res = residual[stop] if every_residual else done.residuals(group_stacks(p_done, s))
             err = None
             if truth is not None:
                 err = crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
@@ -336,10 +515,11 @@ def solve_batch(
                 break
             keep = ~stop
             rows, v, p = rows.take(keep), v[keep], p[keep]
+            xs = group_stacks(p, s)
         if config.algorithm == "alternating_projection":
-            v = _project_measurement(p, rows.sqrt_grams, s)
+            v = _project_measurement(xs, rows, s)
         else:
             # relaxed reflect-and-average step
-            reflected = _project_measurement(2.0 * p - v, rows.sqrt_grams, s)
+            reflected = _project_measurement(group_stacks(2.0 * p - v, s), rows, s)
             v = v + config.beta * (reflected - p)
     return reports

@@ -126,6 +126,16 @@ def procrustes_grid_best(g: np.ndarray, xt: np.ndarray, step: float = 1e-3) -> f
     return float(d.min())
 
 
+def svd_procrustes(g: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """Nearest ``Y`` to ``xt`` with ``Y* Y = g``, by the textbook recipe:
+    ``S`` the PSD square root of ``g`` from its eigendecomposition, then
+    ``U V* S`` from the thin SVD ``U diag(s) V*`` of ``xt S``."""
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    u, _, vh = np.linalg.svd(xt @ s, full_matrices=False)
+    return u @ vh @ s
+
+
 def brute_sparse_project(v: np.ndarray, k: int) -> np.ndarray:
     """Best k-sparse approximation by trying every support."""
     n = len(v)

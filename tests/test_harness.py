@@ -134,6 +134,16 @@ class TestIterationsExperiment:
         run_iterations_vs_k(tiny_iter_cfg(out=str(b), workers=2))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cli_workers_give_identical_bytes(self, tmp_path):
+        # 7 trials at 3 dimensions: one stack of 21 rows, dealt unevenly
+        # to two workers, each share mixing the dimensions
+        outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
+        for workers, out in zip((1, 2), outs):
+            argv = ["exp-iterations", "--trials", "7", "--K", "2,3,5", "--max-iters", "150",
+                    "--seed", "5", "--workers", str(workers), "--out", str(out)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "one.csv", tmp_path / "two.csv"
         run_iterations_vs_k(tiny_iter_cfg(out=str(a)))
@@ -466,6 +476,53 @@ class TestCliFlags:
             _build_parser().parse_args([command, *FLAG_CASES[flag][0]])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unread_flag_is_reported_by_its_subcommand(self, capsys):
+        assert_exit = pytest.raises(SystemExit)
+        with assert_exit as exc:
+            main(["bilipschitz", "--max-iters", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gramphase bilipschitz: error: unrecognized arguments: --max-iters 5" in err
+        usage = err[: err.index("gramphase bilipschitz: error")]
+        assert usage.startswith("usage: gramphase bilipschitz")
+        for flag in ("--config", "--structure", "--K", "--trials", "--seed", "--out"):
+            assert flag in usage
+
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("trials", "5", "an integer"),
+            ("trials", 5.0, "an integer"),
+            ("seed", True, "an integer"),
+            ("tol", "1e-6", "a number"),
+            ("K", [2, 4.5], "an integer or a list of integers"),
+            ("sigma", ["0.1"], "a number or a list of numbers"),
+            ("structure", 8, "a string or an object"),
+            ("paper_scale", 1, "true or false"),
+            ("out", 3, "a string"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_1(self, tmp_path, capsys, key, value,
+                                                     expected):
+        command = "exp-noise" if key in ("sigma", "tol", "paper_scale") else "exp-iterations"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file key {key!r} must be {expected}, got {value!r}" in err
+
+    def test_config_file_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text("[1, 2]")
+        assert main(["bilipschitz", "--config", str(cfg_file)]) == 1
+        assert "config file must hold a JSON object, got list" in capsys.readouterr().err
+
+    def test_config_null_leaves_the_key_unset(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"K": None, "trials": None, "seed": 3}))
+        args = _build_parser().parse_args(["exp-noise", "--config", str(cfg_file)])
+        assert _config(args) == ExperimentConfig(experiment="exp-noise", master_seed=3)
 
     @pytest.mark.parametrize("command, key", [(c, k) for c in READS for k in _unread(c)])
     def test_unread_config_key_is_refused(self, command, key, tmp_path):

@@ -347,6 +347,23 @@ class TestEmpiricalMoment:
             empirical_second_moment(samples), np.outer(y, y.conj()), atol=1e-14
         )
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_traced_peak_is_the_moment(self, field):
+        # the noise bias comes off the diagonal in place, with no d x d eye
+        action = cyclic_action(1024, field)
+        x = random_signal(action.structure, np.random.default_rng(4))
+        samples = sample_observations(x, action, 0.3, 10, seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            m = empirical_second_moment(samples)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * m.nbytes
+        assert m.nbytes == 1024**2 * np.dtype(action.structure.dtype).itemsize
+
     def test_debiasing_and_convergence(self):
         s = RepresentationStructure(((8, 4),))
         x = random_signal(s, np.random.default_rng(10))

@@ -21,7 +21,7 @@ from gramphase import (
     solve_batch,
 )
 from gramphase.blocks import frobenius_norms
-from tests._oracles import procrustes_grid_best
+from tests._oracles import procrustes_grid_best, svd_procrustes
 
 
 def _pinned_signs(u, vh):
@@ -154,6 +154,98 @@ class TestProcrustes:
                 np.testing.assert_array_equal(pu @ pvh, u @ vh)
             else:
                 assert np.max(np.abs(pu @ pvh - u @ vh)) <= 1e-15
+
+
+def _draw(rng, field, *shape):
+    a = rng.standard_normal(shape)
+    return a + 1j * rng.standard_normal(shape) if field == "complex" else a
+
+
+def _with_singular_values(rng, field, n, r, s):
+    """An ``n x r`` matrix with singular values ``s`` and random singular vectors."""
+    u = np.linalg.qr(_draw(rng, field, n, r))[0]
+    v = np.linalg.qr(_draw(rng, field, r, r))[0]
+    return (u * s) @ v.conj().T
+
+
+def _gram_error(y, g):
+    return np.max(np.abs(y.conj().T @ y - g)) / max(1.0, np.abs(g).max())
+
+
+class TestPolarProjection:
+    """The measurement projector against an SVD oracle that shares no code
+    with the package: ``Q`` from the eigendecomposition of ``A* A`` on
+    well-conditioned blocks, the thin SVD on rank-deficient ones, and the
+    closed form for one column."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_eigh_polar_matches_the_svd_oracle(self, field):
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(400):
+            n = int(rng.integers(2, 9))
+            r = int(rng.integers(2, n + 1))
+            # condition numbers at most 3 and 2, so A = xt S is far from
+            # the threshold and takes the eigendecomposition
+            xt = _with_singular_values(rng, field, n, r, rng.uniform(1.0, 3.0, r))
+            b = _with_singular_values(rng, field, r, r, rng.uniform(1.0, 2.0, r))
+            g = b.conj().T @ b
+            y = procrustes_project(g, xt)
+            oracle = svd_procrustes(g, xt)
+            worst = max(worst, np.linalg.norm(y - oracle) / np.linalg.norm(oracle))
+            assert _gram_error(y, g) < 1e-13
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rank_deficient_blocks_keep_the_gram_exact(self, field):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            r = int(rng.integers(2, n + 1))
+            rank = int(rng.integers(0, r))
+            b = _draw(rng, field, rank, r) if rank else np.zeros((1, r))
+            xt = _draw(rng, field, n, r)
+            if rng.random() < 0.5:  # a rank-deficient block as well, or instead
+                xt[:, int(rng.integers(r))] = 0.0
+                if rng.random() < 0.5:
+                    b = _draw(rng, field, r, r)
+            g = b.conj().T @ b
+            y = procrustes_project(g, xt)
+            assert _gram_error(y, g) < 1e-12
+            # optimal: no farther from xt than the oracle's choice
+            oracle = svd_procrustes(g, xt)
+            assert np.linalg.norm(y - xt) <= np.linalg.norm(oracle - xt) * (1 + 1e-12) + 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("c", [1e-150, 1e150])
+    def test_extreme_scales_keep_the_gram_exact(self, field, c):
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            r = int(rng.integers(1, n + 1))
+            b, xt = _draw(rng, field, r, r), _draw(rng, field, n, r)
+            g = (c * b).conj().T @ (c * b)
+            y = procrustes_project(g, c * xt)
+            assert np.max(np.abs(y.conj().T @ y - g)) < 1e-12 * np.abs(g).max()
+            unscaled = procrustes_project(b.conj().T @ b, xt)
+            np.testing.assert_allclose(y / c, unscaled, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_column_closed_form(self, field):
+        rng = np.random.default_rng(24)
+        dtype = complex if field == "complex" else float
+        for n in (1, 2, 5):
+            y = procrustes_project(np.array([[4.0]]), np.zeros((n, 1), dtype=dtype))
+            # a zero column maps to sqrt(g) e_1
+            np.testing.assert_array_equal(y, 2.0 * np.eye(n, 1))
+            x = _draw(rng, field, n, 1)
+            y = procrustes_project(np.array([[9.0]]), x)
+            np.testing.assert_allclose(y, 3.0 * x / np.linalg.norm(x), rtol=1e-15)
+            # exact powers of two do not change the direction by a bit
+            for k in (-1000, 1000):
+                np.testing.assert_array_equal(
+                    procrustes_project(np.array([[9.0]]), x * np.ldexp(1.0, k)), y
+                )
 
 
 class TestRho:
@@ -311,7 +403,7 @@ class TestSolve:
             SolverConfig(algorithm="rrrr")
 
 
-def _batch_instances(field, kind, rows, seed):
+def _batch_instances(field, kind, rows, seed, k=3):
     """``rows`` random solvable instances on 8x4,3x2 sharing one prior shape."""
     s = RepresentationStructure(((8, 4), (3, 2)), field)
     d = s.ambient_dim
@@ -324,8 +416,8 @@ def _batch_instances(field, kind, rows, seed):
     out = []
     for _ in range(rows):
         if kind == "subspace":
-            basis = np.linalg.qr(draw(d, 3))[0]
-            prior, truth = LinearSubspacePrior(basis), basis @ draw(3)
+            basis = np.linalg.qr(draw(d, k))[0]
+            prior, truth = LinearSubspacePrior(basis), basis @ draw(k)
         elif kind == "sparsity":
             coeffs = np.zeros(d, dtype=s.dtype)
             coeffs[rng.choice(d, 6, replace=False)] = draw(6)
@@ -379,15 +471,42 @@ class TestBatchedSolve:
             _assert_same_report(report, single)
             assert report.residual_trajectory == single.residual_trajectory
 
-    def test_priors_of_mixed_type_or_shape_rejected(self):
-        rows = _batch_instances("real", "subspace", 1, 0)
-        rows += _batch_instances("real", "support", 1, 0)
-        measured, priors, inits, _ = zip(*rows)
-        with pytest.raises(ValueError, match="same type"):
-            solve_batch(measured, priors, SolverConfig(), inits)
-        wider = random_subspace_prior(measured[0].structure, 4, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="same shape"):
-            solve_batch(measured, [priors[0], wider], SolverConfig(), inits)
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_mixed_prior_types_and_shapes_equal_single_solves(self, field):
+        rows = _batch_instances(field, "subspace", 3, seed=5)
+        rows += _batch_instances(field, "subspace", 3, seed=6, k=5)
+        rows += _batch_instances(field, "sparsity", 3, seed=7)
+        rows += _batch_instances(field, "support", 3, seed=8)
+        if field == "complex":  # a real basis stacks apart from the complex ones
+            m, prior, init, truth = _batch_instances(field, "subspace", 1, seed=9)[0]
+            real = random_subspace_prior(
+                RepresentationStructure(m.structure.blocks), 3, np.random.default_rng(9))
+            t = decompose(real.basis @ np.array([1.0, -0.5, 2.0]) + 0j, m.structure)
+            rows.append((gram_tuple(t), real, init, t))
+        order = np.random.default_rng(1).permutation(len(rows))
+        rows = [rows[j] for j in order]
+        for config in (SolverConfig(max_iters=150),
+                       SolverConfig(algorithm="rrr", max_iters=150, stop_on="oracle")):
+            singles = [solve(m, p, config, init=i, truth=t) for m, p, i, t in rows]
+            measured, priors, inits, truths = zip(*rows)
+            for report, single in zip(solve_batch(measured, priors, config, inits, truths),
+                                      singles):
+                _assert_same_report(report, single)
+
+    def test_rows_on_one_column_blocks_equal_single_solves(self):
+        s = RepresentationStructure(((1, 1), (2, 1), (2, 1), (3, 2), (1, 1), (2, 1)))
+        rng = np.random.default_rng(12)
+        rows = []
+        for _ in range(6):
+            prior = random_subspace_prior(s, 3, rng)
+            t = decompose(prior.basis @ rng.standard_normal(3), s)
+            rows.append((gram_tuple(t), prior, random_signal(s, rng), t))
+        config = SolverConfig(max_iters=200)
+        measured, priors, inits, truths = zip(*rows)
+        batched = solve_batch(measured, priors, config, inits, truths)
+        for (m, p, i, t), report in zip(rows, batched):
+            _assert_same_report(report, solve(m, p, config, init=i, truth=t))
+        assert len({r.iterations_used for r in batched}) > 1
 
 
 class TestScaleRobustness:
@@ -406,6 +525,20 @@ class TestScaleRobustness:
             for c in (1e-200, 1e200):
                 scaled = frobenius_norms([c * m[None] for m in mats])[0]
                 assert abs(scaled / (c * plain) - 1.0) < 1e-14
+
+    def test_grouped_norms_equal_the_block_by_block_sum(self):
+        # the solver's residual norms, taken over shape groups, add the
+        # blocks in block order, bitwise as the per-block form does
+        rng = np.random.default_rng(13)
+        s = RepresentationStructure(((2, 1), (1, 1), (3, 2), (2, 1), (3, 2), (1, 1), (2, 1)))
+        for rows in (1, 5, 60):
+            for c in (1.0, 1e-170, 1e170):
+                mats = [c * rng.standard_normal((rows, r, r)) * 10.0 ** rng.uniform(-3, 3)
+                        for _, r in s.blocks]
+                groups = [np.stack([mats[l] for l in idx], axis=1) for _, idx in s.shape_groups]
+                np.testing.assert_array_equal(
+                    frobenius_norms(groups, s.group_order), frobenius_norms(mats)
+                )
 
     @pytest.mark.parametrize("c", [1e-150, 1e-75, 1e75, 1e150])
     def test_scaled_instances_converge_like_unscaled(self, c):
