@@ -9,9 +9,10 @@ K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
 cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), a complex
 noise sweep and a complex distortion run, simulate under the full real,
 full complex and cyclic actions, solve with real alternating projection
-and complex RRR, a SHA-256 of 200 Haar draws per action, and a SHA-256
-of the observations ``sample_observations`` draws on a few full and
-cyclic actions.  Those cross every chunk boundary of the sampler: 10,001
+(on 8x4 and on the three shape groups of 8x4,3x2,1x1) and complex RRR,
+a SHA-256 of 200 Haar draws per action, and a SHA-256 of the
+observations ``sample_observations`` draws on a few full and cyclic
+actions.  Those cross every chunk boundary of the sampler: 10,001
 full-ambiguity draws cross the chunks of ``haar_chunks`` and the noise
 blocks, and cyclic:16 x 20,000 and cyclic:7:complex x 30,000 cross the
 noise blocks of a real and a complex cyclic draw.  ``cli_stdout.txt``
@@ -127,6 +128,8 @@ def main(out: Path) -> None:
     run_demo_solve(_config("solve", out / "solve_real_ap", subspace_dim=4, master_seed=7))
     run_demo_solve(_config("solve", out / "solve_complex_rrr", COMPLEX, subspace_dim=3,
                            algorithm="rrr", master_seed=7))
+    run_demo_solve(_config("solve", out / "solve_multi_real_ap", "8x4,3x2,1x1",
+                           subspace_dim=3, master_seed=1))
     lines = []
     for structure in ("8x4,3x2,1x1", "8x4,3x2,1x1:complex"):
         action = blocks.full_ambiguity_action(parse_structure(structure))

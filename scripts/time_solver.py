@@ -15,6 +15,8 @@ in a separate, unwrapped run.  Cases:
 - ``8x4`` real, subspace dimension 4, at T = 1 (residual stopping, as a
   single ``solve``), T = 12 and T = 200 (oracle stopping, as the
   experiment runners);
+- ``8x4,3x2`` real, subspace dimension 4, at T = 1 (residual stopping):
+  two shape groups, so the residual adds two stacks;
 - ``cyclic:1024`` real at T = 16 with a subspace prior of dimension 256
   (residual stopping).
 
@@ -39,6 +41,7 @@ CASES = (
     ("8x4 T=1", "8x4", 4, 1, "residual"),
     ("8x4 T=12", "8x4", 4, 12, "oracle"),
     ("8x4 T=200", "8x4", 4, 200, "oracle"),
+    ("8x4,3x2 T=1", "8x4,3x2", 4, 1, "residual"),
     ("cyclic:1024 T=16", "cyclic:1024", 256, 16, "residual"),
 )
 LAYERS = (

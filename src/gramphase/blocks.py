@@ -33,12 +33,9 @@ sign block for the Nyquist frequency when N is even.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import repeat
-from operator import add
+from functools import cached_property
 
 import numpy as np
 
@@ -77,67 +74,39 @@ UNITARY_TOL = 1e-10
 HAAR_CHUNK = 4096
 
 
-def _square_sums(flat: list[np.ndarray], order) -> np.ndarray:
-    """Sum of squared magnitudes of each block: ``(T, L)`` in block order."""
-    sums = []
-    for a in flat:
-        if np.iscomplexobj(a):
-            sums.append(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
-        else:
-            sums.append(np.vecdot(a, a))
-    sq = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-    return sq if order is None else sq[:, order]
+def _square_sums(flat: list[np.ndarray]) -> np.ndarray:
+    """Sum of squared magnitudes of each row of ``(T, k)`` stacks, the
+    stacks added in list order."""
+    sums = [np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag) if np.iscomplexobj(a)
+            else np.vecdot(a, a) for a in flat]
+    return sum(sums[1:], sums[0])
 
 
-def _sums_of_squares(sq: np.ndarray) -> list[float]:
-    # each block's norm squared with C pow, as ``np.linalg.norm(block)
-    # ** 2`` is on a scalar (pow and x * x differ in the last bit on a few
-    # inputs, and so does the vectorized np.power), then added up block
-    # by block, as a running sum
-    roots = np.sqrt(sq).ravel().tolist()
-    t, l = sq.shape
-    if l > 1 and t * l > 256:  # cumsum adds in order too, and is quicker on many blocks
-        squares = np.fromiter(map(math.pow, roots, repeat(2.0)), float, len(roots))
-        return np.cumsum(squares.reshape(t, l), axis=1)[:, -1].tolist()
-    squares = [math.pow(x, 2.0) for x in roots]
-    if l == 1:
-        return squares
-    return [reduce(add, squares[i : i + l], 0.0) for i in range(0, t * l, l)]
-
-
-def frobenius_norms(stacks: Sequence[np.ndarray], order=None) -> np.ndarray:
+def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Row-wise Frobenius norm of several stacks taken together.
 
     Every array has the same leading length ``T``; entry ``t`` of the
-    result is ``sqrt(sum_l ||stacks[l][t]||**2)``, summed exactly as
-    ``np.linalg.norm`` of each block, squared and added, so it is bitwise
-    that plain formula wherever the sum of squares is a normal number
-    well inside the floating-point range.  Rows where it is not, because
-    a square overflowed or underflowed, are summed again after scaling
-    by the power of two nearest their largest magnitude, and the result
-    is scaled back.
-
-    With ``order``, each array is ``(T, G, ...)`` and holds ``G`` blocks,
-    and ``order`` indexes the blocks of all arrays, taken in turn, into
-    summation order: for the stacks of :func:`group_stacks`, the
-    structure's ``group_order`` sums them in block order.
+    result is ``sqrt(sum_l ||stacks[l][t]||**2)``, one ``np.vecdot`` per
+    stack and the stacks added in list order, so for one stack it is
+    bitwise ``np.linalg.norm`` of the row wherever the sum of squares is
+    a normal number well inside the floating-point range.  Rows where it
+    is not, because a square overflowed or underflowed, are summed again
+    after scaling by the power of two nearest their largest magnitude.
+    Each row is computed on its own, whatever stack it sits in.
     """
-    if order is None:
-        flat = [np.asarray(a).reshape(len(a), 1, -1) for a in stacks]
-    else:
-        flat = [np.asarray(a).reshape(a.shape[0], a.shape[1], -1) for a in stacks]
+    flat = [np.asarray(a).reshape(len(a), -1) for a in stacks]
     with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
-        acc = _sums_of_squares(_square_sums(flat, order))
+        acc = _square_sums(flat)
     norms = np.sqrt(acc)
-    odd = [t for t, a in enumerate(acc) if not 2.0**-960 <= a <= 2.0**960]
+    # scanning the list beats numpy reductions on the short stacks of a solve
+    odd = [t for t, a in enumerate(acc.tolist()) if not 2.0**-960 <= a <= 2.0**960]
     if odd:
         sub = [a[odd] for a in flat]
-        peak = np.max([np.abs(a).max(axis=(1, 2), initial=0.0) for a in sub], axis=0)
+        peak = np.max([np.abs(a).max(axis=1, initial=0.0) for a in sub], axis=0)
         # clipped so that the scale of a subnormal peak stays finite
         exp = np.maximum(np.frexp(peak)[1], -1000)
-        scale = np.ldexp(1.0, -exp)[:, None, None]
-        sums = _sums_of_squares(_square_sums([a * scale for a in sub], order))
-        norms[odd] = np.ldexp(np.sqrt(sums), exp)
+        scale = np.ldexp(1.0, -exp)[:, None]
+        norms[odd] = np.ldexp(np.sqrt(_square_sums([a * scale for a in sub])), exp)
     return norms
 
 
@@ -162,7 +131,11 @@ class RepresentationStructure:
     field: str = "real"
 
     def __post_init__(self):
-        blocks = tuple((int(n), int(r)) for n, r in self.blocks)
+        try:
+            blocks = tuple((int(n), int(r)) for n, r in self.blocks)
+        except (TypeError, ValueError):
+            raise ValueError(f"structure blocks must be a list of [n, r] pairs, such as "
+                             f"[[8, 4], [3, 2]], got {self.blocks!r}") from None
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("structure needs at least one block")
@@ -201,14 +174,6 @@ class RepresentationStructure:
             out.append(slice(offset, offset + n * r))
             offset += n * r
         return tuple(out)
-
-    @cached_property
-    def group_order(self) -> slice | np.ndarray:
-        """Where each block sits among the blocks of ``shape_groups`` taken
-        group by group: an index array, or ``slice(None)`` when they are
-        already in block order."""
-        order = np.argsort(np.concatenate([idx for _, idx in self.shape_groups]))
-        return slice(None) if (order == np.arange(len(order))).all() else order
 
     @cached_property
     def group_positions(self) -> tuple[slice | np.ndarray, ...]:

@@ -49,13 +49,8 @@ def parse_structure(text: str) -> RepresentationStructure:
     if ":" in text:
         text, fld = text.rsplit(":", 1)
     if text.startswith("["):
-        blocks = tuple((int(n), int(r)) for n, r in json.loads(text))
-        return RepresentationStructure(blocks, fld)
-    blocks = []
-    for part in text.split(","):
-        n, _, r = part.partition("x")
-        blocks.append((int(n), int(r)))
-    return RepresentationStructure(tuple(blocks), fld)
+        return RepresentationStructure(json.loads(text), fld)
+    return RepresentationStructure([part.split("x") for part in text.split(",")], fld)
 
 
 def _int_list(text: str) -> tuple[int, ...]:

@@ -46,7 +46,6 @@ from .blocks import (
     apply,  # noqa: F401
     block_stacks,
     cyclic_shift_stack,
-    frobenius_norms,
     haar_chunks,
     haar_sample,  # noqa: F401
 )
@@ -109,10 +108,6 @@ class GramTuple:
                 f"block {l}: Gram matrix has negative eigenvalue {lowest[l]:.3e}"
             )
         object.__setattr__(self, "grams", mats)
-
-    def total_norm(self) -> float:
-        """Frobenius norm of the concatenated tuple."""
-        return float(frobenius_norms([g[None] for g in self.grams])[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+def _entry(d, key: str, what: str, form: str):
+    """``d[key]``, or a ValueError naming the key ``what`` lacks and its form."""
+    if not isinstance(d, dict) or key not in d:
+        raise ValueError(f"{what} has no {key!r} key: expected {form}")
+    return d[key]
+
+
 def array_to_json(a: np.ndarray):
     a = np.asarray(a)
     if np.iscomplexobj(a):
@@ -52,7 +59,8 @@ def array_to_json(a: np.ndarray):
 
 def array_from_json(obj) -> np.ndarray:
     if isinstance(obj, dict):
-        return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        re, im = (_entry(obj, k, "complex array", "its re and im parts") for k in ("re", "im"))
+        return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
     return np.asarray(obj, dtype=float)
 
 
@@ -61,9 +69,8 @@ def structure_to_dict(s: RepresentationStructure) -> dict:
 
 
 def structure_from_dict(d: dict) -> RepresentationStructure:
-    return RepresentationStructure(
-        tuple((int(n), int(r)) for n, r in d["blocks"]), d.get("field", "real")
-    )
+    blocks = _entry(d, "blocks", "structure", "a list of [n, r] pairs, such as [[8, 4], [3, 2]]")
+    return RepresentationStructure(blocks, d.get("field", "real"))
 
 
 def signal_to_dict(x: BlockSignal) -> dict:
@@ -74,8 +81,9 @@ def signal_to_dict(x: BlockSignal) -> dict:
 
 
 def signal_from_dict(d: dict) -> BlockSignal:
-    s = structure_from_dict(d["structure"])
-    return BlockSignal(s, tuple(array_from_json(m) for m in d["matrices"]))
+    s = structure_from_dict(_entry(d, "structure", "signal", "a structure object"))
+    mats = _entry(d, "matrices", "signal", "one matrix per block")
+    return BlockSignal(s, tuple(array_from_json(m) for m in mats))
 
 
 def gram_to_dict(g: GramTuple) -> dict:
@@ -86,8 +94,9 @@ def gram_to_dict(g: GramTuple) -> dict:
 
 
 def gram_from_dict(d: dict) -> GramTuple:
-    s = structure_from_dict(d["structure"])
-    return GramTuple(s, tuple(array_from_json(m) for m in d["grams"]))
+    s = structure_from_dict(_entry(d, "structure", "Gram tuple", "a structure object"))
+    grams = _entry(d, "grams", "Gram tuple", "one r x r matrix per block")
+    return GramTuple(s, tuple(array_from_json(m) for m in grams))
 
 
 def prior_to_dict(p: PriorSpec) -> dict:
@@ -105,14 +114,16 @@ def prior_to_dict(p: PriorSpec) -> dict:
 
 
 def prior_from_dict(d: dict) -> PriorSpec:
-    variant = d["variant"]
+    variant = _entry(d, "variant", "prior", "'linear_subspace', 'sparsity' or 'support'")
+    what = f"{variant} prior"
     if variant == "linear_subspace":
-        return LinearSubspacePrior(array_from_json(d["basis"]))
+        return LinearSubspacePrior(array_from_json(_entry(d, "basis", what, "a d x m matrix")))
     if variant == "sparsity":
         dico = d.get("dictionary")
-        return SparsityPrior(int(d["k"]), None if dico is None else array_from_json(dico))
+        k = _entry(d, "k", what, "the number of nonzero coefficients")
+        return SparsityPrior(int(k), None if dico is None else array_from_json(dico))
     if variant == "support":
-        return SupportPrior(np.asarray(d["mask"], dtype=bool))
+        return SupportPrior(np.asarray(_entry(d, "mask", what, "a list of d booleans"), dtype=bool))
     raise ValueError(f"unknown prior variant {variant!r}")
 
 

@@ -35,7 +35,10 @@ Rows that stop are written out and dropped from the stack.
 memory layout as a single call, elementwise steps treat each entry
 alone, and every block chooses between the eigendecomposition and the
 SVD by its own values, so each row's result is bitwise independent of
-the batch it was solved in.
+the batch it was solved in.  Every norm comes from
+:func:`gramphase.blocks.frobenius_norms`, and :func:`rho` and the oracle
+error share one sign distance, so ``oracle_error`` is bitwise
+``rho(estimate, truth) / ||truth||``.
 
 The SVD's sign (phase) freedom is left unpinned: ``U V*`` is the sum of
 ``u_i v_i*`` over singular pairs, and each term is unchanged when its
@@ -92,8 +95,9 @@ class SolverConfig:
 
     ``stop_on="residual"`` uses the blind normalized measurement
     residual of the prior-projected iterate; ``stop_on="oracle"``
-    stops on the sign-invariant distance to a supplied ground truth
-    (for benchmarking only, since a deployed solver has no truth).
+    stops on ``rho(estimate, truth) / ||truth||``, the distance to a
+    supplied ground truth up to the sign, not yet the complex phase (for
+    benchmarking only, since a deployed solver has no truth).
     """
 
     algorithm: str = "alternating_projection"  # or "rrr"
@@ -298,17 +302,18 @@ def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
     return _procrustes(c._replace(scaled=c.sqrt * unit), xtilde[None])[0][0]
 
 
+def _sign_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``min(||p - q||, ||p + q||)`` of each row of two ``(T, d)`` stacks."""
+    both = frobenius_norms([np.concatenate([p - q, p + q])])
+    return np.minimum(both[: len(p)], both[len(p):])
+
+
 def rho(x: BlockSignal, y: BlockSignal) -> float:
     """Sign-invariant pseudo-metric: ``min(||x - y||, ||x + y||)`` over the
     concatenated blocks.  Zero iff ``y == x`` or ``y == -x``."""
     if x.structure != y.structure:
         raise StructureMismatch("signals live on different structures")
-    minus = 0.0
-    plus = 0.0
-    for a, b in zip(x.matrices, y.matrices):
-        minus += np.linalg.norm(a - b) ** 2
-        plus += np.linalg.norm(a + b) ** 2
-    return float(np.sqrt(min(minus, plus)))
+    return float(_sign_distances(reconstruct(x)[None], reconstruct(y)[None])[0])
 
 
 def solve(
@@ -353,7 +358,6 @@ class _Rows:
     index: np.ndarray  # position of each row in the caller's batch
     priors: list[tuple[slice | np.ndarray, PriorStack]]
     shapes: list[_Shape]
-    order: slice | np.ndarray  # the structure's group_order
     gram_scale: np.ndarray
     truth: np.ndarray | None
     truth_scale: np.ndarray | None
@@ -372,7 +376,6 @@ class _Rows:
             self.index[keep],
             priors,
             [c.take(keep) for c in self.shapes],
-            self.order,
             self.gram_scale[keep],
             self.truth[keep] if has_truth else None,
             self.truth_scale[keep] if has_truth else None,
@@ -392,12 +395,11 @@ class _Rows:
         """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row,
         from the shape groups ``xs`` of its blocks."""
         errs = [_gram(x) - c.gram for x, c in zip(xs, self.shapes)]
-        return frobenius_norms(errs, self.order) / self.gram_scale
+        return frobenius_norms(errs) / self.gram_scale
 
     def oracle_errors(self, p: np.ndarray) -> np.ndarray:
         """Sign-resolved distance to the truth over the truth's norm."""
-        both = frobenius_norms([np.concatenate([p - self.truth, p + self.truth])])
-        return np.minimum(both[: len(p)], both[len(p):]) / self.truth_scale
+        return _sign_distances(p, self.truth) / self.truth_scale
 
 
 def _project_measurement(
@@ -456,7 +458,7 @@ def solve_batch(
 
     groups = [idx for _, idx in s.shape_groups]
     grams = [np.array([[m.grams[l] for l in idx] for m in measured]) for idx in groups]
-    gram_scale = _nonzero(frobenius_norms(grams, s.group_order))
+    gram_scale = _nonzero(frobenius_norms(grams))
     # the blocks of an iterate have about the norms of the Grams' roots
     unit = _unit_scale(gram_scale)[:, None, None, None]
     truth = truth_scale = None
@@ -467,7 +469,6 @@ def solve_batch(
         index=np.arange(count),
         priors=[(_rows_of(rows), stack) for rows, stack in group_priors(list(priors))],
         shapes=[_shape_constants(stack, unit) for stack in grams],
-        order=s.group_order,
         gram_scale=gram_scale,
         truth=truth,
         truth_scale=truth_scale,

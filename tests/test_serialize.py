@@ -13,6 +13,7 @@ from gramphase import (
     sample_observations,
 )
 from gramphase import serialize as ser
+from gramphase.cli import main
 
 
 def test_structure_roundtrip():
@@ -54,6 +55,55 @@ def test_prior_roundtrip():
         assert type(q) is type(p)
     q = ser.prior_from_dict(ser.prior_to_dict(priors[0]))
     np.testing.assert_array_equal(q.basis, basis)
+
+
+@pytest.mark.parametrize("load, d, match", [
+    (ser.structure_from_dict, {"field": "real"},
+     r"structure has no 'blocks' key: expected a list of \[n, r\] pairs"),
+    (ser.structure_from_dict, {"blocks": [[8]]},
+     r"structure blocks must be a list of \[n, r\] pairs, .*got \[\[8\]\]"),
+    (ser.structure_from_dict, {"blocks": 8},
+     r"structure blocks must be a list of \[n, r\] pairs, .*got 8"),
+    (ser.structure_from_dict, [[8, 4]], r"structure has no .blocks. key"),
+    (ser.gram_from_dict, {"grams": [[[1.0]]]}, r"Gram tuple has no 'structure' key"),
+    (ser.gram_from_dict, {"structure": {"blocks": [[1, 1]]}}, r"Gram tuple has no 'grams' key"),
+    (ser.signal_from_dict, {"structure": {"blocks": [[1, 1]]}}, r"signal has no 'matrices' key"),
+    (ser.signal_from_dict, {"structure": {"blocks": [[1, 1]]}, "matrices": [{"re": [[1.0]]}]},
+     r"complex array has no 'im' key"),
+    (ser.prior_from_dict, {"basis": [[1.0]]},
+     r"prior has no 'variant' key: expected 'linear_subspace', 'sparsity' or 'support'"),
+    (ser.prior_from_dict, {"variant": "linear_subspace"},
+     r"linear_subspace prior has no 'basis' key"),
+    (ser.prior_from_dict, {"variant": "sparsity"}, r"sparsity prior has no 'k' key"),
+    (ser.prior_from_dict, {"variant": "support"}, r"support prior has no 'mask' key"),
+])
+def test_malformed_dicts_name_the_key_and_its_form(load, d, match):
+    with pytest.raises(ValueError, match=match):
+        load(d)
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["--structure", '{"blocks": [[8]]}'], "structure blocks must be a list of [n, r] pairs"),
+    (["--structure", "[[8]]"], "structure blocks must be a list of [n, r] pairs"),
+    (["--structure", "8x4,3"], "structure blocks must be a list of [n, r] pairs"),
+    (["--config", "CFG"], "structure has no 'blocks' key"),
+])
+def test_cli_names_a_malformed_structure(tmp_path, capsys, argv, match):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"structure": {"field": "real"}}')
+    assert main(["bilipschitz"] + [str(cfg) if a == "CFG" else a for a in argv]) == 1
+    assert match in capsys.readouterr().err
+
+
+def test_cli_names_a_prior_file_without_variant(tmp_path, capsys):
+    s = RepresentationStructure(((2, 1),))
+    x = random_signal(s, np.random.default_rng(0))
+    ser.save_json(tmp_path / "g.json", ser.gram_to_dict(gram_tuple(x)))
+    ser.save_json(tmp_path / "p.json", {"basis": [[1.0], [0.0]]})
+    code = main(["solve", "--gram", str(tmp_path / "g.json"), "--prior", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "prior has no 'variant' key" in capsys.readouterr().err
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,26 @@ class TestRho:
             assert abs(rho(x, y) - rho(y, x)) < 1e-12
             assert rho(x, z) <= rho(x, y) + rho(y, z) + 1e-12
 
+    @pytest.mark.parametrize("spec", [
+        (((8, 4),), "real"),
+        (((8, 4), (3, 2), (1, 1)), "real"),
+        (((8, 4), (3, 2)), "complex"),
+    ])
+    def test_solver_oracle_error_is_rho_over_the_truth_norm(self, spec):
+        # one distance: the oracle error a solve reports is bitwise rho of
+        # its estimate and the truth, over the truth's norm
+        blocks, field = spec
+        s = RepresentationStructure(blocks, field)
+        config = SolverConfig(max_iters=60)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            prior = random_subspace_prior(s, 3, rng)
+            truth = decompose(prior.basis @ rng.standard_normal(3), s)
+            report = solve(gram_tuple(truth), prior, config,
+                           init=random_signal(s, rng), truth=truth)
+            scale = frobenius_norms([reconstruct(truth)[None]])[0]
+            assert report.oracle_error == rho(report.estimate, truth) / scale
+
 
 class TestSolve:
     def test_unconstrained_prior_fixed_point(self):
@@ -512,6 +534,7 @@ class TestBatchedSolve:
 class TestScaleRobustness:
     def test_norms_match_the_plain_formula_in_range_and_scale_outside(self):
         rng = np.random.default_rng(9)
+        eps = np.finfo(float).eps
         for _ in range(2000):
             mats = [
                 rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-8, 8),
@@ -520,25 +543,40 @@ class TestScaleRobustness:
             if rng.random() < 0.5:
                 mats = [m + 1j * rng.standard_normal(m.shape) for m in mats]
             plain = np.sqrt(sum(np.linalg.norm(m) ** 2 for m in mats))
-            assert frobenius_norms([m[None] for m in mats])[0] == plain
+            entries = np.concatenate([m.ravel() for m in mats])
+            exact = math.sqrt(math.fsum((np.abs(entries) ** 2).tolist()))
+            norm = frobenius_norms([m[None] for m in mats])[0]
+            assert abs(norm / exact - 1.0) <= entries.size * eps
             assert frobenius_norms([mats[0][None]])[0] == np.linalg.norm(mats[0])
             for c in (1e-200, 1e200):
                 scaled = frobenius_norms([c * m[None] for m in mats])[0]
                 assert abs(scaled / (c * plain) - 1.0) < 1e-14
 
-    def test_grouped_norms_equal_the_block_by_block_sum(self):
-        # the solver's residual norms, taken over shape groups, add the
-        # blocks in block order, bitwise as the per-block form does
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_each_row_norm_is_independent_of_its_stack(self, field):
+        # the solver stacks rows of different instances, and a row's
+        # residual and oracle error must not depend on its neighbours
         rng = np.random.default_rng(13)
         s = RepresentationStructure(((2, 1), (1, 1), (3, 2), (2, 1), (3, 2), (1, 1), (2, 1)))
+
+        def draw(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if field == "complex" else a
+
         for rows in (1, 5, 60):
             for c in (1.0, 1e-170, 1e170):
-                mats = [c * rng.standard_normal((rows, r, r)) * 10.0 ** rng.uniform(-3, 3)
-                        for _, r in s.blocks]
-                groups = [np.stack([mats[l] for l in idx], axis=1) for _, idx in s.shape_groups]
-                np.testing.assert_array_equal(
-                    frobenius_norms(groups, s.group_order), frobenius_norms(mats)
-                )
+                # rows at 1, c and 1 / c in turn: rows that need the
+                # power-of-two rescue sit among rows that do not, and
+                # among rows rescued with a far other scale
+                size = np.array([1.0, c, 1.0 / c])[np.arange(rows) % 3]
+                size = size * 10.0 ** rng.uniform(-3, 3, rows)
+                groups = [(rows, len(idx), n, r) for (n, r), idx in s.shape_groups]
+                for shapes in ([(rows, s.ambient_dim)], groups):
+                    stacks = [size.reshape(-1, *[1] * (len(sh) - 1)) * draw(*sh)
+                              for sh in shapes]
+                    stacked = frobenius_norms(stacks)
+                    for t in range(rows):
+                        assert stacked[t] == frobenius_norms([a[t : t + 1] for a in stacks])[0]
 
     @pytest.mark.parametrize("c", [1e-150, 1e-75, 1e75, 1e150])
     def test_scaled_instances_converge_like_unscaled(self, c):
