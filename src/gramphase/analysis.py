@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    CHUNK_ENTRIES,
     BlockSignal,
     GroupElement,
     RepresentationStructure,
@@ -514,18 +515,23 @@ def distortion_ratios(
     that product is 0), which minimizes it over unit ``u``.  For real
     data ``u`` is a sign.  Returns ``(ratios, used)`` where ``used`` flags
     pairs whose distance exceeds 1e-12 (the rest are sign or phase copies
-    of each other, where both distances vanish)."""
+    of each other, where both distances vanish).
+
+    Memory is the inputs plus one row chunk of ``max(1, CHUNK_ENTRIES //
+    d)`` pairs; each row is computed on its own, whatever the chunking."""
     x_amb = np.atleast_2d(x_amb)
     y_amb = np.atleast_2d(y_amb)
-    sx = _batched_sqrt_grams(x_amb, structure)
-    sy = _batched_sqrt_grams(y_amb, structure)
     num_sq = np.zeros(x_amb.shape[0])
-    for a, b in zip(sx, sy):
-        num_sq += np.linalg.norm((a - b).reshape(a.shape[0], -1), axis=1) ** 2
-    inner = np.vecdot(y_amb, x_amb)
-    size = np.abs(inner)
-    phase = np.where(size > 0, inner / np.where(size > 0, size, 1.0), 1.0)
-    denom = np.linalg.norm(x_amb - phase[:, None] * y_amb, axis=1)
+    denom = np.empty(x_amb.shape[0])
+    step = max(1, CHUNK_ENTRIES // x_amb.shape[1])
+    for i in range(0, len(x_amb), step):
+        x, y = x_amb[i : i + step], y_amb[i : i + step]
+        for a, b in zip(_batched_sqrt_grams(x, structure), _batched_sqrt_grams(y, structure)):
+            num_sq[i : i + step] += np.linalg.norm((a - b).reshape(len(a), -1), axis=1) ** 2
+        inner = np.vecdot(y, x)
+        size = np.abs(inner)
+        phase = np.where(size > 0, inner / np.where(size > 0, size, 1.0), 1.0)
+        denom[i : i + step] = np.linalg.norm(x - phase[:, None] * y, axis=1)
     used = denom >= 1e-12
     ratios = np.sqrt(num_sq[used]) / denom[used]
     return ratios, used

@@ -16,8 +16,9 @@ between ambient vectors and block matrices go through ``block_stacks``
 ``(T, G, n, r)`` array), and through their one-row forms ``decompose`` /
 ``reconstruct`` on signals, so the bijection lives in one place.  Group
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
-``haar_chunks`` draws Haar matrices at most HAAR_CHUNK at a time
-(``haar_stack`` joins its chunks) and ``cyclic_shift_stack`` builds shift
+``haar_chunks`` draws Haar matrices in chunks of at most CHUNK_ENTRIES
+entries, or one matrix where that is larger (``haar_stack`` joins its
+chunks), and ``cyclic_shift_stack`` builds shift
 elements, and the validated
 single elements of ``haar_sample`` / ``cyclic_shift_element`` are their
 one-row cases.  A real Haar draw holds one chunk of Gaussians at a time;
@@ -70,8 +71,9 @@ __all__ = [
 
 # Max-entry tolerance for D* D == I on group elements.
 UNITARY_TOL = 1e-10
-# Matrices per np.linalg.qr call in haar_chunks.
-HAAR_CHUNK = 4096
+# Entries per chunk of every chunked stack: Haar draws, noise blocks,
+# cyclic shift slices and distortion pairs.
+CHUNK_ENTRIES = 1 << 15
 
 
 def _square_sums(flat: list[np.ndarray]) -> np.ndarray:
@@ -110,6 +112,15 @@ def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return norms
 
 
+def _block_size(v) -> int | None:
+    """``v`` as an int if it is whole (or, from ``8x4``, its digits), else None."""
+    try:
+        size = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return size if isinstance(v, str) or size == v else None
+
+
 class DimensionMismatch(ValueError):
     """Ambient vector length does not match the structure."""
 
@@ -132,10 +143,14 @@ class RepresentationStructure:
 
     def __post_init__(self):
         try:
-            blocks = tuple((int(n), int(r)) for n, r in self.blocks)
+            pairs = tuple((n, r) for n, r in self.blocks)
         except (TypeError, ValueError):
             raise ValueError(f"structure blocks must be a list of [n, r] pairs, such as "
                              f"[[8, 4], [3, 2]], got {self.blocks!r}") from None
+        blocks = tuple((_block_size(n), _block_size(r)) for n, r in pairs)
+        for (n, r), sizes in zip(pairs, blocks):
+            if None in sizes:
+                raise ValueError(f"block sizes must be whole numbers, got [{n}, {r}]")
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("structure needs at least one block")
@@ -470,7 +485,7 @@ def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     """``count`` independent Haar-distributed ``n x n`` orthogonal (real
     field) or unitary (complex field) matrices, yielded as ``(start,
     stop, q)`` with ``q`` the ``(stop - start, n, n)`` stack of draws
-    ``start`` to ``stop``, at most HAAR_CHUNK matrices at a time.
+    ``start`` to ``stop``, ``max(1, CHUNK_ENTRIES // n**2)`` at a time.
 
     The Gaussians come from the stream of one whole ``(count, n, n)``
     draw, and LAPACK factors every matrix on its own, so the draws do not
@@ -483,8 +498,9 @@ def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     from ``rng``.
     """
     re = rng.standard_normal((count, n, n)) if field == "complex" else None
-    for i in range(0, count, HAAR_CHUNK):
-        j = min(i + HAAR_CHUNK, count)
+    step = max(1, CHUNK_ENTRIES // n**2)
+    for i in range(0, count, step):
+        j = min(i + step, count)
         a = rng.standard_normal((j - i, n, n))
         if re is not None:
             a = (re[i:j] + 1j * a) / np.sqrt(2.0)

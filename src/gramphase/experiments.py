@@ -41,7 +41,7 @@ from .moments import (
     gram_tuple,
     sample_observations,
 )
-from .priors import PriorSpec, random_subspace_prior
+from .priors import random_subspace_prior
 from .solvers import SolveReport, SolverConfig, solve, solve_batch
 from .analysis import distortion_estimate, transversality_check
 from . import serialize

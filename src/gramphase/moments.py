@@ -12,12 +12,15 @@ Sampling works on stacks and builds no validated group elements.  A
 cyclic action draws all shifts in one call, shifts the signal once per
 distinct shift with the stacked elements of
 :func:`~gramphase.blocks.cyclic_shift_stack`, built over slices of at
-most ``NOISE_CHUNK // d`` shifts, and gathers the rows into observation
+most ``CHUNK_ENTRIES // d`` shifts, and gathers the rows into observation
 order; a full-ambiguity action rotates each block of every
 observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
 draw, written straight into the observation array.  The noise is then
-added in place, NOISE_CHUNK entries at a time.  So the sampler holds the
-``(n, d)`` output plus one chunk (and, for a cyclic action, one row per
+added in place in row blocks.  Each chunk (a QR call's Haar matrices, a
+noise block, a slice of shifts) is sized by the one entry budget
+:data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or the
+number of observations, so the sampler holds the ``(n, d)`` output plus
+one chunk (and, for a cyclic action, one row per
 distinct shift and the elements of one slice of shifts); a complex
 full-ambiguity draw also holds the float64 real parts of one block's
 whole Haar stack.  The chunking changes no bit: every observation is
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    CHUNK_ENTRIES,
     BlockSignal,
     DimensionMismatch,
     GroupAction,
@@ -64,9 +68,6 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 # Eigenvalues above -PSD_TOL * trace count as nonnegative.
 PSD_TOL = 1e-10
-# Noise entries drawn per block, and shifts times ambient dimension per
-# slice of cyclic shift elements, in sample_observations.
-NOISE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +162,8 @@ def _add_noise(obs: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
     """Add i.i.d. ``N(0, sigma^2)`` noise to every real coordinate of
     ``obs`` in place, from the stream of one whole-array draw (all real
     parts, then all imaginary parts on the complex field), in row blocks
-    of at most NOISE_CHUNK entries."""
-    rows = max(1, NOISE_CHUNK // obs.shape[1])
+    of at most CHUNK_ENTRIES entries (one row where that is larger)."""
+    rows = max(1, CHUNK_ENTRIES // obs.shape[1])
     for part in (obs.real, obs.imag) if np.iscomplexobj(obs) else (obs,):
         for i in range(0, len(part), rows):
             noise = rng.standard_normal(part[i : i + rows].shape)
@@ -200,7 +201,7 @@ def sample_observations(
         # shifts and gathered into observation order
         shifts, inverse = np.unique(rng.integers(action.cyclic_n, size=n), return_inverse=True)
         rows = np.empty((len(shifts), s.ambient_dim), dtype=s.dtype)
-        step = max(1, NOISE_CHUNK // s.ambient_dim)
+        step = max(1, CHUNK_ENTRIES // s.ambient_dim)
         for i in range(0, len(shifts), step):
             for d, y, m in zip(
                 cyclic_shift_stack(action, shifts[i : i + step]),

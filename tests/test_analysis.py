@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -24,6 +26,7 @@ from gramphase import (
     transversality_check,
 )
 from gramphase.analysis import _brute_grid_max, _build_menus, _hull_grid_max, _rebased_subspace
+from gramphase.blocks import CHUNK_ENTRIES
 from tests._oracles import brute_transversality_margin, fd_orbit_dimension
 
 
@@ -384,6 +387,41 @@ class TestDistortion:
         moved, _ = distortion_ratios(gx[None], gy[None], s)
         assert abs(base[0] - flip[0]) < 1e-10
         assert abs(base[0] - moved[0]) < 1e-10
+
+    @pytest.mark.parametrize("blocks, field", [
+        (((8, 4),), "real"), (((8, 4), (3, 2), (1, 1)), "real"), (((6, 2), (3, 3)), "complex")])
+    def test_chunked_ratios_equal_one_row_calls(self, blocks, field):
+        s = RepresentationStructure(blocks, field)
+        rng = np.random.default_rng(14)
+        count = 2 * (CHUNK_ENTRIES // s.ambient_dim) + 3
+        x = np.stack([reconstruct(random_signal(s, rng)) for _ in range(count)])
+        y = np.stack([reconstruct(random_signal(s, rng)) for _ in range(count)])
+        y[1::7] = x[1::7] + 1e-6 * y[1::7]  # local pairs
+        y[::5] = -x[::5]  # sign copies, skipped
+        ratios, used = distortion_ratios(x, y, s)
+        rows = [distortion_ratios(a[None], b[None], s) for a, b in zip(x, y)]
+        assert np.array_equal(ratios, np.concatenate([r for r, _ in rows]))
+        assert np.array_equal(used, np.concatenate([u for _, u in rows]))
+        assert not used[::5].any() and used[1::5].all()
+
+    def test_traced_peak_does_not_grow_with_the_pairs(self):
+        # 100k pairs: the per-pair results (a few floats each, about 3 MB)
+        # and one chunk of square roots, not the square roots of every
+        # pair (82 MB before chunking)
+        s = RepresentationStructure(((8, 4),))
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((100_000, s.ambient_dim))
+        y = rng.standard_normal((100_000, s.ambient_dim))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ratios, _ = distortion_ratios(x, y, s)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert ratios.size == 100_000
+        assert peak <= 8e6
 
     def test_positive_bounds_in_injective_regime(self):
         s = RepresentationStructure(((8, 4),))

@@ -70,6 +70,17 @@ class TestLayout:
         with pytest.raises(ValueError):
             RepresentationStructure((), "real")
 
+    @pytest.mark.parametrize("blocks, pair", [
+        (((8.7, 4),), r"\[8.7, 4\]"), (((8, 4), (3, 2.5)), r"\[3, 2.5\]"),
+        (((8, np.float64(4.5)),), r"\[8, 4.5\]"), (((8, float("inf")),), r"\[8, inf\]")])
+    def test_non_integral_sizes_rejected(self, blocks, pair):
+        with pytest.raises(ValueError, match="block sizes must be whole numbers, got " + pair):
+            RepresentationStructure(blocks)
+
+    def test_integral_sizes_of_any_type_accepted(self):
+        for blocks in (((8.0, 4),), ((np.int64(8), np.float64(4.0)),), (("8", "4"),)):
+            assert RepresentationStructure(blocks).blocks == ((8, 4),)
+
     @given(structures, st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_property(self, s, seed):

@@ -23,7 +23,7 @@ from gramphase import (
 )
 from gramphase import blocks
 from gramphase.blocks import cyclic_shift_stack, haar_stack
-from gramphase.moments import NOISE_CHUNK, MraSampleSet, clamp_psd
+from gramphase.moments import MraSampleSet, clamp_psd
 from tests._oracles import cyclic_average_outer
 
 
@@ -215,7 +215,7 @@ class TestSampling:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_haar_stack_slices_equal_one_qr_call(self, field, offset):
-        count = blocks.HAAR_CHUNK + offset
+        count = blocks.CHUNK_ENTRIES // 3**2 + offset
         got = haar_stack(3, count, field, np.random.default_rng(count))
         want = _unsliced_haar_stack(3, count, field, np.random.default_rng(count))
         assert np.array_equal(got, want)
@@ -224,7 +224,8 @@ class TestSampling:
     def test_full_ambiguity_draw_across_slices_equals_one_qr_call(self, field):
         s = RepresentationStructure(((3, 2), (2, 1)), field)
         x = random_signal(s, np.random.default_rng(5))
-        n = 2 * blocks.HAAR_CHUNK + 1
+        # two chunks and one draw of the 2x2 block, the larger count per chunk
+        n = 2 * (blocks.CHUNK_ENTRIES // 2**2) + 1
         got = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=6).observations
         rng = np.random.default_rng(np.random.SeedSequence(6))
         rows = np.empty_like(got)
@@ -241,7 +242,7 @@ class TestSampling:
         else:
             action = cyclic_action(16 if field == "real" else 7, field)
         s = action.structure
-        n = 2 * (NOISE_CHUNK // s.ambient_dim) + offset
+        n = 2 * (blocks.CHUNK_ENTRIES // s.ambient_dim) + offset
         x = random_signal(s, np.random.default_rng(n))
         got = sample_observations(x, action, 0.3, n, seed=n).observations
         # the rotations drawn unchunked, then all the noise in one draw
@@ -257,13 +258,21 @@ class TestSampling:
             rows = np.stack([shifted[k] for k in shifts])
         assert np.array_equal(got, _noisy(rows, 0.3, rng))
 
-    @pytest.mark.parametrize("field, bound", [("real", 1.5), ("complex", 2.5)])
-    def test_traced_peak_is_about_the_output(self, field, bound):
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_traced_peak_is_about_the_output(self, field):
         # the output plus one chunk; a complex draw also holds the real
         # parts of one block's Haar stack
         action = full_ambiguity_action(RepresentationStructure(((8, 4), (3, 2)), field))
         peak, obs = _traced_sampling_peak(action, 100_000)
-        assert peak <= bound * obs.nbytes
+        assert peak <= {"real": 1.1, "complex": 2.0}[field] * obs.nbytes
+
+    def test_traced_peak_does_not_grow_with_the_block_size(self):
+        # 200 draws of 64x64 matrices would be 6.5 MB in one QR call;
+        # a chunk and the QR's working copies stay within 8 chunks of
+        # float64 entries (2 MB) whatever the block size
+        action = full_ambiguity_action(RepresentationStructure(((64, 1),)))
+        peak, obs = _traced_sampling_peak(action, 200)
+        assert peak <= obs.nbytes + 8 * 8 * blocks.CHUNK_ENTRIES
 
     def test_cyclic_traced_peak_is_about_the_output(self):
         # the output, one row per distinct shift and one slice of shift

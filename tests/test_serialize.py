@@ -76,6 +76,8 @@ def test_prior_roundtrip():
      r"linear_subspace prior has no 'basis' key"),
     (ser.prior_from_dict, {"variant": "sparsity"}, r"sparsity prior has no 'k' key"),
     (ser.prior_from_dict, {"variant": "support"}, r"support prior has no 'mask' key"),
+    (ser.structure_from_dict, {"blocks": [[8, 4.5]]},
+     r"block sizes must be whole numbers, got \[8, 4.5\]"),
 ])
 def test_malformed_dicts_name_the_key_and_its_form(load, d, match):
     with pytest.raises(ValueError, match=match):
@@ -87,6 +89,10 @@ def test_malformed_dicts_name_the_key_and_its_form(load, d, match):
     (["--structure", "[[8]]"], "structure blocks must be a list of [n, r] pairs"),
     (["--structure", "8x4,3"], "structure blocks must be a list of [n, r] pairs"),
     (["--config", "CFG"], "structure has no 'blocks' key"),
+    (["--structure", '{"blocks": [[8, 4.5]]}'], "block sizes must be whole numbers, got [8, 4.5]"),
+    (["--structure", "[[8, 4.5]]"], "block sizes must be whole numbers, got [8, 4.5]"),
+    (["--structure", "8x4.5"], "block sizes must be whole numbers, got [8, 4.5]"),
+    (["--structure", "8.7x4:complex"], "block sizes must be whole numbers, got [8.7, 4]"),
 ])
 def test_cli_names_a_malformed_structure(tmp_path, capsys, argv, match):
     cfg = tmp_path / "c.json"
