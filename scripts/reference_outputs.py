@@ -70,7 +70,7 @@ def _observation_digest(action, n, seed=2026):
 
 
 # subcommand runs: a converged and a capped (exit 2) solve, a solve from
-# files, and a bare transversality, which cannot grid 8x4 (exit 1)
+# files, and a bare transversality, which grids its fallback structure cyclic:8
 CLI_RUNS = (
     "simulate --structure cyclic:8 --action cyclic --n 50 --sigma 0.2 --seed 2 --out {d}/sim",
     "solve --K 4 --seed 7 --out {d}/solve",

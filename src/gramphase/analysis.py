@@ -15,13 +15,18 @@ The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
 distance from a rotated copy to the subspace depends only on the sums
 of per-block coordinate pairs, and the exclusion of near-sign-flips
-becomes a slab constraint on the first coordinate.  One large partial
-product is binned by that coordinate and the other grid assignments
-(the queries) are grouped the same way.  Rounding is monotone, so the
-value at the largest corner of the box of sums a (group, bin) or
-(query, bin) pair spans bounds every value computed inside it; pairs
-are evaluated exactly in order of descending bound until the next bound
-falls below the best value, which is then the exact maximum of the same
+becomes a slab constraint on the first coordinate.  The product of the
+two largest menus (the base) is binned by that coordinate and the other
+grid assignments (the queries) are grouped the same way.  Per point the
+engine holds one int16 bin key per base entry while the bins are built,
+then one int32 index per entry in the bins' order, and each bin's box of
+sums.  The base sums are built one coordinate at a time, only to key and
+box them, and dropped; every entry the search evaluates is rebuilt from
+the two base menus, bit for bit.  Rounding is monotone, so the value at
+the largest corner of the box of sums a (group, bin) or (query, bin)
+pair spans bounds every value computed inside it; pairs are evaluated
+exactly in order of descending bound until the next bound falls below
+the best value, which is then the exact maximum of the same
 floating-point sums.  Ties go to the lowest row-major index into the
 query menus, then into the base menus, whatever the evaluation order.
 """
@@ -192,6 +197,16 @@ def _product_sums(menus):
     return a, b
 
 
+def _pair_terms(menus):
+    """Row and column terms of the product of one or two menus: its entry
+    ``i * len(cols) + j`` is ``rows[i] + cols[j]``, bit for bit as
+    ``_product_sums`` sums it, for ``a`` and for the first coordinate of
+    ``b``; one menu gets a single zero column."""
+    rows, *cols = menus
+    a_cols, b_cols = (cols[0].a, cols[0].b[:, 0]) if cols else (np.zeros(1), np.zeros(1))
+    return (0.0 + rows.a, a_cols), (0.0 + rows.b[:, 0], b_cols)
+
+
 def _brute_grid_max(menus, tau):
     """Exact max of the squared subspace alignment over the feasible grid,
     by materializing the whole product (small grids only)."""
@@ -206,23 +221,37 @@ def _brute_grid_max(menus, tau):
     return float(f[best]), {i: int(j) for i, j in enumerate(combo)}
 
 
-def _binned(u, w, count):
-    """Entries ``(u, w)`` sorted stably into ``count`` equal-width bins of
-    ``u``: the order, the nonempty bins' starts and sizes, the sorted ``u``
-    and ``w``, and each bin's stacked (min, max) of ``u`` and of ``w``."""
-    key = u - u.min()
-    span = key.max()
-    if span > 0:
-        key /= span
-        key *= count
-    key = np.minimum(key.astype(np.int16), max(count, 1) - 1)
-    order = np.argsort(key, kind="stable")  # a radix sort on int16 keys
-    sizes = np.bincount(key)
-    sizes = sizes[sizes > 0]
-    starts = np.cumsum(sizes) - sizes
-    u, w = u[order], w[order]
-    boxes = [np.stack([f.reduceat(v, starts) for f in (np.minimum, np.maximum)]) for v in (u, w)]
-    return order, starts, sizes, u, w, boxes
+def _binned(u, count):
+    """Entries of ``u`` in ``count`` equal-width bins of ``u`` (one bin
+    for ``count`` below 1), without a copy of ``u``: the int16 bin key of
+    each entry, computed CHUNK_ENTRIES entries at a time, then the keys of
+    the nonempty bins and their starts and sizes in the stable order of
+    the keys (``np.argsort(key, kind="stable")``, which the caller takes
+    when it needs it)."""
+    lo = u.min()
+    span = u.max() - lo  # the largest u - lo, since rounding is monotone
+    key = np.empty(u.shape, np.int16)
+    sizes = np.zeros(max(count, 1), np.int64)
+    for s in range(0, u.shape[0], CHUNK_ENTRIES):
+        k = u[s : s + CHUNK_ENTRIES] - lo
+        if span > 0:
+            k /= span
+            k *= count
+        k = np.minimum(k.astype(np.int16), sizes.shape[0] - 1, out=key[s : s + CHUNK_ENTRIES])
+        sizes += np.bincount(k, minlength=sizes.shape[0])
+    bins = np.flatnonzero(sizes)
+    sizes = sizes[bins]
+    return key, bins, np.cumsum(sizes) - sizes, sizes
+
+
+def _bin_box(key, bins, v):
+    """The (min, max) of ``v`` over the entries keyed to each of ``bins``,
+    stacked on the first axis."""
+    box = np.full((2, bins[-1] + 1), np.inf)
+    box[1] = -np.inf
+    np.minimum.at(box[0], key, v)
+    np.maximum.at(box[1], key, v)
+    return box[:, bins]
 
 
 def _corner_bound(x, y):
@@ -251,6 +280,13 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
     QUERY_GROUPS groups (fewer for small products); (group, bin) and then
     (query, bin) pairs are evaluated in order of descending corner bound,
     EVAL_CHUNK entries at a time.
+
+    The base keeps its int16 bin keys until its int32 order (the stable
+    sort of the keys) is taken, and its per-bin boxes; the ``a`` sums are
+    dropped before the ``b`` sums are built, and ``b`` before the sort.
+    Evaluated entries are rebuilt from the two base menus (``_pair_terms``)
+    at the positions the order gives, so the traced peak per point is at
+    most about 2.6 float64 words per base entry (15-22 MB at 1,048,576).
     """
     by_size = sorted(range(len(menus)), key=lambda i: menus[i].size, reverse=True)
     base_ids, rest_ids = by_size[:2], by_size[2:]
@@ -263,30 +299,45 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
             f"{n_rest} (caps {max_base_combos}, {max_iter_combos}); "
             "lower the resolution or the block count"
         )
-    a, b = _product_sums([menus[i] for i in base_ids])
-    a_order, bin_start, bin_size, a, b, (a_box, b_box) = _binned(
-        a, b[:, 0], min(BASE_BINS, n_base // 256))
+    # the base sums, built one coordinate at a time and then dropped
+    (a_rows, a_cols), (b_rows, b_cols) = _pair_terms([menus[i] for i in base_ids])
+    n2 = a_cols.shape[0]
+    a = (a_rows[:, None] + a_cols).ravel()
+    key, bins, bin_start, bin_size = _binned(a, min(BASE_BINS, n_base // 256))
+    a_box = _bin_box(key, bins, a)
+    del a
+    b_box = _bin_box(key, bins, (b_rows[:, None] + b_cols).ravel())
+    a_order = np.argsort(key, kind="stable").astype(np.int32)  # a radix sort on int16 keys
+    del key
     c, d = _product_sums([menus[i] for i in rest_ids])
     d = d[:, 0]
     # queries with equal sums tie everywhere: keep the lowest index of each
     order = np.lexsort((d, c))  # stable, so each run of equals starts lowest
     cs, ds = c[order], d[order]
     first = np.sort(order[np.r_[True, (cs[1:] != cs[:-1]) | (ds[1:] != ds[:-1])]])
-    c_order, group_start, group_size, c, d, (c_box, d_box) = _binned(
-        c[first], d[first], min(QUERY_GROUPS, len(first) // 64))
-    c_order = first[c_order]
+    c, d = c[first], d[first]
+    key, groups, group_start, group_size = _binned(c, min(QUERY_GROUPS, len(first) // 64))
+    c_box, d_box = _bin_box(key, groups, c), _bin_box(key, groups, d)
+    by_key = np.argsort(key, kind="stable")
+    c_order, c, d = first[by_key], c[by_key], d[by_key]
     lo, hi = -tau - c, tau - c
 
     # (group, bin) pairs whose boxes meet the slab, by descending bound
-    bound = _corner_bound(a_box[:, None] + c_box[..., None], b_box[:, None] + d_box[..., None])
     meets = (a_box[1] > -tau - c_box[1][:, None]) & (a_box[0] < tau - c_box[0][:, None])
-    walk = np.flatnonzero(meets)
-    walk = walk[np.argsort(-bound.ravel()[walk])]
-    groups, bins = np.divmod(walk, bin_start.shape[0])
-    walked = np.concatenate([[0], np.cumsum(group_size[groups])])
+    bound = np.empty(meets.shape)
+    for g in range(meets.shape[0]):
+        bound[g] = _corner_bound(a_box + c_box[:, g, None], b_box + d_box[:, g, None])
+    bound = bound[meets]
+    by_bound = np.argsort(-bound)
+    bound = bound[by_bound]
+    walk = np.flatnonzero(meets).astype(np.int32)[by_bound]
+    groups, bins = np.divmod(walk, np.int32(meets.shape[1]))
+    del by_bound, walk
+    walked = np.zeros(bound.shape[0] + 1, np.int64)
+    np.cumsum(group_size[groups], out=walked[1:])
     best, best_key = -np.inf, -1
     s = 0
-    while s < walk.shape[0] and bound.flat[walk[s]] >= best:
+    while s < bound.shape[0] and bound[s] >= best:
         # (query, bin) pairs of the next (group, bin) pairs, EVAL_CHUNK at most
         e = max(s + 1, int(np.searchsorted(walked, walked[s] + EVAL_CHUNK, "right")) - 1)
         g, bn = groups[s:e], bins[s:e]
@@ -297,7 +348,7 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
         keep = np.flatnonzero((qb >= best) & (qa[1] > lo[q]) & (qa[0] < hi[q]))
         keep = keep[np.argsort(-qb[keep])]
         q, bn, qb = q[keep], bn[keep], qb[keep]
-        # their entries as one stream, EVAL_CHUNK at a time
+        # their entries as one stream, EVAL_CHUNK at a time, rebuilt from the menus
         ends = np.cumsum(bin_size[bn])
         starts = ends - bin_size[bn]
         for e0 in range(0, int(ends[-1]) if keep.size else 0, EVAL_CHUNK):
@@ -307,17 +358,18 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
             ks = slice(k0, int(np.searchsorted(starts, e0 + EVAL_CHUNK)))
             first = np.maximum(starts[ks], e0)
             take = np.minimum(ends[ks], e0 + EVAL_CHUNK) - first
-            pos = _ranges(bin_start[bn[ks]] + first - starts[ks], take)
+            entry = a_order[_ranges(bin_start[bn[ks]] + first - starts[ks], take)]
+            i, j = np.divmod(entry, n2)
             qi = np.repeat(q[ks], take)
-            ap = a[pos]
-            f = (ap + c[qi]) ** 2 + (b[pos] + d[qi]) ** 2
+            ap = a_rows[i] + a_cols[j]
+            f = (ap + c[qi]) ** 2 + (b_rows[i] + b_cols[j] + d[qi]) ** 2
             f[(ap <= lo[qi]) | (ap >= hi[qi])] = -np.inf
             top = f.max()
             if top > -np.inf and top >= best:
                 hit = np.flatnonzero(f == top)
-                key = int((c_order[qi[hit]] * n_base + a_order[pos[hit]]).min())
-                if top > best or key < best_key:
-                    best, best_key = top, key
+                index = int((c_order[qi[hit]] * n_base + entry[hit]).min())
+                if top > best or index < best_key:
+                    best, best_key = top, index
     if best_key < 0:
         return None
     combo = np.unravel_index(best_key, rest_shape + base_shape)

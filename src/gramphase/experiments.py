@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -64,14 +64,15 @@ def _default_structure() -> RepresentationStructure:
     return RepresentationStructure(((8, 4),), "real")
 
 
-# per runner, the subspace dimension and the trial count it uses when the
-# config leaves them unset; transversality counts sampled points and
-# bilipschitz signal pairs
+# per runner, the subspace dimension, the trial count and the structure it
+# uses when the config leaves them unset; transversality counts sampled
+# points and grids cyclic:8, whose blocks have dimension 1 or 2, and
+# bilipschitz counts signal pairs
 _FALLBACKS = {
-    "exp-noise": (10, DESK_TRIALS),
-    "solve": (4, DESK_TRIALS),
-    "transversality": (2, 20),
-    "bilipschitz": (4, 100_000),
+    "exp-noise": (10, DESK_TRIALS, _default_structure()),
+    "solve": (4, DESK_TRIALS, _default_structure()),
+    "transversality": (2, 20, cyclic_structure(8, "real")),
+    "bilipschitz": (4, 100_000, _default_structure()),
 }
 
 # fields that change no result: left out of the config hash
@@ -84,7 +85,7 @@ class ExperimentConfig:
     defaults and checks; the CLI passes only what the user set."""
 
     experiment: str = "iterations_vs_k"
-    structure: RepresentationStructure = field(default_factory=_default_structure)
+    structure: RepresentationStructure | None = None  # None: the runner's fallback
     trials: int | None = None
     k_values: tuple[int, ...] = (2, 4, 6, 8)
     sigma_values: tuple[float, ...] = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -142,6 +143,13 @@ class ExperimentConfig:
         fallback = DESK_TRIALS if runner is None else _FALLBACKS[runner][1]
         return PAPER_TRIALS if self.paper_scale and fallback == DESK_TRIALS else fallback
 
+    def resolved_structure(self, runner: str | None = None) -> RepresentationStructure:
+        """The structure ``runner`` (a ``_FALLBACKS`` key) uses; runners
+        without an entry fall back to 8x4."""
+        if self.structure is not None:
+            return self.structure
+        return _default_structure() if runner is None else _FALLBACKS[runner][2]
+
     def resolved_subspace_dim(self, runner: str) -> int:
         """The subspace dimension ``runner`` (a ``_FALLBACKS`` key) uses."""
         if self.subspace_dim is not None:
@@ -157,11 +165,13 @@ class ExperimentConfig:
             stop_on=stop_on,
         )
 
-    def provenance(self, **extra) -> list[str]:
+    def provenance(self, runner: str | None = None, **extra) -> list[str]:
+        """Provenance lines hashing the config, its structure as ``runner``
+        resolves it, and ``extra``."""
         payload = {
             f.name: getattr(self, f.name) for f in fields(self) if f.name not in _UNHASHED
         }
-        payload["structure"] = serialize.structure_to_dict(self.structure)
+        payload["structure"] = serialize.structure_to_dict(self.resolved_structure(runner))
         payload.update(extra)
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
@@ -252,8 +262,9 @@ def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     dimension; capped trials keep the cap value in the median.  Every
     (dimension, trial) pair is solved in one stack."""
     trials = cfg.resolved_trials()
+    s = cfg.resolved_structure()
     specs = [
-        TrialSpec(cfg.structure, k, slot, t, cfg.master_seed)
+        TrialSpec(s, k, slot, t, cfg.master_seed)
         for slot, k in enumerate(cfg.k_values)
         for t in range(trials)
     ]
@@ -297,8 +308,9 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     """
     trials = cfg.resolved_trials("exp-noise")
     k = cfg.resolved_subspace_dim("exp-noise")
+    s = cfg.resolved_structure("exp-noise")
     specs = [
-        TrialSpec(cfg.structure, k, slot, t, cfg.master_seed, float(sigma))
+        TrialSpec(s, k, slot, t, cfg.master_seed, float(sigma))
         for slot, sigma in enumerate(cfg.sigma_values)
         for t in range(trials)
     ]
@@ -355,7 +367,7 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
         truth = None
     else:
         k, sigma = cfg.resolved_subspace_dim("solve"), cfg.sigma
-        spec = TrialSpec(cfg.structure, k, 0, 0, cfg.master_seed, sigma or None)
+        spec = TrialSpec(cfg.resolved_structure("solve"), k, 0, 0, cfg.master_seed, sigma or None)
         measured, prior, init, truth = _trial_instance(spec)
     report = solve(measured, prior, cfg.solver_config("residual"), init=init, truth=truth)
     out = _outdir(cfg)
@@ -378,8 +390,7 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     return report
 
 
-def _action_for(cfg: ExperimentConfig) -> GroupAction:
-    s = cfg.structure
+def _action_for(cfg: ExperimentConfig, s: RepresentationStructure) -> GroupAction:
     if cfg.action == "full":
         return full_ambiguity_action(s)
     if cyclic_structure(s.ambient_dim, s.field) != s:
@@ -394,8 +405,8 @@ def _action_for(cfg: ExperimentConfig) -> GroupAction:
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Generate observations of a random signal, estimate the second
     moment, extract its Gram tuple, and write everything out."""
-    s = cfg.structure
-    action = _action_for(cfg)
+    s = cfg.resolved_structure()
+    action = _action_for(cfg, s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 1]))
     truth = random_signal(s, rng)
     samples = sample_observations(truth, action, cfg.sigma, cfg.n_samples, cfg.master_seed)
@@ -417,7 +428,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 
 
 def run_transversality(cfg: ExperimentConfig) -> dict:
-    s = cfg.structure
+    s = cfg.resolved_structure("transversality")
     m = cfg.resolved_subspace_dim("transversality")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 2]))
     prior = random_subspace_prior(s, m, rng)
@@ -457,13 +468,13 @@ def run_transversality(cfg: ExperimentConfig) -> dict:
                 {"point_index": i, "margin": m_}
                 for i, m_ in enumerate(report.point_margins)
             ],
-            cfg.provenance(subspace_dim_resolved=m),
+            cfg.provenance("transversality", subspace_dim_resolved=m),
         )
     return payload
 
 
 def run_bilipschitz(cfg: ExperimentConfig) -> dict:
-    s = cfg.structure
+    s = cfg.resolved_structure("bilipschitz")
     m = cfg.resolved_subspace_dim("bilipschitz")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 3]))
     prior = random_subspace_prior(s, m, rng)

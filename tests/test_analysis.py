@@ -25,7 +25,16 @@ from gramphase import (
     sqrt_gram_map,
     transversality_check,
 )
-from gramphase.analysis import _brute_grid_max, _build_menus, _hull_grid_max, _rebased_subspace
+from gramphase.analysis import (
+    _bin_box,
+    _binned,
+    _brute_grid_max,
+    _build_menus,
+    _hull_grid_max,
+    _pair_terms,
+    _product_sums,
+    _rebased_subspace,
+)
 from gramphase.blocks import CHUNK_ENTRIES
 from tests._oracles import brute_transversality_margin, fd_orbit_dimension
 
@@ -240,6 +249,69 @@ class TestGridEngines:
             assert abs(margin - oracle) < 1e-10
 
 
+def _tied_values(rng, n):
+    """Coarsely rounded normals, so that values repeat, with signed zeros."""
+    v = np.round(rng.standard_normal(n), 1)
+    v[::7], v[3::7] = -0.0, 0.0
+    return v
+
+
+class TestBinning:
+    @pytest.mark.parametrize("n, count", [
+        (1, 4), (50, 0), (1000, 16), (2 * CHUNK_ENTRIES + 5, 4096)])
+    def test_binned_against_a_plain_loop(self, n, count):
+        rng = np.random.default_rng(n)
+        u, w = _tied_values(rng, n), _tied_values(rng, n)
+        key, bins, starts, sizes = _binned(u, count)
+        lo = min(u.tolist())
+        span = max(u.tolist()) - lo
+        top = max(count, 1) - 1
+        members = {}
+        for i, x in enumerate(u.tolist()):
+            k = min(int((x - lo) / span * count), top) if span > 0 else 0
+            assert key[i] == k
+            members.setdefault(k, []).append(i)
+        order = np.argsort(key, kind="stable")
+        assert np.all(np.diff(key[order]) >= 0)
+        counts = np.bincount(key, minlength=top + 1)
+        assert np.array_equal(bins, np.flatnonzero(counts))
+        assert np.array_equal(sizes, counts[bins])
+        for b, start, size in zip(bins, starts, sizes):
+            assert order[start : start + size].tolist() == members[b]
+        for v in (u, w):
+            box = _bin_box(key, bins, v)
+            for b, lo_hi in zip(bins, box.T):
+                vals = v[members[b]].tolist()
+                assert lo_hi.tolist() == [min(vals), max(vals)]
+
+    def test_constant_values_fill_one_bin(self):
+        key, bins, starts, sizes = _binned(np.full(300, 0.7), 64)
+        assert not key.any()
+        assert (bins.tolist(), starts.tolist(), sizes.tolist()) == ([0], [0], [300])
+
+    @pytest.mark.parametrize("res", [16, 64])
+    def test_pair_terms_rebuild_the_product_sums(self, res):
+        # a prior vanishing on block 1 gives that menu zero sums; some are
+        # set to -0.0, as the leading 0.0 + of both sums must normalize
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(res)
+        basis = rng.standard_normal((8, 2))
+        basis[s.block_slices[1]] = 0.0
+        basis = np.linalg.qr(basis)[0]
+        x_amb = _unit_point(basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(basis, x_amb), res)
+        menus[1].a[::3], menus[1].b[::5] = -0.0, -0.0
+        pairs = [menus[1], menus[2]], [menus[1], menus[1]], [menus[3], menus[0]]
+        for base in pairs + ([menus[1]], [menus[4]]):
+            (a_rows, a_cols), (b_rows, b_cols) = _pair_terms(base)
+            a, b = _product_sums(base)
+            pos = rng.integers(0, a.shape[0], 200)
+            i, j = np.divmod(pos, a_cols.shape[0])
+            assert np.array_equal((a_rows[i] + a_cols[j]).view(np.int64), a[pos].view(np.int64))
+            assert np.array_equal(
+                (b_rows[i] + b_cols[j]).view(np.int64), b[pos, 0].view(np.int64))
+
+
 class TestTransversalityCheck:
     @pytest.mark.parametrize(
         "points,reason",
@@ -291,6 +363,25 @@ class TestTransversalityCheck:
         assert report.worst_margin > report.threshold
         assert report.violations == ()
         assert report.k_effective == effective_dimension(s)[0]
+
+    def test_traced_peak_is_a_few_words_per_base_entry(self):
+        # grid 512 on cyclic:8: two 1024-element O(2) menus make 1,048,576
+        # base entries, held as int16 keys and an int32 order, with one
+        # float64 coordinate at a time while the bins are built (44-47 MB
+        # when the sums and sorted copies of them were kept)
+        s = cyclic_structure(8, "real")
+        prior = random_subspace_prior(s, 2, np.random.default_rng(11))
+        rng = np.random.default_rng(16)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = transversality_check(s, prior, 1, 512, rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.samples_checked == 1
+        assert peak <= 3.5 * 8 * 1024**2
 
     def test_sign_only_structure_margin_is_inf(self):
         s = RepresentationStructure(((1, 1),))

@@ -394,6 +394,19 @@ class TestCli:
         assert payload["samples_checked"] == 2
         assert (tmp_path / "margins.csv").exists()
 
+    def test_bare_transversality_grids_its_cyclic_8_fallback(self, tmp_path):
+        # the other runners' 8x4 fallback has a block of dimension 8, which
+        # no grid covers; the resolved structure is what the hash records
+        bare, given = tmp_path / "bare", tmp_path / "given"
+        assert main(["transversality", "--trials", "2", "--out", str(bare)]) == 0
+        assert main(["transversality", "--structure", "cyclic:8", "--trials", "2",
+                     "--out", str(given)]) == 0
+        payload = json.loads((bare / "transversality.json").read_text())
+        assert (payload["k_effective"], payload["grid_resolution"]) == (5, 512)
+        assert (bare / "margins.csv").read_bytes() == (given / "margins.csv").read_bytes()
+        assert ExperimentConfig().resolved_structure("transversality") == parse_structure("cyclic:8")
+        assert ExperimentConfig().resolved_structure("bilipschitz") == parse_structure("8x4")
+
     def test_bilipschitz_cli(self, tmp_path):
         code = main(
             ["bilipschitz", "--structure", "8x4", "--K", "4", "--trials", "500",
