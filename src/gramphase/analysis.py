@@ -266,7 +266,7 @@ def _ranges(starts, sizes):
     return np.arange(ends[-1]) - np.repeat(ends - sizes - starts, sizes)
 
 
-def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
+def _hull_grid_max(menus, tau):
     """Exact feasible max for two-dimensional subspaces on large grids.
 
     The two largest menus (the lower index first among equal sizes) make
@@ -293,10 +293,10 @@ def _hull_grid_max(menus, tau, max_iter_combos, max_base_combos):
     base_shape = tuple(menus[i].size for i in base_ids)
     rest_shape = tuple(menus[i].size for i in rest_ids)
     n_base, n_rest = math.prod(base_shape), math.prod(rest_shape)
-    if n_base > max_base_combos or n_rest > max_iter_combos:
+    if n_base > MAX_BASE_COMBOS or n_rest > MAX_ITER_COMBOS:
         raise IntractableGridError(
             f"grid too large: base product {n_base}, remaining product "
-            f"{n_rest} (caps {max_base_combos}, {max_iter_combos}); "
+            f"{n_rest} (caps {MAX_BASE_COMBOS}, {MAX_ITER_COMBOS}); "
             "lower the resolution or the block count"
         )
     # the base sums, built one coordinate at a time and then dropped
@@ -481,7 +481,7 @@ def transversality_check(
         if total <= BRUTE_CAP:
             hit = _brute_grid_max(menus, tau)
         elif m <= 2:
-            hit = _hull_grid_max(menus, tau, MAX_ITER_COMBOS, MAX_BASE_COMBOS)
+            hit = _hull_grid_max(menus, tau)
         else:
             raise IntractableGridError(
                 f"product grid of {total:.2e} elements with a {m}-dimensional "

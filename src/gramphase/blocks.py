@@ -282,7 +282,8 @@ class GroupAction:
 
 
 def cyclic_structure(n: int, field: str = "real") -> RepresentationStructure:
-    """Block structure of length-``n`` signals in the DFT domain."""
+    """Block structure of length-``n`` signals in the DFT domain; a field
+    other than ``"real"`` or ``"complex"`` is refused."""
     if n < 1:
         raise ValueError(f"cyclic order must be >= 1, got {n}")
     if field == "complex":
@@ -291,7 +292,7 @@ def cyclic_structure(n: int, field: str = "real") -> RepresentationStructure:
     blocks.extend([(2, 1)] * ((n - 1) // 2))
     if n % 2 == 0 and n >= 2:
         blocks.append((1, 1))
-    return RepresentationStructure(tuple(blocks), "real")
+    return RepresentationStructure(tuple(blocks), field)
 
 
 def cyclic_action(n: int, field: str = "real") -> GroupAction:

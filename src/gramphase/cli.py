@@ -42,6 +42,8 @@ def parse_structure(text: str) -> RepresentationStructure:
         return structure_from_dict(json.loads(text))
     if text.startswith("cyclic:"):
         parts = text.split(":")
+        if len(parts) > 3:
+            raise ValueError(f"cyclic structures are cyclic:N or cyclic:N:FIELD, got {text!r}")
         n = int(parts[1])
         fld = parts[2] if len(parts) > 2 else "real"
         return cyclic_structure(n, fld)
@@ -97,12 +99,13 @@ _FLAGS = {
 }
 
 # per subcommand: its runner, its help, the flags (config-file keys) the
-# runner reads, and the summary line printed per result row
+# runner reads, and the summary line printed per result row; a result that
+# names the directory it wrote (simulate with --out) adds "; wrote DIR"
 _COMMANDS = {
     "simulate": (
         run_simulate, "sample observations and estimate moments",
         "structure sigma seed out n action",
-        "simulated n={n} observations; moment error {moment_error:.3e}; wrote {out}"),
+        "simulated n={n} observations; moment error {moment_error:.3e}"),
     "solve": (
         run_demo_solve, "solve one instance from files, or a random one without them",
         "structure K sigma seed algorithm beta max_iters tol out gram prior",
@@ -231,7 +234,8 @@ def main(argv=None) -> int:
     try:
         result = runner(_config(args))
         for row in result if isinstance(result, list) else [result]:
-            print(summary.format_map(row if isinstance(row, dict) else vars(row)))
+            row = row if isinstance(row, dict) else vars(row)
+            print(summary.format_map(row) + (f"; wrote {row['out']}" if row.get("out") else ""))
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return 1

@@ -2,12 +2,14 @@
 
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
-scheduled: serial and process-pool runs write the same CSV.  All the
-trials of one runner call are solved together as one stack by
-:func:`~gramphase.solvers.solve_batch`, whose rows do not depend on the
-stack they sit in, whatever their subspace dimension.  All output
-files carry ``#`` provenance comments with a hash of the semantic
-config (worker count and output paths excluded) and the master seed.
+scheduled: serial and process-pool runs write the same CSV.  Both sweeps
+solve all their trials as one stack through ``_sweep``; a row of
+:func:`~gramphase.solvers.solve_batch` does not depend on its stack,
+whatever its subspace dimension.  Both analysis runners draw their prior
+through ``_prior_draw``.  Every runner writes through ``_write``, only
+under ``out``: without it nothing is written.  All output files carry
+``#`` provenance comments with a hash of the semantic config (worker
+count and output paths excluded) and the master seed.
 """
 
 from __future__ import annotations
@@ -157,13 +159,8 @@ class ExperimentConfig:
         return _FALLBACKS[runner][0]
 
     def solver_config(self, stop_on: str) -> SolverConfig:
-        return SolverConfig(
-            algorithm=self.algorithm,
-            beta=self.beta,
-            max_iters=self.max_iters,
-            tol=self.tol,
-            stop_on=stop_on,
-        )
+        return SolverConfig(algorithm=self.algorithm, beta=self.beta,
+                            max_iters=self.max_iters, tol=self.tol, stop_on=stop_on)
 
     def provenance(self, runner: str | None = None, **extra) -> list[str]:
         """Provenance lines hashing the config, its structure as ``runner``
@@ -252,8 +249,44 @@ def _run_trials(specs: list[TrialSpec], config: SolverConfig, workers: int) -> l
     return out
 
 
+def _sweep(cfg: ExperimentConfig, runner: str | None, values, spec) -> tuple[int, list]:
+    """The trial count ``runner`` resolves and, per sweep value, the
+    arrays ``(iterations, converged, oracle_error)`` of its trials; the
+    trial ``spec(slot, value, index)`` of every (value, trial) pair is
+    solved in one stack, with oracle stopping."""
+    trials = cfg.resolved_trials(runner)
+    specs = [spec(slot, v, t) for slot, v in enumerate(values) for t in range(trials)]
+    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
+    table = np.array(results, dtype=float).reshape(len(values), trials, 3).transpose(0, 2, 1)
+    return trials, [(iters, conv.astype(bool), errs) for iters, conv, errs in table]
+
+
+def _write(cfg: ExperimentConfig, files: dict) -> None:
+    """The one write path: nothing is written without ``cfg.out``.  The
+    name ``""`` is the file ``cfg.out`` itself (a sweep's CSV); any other
+    name is a file in the directory ``cfg.out``, made if missing.  Each
+    value is a ``serialize`` writer and the arguments it takes after the
+    path."""
+    if not cfg.out:
+        return
+    out = Path(cfg.out)
+    if "" not in files:
+        out.mkdir(parents=True, exist_ok=True)
+    for name, (writer, *args) in files.items():
+        writer(out / name, *args)
+
+
+def _prior_draw(cfg: ExperimentConfig, runner: str, slot: int):
+    """``(structure, subspace_dim, rng, prior)`` of an analysis runner:
+    the prior is the first draw of the stream ``(master_seed, slot)``."""
+    s = cfg.resolved_structure(runner)
+    m = cfg.resolved_subspace_dim(runner)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, slot]))
+    return s, m, rng, random_subspace_prior(s, m, rng)
+
+
 # ---------------------------------------------------------------------------
-# iteration count vs subspace dimension
+# the sweeps: iteration count vs subspace dimension, error vs noise level
 # ---------------------------------------------------------------------------
 
 
@@ -261,39 +294,17 @@ def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     """Median iterations to reach the oracle tolerance, per subspace
     dimension; capped trials keep the cap value in the median.  Every
     (dimension, trial) pair is solved in one stack."""
-    trials = cfg.resolved_trials()
     s = cfg.resolved_structure()
-    specs = [
-        TrialSpec(s, k, slot, t, cfg.master_seed)
-        for slot, k in enumerate(cfg.k_values)
-        for t in range(trials)
+    trials, results = _sweep(cfg, None, cfg.k_values,
+                             lambda slot, k, t: TrialSpec(s, k, slot, t, cfg.master_seed))
+    rows = [
+        {"K": k, "median_iterations": float(np.median(iters)),
+         "convergence_rate": float(conv.mean())}
+        for k, (iters, conv, _) in zip(cfg.k_values, results)
     ]
-    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
-    rows = []
-    for slot, k in enumerate(cfg.k_values):
-        res = results[slot * trials:(slot + 1) * trials]
-        iters = np.array([r[0] for r in res], dtype=float)
-        conv = np.array([r[1] for r in res], dtype=bool)
-        rows.append(
-            {
-                "K": k,
-                "median_iterations": float(np.median(iters)),
-                "convergence_rate": float(conv.mean()),
-            }
-        )
-    if cfg.out:
-        serialize.write_csv(
-            cfg.out,
-            ["K", "median_iterations", "convergence_rate"],
-            rows,
-            cfg.provenance(resolved_trials=trials),
-        )
+    prov = cfg.provenance(resolved_trials=trials)
+    _write(cfg, {"": (serialize.write_csv, list(rows[0]), rows, prov)})
     return rows
-
-
-# ---------------------------------------------------------------------------
-# recovery error vs noise level
-# ---------------------------------------------------------------------------
 
 
 def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
@@ -306,39 +317,19 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     stopping makes the noiseless row equivalent to the iteration
     experiment; above the noise floor neither rule ever fires early.
     """
-    trials = cfg.resolved_trials("exp-noise")
     k = cfg.resolved_subspace_dim("exp-noise")
     s = cfg.resolved_structure("exp-noise")
-    specs = [
-        TrialSpec(s, k, slot, t, cfg.master_seed, float(sigma))
-        for slot, sigma in enumerate(cfg.sigma_values)
-        for t in range(trials)
+    trials, results = _sweep(
+        cfg, "exp-noise", cfg.sigma_values,
+        lambda slot, sigma, t: TrialSpec(s, k, slot, t, cfg.master_seed, float(sigma)))
+    rows = [
+        {"sigma": float(sigma),
+         "median_error": float(np.median(errs[conv] if sigma == 0 and conv.any() else errs)),
+         "trials": trials, "convergence_rate": float(conv.mean())}
+        for sigma, (_, conv, errs) in zip(cfg.sigma_values, results)
     ]
-    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
-    rows = []
-    for slot, sigma in enumerate(cfg.sigma_values):
-        res = results[slot * trials:(slot + 1) * trials]
-        errs = np.array([r[2] for r in res], dtype=float)
-        conv = np.array([r[1] for r in res], dtype=bool)
-        if sigma == 0 and conv.any():
-            median = float(np.median(errs[conv]))
-        else:
-            median = float(np.median(errs))
-        rows.append(
-            {
-                "sigma": float(sigma),
-                "median_error": median,
-                "trials": trials,
-                "convergence_rate": float(conv.mean()),
-            }
-        )
-    if cfg.out:
-        serialize.write_csv(
-            cfg.out,
-            ["sigma", "median_error", "trials", "convergence_rate"],
-            rows,
-            cfg.provenance(resolved_trials=trials, subspace_dim_resolved=k),
-        )
+    prov = cfg.provenance(resolved_trials=trials, subspace_dim_resolved=k)
+    _write(cfg, {"": (serialize.write_csv, list(rows[0]), rows, prov)})
     return rows
 
 
@@ -347,16 +338,11 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out) if cfg.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
-    """Load (or synthesize) a measurement and prior, solve, write report
-    and estimate files into the output directory.  A synthesized instance
-    is trial 0 of slot 0, with its signal perturbed at ``cfg.sigma``."""
+    """Load (or synthesize) a measurement and prior and solve it; with
+    ``cfg.out``, write the report, the estimate and a one-row CSV into
+    that directory.  A synthesized instance is trial 0 of slot 0, with
+    its signal perturbed at ``cfg.sigma``."""
     k = sigma = ""
     if cfg.gram_file or cfg.prior_file:
         if not (cfg.gram_file and cfg.prior_file):
@@ -370,23 +356,16 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
         spec = TrialSpec(cfg.resolved_structure("solve"), k, 0, 0, cfg.master_seed, sigma or None)
         measured, prior, init, truth = _trial_instance(spec)
     report = solve(measured, prior, cfg.solver_config("residual"), init=init, truth=truth)
-    out = _outdir(cfg)
-    serialize.save_json(out / "report.json", serialize.solve_report_to_dict(report))
-    serialize.write_matrix_csv(
-        out / "estimate.csv",
-        reconstruct(report.estimate)[None, :],
-        cfg.provenance(file="estimate"),
-    )
-    row = {
-        "trial_id": 0,
-        "K": k,
-        "sigma": sigma,
-        "iterations": report.iterations_used,
-        "converged": int(report.converged),
-        "residual": report.residual_final,
-        "oracle_error": "" if report.oracle_error is None else report.oracle_error,
-    }
-    serialize.write_csv(out / "solve.csv", list(row), [row], cfg.provenance(file="solve"))
+    oracle_error = "" if report.oracle_error is None else report.oracle_error
+    row = {"trial_id": 0, "K": k, "sigma": sigma, "iterations": report.iterations_used,
+           "converged": int(report.converged), "residual": report.residual_final,
+           "oracle_error": oracle_error}
+    _write(cfg, {
+        "report.json": (serialize.save_json, serialize.solve_report_to_dict(report)),
+        "estimate.csv": (serialize.write_matrix_csv, reconstruct(report.estimate)[None, :],
+                         cfg.provenance(file="estimate")),
+        "solve.csv": (serialize.write_csv, list(row), [row], cfg.provenance(file="solve")),
+    })
     return report
 
 
@@ -404,7 +383,9 @@ def _action_for(cfg: ExperimentConfig, s: RepresentationStructure) -> GroupActio
 
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Generate observations of a random signal, estimate the second
-    moment, extract its Gram tuple, and write everything out."""
+    moment and extract its Gram tuple; with ``cfg.out``, write the truth,
+    the samples, both moments and both Gram tuples into that directory.
+    Returns the moment error, the observation count and ``cfg.out``."""
     s = cfg.resolved_structure()
     action = _action_for(cfg, s)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 1]))
@@ -413,93 +394,54 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     moment = empirical_second_moment(samples)
     analytic = analytic_second_moment(truth)
     est = extract_gram(moment, s)
-    out = _outdir(cfg)
     prov = cfg.provenance(file="simulate")
-    serialize.save_json(out / "truth.json", serialize.signal_to_dict(truth))
-    serialize.write_samples_csv(out / "samples.csv", samples, prov)
-    serialize.write_matrix_csv(out / "empirical_moment.csv", moment, prov)
-    serialize.write_matrix_csv(out / "analytic_moment.csv", analytic, prov)
-    serialize.save_json(out / "gram_estimated.json", serialize.gram_to_dict(est))
-    serialize.save_json(
-        out / "gram_true.json", serialize.gram_to_dict(gram_tuple(truth))
-    )
+    _write(cfg, {
+        "truth.json": (serialize.save_json, serialize.signal_to_dict(truth)),
+        "samples.csv": (serialize.write_samples_csv, samples, prov),
+        "empirical_moment.csv": (serialize.write_matrix_csv, moment, prov),
+        "analytic_moment.csv": (serialize.write_matrix_csv, analytic, prov),
+        "gram_estimated.json": (serialize.save_json, serialize.gram_to_dict(est)),
+        "gram_true.json": (serialize.save_json, serialize.gram_to_dict(gram_tuple(truth))),
+    })
     err = float(np.linalg.norm(moment - analytic))
-    return {"moment_error": err, "n": samples.n, "out": str(out)}
+    return {"moment_error": err, "n": samples.n, "out": cfg.out}
 
 
 def run_transversality(cfg: ExperimentConfig) -> dict:
-    s = cfg.resolved_structure("transversality")
-    m = cfg.resolved_subspace_dim("transversality")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 2]))
-    prior = random_subspace_prior(s, m, rng)
-    report = transversality_check(
-        s,
-        prior,
-        cfg.resolved_trials("transversality"),
-        cfg.grid_resolution,
-        rng,
-        exclude_tol=cfg.exclude_tol,
-    )
-    payload = {
-        "k_effective": report.k_effective,
-        "m_dim": report.m_dim,
-        "samples_checked": report.samples_checked,
-        "worst_margin": report.worst_margin,
-        "threshold": report.threshold,
-        "grid_resolution": report.grid_resolution,
-        "exclude_tol": report.exclude_tol,
-        "num_violations": len(report.violations),
-        "violations": [
-            {
-                "point_index": v.point_index,
-                "margin": v.margin,
-                "description": list(map(list, v.description)),
-            }
-            for v in report.violations
-        ],
-    }
-    if cfg.out:
-        out = _outdir(cfg)
-        serialize.save_json(out / "transversality.json", payload)
-        serialize.write_csv(
-            out / "margins.csv",
-            ["point_index", "margin"],
-            [
-                {"point_index": i, "margin": m_}
-                for i, m_ in enumerate(report.point_margins)
-            ],
-            cfg.provenance("transversality", subspace_dim_resolved=m),
-        )
+    s, m, rng, prior = _prior_draw(cfg, "transversality", 2)
+    report = transversality_check(s, prior, cfg.resolved_trials("transversality"),
+                                  cfg.grid_resolution, rng, exclude_tol=cfg.exclude_tol)
+    payload = {name: getattr(report, name) for name in (
+        "k_effective", "m_dim", "samples_checked", "worst_margin", "threshold",
+        "grid_resolution", "exclude_tol")}
+    payload["num_violations"] = len(report.violations)
+    payload["violations"] = [
+        {"point_index": v.point_index, "margin": v.margin,
+         "description": list(map(list, v.description))}
+        for v in report.violations
+    ]
+    margins = [{"point_index": i, "margin": m_} for i, m_ in enumerate(report.point_margins)]
+    _write(cfg, {
+        "transversality.json": (serialize.save_json, payload),
+        "margins.csv": (serialize.write_csv, ["point_index", "margin"], margins,
+                        cfg.provenance("transversality", subspace_dim_resolved=m)),
+    })
     return payload
 
 
 def run_bilipschitz(cfg: ExperimentConfig) -> dict:
-    s = cfg.resolved_structure("bilipschitz")
-    m = cfg.resolved_subspace_dim("bilipschitz")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 3]))
-    prior = random_subspace_prior(s, m, rng)
-    pairs = cfg.resolved_trials("bilipschitz")
-    report = distortion_estimate(s, prior, pairs, rng)
-    payload = {
-        "alpha_lower": report.alpha_lower,
-        "beta_upper": report.beta_upper,
-        "pairs_sampled": report.pairs_sampled,
-        "pairs_skipped": report.pairs_skipped,
-    }
-    if cfg.out:
-        out = _outdir(cfg)
-        serialize.save_json(out / "bilipschitz.json", payload)
-        serialize.write_csv(
-            out / "ratio_histogram.csv",
-            ["bin_lo", "bin_hi", "count"],
-            [
-                {
-                    "bin_lo": float(report.histogram_edges[i]),
-                    "bin_hi": float(report.histogram_edges[i + 1]),
-                    "count": int(c),
-                }
-                for i, c in enumerate(report.histogram_counts)
-            ],
-            cfg.provenance(subspace_dim_resolved=m),
-        )
+    s, m, rng, prior = _prior_draw(cfg, "bilipschitz", 3)
+    report = distortion_estimate(s, prior, cfg.resolved_trials("bilipschitz"), rng)
+    payload = {name: getattr(report, name) for name in (
+        "alpha_lower", "beta_upper", "pairs_sampled", "pairs_skipped")}
+    edges = report.histogram_edges
+    histogram = [
+        {"bin_lo": float(edges[i]), "bin_hi": float(edges[i + 1]), "count": int(c)}
+        for i, c in enumerate(report.histogram_counts)
+    ]
+    _write(cfg, {
+        "bilipschitz.json": (serialize.save_json, payload),
+        "ratio_histogram.csv": (serialize.write_csv, ["bin_lo", "bin_hi", "count"], histogram,
+                                cfg.provenance("bilipschitz", subspace_dim_resolved=m)),
+    })
     return payload

@@ -140,7 +140,7 @@ def _check_engine(menus, tau):
     """``_hull_grid_max`` equals the enumeration of its own sums bitwise,
     combo included, and the brute engine, which sums in menu order, to
     rounding."""
-    hit = _hull_grid_max(menus, tau, 65536, 4_200_000)
+    hit = _hull_grid_max(menus, tau)
     assert hit == _engine_order_max(menus, tau)
     fb, _ = _brute_grid_max(menus, tau)
     assert abs(fb - hit[0]) <= 4 * np.finfo(float).eps
@@ -230,7 +230,7 @@ class TestGridEngines:
         x_amb = _unit_point(prior.basis, rng)
         menus = _build_menus(decompose(x_amb, s), _rebased_subspace(prior.basis, x_amb), 32)
         tau = 1.0 - 1.9**2 / 2.0
-        assert _hull_grid_max(menus, tau, 65536, 4_200_000) is None
+        assert _hull_grid_max(menus, tau) is None
         assert _brute_grid_max(menus, tau) is None
         report = transversality_check(s, prior, 1, 64, rng, exclude_tol=1.9, points=[x_amb])
         assert report.worst_margin == np.inf

@@ -137,6 +137,15 @@ class TestCyclic:
             got = [b[0] for b in cyclic_structure(n, "real").blocks]
             assert got == expected
 
+    @pytest.mark.parametrize("field", ["complx", "", "Complex"])
+    def test_unknown_field_is_refused(self, field):
+        with pytest.raises(ValueError, match=f"got {field!r}"):
+            cyclic_structure(8, field)
+        with pytest.raises(ValueError, match=f"got {field!r}"):
+            decompose_cyclic(np.ones(8), field)
+        with pytest.raises(ValueError, match=f"got {field!r}"):
+            cyclic_action(8, field)
+
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 16])
     def test_roundtrip_real_and_complex(self, n):
         rng = np.random.default_rng(n)

@@ -43,6 +43,17 @@ class TestStructureParsing:
         assert s == RepresentationStructure(((8, 4),), "real")
         assert parse_structure("[[2, 1], [1, 3]]").blocks == ((2, 1), (1, 3))
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [("cyclic:8:complx", "'complx'"), ("cyclic:8:", "''"),
+         ("cyclic:8:complex:x", "cyclic:N:FIELD")],
+    )
+    def test_misspelled_cyclic_field_is_refused(self, text, named, capsys):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_structure(text)
+        assert main(["bilipschitz", "--structure", text, "--trials", "10"]) == 1
+        assert named in capsys.readouterr().err
+
 
 class TestExperimentConfig:
     def test_ap_alias_resolved_on_construction(self):
@@ -137,12 +148,19 @@ class TestIterationsExperiment:
     def test_cli_workers_give_identical_bytes(self, tmp_path):
         # 7 trials at 3 dimensions: one stack of 21 rows, dealt unevenly
         # to two workers, each share mixing the dimensions
-        outs = [tmp_path / "w1.csv", tmp_path / "w2.csv"]
-        for workers, out in zip((1, 2), outs):
-            argv = ["exp-iterations", "--trials", "7", "--K", "2,3,5", "--max-iters", "150",
-                    "--seed", "5", "--workers", str(workers), "--out", str(out)]
-            assert main(argv) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # the noise sweep's sigma=0 row takes its median over its converged
+        # trials, here 4 of 7
+        for tag, argv in (
+            ("iters", ["exp-iterations", "--trials", "7", "--K", "2,3,5", "--max-iters", "150",
+                       "--seed", "5"]),
+            ("noise", ["exp-noise", "--trials", "7", "--K", "4", "--sigma", "0,0.01",
+                       "--max-iters", "150", "--seed", "5"]),
+        ):
+            outs = [tmp_path / f"{tag}_w1.csv", tmp_path / f"{tag}_w2.csv"]
+            for workers, out in zip((1, 2), outs):
+                assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_csv(tmp_path / "noise_w1.csv")[1][0][3] == repr(4 / 7)
 
     def test_rerun_identical(self, tmp_path):
         a, b = tmp_path / "one.csv", tmp_path / "two.csv"
@@ -313,6 +331,23 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "--action cyclic" in err and "--structure cyclic:32" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "5"],
+            ["solve", "--K", "4", "--seed", "7", "--max-iters", "3"],
+            ["exp-iterations", "--trials", "2", "--K", "2", "--max-iters", "20"],
+            ["exp-noise", "--trials", "2", "--K", "2", "--sigma", "0", "--max-iters", "20"],
+            ["transversality", "--structure", "cyclic:6", "--trials", "1", "--grid-res", "16"],
+            ["bilipschitz", "--trials", "50"],
+        ],
+    )
+    def test_no_out_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) in (0, 2)
+        assert not any(tmp_path.iterdir())
+        assert "wrote" not in capsys.readouterr().out
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
