@@ -7,18 +7,22 @@ two checkouts byte for byte.
 Covers the acceptance workloads (exp-iterations with 200 trials at
 K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
 cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), a complex
-noise sweep and a complex distortion run, simulate under the full real,
-full complex and cyclic actions, solve with real alternating projection
-(on 8x4 and on the three shape groups of 8x4,3x2,1x1) and complex RRR,
-a SHA-256 of 200 Haar draws per action, and a SHA-256 of the
-observations ``sample_observations`` draws on a few full and cyclic
-actions.  Those cross every chunk boundary of the sampler: 10,001
-full-ambiguity draws cross the chunks of ``haar_chunks`` and the noise
-blocks, and cyclic:16 x 20,000 and cyclic:7:complex x 30,000 cross the
-noise blocks of a real and a complex cyclic draw.  ``cli_stdout.txt``
-holds what each subcommand prints, and its exit code, on a small config
-(its files go to a temporary directory, named ``OUT_DIR`` there).  Run it
-once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
+noise sweep, a complex distortion run and one on cyclic:16 (many blocks
+of one shape, where one square-root call covers several blocks),
+simulate under the full real, full complex and cyclic actions, solve
+with real alternating projection (on 8x4 and on the three shape groups
+of 8x4,3x2,1x1) and complex RRR, a SHA-256 of 200 Haar draws per action,
+and a SHA-256 of the observations ``sample_observations`` draws on a few
+full and cyclic actions.  Those cross every chunk boundary of the
+sampler: 10,001 full-ambiguity draws cross the chunks of ``haar_chunks``
+and the noise blocks, and cyclic:16 x 20,000 and cyclic:7:complex x
+30,000 cross the noise blocks of a real and a complex cyclic draw.
+``cyclic_sha256.txt`` holds a SHA-256 of ``decompose_cyclic`` and
+``reconstruct_cyclic`` per N = 1..17, 64 and 1024, real and complex, on
+a Gaussian signal and on that signal times 0.0 (signed zeros).
+``cli_stdout.txt`` holds what each subcommand prints, and its exit code,
+on a small config (its files go to a temporary directory, named
+``OUT_DIR`` there).  Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.
 """
@@ -60,6 +64,19 @@ def _haar_digest(action, draws=200, seed=2026):
     for _ in range(draws):
         for d in blocks.haar_sample(action, rng).blocks:
             h.update(np.ascontiguousarray(d).tobytes())
+    return h.hexdigest()
+
+
+def _cyclic_digest(n, field, seed=2026):
+    rng = np.random.default_rng([seed, n])
+    x = rng.standard_normal(n)
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    h = hashlib.sha256()
+    for v in (x, 0.0 * x):  # the second holds signed zeros
+        signal = blocks.decompose_cyclic(v)
+        for m in signal.matrices + (blocks.reconstruct_cyclic(signal),):
+            h.update(np.ascontiguousarray(m).tobytes())
     return h.hexdigest()
 
 
@@ -117,6 +134,8 @@ def main(out: Path) -> None:
                             trials=100_000, master_seed=7))
     run_bilipschitz(_config("bilipschitz", out / "bilipschitz_complex", COMPLEX,
                             subspace_dim=3, trials=20_000, master_seed=7))
+    run_bilipschitz(_config("bilipschitz", out / "bilipschitz_cyclic", "cyclic:16",
+                            subspace_dim=4, trials=20_000, master_seed=7))
     for name, structure, action in (
         ("full_real", "8x4,3x2,1x1", "full"),
         ("full_complex", COMPLEX, "full"),
@@ -149,6 +168,9 @@ def main(out: Path) -> None:
     ):
         lines.append(f"{name} n={n} {_observation_digest(action, n)}")
     (out / "observations_sha256.txt").write_text("\n".join(lines) + "\n")
+    lines = [f"cyclic:{n}:{field} {_cyclic_digest(n, field)}"
+             for field in ("real", "complex") for n in [*range(1, 18), 64, 1024]]
+    (out / "cyclic_sha256.txt").write_text("\n".join(lines) + "\n")
     (out / "cli_stdout.txt").write_text(_cli_stdout())
 
 

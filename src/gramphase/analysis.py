@@ -9,7 +9,8 @@ Three questions about a block structure and a linear prior:
   (:func:`transversality_check`, a dense grid search over the product
   of per-block O(1)/O(2) grids)
 * How much does the Gram-square-root measurement map distort
-  distances, modulo the global sign or phase?  (:func:`distortion_estimate`)
+  distances, modulo the global sign or phase?  (:func:`distortion_estimate`,
+  on the solver's square roots, one LAPACK call per shape group of blocks)
 
 The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
@@ -45,14 +46,15 @@ from .blocks import (
     GroupElement,
     RepresentationStructure,
     apply,
-    block_stacks,
     decompose,
     flat_block,
+    frobenius_norms,
+    group_stacks,
     reconstruct,
 )
 from .moments import gram_tuple
 from .priors import LinearSubspacePrior
-from .solvers import matrix_sqrt_psd
+from .solvers import _gram, _psd_root, _unit_vectors, matrix_sqrt_psd
 
 __all__ = [
     "TransversalityReport",
@@ -545,18 +547,6 @@ class DistortionReport:
     histogram_edges: np.ndarray
 
 
-def _batched_sqrt_grams(amb: np.ndarray, structure: RepresentationStructure):
-    """Per-block PSD square roots of the Gram matrices for a batch of
-    ambient row vectors."""
-    out = []
-    for xl in block_stacks(amb, structure):
-        g = np.einsum("pni,pnj->pij", xl.conj(), xl)
-        w, v = np.linalg.eigh(g)
-        w = np.clip(w, 0.0, None)
-        out.append(np.einsum("pij,pj,pkj->pik", v, np.sqrt(w), v.conj()))
-    return out
-
-
 def distortion_ratios(
     x_amb: np.ndarray, y_amb: np.ndarray, structure: RepresentationStructure
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -569,24 +559,23 @@ def distortion_ratios(
     pairs whose distance exceeds 1e-12 (the rest are sign or phase copies
     of each other, where both distances vanish).
 
-    Memory is the inputs plus one row chunk of ``max(1, CHUNK_ENTRIES //
-    d)`` pairs; each row is computed on its own, whatever the chunking."""
-    x_amb = np.atleast_2d(x_amb)
-    y_amb = np.atleast_2d(y_amb)
-    num_sq = np.zeros(x_amb.shape[0])
-    denom = np.empty(x_amb.shape[0])
+    The numerator is the distance between the tuples of the solver's
+    square-root Grams (``solvers._psd_root`` of ``solvers._gram``), one
+    ``eigh`` call per shape group of blocks, chunk and side; both
+    distances are :func:`gramphase.blocks.frobenius_norms`.  Memory is the
+    inputs plus one row chunk of ``max(1, CHUNK_ENTRIES // d)`` pairs; each
+    row is computed on its own, whatever the chunking."""
+    x_amb, y_amb = np.atleast_2d(x_amb, y_amb)
+    num, denom = np.empty((2, len(x_amb)))
     step = max(1, CHUNK_ENTRIES // x_amb.shape[1])
     for i in range(0, len(x_amb), step):
         x, y = x_amb[i : i + step], y_amb[i : i + step]
-        for a, b in zip(_batched_sqrt_grams(x, structure), _batched_sqrt_grams(y, structure)):
-            num_sq[i : i + step] += np.linalg.norm((a - b).reshape(len(a), -1), axis=1) ** 2
-        inner = np.vecdot(y, x)
-        size = np.abs(inner)
-        phase = np.where(size > 0, inner / np.where(size > 0, size, 1.0), 1.0)
-        denom[i : i + step] = np.linalg.norm(x - phase[:, None] * y, axis=1)
+        roots = [[_psd_root(_gram(g))[0] for g in group_stacks(v, structure)] for v in (x, y)]
+        num[i : i + step] = frobenius_norms([a - b for a, b in zip(*roots)])
+        phase = _unit_vectors(np.vecdot(y, x)[:, None])  # 1 for a zero product
+        denom[i : i + step] = frobenius_norms([x - phase * y])
     used = denom >= 1e-12
-    ratios = np.sqrt(num_sq[used]) / denom[used]
-    return ratios, used
+    return num[used] / denom[used], used
 
 
 def distortion_estimate(
@@ -628,15 +617,11 @@ def distortion_estimate(
     cx = [draw_coeffs(n_global)]
     cy = [draw_coeffs(n_global)]
     for eps, cnt in zip(eps_levels, split):
-        if cnt == 0:
-            continue
-        base = draw_coeffs(cnt)
+        base = draw_coeffs(cnt)  # a zero count draws nothing from rng
         cx.append(base)
         cy.append(base + eps * draw_coeffs(cnt))
-    cx = np.concatenate(cx)
-    cy = np.concatenate(cy)
     bt = prior.basis.T
-    ratios, used = distortion_ratios(cx @ bt, cy @ bt, structure)
+    ratios, _ = distortion_ratios(np.concatenate(cx) @ bt, np.concatenate(cy) @ bt, structure)
     if ratios.size == 0:
         raise ValueError("all sampled pairs were sign- or phase-degenerate; widen the sampling")
     counts, edges = np.histogram(ratios, bins=HISTOGRAM_BINS)

@@ -18,18 +18,20 @@ between ambient vectors and block matrices go through ``block_stacks``
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
 ``haar_chunks`` draws Haar matrices in chunks of at most CHUNK_ENTRIES
 entries, or one matrix where that is larger (``haar_stack`` joins its
-chunks), and ``cyclic_shift_stack`` builds shift
-elements, and the validated
-single elements of ``haar_sample`` / ``cyclic_shift_element`` are their
-one-row cases.  A real Haar draw holds one chunk of Gaussians at a time;
-a complex one also holds the real parts of the whole stack, because the
-random stream gives every real part before the first imaginary part.
+chunks), and ``cyclic_shift_stack`` builds shift elements, and the
+validated single elements of ``haar_sample`` / ``cyclic_shift_element``
+are their one-row cases.  A real Haar draw holds one chunk of Gaussians
+at a time; a complex one also holds the real parts of the whole stack,
+because the random stream gives every real part before the first
+imaginary part.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
 packed into real irreducible blocks: one 1-dim block for frequency 0,
 2-dim blocks for each conjugate frequency pair, and a trailing 1-dim
-sign block for the Nyquist frequency when N is even.
+sign block for the Nyquist frequency when N is even.  The coefficients
+are laid out as an ambient vector and go through ``decompose`` /
+``reconstruct`` like any other signal.
 """
 
 from __future__ import annotations
@@ -378,7 +380,9 @@ def decompose_cyclic(x: np.ndarray, field: str | None = None) -> BlockSignal:
     Complex field: N one-dimensional blocks holding the unitary DFT
     coefficients.  Real field: conjugate frequency pairs are packed as
     2-dim blocks holding ``sqrt(2) * (Re, Im)`` so the map is a linear
-    isometry and cyclic shifts act as plane rotations.
+    isometry and cyclic shifts act as plane rotations.  Either way the
+    coefficients are laid out as one ambient vector and split by
+    :func:`decompose`.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] < 1:
@@ -387,35 +391,27 @@ def decompose_cyclic(x: np.ndarray, field: str | None = None) -> BlockSignal:
     if field is None:
         field = "complex" if np.iscomplexobj(x) else "real"
     f = np.fft.fft(x) / np.sqrt(n)
-    structure = cyclic_structure(n, field)
-    if field == "complex":
-        mats = [np.array([[f[k]]]) for k in range(n)]
-        return BlockSignal(structure, tuple(mats))
-    if np.iscomplexobj(x):
-        raise ValueError("complex data passed with field='real'")
-    mats = [np.array([[f[0].real]])]
-    for k in range(1, (n - 1) // 2 + 1):
-        mats.append(np.sqrt(2.0) * np.array([[f[k].real], [f[k].imag]]))
-    if n % 2 == 0 and n >= 2:
-        mats.append(np.array([[f[n // 2].real]]))
-    return BlockSignal(structure, tuple(mats))
+    if field == "real":
+        if np.iscomplexobj(x):
+            raise ValueError("complex data passed with field='real'")
+        pair = f[1 : (n + 1) // 2]
+        pairs = np.sqrt(2.0) * np.stack([pair.real, pair.imag], 1)
+        nyquist = [f[n // 2].real] if n % 2 == 0 else []
+        f = np.concatenate([[f[0].real], pairs.ravel(), nyquist])
+    return decompose(f, cyclic_structure(n, field))
 
 
 def reconstruct_cyclic(x: BlockSignal) -> np.ndarray:
-    """Inverse of :func:`decompose_cyclic`: back to the shift domain."""
+    """Inverse of :func:`decompose_cyclic`: back to the shift domain, read
+    from the ambient vector of :func:`reconstruct`."""
+    v = reconstruct(x)
+    n = len(v)
     if x.structure.field == "complex":
-        n = x.structure.num_blocks
-        f = np.array([m[0, 0] for m in x.matrices])
-        return np.fft.ifft(f) * np.sqrt(n)
-    n = x.structure.ambient_dim
-    f = np.zeros(n, dtype=np.complex128)
-    f[0] = x.matrices[0][0, 0]
-    for k in range(1, (n - 1) // 2 + 1):
-        m = x.matrices[k]
-        f[k] = (m[0, 0] + 1j * m[1, 0]) / np.sqrt(2.0)
-        f[n - k] = np.conj(f[k])
-    if n % 2 == 0 and n >= 2:
-        f[n // 2] = x.matrices[-1][0, 0]
+        return np.fft.ifft(v) * np.sqrt(n)
+    h = (n - 1) // 2
+    pair = (v[1 : 2 * h + 1 : 2] + 1j * v[2 : 2 * h + 1 : 2]) / np.sqrt(2.0)
+    nyquist = v[-1:] if n % 2 == 0 else []
+    f = np.concatenate([v[:1], pair, nyquist, pair[::-1].conj()])  # f[n - k] = conj(f[k])
     return (np.fft.ifft(f) * np.sqrt(n)).real
 
 

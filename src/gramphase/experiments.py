@@ -263,15 +263,14 @@ def _sweep(cfg: ExperimentConfig, runner: str | None, values, spec) -> tuple[int
 
 def _write(cfg: ExperimentConfig, files: dict) -> None:
     """The one write path: nothing is written without ``cfg.out``.  The
-    name ``""`` is the file ``cfg.out`` itself (a sweep's CSV); any other
-    name is a file in the directory ``cfg.out``, made if missing.  Each
-    value is a ``serialize`` writer and the arguments it takes after the
-    path."""
+    name ``""`` is the file ``cfg.out`` itself (a sweep's CSV), whose
+    parent directory is made if missing; any other name is a file in the
+    directory ``cfg.out``, made if missing.  Each value is a ``serialize``
+    writer and the arguments it takes after the path."""
     if not cfg.out:
         return
     out = Path(cfg.out)
-    if "" not in files:
-        out.mkdir(parents=True, exist_ok=True)
+    (out.parent if "" in files else out).mkdir(parents=True, exist_ok=True)
     for name, (writer, *args) in files.items():
         writer(out / name, *args)
 

@@ -121,7 +121,7 @@ def prior_from_dict(d: dict) -> PriorSpec:
     if variant == "sparsity":
         dico = d.get("dictionary")
         k = _entry(d, "k", what, "the number of nonzero coefficients")
-        return SparsityPrior(int(k), None if dico is None else array_from_json(dico))
+        return SparsityPrior(k, None if dico is None else array_from_json(dico))
     if variant == "support":
         return SupportPrior(np.asarray(_entry(d, "mask", what, "a list of d booleans"), dtype=bool))
     raise ValueError(f"unknown prior variant {variant!r}")

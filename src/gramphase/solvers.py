@@ -4,18 +4,21 @@ Two projectors drive everything.  The prior projector maps onto the
 signal model (see :mod:`gramphase.priors`).  The measurement projector
 maps a block matrix onto the set of matrices with a prescribed Gram
 matrix by solving an orthogonal Procrustes problem per block: with
-``S`` the PSD square root of ``G``, the nearest ``Y`` with
-``Y* Y = G`` is ``Q S``, where ``Q`` is the unitary polar factor of
-``A = Xtilde S``.  For one column (``r = 1``) that is the closed form
-``sqrt(g) x / ||x||`` (Fienup's Fourier-magnitude projection), with a
-zero column sent to ``sqrt(g) e_1``.  For ``r > 1``, ``Q`` is
-``A V diag(w)^-1/2 V*`` from the eigendecomposition ``V diag(w) V*`` of
-the r x r ``A* A``, which is cheaper than an SVD of ``A``.  Forming
-``A* A`` squares the condition number, so a block whose ``w_min / w_max``
-falls below ``POLAR_RCOND``, or whose Gram does, takes the thin SVD
-``U diag(s) V*`` of ``A`` and ``Q = U V*`` instead: rank-deficient
-blocks, such as sparsity and support priors make, land there, and a
-block that fails the test once takes the SVD from then on.
+``S`` the PSD square root of ``G``, the nearest ``Y`` with ``Y* Y = G``
+is ``Q S``, where ``Q`` is the unitary polar factor of ``A = Xtilde S``.
+For one column (``r = 1``) that is the closed form ``sqrt(g) x / ||x||``
+(Fienup's Fourier-magnitude projection), with a zero column sent to
+``sqrt(g) e_1``.  For ``r > 1``, ``Q`` is ``A V diag(w)^-1/2 V*`` from
+the eigendecomposition ``V diag(w) V*`` of the r x r ``A* A``, which is
+cheaper than an SVD of ``A``.  Forming ``A* A`` squares the condition
+number, so a block whose ``w_min / w_max`` falls below ``POLAR_RCOND``,
+or whose Gram does, takes the thin SVD ``U diag(s) V*`` of ``A`` and
+``Q = U V*`` instead: rank-deficient blocks, such as sparsity and
+support priors make, land there, and a block that fails the test once
+takes the SVD from then on.  Each Gram is decomposed once, at set-up:
+the eigendecomposition of ``(G + G*) / 2`` gives both ``S`` and the
+Gram's own ``w_min / w_max`` test, and :func:`matrix_sqrt_psd` is that
+root behind input checks.
 
 Alternating projection composes measurement after prior; a relaxed
 reflect-and-average variant with step ``beta`` is available for
@@ -137,18 +140,28 @@ def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
 
     Eigenvalues pushed slightly negative by noise are clamped to zero;
     genuinely non-Hermitian input is rejected, each matrix measured
-    against its own largest entry.
+    against its own largest entry.  The root is :func:`_psd_root`'s.
     """
+    return _psd_root(_checked_hermitian(g))[0]
+
+
+def _checked_hermitian(g) -> np.ndarray:
+    """``g`` as an array, refused unless its matrices are square and Hermitian."""
     g = np.asarray(g)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {g.shape}")
-    gh = np.swapaxes(g, -1, -2).conj()
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-    if np.any(np.max(np.abs(g - gh), axis=(-2, -1)) > HERMITIAN_INPUT_TOL * scale):
+    if np.any(np.max(np.abs(g - g.conj().mT), axis=(-2, -1)) > HERMITIAN_INPUT_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((g + gh) / 2.0)
-    vh = np.swapaxes(v, -1, -2).conj()
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ vh
+    return g
+
+
+def _psd_root(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The PSD square root of ``(G + G*) / 2`` for each matrix ``G`` of a
+    ``(..., r, r)`` stack, from one ``eigh`` call, and its eigenvalues in
+    ascending order (negative ones clamped to zero in the root only)."""
+    w, v = np.linalg.eigh((g + g.conj().mT) / 2.0)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().mT, w
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -251,11 +264,11 @@ class _Shape(NamedTuple):
 
 
 def _shape_constants(gram: np.ndarray, unit: np.ndarray) -> _Shape:
-    sqrt = matrix_sqrt_psd(gram)
+    # the root and eigenvalues of (G + G*) / 2; the callers have refused any skew
+    sqrt, w = _psd_root(gram)
     # near a solution A* A = S X* X S is about G**2, so a Gram whose
     # w_min / w_max is below sqrt(POLAR_RCOND) would send its block to the
     # SVD at every iteration: it goes there at once
-    w = np.linalg.eigvalsh(gram)
     try_eigh = _mask_or_bool(w[..., 0] > np.sqrt(POLAR_RCOND) * w[..., -1])
     return _Shape(gram, sqrt, sqrt * unit, try_eigh)
 
@@ -297,7 +310,7 @@ def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
         )
     if g.shape != (r, r):
         raise ValueError(f"Gram must be ({r}, {r}) for this block, got {g.shape}")
-    c = _shape_constants(g[None], 1.0)
+    c = _shape_constants(_checked_hermitian(g)[None], 1.0)
     unit = _unit_scale(np.abs(xtilde @ c.sqrt[0]).max(initial=0.0))
     return _procrustes(c._replace(scaled=c.sqrt * unit), xtilde[None])[0][0]
 

@@ -136,6 +136,25 @@ def svd_procrustes(g: np.ndarray, xt: np.ndarray) -> np.ndarray:
     return u @ vh @ s
 
 
+def svd_distortion_ratio(x: np.ndarray, y: np.ndarray, blocks) -> float:
+    """``||(G_l(x)^1/2)_l - (G_l(y)^1/2)_l|| / min_|u|=1 ||x - u y||`` for one
+    pair of ambient vectors, with no eigendecomposition: block ``l`` is read
+    column-major out of the vector, and its root is ``V diag(s) V*`` from
+    the SVD ``X = U diag(s) V*``, since ``X* X = V diag(s)**2 V*``."""
+    num_sq, start = 0.0, 0
+    for n, r in blocks:
+        roots = []
+        for v in (x, y):
+            _, sv, vh = np.linalg.svd(v[start : start + n * r].reshape(r, n).T,
+                                      full_matrices=False)
+            roots.append(vh.conj().T @ np.diag(sv) @ vh)
+        num_sq += np.linalg.norm(roots[0] - roots[1]) ** 2
+        start += n * r
+    inner = np.vdot(y, x)
+    u = inner / abs(inner) if inner != 0 else 1.0
+    return math.sqrt(num_sq) / np.linalg.norm(x - u * y)
+
+
 def brute_sparse_project(v: np.ndarray, k: int) -> np.ndarray:
     """Best k-sparse approximation by trying every support."""
     n = len(v)

@@ -36,7 +36,11 @@ from gramphase.analysis import (
     _rebased_subspace,
 )
 from gramphase.blocks import CHUNK_ENTRIES
-from tests._oracles import brute_transversality_margin, fd_orbit_dimension
+from tests._oracles import (
+    brute_transversality_margin,
+    fd_orbit_dimension,
+    svd_distortion_ratio,
+)
 
 
 class TestEffectiveDimension:
@@ -480,7 +484,22 @@ class TestDistortion:
         assert abs(base[0] - moved[0]) < 1e-10
 
     @pytest.mark.parametrize("blocks, field", [
-        (((8, 4),), "real"), (((8, 4), (3, 2), (1, 1)), "real"), (((6, 2), (3, 3)), "complex")])
+        (((8, 4), (3, 2), (1, 1)), "real"), (((6, 2), (3, 3)), "complex"),
+        (cyclic_structure(16).blocks, "real")], ids=["8x4,3x2,1x1", "6x2,3x3:complex", "cyclic:16"])
+    def test_ratios_match_the_svd_oracle(self, blocks, field):
+        s = RepresentationStructure(blocks, field)
+        rng = np.random.default_rng(16)
+        x = np.stack([reconstruct(random_signal(s, rng)) for _ in range(400)])
+        y = np.stack([reconstruct(random_signal(s, rng)) for _ in range(400)])
+        y[::2] = x[::2] + 1e-5 * y[::2]  # local pairs
+        ratios, used = distortion_ratios(x, y, s)
+        assert used.all()
+        oracle = [svd_distortion_ratio(a, b, blocks) for a, b in zip(x, y)]
+        np.testing.assert_allclose(ratios, oracle, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("blocks, field", [
+        (((8, 4),), "real"), (((8, 4), (3, 2), (1, 1)), "real"), (((6, 2), (3, 3)), "complex"),
+        (cyclic_structure(16).blocks, "real")])
     def test_chunked_ratios_equal_one_row_calls(self, blocks, field):
         s = RepresentationStructure(blocks, field)
         rng = np.random.default_rng(14)

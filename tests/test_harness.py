@@ -297,6 +297,14 @@ class TestCli:
         assert code == 1
         assert "nope" in capsys.readouterr().err
 
+    def test_sweep_csv_parent_directory_is_made(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["exp-iterations", "--trials", "2", "--K", "2", "--max-iters", "20",
+                     "--out", "nodir/x.csv"])
+        assert code == 0
+        _, body, _ = read_csv(tmp_path / "nodir" / "x.csv")
+        assert len(body) == 1
+
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

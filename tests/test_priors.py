@@ -106,6 +106,20 @@ class TestProjectorContracts:
         with pytest.raises(Exception, match="3"):
             project_prior(np.zeros(3), p)
 
+    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), True, np.True_],
+                             ids=["fraction", "nan", "inf", "bool", "numpy-bool"])
+    def test_sparsity_level_must_be_whole(self, k):
+        with pytest.raises(ValueError, match=f"sparsity level k must be a whole number .*got .*{k}"):
+            SparsityPrior(k)
+
+    @pytest.mark.parametrize("k", [3, 3.0, np.int64(3), np.float32(3.0)])
+    def test_integral_sparsity_levels_are_kept(self, k):
+        p = SparsityPrior(k)
+        assert p.k == 3 and type(p.k) is int
+        np.testing.assert_array_equal(
+            project_prior(np.array([5.0, 4.0, 3.0, 2.0, 1.0]), p), [5.0, 4.0, 3.0, 0.0, 0.0]
+        )
+
 
 def _orthonormal(rng, dim, m, field="real"):
     a = rng.standard_normal((dim, m))

@@ -78,6 +78,10 @@ def test_prior_roundtrip():
     (ser.prior_from_dict, {"variant": "support"}, r"support prior has no 'mask' key"),
     (ser.structure_from_dict, {"blocks": [[8, 4.5]]},
      r"block sizes must be whole numbers, got \[8, 4.5\]"),
+    (ser.prior_from_dict, {"variant": "sparsity", "k": 2.5},
+     r"sparsity level k must be a whole number >= 1, got 2.5"),
+    (ser.prior_from_dict, {"variant": "sparsity", "k": True},
+     r"sparsity level k must be a whole number >= 1, got True"),
 ])
 def test_malformed_dicts_name_the_key_and_its_form(load, d, match):
     with pytest.raises(ValueError, match=match):
@@ -110,6 +114,22 @@ def test_cli_names_a_prior_file_without_variant(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "prior has no 'variant' key" in capsys.readouterr().err
+
+
+def test_cli_names_a_fractional_sparsity_level(tmp_path, capsys):
+    s = RepresentationStructure(((2, 1),))
+    x = random_signal(s, np.random.default_rng(0))
+    ser.save_json(tmp_path / "g.json", ser.gram_to_dict(gram_tuple(x)))
+    ser.save_json(tmp_path / "p.json", {"variant": "sparsity", "k": 2.5})
+    code = main(["solve", "--gram", str(tmp_path / "g.json"), "--prior", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "sparsity level k must be a whole number >= 1, got 2.5" in capsys.readouterr().err
+
+
+def test_integral_sparsity_level_loads_as_int():
+    p = ser.prior_from_dict({"variant": "sparsity", "k": 3.0})
+    assert p.k == 3 and type(p.k) is int
 
 
 def test_matrix_csv_roundtrip(tmp_path):
