@@ -10,7 +10,8 @@ Three questions about a block structure and a linear prior:
   of per-block O(1)/O(2) grids)
 * How much does the Gram-square-root measurement map distort
   distances, modulo the global sign or phase?  (:func:`distortion_estimate`,
-  on the solver's square roots, one LAPACK call per shape group of blocks)
+  on the solver's square roots, one LAPACK call per shape group of blocks
+  and chunk of pairs, the chunks run on the CPUs' threads)
 
 The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
@@ -45,6 +46,9 @@ from .blocks import (
     BlockSignal,
     GroupElement,
     RepresentationStructure,
+    _chunk_map,
+    _chunk_rows,
+    _whole_number,
     apply,
     decompose,
     flat_block,
@@ -562,18 +566,24 @@ def distortion_ratios(
     The numerator is the distance between the tuples of the solver's
     square-root Grams (``solvers._psd_root`` of ``solvers._gram``), one
     ``eigh`` call per shape group of blocks, chunk and side; both
-    distances are :func:`gramphase.blocks.frobenius_norms`.  Memory is the
-    inputs plus one row chunk of ``max(1, CHUNK_ENTRIES // d)`` pairs; each
-    row is computed on its own, whatever the chunking."""
+    distances are :func:`gramphase.blocks.frobenius_norms`.  The pairs
+    go in row chunks of ``CHUNK_ENTRIES // workers`` entries (at least one
+    pair), run on the CPUs' threads by the chunk map of
+    :mod:`gramphase.blocks`, so memory is the inputs plus at most
+    ``workers + 1`` chunks and their roots; each row is computed on its
+    own, whatever the chunking or the number of threads."""
     x_amb, y_amb = np.atleast_2d(x_amb, y_amb)
     num, denom = np.empty((2, len(x_amb)))
-    step = max(1, CHUNK_ENTRIES // x_amb.shape[1])
-    for i in range(0, len(x_amb), step):
-        x, y = x_amb[i : i + step], y_amb[i : i + step]
+
+    def ratio_chunk(i, j):
+        x, y = x_amb[i:j], y_amb[i:j]
         roots = [[_psd_root(_gram(g))[0] for g in group_stacks(v, structure)] for v in (x, y)]
-        num[i : i + step] = frobenius_norms([a - b for a, b in zip(*roots)])
+        num[i:j] = frobenius_norms([a - b for a, b in zip(*roots)])
         phase = _unit_vectors(np.vecdot(y, x)[:, None])  # 1 for a zero product
-        denom[i : i + step] = frobenius_norms([x - phase * y])
+        denom[i:j] = frobenius_norms([x - phase * y])
+
+    step = _chunk_rows(x_amb.shape[1])
+    _chunk_map(ratio_chunk, ((i, i + step) for i in range(0, len(x_amb), step)))
     used = denom >= 1e-12
     return num[used] / denom[used], used
 
@@ -591,8 +601,7 @@ def distortion_estimate(
     1e-3, 1e-5 probe local behavior near rank-deficient points, where
     a lower Lipschitz bound would fail first.
     """
-    if num_pairs < 1:
-        raise ValueError("need at least one pair")
+    num_pairs = _whole_number(num_pairs, "num_pairs")
     m = prior.dim
     k_eff, _ = effective_dimension(structure)
     if k_eff <= 2 * m:

@@ -16,14 +16,19 @@ between ambient vectors and block matrices go through ``block_stacks``
 ``(T, G, n, r)`` array), and through their one-row forms ``decompose`` /
 ``reconstruct`` on signals, so the bijection lives in one place.  Group
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
-``haar_chunks`` draws Haar matrices in chunks of at most CHUNK_ENTRIES
-entries, or one matrix where that is larger (``haar_stack`` joins its
-chunks), and ``cyclic_shift_stack`` builds shift elements, and the
+``haar_chunks`` draws the Gaussian matrices of Haar draws in chunks and
+``haar_q`` turns each chunk into Haar matrices (``haar_stack`` joins
+them), and ``cyclic_shift_stack`` builds shift elements, and the
 validated single elements of ``haar_sample`` / ``cyclic_shift_element``
-are their one-row cases.  A real Haar draw holds one chunk of Gaussians
-at a time; a complex one also holds the real parts of the whole stack,
-because the random stream gives every real part before the first
-imaginary part.
+are their one-row cases.  A real Haar draw holds the Gaussians of at most
+``workers + 1`` chunks at a time; a complex one also holds the real parts
+of the whole stack, because the random stream gives every real part
+before the first imaginary part.
+
+``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
+draws and the distortion ratios of :mod:`gramphase.analysis` run their
+chunks on the CPUs' threads through ``_chunk_map``, which shares the
+budget among the threads and changes no bit of any result.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -36,7 +41,13 @@ are laid out as an ambient vector and go through ``decompose`` /
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import contextvars
+import itertools
+import numbers
+import os
+from collections import deque
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,8 +85,57 @@ __all__ = [
 # Max-entry tolerance for D* D == I on group elements.
 UNITARY_TOL = 1e-10
 # Entries per chunk of every chunked stack: Haar draws, noise blocks,
-# cyclic shift slices and distortion pairs.
+# cyclic shift slices and distortion pairs.  Stacks mapped over threads
+# by _chunk_map share it out: each chunk holds CHUNK_ENTRIES // workers.
 CHUNK_ENTRIES = 1 << 15
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on: its affinity mask, or
+    the CPU count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries per chunk of a stack run by
+    :func:`_chunk_map`: one worker's share of CHUNK_ENTRIES, at least one."""
+    return max(1, CHUNK_ENTRIES // _workers() // width)
+
+
+def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
+    """Call ``fn(*chunk)`` for every chunk of ``chunks`` on the CPUs' threads.
+
+    The calling thread advances ``chunks``, so whatever draws them (a
+    random stream) runs in order on one thread.  Each call runs on a
+    thread of a pool made for this map, in a copy of the caller's context
+    (so its ``np.errstate`` holds), and must write only its own chunk's
+    output.  At most ``workers + 1`` chunks are drawn and not yet done.
+    One chunk, or one CPU, runs on the calling thread.  The first
+    exception, in chunk order, reaches the caller once the pool's threads
+    have exited.  Numpy's LAPACK loops release the GIL, so they overlap.
+    """
+    workers = _workers()
+    chunks = iter(chunks)
+    head = list(itertools.islice(chunks, 2))
+    chunks = itertools.chain(head, chunks)
+    if workers == 1 or len(head) < 2:
+        for chunk in chunks:
+            fn(*chunk)
+        return
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for chunk in chunks:
+            pending.append(pool.submit(contextvars.copy_context().run, fn, *chunk))
+            if len(pending) > workers:
+                pending.popleft().result()
+        while pending:
+            pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _square_sums(flat: list[np.ndarray]) -> np.ndarray:
@@ -114,13 +174,21 @@ def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return norms
 
 
-def _block_size(v) -> int | None:
-    """``v`` as an int if it is whole (or, from ``8x4``, its digits), else None."""
-    try:
-        size = int(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return size if isinstance(v, str) or size == v else None
+def _whole_number(v, what: str, least: int | None = 1) -> int:
+    """``v`` as an int if it is a whole number of at least ``least``: an
+    int, a numpy integer or an integral float.  A bool, a fraction, NaN,
+    an infinity, a string or a value below ``least`` raises a ValueError
+    that names ``what`` and ``v``."""
+    size = None
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            size = int(v)
+        except (ValueError, OverflowError):  # NaN and the infinities
+            pass
+    if size is None or size != v or (least is not None and size < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{what} must be a whole number{bound}, got {v!r}")
+    return size
 
 
 class DimensionMismatch(ValueError):
@@ -149,10 +217,14 @@ class RepresentationStructure:
         except (TypeError, ValueError):
             raise ValueError(f"structure blocks must be a list of [n, r] pairs, such as "
                              f"[[8, 4], [3, 2]], got {self.blocks!r}") from None
-        blocks = tuple((_block_size(n), _block_size(r)) for n, r in pairs)
-        for (n, r), sizes in zip(pairs, blocks):
-            if None in sizes:
-                raise ValueError(f"block sizes must be whole numbers, got [{n}, {r}]")
+        blocks = []
+        for n, r in pairs:
+            try:  # the 8x4 spelling gives the digits of each size
+                blocks.append(tuple(_whole_number(int(v) if isinstance(v, str) else v,
+                                                  "block size", None) for v in (n, r)))
+            except ValueError:
+                raise ValueError(f"block sizes must be whole numbers, got [{n}, {r}]") from None
+        blocks = tuple(blocks)
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("structure needs at least one block")
@@ -275,6 +347,7 @@ class GroupAction:
         if self.kind not in ("cyclic", "full_ambiguity"):
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind == "cyclic":
+            object.__setattr__(self, "cyclic_n", _whole_number(self.cyclic_n, "cyclic order"))
             expected = cyclic_structure(self.cyclic_n, self.structure.field)
             if expected != self.structure:
                 raise StructureMismatch(
@@ -286,8 +359,7 @@ class GroupAction:
 def cyclic_structure(n: int, field: str = "real") -> RepresentationStructure:
     """Block structure of length-``n`` signals in the DFT domain; a field
     other than ``"real"`` or ``"complex"`` is refused."""
-    if n < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {n}")
+    n = _whole_number(n, "cyclic order")
     if field == "complex":
         return RepresentationStructure(((1, 1),) * n, "complex")
     blocks: list[tuple[int, int]] = [(1, 1)]
@@ -479,10 +551,10 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
-    """``count`` independent Haar-distributed ``n x n`` orthogonal (real
-    field) or unitary (complex field) matrices, yielded as ``(start,
-    stop, q)`` with ``q`` the ``(stop - start, n, n)`` stack of draws
-    ``start`` to ``stop``, ``max(1, CHUNK_ENTRIES // n**2)`` at a time.
+    """The Gaussian matrices of ``count`` Haar draws of ``n x n`` matrices,
+    yielded as ``(start, stop, a)`` with ``a`` the ``(stop - start, n, n)``
+    stack for draws ``start`` to ``stop``, ``_chunk_rows(n**2)`` at a time;
+    :func:`haar_q` turns each chunk into its Haar matrices.
 
     The Gaussians come from the stream of one whole ``(count, n, n)``
     draw, and LAPACK factors every matrix on its own, so the draws do not
@@ -495,26 +567,36 @@ def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     from ``rng``.
     """
     re = rng.standard_normal((count, n, n)) if field == "complex" else None
-    step = max(1, CHUNK_ENTRIES // n**2)
+    step = _chunk_rows(n**2)
     for i in range(0, count, step):
         j = min(i + step, count)
         a = rng.standard_normal((j - i, n, n))
         if re is not None:
             a = (re[i:j] + 1j * a) / np.sqrt(2.0)
-        q, r = np.linalg.qr(a)
-        # Plain QR of a Gaussian matrix is not Haar; correcting each column
-        # by the sign (phase) of the R diagonal makes the distribution exact.
-        d = np.diagonal(r, axis1=1, axis2=2)
-        phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
-        q *= phases[:, None, :]
-        yield i, j, q
+        yield i, j, a
+
+
+def haar_q(a: np.ndarray) -> np.ndarray:
+    """The Haar matrices of a ``(T, n, n)`` stack of Gaussian matrices
+    from :func:`haar_chunks`, one LAPACK QR call for the stack."""
+    q, r = np.linalg.qr(a)
+    # Plain QR of a Gaussian matrix is not Haar; correcting each column
+    # by the sign (phase) of the R diagonal makes the distribution exact.
+    d = np.diagonal(r, axis1=1, axis2=2)
+    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
+    q *= phases[:, None, :]
+    return q
 
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
-    """The draws of :func:`haar_chunks` as one ``(count, n, n)`` stack."""
+    """The draws of :func:`haar_chunks` as one ``(count, n, n)`` stack,
+    their QR chunks run by :func:`_chunk_map`."""
     out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
-    for i, j, q in haar_chunks(n, count, field, rng):
-        out[i:j] = q
+
+    def fill(i, j, a):
+        out[i:j] = haar_q(a)
+
+    _chunk_map(fill, haar_chunks(n, count, field, rng))
     return out
 
 

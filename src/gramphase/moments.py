@@ -15,16 +15,21 @@ distinct shift with the stacked elements of
 most ``CHUNK_ENTRIES // d`` shifts, and gathers the rows into observation
 order; a full-ambiguity action rotates each block of every
 observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
-draw, written straight into the observation array.  The noise is then
-added in place in row blocks.  Each chunk (a QR call's Haar matrices, a
-noise block, a slice of shifts) is sized by the one entry budget
+draw, each chunk's QR call and rotation run on the CPUs' threads by the
+chunk map of :mod:`gramphase.blocks` and written straight into the
+observation array.  The noise is then added in place in row blocks.
+Each chunk (a QR call's Haar matrices, a noise block, a slice of
+shifts) is sized by the one entry budget
 :data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or the
 number of observations, so the sampler holds the ``(n, d)`` output plus
-one chunk (and, for a cyclic action, one row per
-distinct shift and the elements of one slice of shifts); a complex
-full-ambiguity draw also holds the float64 real parts of one block's
-whole Haar stack.  The chunking changes no bit: every observation is
-that of one whole-stack draw, and cyclic observations are those of one
+about one budget: for a full-ambiguity action, at most ``workers + 1``
+chunks of ``CHUNK_ENTRIES // workers`` entries and the QR working
+copies of the chunks being factored; for a cyclic action, one chunk, one
+row per distinct shift and the elements of one slice of shifts.  A
+complex full-ambiguity draw also holds the float64 real parts of one
+block's whole Haar stack.  Neither the chunking nor the number of
+threads changes a bit: every observation is that of one whole-stack
+draw, and cyclic observations are those of one
 :func:`~gramphase.blocks.haar_sample` per observation applied with
 :func:`~gramphase.blocks.apply`, on the same random stream.  The Gram
 checks of :class:`GramTuple` and the PSD clamp of :func:`extract_gram`
@@ -45,12 +50,15 @@ from .blocks import (
     GroupAction,
     RepresentationStructure,
     StructureMismatch,
+    _chunk_map,
+    _whole_number,
     # apply and haar_sample are no longer called here; bench/measure.py
     # still traces them under these names
     apply,  # noqa: F401
     block_stacks,
     cyclic_shift_stack,
     haar_chunks,
+    haar_q,
     haar_sample,  # noqa: F401
 )
 
@@ -181,8 +189,7 @@ def sample_observations(
     """Draw ``n`` observations: a Haar-rotated copy of ``x`` plus i.i.d.
     ``N(0, sigma^2)`` noise per real coordinate (per real and imaginary
     part for the complex field)."""
-    if n < 1:
-        raise ValueError("need n >= 1 observations")
+    n = _whole_number(n, "n")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if action.structure != x.structure:
@@ -194,8 +201,11 @@ def sample_observations(
         # observation in place
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
         for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
-            for i, j, q in haar_chunks(dim, n, s.field, rng):
-                y[i:j] = np.einsum("kab,br->kar", q, m)
+
+            def rotate(i, j, a, y=y, m=m):
+                y[i:j] = np.einsum("kab,br->kar", haar_q(a), m)
+
+            _chunk_map(rotate, haar_chunks(dim, n, s.field, rng))
     else:
         # one shifted copy per distinct shift, built over slices of the
         # shifts and gathered into observation order

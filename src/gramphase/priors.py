@@ -11,13 +11,12 @@ shape of prior (:func:`group_priors`).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .blocks import DimensionMismatch, RepresentationStructure
+from .blocks import DimensionMismatch, RepresentationStructure, _whole_number
 
 __all__ = [
     "LinearSubspacePrior",
@@ -80,11 +79,7 @@ class SparsityPrior:
     dictionary: np.ndarray | None = None  # (ambient_dim, d)
 
     def __post_init__(self):
-        k = self.k  # numpy's bool is not Real, Python's is
-        whole = isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer()
-        if not whole or k < 1:
-            raise ValueError(f"sparsity level k must be a whole number >= 1, got {k!r}")
-        object.__setattr__(self, "k", int(k))
+        object.__setattr__(self, "k", _whole_number(self.k, "sparsity level k"))
         if self.dictionary is not None:
             d = np.asarray(self.dictionary)
             if d.ndim != 2:

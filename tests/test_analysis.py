@@ -35,6 +35,7 @@ from gramphase.analysis import (
     _product_sums,
     _rebased_subspace,
 )
+from gramphase import blocks
 from gramphase.blocks import CHUNK_ENTRIES
 from tests._oracles import (
     brute_transversality_margin,
@@ -532,6 +533,43 @@ class TestDistortion:
             tracemalloc.stop()
         assert ratios.size == 100_000
         assert peak <= 8e6
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_traced_peak_holds_at_every_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        self.test_traced_peak_does_not_grow_with_the_pairs()
+
+    @pytest.mark.parametrize("s, count", [
+        (RepresentationStructure(((8, 4),)), 30_000),
+        (RepresentationStructure(((6, 2), (3, 3)), "complex"), 10_000)],
+        ids=["real-8x4", "complex-6x2,3x3"])
+    def test_ratios_do_not_depend_on_the_worker_count(self, monkeypatch, s, count):
+        rng = np.random.default_rng(17)
+        x, y = (np.stack([reconstruct(random_signal(s, rng)) for _ in range(count)])
+                for _ in range(2))
+        y[::3] = x[::3] + 1e-5 * y[::3]  # local pairs
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(blocks, "_workers", lambda: workers)
+            got.append(distortion_ratios(x, y, s))
+        for ratios, used in got[1:]:
+            assert np.array_equal(ratios, got[0][0]) and np.array_equal(used, got[0][1])
+
+    @pytest.mark.parametrize("num_pairs", [True, np.True_, 2.5, float("nan"), float("inf"), 0])
+    def test_rejects_a_pair_count_that_is_not_whole(self, num_pairs):
+        s = RepresentationStructure(((8, 4),))
+        prior = random_subspace_prior(s, 4, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="num_pairs must be a whole number >= 1, got "):
+            distortion_estimate(s, prior, num_pairs, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("num_pairs", [300.0, np.int64(300)])
+    def test_integral_pair_counts_are_kept(self, num_pairs):
+        s = RepresentationStructure(((8, 4),))
+        prior = random_subspace_prior(s, 4, np.random.default_rng(3))
+        want = distortion_estimate(s, prior, 300, np.random.default_rng(4))
+        got = distortion_estimate(s, prior, num_pairs, np.random.default_rng(4))
+        assert (got.alpha_lower, got.beta_upper, got.pairs_sampled) == (
+            want.alpha_lower, want.beta_upper, want.pairs_sampled)
 
     def test_positive_bounds_in_injective_regime(self):
         s = RepresentationStructure(((8, 4),))

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,9 @@ from hypothesis import strategies as st
 from gramphase import (
     BlockSignal,
     DimensionMismatch,
+    GroupAction,
     GroupElement,
+    LinearSubspacePrior,
     RepresentationStructure,
     StructureMismatch,
     apply,
@@ -16,6 +21,8 @@ from gramphase import (
     cyclic_structure,
     decompose,
     decompose_cyclic,
+    distortion_estimate,
+    distortion_ratios,
     full_ambiguity_action,
     haar_sample,
     identity_element,
@@ -23,7 +30,8 @@ from gramphase import (
     reconstruct,
     reconstruct_cyclic,
 )
-from gramphase.blocks import block_stacks, flat_block
+from gramphase import blocks
+from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
 from tests._oracles import brute_dft
 
 structures = st.builds(
@@ -72,7 +80,9 @@ class TestLayout:
 
     @pytest.mark.parametrize("blocks, pair", [
         (((8.7, 4),), r"\[8.7, 4\]"), (((8, 4), (3, 2.5)), r"\[3, 2.5\]"),
-        (((8, np.float64(4.5)),), r"\[8, 4.5\]"), (((8, float("inf")),), r"\[8, inf\]")])
+        (((8, np.float64(4.5)),), r"\[8, 4.5\]"), (((8, float("inf")),), r"\[8, inf\]"),
+        (((True, 1),), r"\[True, 1\]"), (((8, np.True_),), r"\[8, True\]"),
+        (((8, float("nan")),), r"\[8, nan\]")])
     def test_non_integral_sizes_rejected(self, blocks, pair):
         with pytest.raises(ValueError, match="block sizes must be whole numbers, got " + pair):
             RepresentationStructure(blocks)
@@ -145,6 +155,19 @@ class TestCyclic:
             decompose_cyclic(np.ones(8), field)
         with pytest.raises(ValueError, match=f"got {field!r}"):
             cyclic_action(8, field)
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.5, float("nan"), float("inf"), 0, "8"])
+    def test_cyclic_order_must_be_whole(self, n):
+        for make in (cyclic_structure, cyclic_action):
+            with pytest.raises(ValueError, match="cyclic order must be a whole number >= 1, got "):
+                make(n)
+
+    def test_integral_cyclic_orders_are_kept(self):
+        for n in (8.0, np.int64(8)):
+            for action in (cyclic_action(n), GroupAction(cyclic_structure(8), "cyclic", n)):
+                assert action.cyclic_n == 8 and type(action.cyclic_n) is int
+                assert action.structure == cyclic_structure(8)
+                assert len(cyclic_shift_stack(action, [3])) == 5
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 16])
     def test_roundtrip_real_and_complex(self, n):
@@ -290,3 +313,85 @@ class TestRandomSignal:
         )
         assert entries.size >= 100_000
         assert abs(entries.var() - 1.0) < 0.05
+
+
+@pytest.fixture(params=[2, 3])
+def workers(request, monkeypatch):
+    """A worker count above one, whatever CPUs the machine has."""
+    monkeypatch.setattr(blocks, "_workers", lambda: request.param)
+    return request.param
+
+
+class TestChunkMap:
+    def test_chunks_are_drawn_on_the_calling_thread(self, workers):
+        drawn, ran = [], []
+
+        def chunks():
+            for i in range(20):
+                drawn.append(threading.get_ident())
+                yield (i,)
+
+        _chunk_map(lambda i: ran.append((i, threading.get_ident())), chunks())
+        assert drawn == [threading.get_ident()] * 20
+        assert sorted(i for i, _ in ran) == list(range(20))
+        assert any(t != threading.get_ident() for _, t in ran)
+
+    def test_at_most_one_chunk_beyond_the_workers_is_in_flight(self, workers):
+        lock = threading.Lock()
+        done, ahead = [0], []
+
+        def chunks():
+            for i in range(30):
+                with lock:
+                    ahead.append(i + 1 - done[0])
+                yield (i,)
+
+        def work(i):
+            time.sleep(0.002)
+            with lock:
+                done[0] += 1
+
+        _chunk_map(work, chunks())
+        assert done[0] == 30
+        assert max(ahead) <= workers + 1
+
+    def test_a_failing_chunk_reaches_the_caller_and_leaves_no_thread(self, workers):
+        threads = threading.active_count()
+
+        def work(i):
+            if i in (3, 7):
+                raise ValueError(f"chunk {i}")
+
+        with pytest.raises(ValueError, match="chunk 3"):
+            _chunk_map(work, ((i,) for i in range(20)))
+        assert threading.active_count() == threads
+
+    def test_chunks_run_under_the_callers_errstate(self, workers):
+        seen = []
+        with np.errstate(over="raise"):
+            caller = np.geterr()
+            _chunk_map(lambda i: seen.append(np.geterr()), ((i,) for i in range(10)))
+            with pytest.raises(FloatingPointError):
+                _chunk_map(lambda i: np.float64(1e300) * 1e300, ((i,) for i in range(10)))
+        assert seen == [caller] * 10 and caller["over"] == "raise"
+
+    def test_one_chunk_starts_no_thread(self, workers, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a thread pool was made for one chunk")
+
+        monkeypatch.setattr(blocks, "ThreadPoolExecutor", refuse)
+        ran = []
+        _chunk_map(lambda i: ran.append(threading.get_ident()), [(0,)])
+        assert ran == [threading.get_ident()]
+        s = RepresentationStructure(((64, 2), (8, 4)))
+        haar_sample(full_ambiguity_action(s), np.random.default_rng(0))
+        x, y = (reconstruct(random_signal(s, np.random.default_rng(i)))[None] for i in (1, 2))
+        distortion_ratios(x, y, s)
+        scalar = RepresentationStructure(((1, 1),))
+        with pytest.warns(UserWarning, match="injective"):
+            distortion_estimate(scalar, LinearSubspacePrior(np.array([[1.0]])), 2000,
+                                np.random.default_rng(3))
+
+    def test_chunks_hold_a_share_of_the_budget(self, workers):
+        assert blocks._chunk_rows(4) == blocks.CHUNK_ENTRIES // workers // 4
+        assert blocks._chunk_rows(blocks.CHUNK_ENTRIES) == 1

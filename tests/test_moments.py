@@ -1,3 +1,5 @@
+import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,6 +281,49 @@ class TestSampling:
         # elements, not the elements of every distinct shift at once
         peak, obs = _traced_sampling_peak(cyclic_action(1024), 2000)
         assert peak <= 1.75 * obs.nbytes
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_traced_peaks_hold_at_every_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        for field in ("real", "complex"):
+            self.test_traced_peak_is_about_the_output(field)
+        self.test_traced_peak_does_not_grow_with_the_block_size()
+        self.test_cyclic_traced_peak_is_about_the_output()
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_draws_do_not_depend_on_the_worker_count(self, monkeypatch, field):
+        # 10,001 draws cross the chunks of every worker count; the short
+        # switch interval interleaves the threads' writes as often as it can
+        s = RepresentationStructure(((8, 4), (3, 2)), field)
+        x = random_signal(s, np.random.default_rng(8))
+        digests, stacks = set(), []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(blocks, "_workers", lambda: workers)
+                obs = sample_observations(x, full_ambiguity_action(s), 0.1, 10_001, seed=9)
+                digests.add(hashlib.sha256(obs.observations.tobytes()).hexdigest())
+                stacks.append(haar_stack(3, 10_001, field, np.random.default_rng(10)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(digests) == 1
+        assert all(np.array_equal(q, stacks[0]) for q in stacks[1:])
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.5, float("nan"), float("inf"), 0, "3"])
+    def test_rejects_a_count_that_is_not_whole(self, n):
+        s = RepresentationStructure(((2, 1),))
+        x = random_signal(s, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"n must be a whole number >= 1, got "):
+            sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=1)
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float32(3.0)])
+    def test_integral_counts_are_kept(self, n):
+        s = RepresentationStructure(((2, 1),))
+        x = random_signal(s, np.random.default_rng(0))
+        want = sample_observations(x, full_ambiguity_action(s), 0.1, 3, seed=1).observations
+        got = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=1).observations
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
     def test_rejects_bad_sigma(self, sigma):

@@ -106,8 +106,8 @@ class TestProjectorContracts:
         with pytest.raises(Exception, match="3"):
             project_prior(np.zeros(3), p)
 
-    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), True, np.True_],
-                             ids=["fraction", "nan", "inf", "bool", "numpy-bool"])
+    @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), True, np.True_, "3"],
+                             ids=["fraction", "nan", "inf", "bool", "numpy-bool", "string"])
     def test_sparsity_level_must_be_whole(self, k):
         with pytest.raises(ValueError, match=f"sparsity level k must be a whole number .*got .*{k}"):
             SparsityPrior(k)
