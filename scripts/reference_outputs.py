@@ -7,8 +7,10 @@ two checkouts byte for byte.
 Covers the acceptance workloads (exp-iterations with 200 trials at
 K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
 cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), a complex
-noise sweep, a complex distortion run and one on cyclic:16 (many blocks
-of one shape, where one square-root call covers several blocks),
+noise sweep, a complex distortion run, one on cyclic:16 (many blocks
+of one shape, where one square-root call covers several blocks) and one
+on 8x4 with 10,241 pairs (a one-row tail after the last full chunk of
+pairs at one and at two workers),
 simulate under the full real, full complex and cyclic actions, solve
 with real alternating projection (on 8x4 and on the three shape groups
 of 8x4,3x2,1x1) and complex RRR, a SHA-256 of 200 Haar draws per action,
@@ -136,6 +138,8 @@ def main(out: Path) -> None:
                             subspace_dim=3, trials=20_000, master_seed=7))
     run_bilipschitz(_config("bilipschitz", out / "bilipschitz_cyclic", "cyclic:16",
                             subspace_dim=4, trials=20_000, master_seed=7))
+    run_bilipschitz(_config("bilipschitz", out / "bilipschitz_tail", subspace_dim=4,
+                            trials=10_241, master_seed=7))
     for name, structure, action in (
         ("full_real", "8x4,3x2,1x1", "full"),
         ("full_complex", COMPLEX, "full"),

@@ -11,7 +11,8 @@ Three questions about a block structure and a linear prior:
 * How much does the Gram-square-root measurement map distort
   distances, modulo the global sign or phase?  (:func:`distortion_estimate`,
   on the solver's square roots, one LAPACK call per shape group of blocks
-  and chunk of pairs, the chunks run on the CPUs' threads)
+  and chunk of pairs, the chunks run on the CPUs' threads, each taking
+  its own pairs into the ambient space)
 
 The grid search never materializes the full product grid.  With the
 subspace rebased so its first basis vector is the checked point, the
@@ -552,7 +553,10 @@ class DistortionReport:
 
 
 def distortion_ratios(
-    x_amb: np.ndarray, y_amb: np.ndarray, structure: RepresentationStructure
+    x_amb: np.ndarray,
+    y_amb: np.ndarray,
+    structure: RepresentationStructure,
+    basis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement-to-signal distance ratios for a batch of pairs.
 
@@ -563,27 +567,42 @@ def distortion_ratios(
     pairs whose distance exceeds 1e-12 (the rest are sign or phase copies
     of each other, where both distances vanish).
 
+    With a ``(d, m)`` ``basis``, ``x_amb`` and ``y_amb`` are ``(pairs, m)``
+    coefficient rows, and each chunk takes its own ambient rows as
+    ``rows @ basis.T``: no ``(pairs, d)`` array is made, and no product
+    is large enough for the BLAS to start its own threads.  The chunks
+    hold at least two rows (a one-row tail joins the chunk before it), as
+    a one-row product takes the matrix-vector path and can differ in the
+    last bit, so the ratios equal those of the whole products
+    ``x_amb @ basis.T`` and ``y_amb @ basis.T`` bit for bit.
+
     The numerator is the distance between the tuples of the solver's
     square-root Grams (``solvers._psd_root`` of ``solvers._gram``), one
     ``eigh`` call per shape group of blocks, chunk and side; both
     distances are :func:`gramphase.blocks.frobenius_norms`.  The pairs
-    go in row chunks of ``CHUNK_ENTRIES // workers`` entries (at least one
-    pair), run on the CPUs' threads by the chunk map of
-    :mod:`gramphase.blocks`, so memory is the inputs plus at most
-    ``workers + 1`` chunks and their roots; each row is computed on its
-    own, whatever the chunking or the number of threads."""
+    go in row chunks of ``CHUNK_ENTRIES // workers`` ambient entries, run
+    on the CPUs' threads by the chunk map of :mod:`gramphase.blocks`, so
+    memory is the inputs plus at most ``workers + 1`` chunks and their
+    roots; each row is computed on its own, whatever the chunking or the
+    number of threads."""
     x_amb, y_amb = np.atleast_2d(x_amb, y_amb)
-    num, denom = np.empty((2, len(x_amb)))
+    count = len(x_amb)
+    num, denom = np.empty((2, count))
 
     def ratio_chunk(i, j):
         x, y = x_amb[i:j], y_amb[i:j]
+        if basis is not None:
+            x, y = x @ basis.T, y @ basis.T
         roots = [[_psd_root(_gram(g))[0] for g in group_stacks(v, structure)] for v in (x, y)]
         num[i:j] = frobenius_norms([a - b for a, b in zip(*roots)])
         phase = _unit_vectors(np.vecdot(y, x)[:, None])  # 1 for a zero product
         denom[i:j] = frobenius_norms([x - phase * y])
 
-    step = _chunk_rows(x_amb.shape[1])
-    _chunk_map(ratio_chunk, ((i, i + step) for i in range(0, len(x_amb), step)))
+    step = max(2, _chunk_rows(structure.ambient_dim))
+    starts = list(range(0, count, step))
+    if count % step == 1 and len(starts) > 1:
+        starts.pop()  # a one-row tail joins the chunk before it
+    _chunk_map(ratio_chunk, zip(starts, [*starts[1:], count]))
     used = denom >= 1e-12
     return num[used] / denom[used], used
 
@@ -599,7 +618,11 @@ def distortion_estimate(
     Pairs are drawn in the subspace: independent Gaussian pairs probe
     global behavior, and perturbation pairs at relative scales 1e-1,
     1e-3, 1e-5 probe local behavior near rank-deficient points, where
-    a lower Lipschitz bound would fail first.
+    a lower Lipschitz bound would fail first.  Their ``(pairs, m)``
+    coefficient rows are drawn whole and go to :func:`distortion_ratios`
+    with ``prior.basis``, so each chunk of pairs enters the ambient space
+    on its own thread; the ratios are those of the whole products, bit
+    for bit.
     """
     num_pairs = _whole_number(num_pairs, "num_pairs")
     m = prior.dim
@@ -629,8 +652,7 @@ def distortion_estimate(
         base = draw_coeffs(cnt)  # a zero count draws nothing from rng
         cx.append(base)
         cy.append(base + eps * draw_coeffs(cnt))
-    bt = prior.basis.T
-    ratios, _ = distortion_ratios(np.concatenate(cx) @ bt, np.concatenate(cy) @ bt, structure)
+    ratios, _ = distortion_ratios(np.concatenate(cx), np.concatenate(cy), structure, prior.basis)
     if ratios.size == 0:
         raise ValueError("all sampled pairs were sign- or phase-degenerate; widen the sampling")
     counts, edges = np.histogram(ratios, bins=HISTOGRAM_BINS)

@@ -28,7 +28,11 @@ before the first imaginary part.
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
 draws and the distortion ratios of :mod:`gramphase.analysis` run their
 chunks on the CPUs' threads through ``_chunk_map``, which shares the
-budget among the threads and changes no bit of any result.
+budget among the threads and changes no bit of any result.  No threaded
+BLAS call runs just before a map: after a product large enough for
+OpenBLAS to thread returns, its workers spin for a tenth of a second or
+more and take the CPUs the map's threads need, so such a product is
+taken chunk by chunk inside the map instead.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is

@@ -44,7 +44,10 @@ def parse_structure(text: str) -> RepresentationStructure:
         parts = text.split(":")
         if len(parts) > 3:
             raise ValueError(f"cyclic structures are cyclic:N or cyclic:N:FIELD, got {text!r}")
-        n = int(parts[1])
+        try:
+            n = int(parts[1])
+        except ValueError:
+            n = parts[1]  # refused by name in cyclic_structure
         fld = parts[2] if len(parts) > 2 else "real"
         return cyclic_structure(n, fld)
     fld = "real"

@@ -35,7 +35,7 @@ from gramphase.analysis import (
     _product_sums,
     _rebased_subspace,
 )
-from gramphase import blocks
+from gramphase import analysis, blocks
 from gramphase.blocks import CHUNK_ENTRIES
 from tests._oracles import (
     brute_transversality_margin,
@@ -554,6 +554,83 @@ class TestDistortion:
             got.append(distortion_ratios(x, y, s))
         for ratios, used in got[1:]:
             assert np.array_equal(ratios, got[0][0]) and np.array_equal(used, got[0][1])
+
+    @staticmethod
+    def _whole_product_ratios(s, prior, num_pairs, rng):
+        # the estimate's draws in their stream order, taken into the ambient
+        # space as two whole products before the ratios
+        def draw(count):
+            c = rng.standard_normal((count, prior.dim))
+            return c + 1j * rng.standard_normal((count, prior.dim)) if s.field == "complex" else c
+
+        n_global = max(1, int(0.4 * num_pairs))
+        split = [(num_pairs - n_global) // 3] * 3
+        split[-1] += num_pairs - n_global - sum(split)
+        cx, cy = [draw(n_global)], [draw(n_global)]
+        for eps, count in zip((1e-1, 1e-3, 1e-5), split):
+            base = draw(count)
+            cx.append(base)
+            cy.append(base + eps * draw(count))
+        bt = prior.basis.T
+        return distortion_ratios(np.concatenate(cx) @ bt, np.concatenate(cy) @ bt, s)
+
+    def _assert_estimate_equals_the_whole_products(self, monkeypatch, s, prior, num_pairs):
+        got = []
+
+        def spy(*args, **kwargs):
+            got.append(distortion_ratios(*args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(analysis, "distortion_ratios", spy)
+        report = distortion_estimate(s, prior, num_pairs, np.random.default_rng(9))
+        ratios, used = self._whole_product_ratios(s, prior, num_pairs, np.random.default_rng(9))
+        assert np.array_equal(got[0][0], ratios) and np.array_equal(got[0][1], used)
+        assert (report.alpha_lower, report.beta_upper) == (ratios.min(), ratios.max())
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("s, k", [
+        (RepresentationStructure(((8, 4),)), 4),
+        (RepresentationStructure(((8, 4), (3, 2), (1, 1))), 3),
+        (RepresentationStructure(((6, 2), (3, 3)), "complex"), 3)],
+        ids=["8x4", "8x4,3x2,1x1", "6x2,3x3:complex"])
+    @pytest.mark.parametrize("tail", [1, 2, None], ids=["one-row-tail", "two-row-tail", "30000"])
+    def test_estimate_equals_the_whole_products(self, monkeypatch, workers, s, k, tail):
+        # chunked products of two or more rows are the whole product's rows
+        # bit for bit; a one-row product is not, so the tail is folded
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        num_pairs = 30_000 if tail is None else 3 * blocks._chunk_rows(s.ambient_dim) + tail
+        prior = random_subspace_prior(s, k, np.random.default_rng(8))
+        self._assert_estimate_equals_the_whole_products(monkeypatch, s, prior, num_pairs)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimate_on_a_block_wider_than_a_chunk(self, monkeypatch, workers):
+        # one worker's share of the budget is under one row here, and the
+        # chunks still hold two rows, so no product is a one-row product
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        s = RepresentationStructure(((8_000, 3),))
+        assert blocks._chunk_rows(s.ambient_dim) == 1
+        prior = random_subspace_prior(s, 2, np.random.default_rng(8))
+        self._assert_estimate_equals_the_whole_products(monkeypatch, s, prior, 7)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_estimate_holds_no_ambient_stack_of_the_pairs(self, monkeypatch, workers):
+        # 100k 8x4 pairs at K=4: the coefficient draws (about 13 MB while
+        # they are joined) and the per-pair results, not the two (pairs, d)
+        # ambient stacks (61 MB with them)
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        s = RepresentationStructure(((8, 4),))
+        prior = random_subspace_prior(s, 4, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = distortion_estimate(s, prior, 100_000, rng)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert report.pairs_sampled == 100_000
+        assert peak <= 24e6
 
     @pytest.mark.parametrize("num_pairs", [True, np.True_, 2.5, float("nan"), float("inf"), 0])
     def test_rejects_a_pair_count_that_is_not_whole(self, num_pairs):

@@ -54,6 +54,15 @@ class TestStructureParsing:
         assert main(["bilipschitz", "--structure", text, "--trials", "10"]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, value", [("cyclic:2.5", "'2.5'"), ("cyclic:x", "'x'"),
+                                             ("cyclic:0", "0")])
+    def test_cyclic_order_that_is_not_whole_is_refused_by_name(self, text, value, capsys):
+        named = f"cyclic order must be a whole number >= 1, got {value}"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            parse_structure(text)
+        assert main(["bilipschitz", "--structure", text, "--trials", "10"]) == 1
+        assert f"error: {named}\n" in capsys.readouterr().err
+
 
 class TestExperimentConfig:
     def test_ap_alias_resolved_on_construction(self):
