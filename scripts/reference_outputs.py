@@ -13,7 +13,10 @@ on 8x4 with 10,241 pairs (a one-row tail after the last full chunk of
 pairs at one and at two workers),
 simulate under the full real, full complex and cyclic actions, solve
 with real alternating projection (on 8x4 and on the three shape groups
-of 8x4,3x2,1x1) and complex RRR, a SHA-256 of 200 Haar draws per action,
+of 8x4,3x2,1x1) and complex RRR, solve from files on 8x4 with a
+6-sparse prior (alternating projection, whose rank-deficient Gram sends
+every polar factor to the SVD) and a 6-sparse prior in a random
+orthonormal dictionary (RRR), a SHA-256 of 200 Haar draws per action,
 and a SHA-256 of the observations ``sample_observations`` draws on a few
 full and cyclic actions.  Those cross every chunk boundary of the
 sampler: 10,001 full-ambiguity draws cross the chunks of ``haar_chunks``
@@ -49,7 +52,7 @@ from gramphase.experiments import (
     run_transversality,
 )
 from gramphase.moments import gram_tuple, sample_observations
-from gramphase.priors import random_subspace_prior
+from gramphase.priors import SparsityPrior, random_subspace_prior
 
 COMPLEX = "8x4,3x2:complex"
 
@@ -121,6 +124,28 @@ def _cli_stdout() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sparse_solves(out: Path) -> None:
+    s = parse_structure("8x4")
+    rng = np.random.default_rng(5)
+    d = s.ambient_dim
+    for name, dictionary, algorithm in (
+        ("solve_sparse_ap", None, "alternating_projection"),
+        ("solve_dictionary_rrr", np.linalg.qr(rng.standard_normal((d, d)))[0], "rrr"),
+    ):
+        coeffs = np.zeros(d)
+        coeffs[rng.choice(d, 6, replace=False)] = rng.standard_normal(6)
+        truth = coeffs if dictionary is None else dictionary @ coeffs
+        files = out / f"{name}_input"
+        files.mkdir(exist_ok=True)
+        serialize.save_json(files / "gram.json",
+                            serialize.gram_to_dict(gram_tuple(blocks.decompose(truth, s))))
+        serialize.save_json(files / "prior.json",
+                            serialize.prior_to_dict(SparsityPrior(6, dictionary)))
+        run_demo_solve(_config("solve", out / name, gram_file=str(files / "gram.json"),
+                               prior_file=str(files / "prior.json"), algorithm=algorithm,
+                               max_iters=300, master_seed=3))
+
+
 def main(out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     run_iterations_vs_k(_config("exp-iterations", out / "iterations.csv",
@@ -153,6 +178,7 @@ def main(out: Path) -> None:
                            algorithm="rrr", master_seed=7))
     run_demo_solve(_config("solve", out / "solve_multi_real_ap", "8x4,3x2,1x1",
                            subspace_dim=3, master_seed=1))
+    _sparse_solves(out)
     lines = []
     for structure in ("8x4,3x2,1x1", "8x4,3x2,1x1:complex"):
         action = blocks.full_ambiguity_action(parse_structure(structure))

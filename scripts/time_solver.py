@@ -4,7 +4,7 @@
     PYTHONPATH=src python3 scripts/time_solver.py [--rounds R] [--iters M]
         [--parent DIR] [--noise]
 
-Each case runs ``solve_batch`` on ``T`` random subspace instances with a
+Each case runs ``solve_batch`` on ``T`` random instances with a
 tolerance no row can reach, so every row runs ``M`` iterations, and
 reports the wall time per iteration of the whole stack, split into the
 prior projection, the measurement projection and the stopping norms
@@ -17,8 +17,22 @@ in a separate, unwrapped run.  Cases:
   experiment runners);
 - ``8x4,3x2`` real, subspace dimension 4, at T = 1 (residual stopping):
   two shape groups, so the residual adds two stacks;
+- ``8x4`` real with a 6-sparse prior, at T = 1 (residual stopping): the
+  hard threshold, and a rank-deficient Gram, so every polar factor comes
+  from the SVD;
+- ``8x4`` real with a 6-sparse prior in a random orthonormal dictionary,
+  RRR, at T = 1 (residual stopping): the hard threshold of the
+  coefficients between two dictionary products (its blocks keep full
+  rank and take the eigendecomposition);
+- ``8x4,3x2`` complex, subspace dimension 3, RRR, at T = 1 (residual
+  stopping): the complex eigendecompositions;
 - ``cyclic:1024`` real at T = 16 with a subspace prior of dimension 256
   (residual stopping).
+
+The T = 1 cases take the paths of the bench's ``solve`` workload: both
+algorithms, both fields, one and two shape groups, the subspace and
+sparsity projections, and both polar factors (the support prior's
+one-line mask is the only projection not timed).
 
 ``--noise`` also times ``run_error_vs_noise`` at K = 10 with 200 trials
 and one worker (seed 2026).  ``--parent DIR`` repeats everything with
@@ -37,12 +51,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# (label, structure, prior, its dimension or sparsity, T, stopping rule, algorithm)
 CASES = (
-    ("8x4 T=1", "8x4", 4, 1, "residual"),
-    ("8x4 T=12", "8x4", 4, 12, "oracle"),
-    ("8x4 T=200", "8x4", 4, 200, "oracle"),
-    ("8x4,3x2 T=1", "8x4,3x2", 4, 1, "residual"),
-    ("cyclic:1024 T=16", "cyclic:1024", 256, 16, "residual"),
+    ("8x4 T=1", "8x4", "subspace", 4, 1, "residual", "alternating_projection"),
+    ("8x4 T=12", "8x4", "subspace", 4, 12, "oracle", "alternating_projection"),
+    ("8x4 T=200", "8x4", "subspace", 4, 200, "oracle", "alternating_projection"),
+    ("8x4,3x2 T=1", "8x4,3x2", "subspace", 4, 1, "residual", "alternating_projection"),
+    ("8x4 sparse T=1", "8x4", "sparsity", 6, 1, "residual", "alternating_projection"),
+    ("8x4 dict RRR T=1", "8x4", "dictionary", 6, 1, "residual", "rrr"),
+    ("8x4,3x2:complex RRR T=1", "8x4,3x2:complex", "subspace", 3, 1, "residual", "rrr"),
+    ("cyclic:1024 T=16", "cyclic:1024", "subspace", 256, 16, "residual",
+     "alternating_projection"),
 )
 LAYERS = (
     ("prior", "project_prior"),
@@ -52,15 +71,31 @@ LAYERS = (
 )
 
 
-def _instances(structure, k, count, seed):
+def _instances(structure, kind, k, count, seed):
     import numpy as np
-    from gramphase import decompose, gram_tuple, random_signal, random_subspace_prior
+    from gramphase import (SparsityPrior, decompose, gram_tuple, random_signal,
+                           random_subspace_prior)
 
     rng = np.random.default_rng(seed)
+    d = structure.ambient_dim
     rows = []
     for _ in range(count):
-        prior = random_subspace_prior(structure, k, rng)
-        truth = decompose(prior.basis @ rng.standard_normal(k), structure)
+        if kind == "subspace":
+            prior = random_subspace_prior(structure, k, rng)
+            coeffs = rng.standard_normal(k)
+            if structure.field == "complex":
+                coeffs = coeffs + 1j * rng.standard_normal(k)
+            truth = prior.basis @ coeffs
+        else:  # k-sparse, in the standard basis or a random orthonormal one (real)
+            dictionary = None
+            if kind == "dictionary":
+                dictionary = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            truth = np.zeros(d)
+            truth[rng.choice(d, k, replace=False)] = rng.standard_normal(k)
+            prior = SparsityPrior(k, dictionary)
+            if dictionary is not None:
+                truth = dictionary @ truth
+        truth = decompose(truth, structure)
         rows.append((gram_tuple(truth), prior, random_signal(structure, rng), truth))
     return [list(c) for c in zip(*rows)]
 
@@ -83,10 +118,10 @@ def time_case(spec, iters):
     from gramphase import SolverConfig, solve_batch, solvers
     from gramphase.cli import parse_structure
 
-    label, structure, k, count, stop_on = spec
+    label, structure, kind, k, count, stop_on, algorithm = spec
     s = parse_structure(structure)
-    measured, priors, inits, truths = _instances(s, k, count, seed=2026)
-    config = SolverConfig(max_iters=iters, tol=1e-300, stop_on=stop_on)
+    measured, priors, inits, truths = _instances(s, kind, k, count, seed=2026)
+    config = SolverConfig(algorithm=algorithm, max_iters=iters, tol=1e-300, stop_on=stop_on)
     solve_batch(measured, priors, config, inits, truths)  # warm-up
     t0 = time.perf_counter()
     solve_batch(measured, priors, config, inits, truths)
@@ -166,13 +201,13 @@ def main():
             rounds[side].append(_child(src, args.iters, args.noise))
     med = {side: _medians(r) for side, r in rounds.items()}
     print(f"us per iteration, median of {args.rounds} rounds of {args.iters} iterations")
-    head = f"{'case':<18} {'side':<7}" + "".join(f"{c:>12}" for c in
+    head = f"{'case':<24} {'side':<7}" + "".join(f"{c:>12}" for c in
                                                   ["total"] + [l for l, _ in LAYERS])
     print(head)
     for label, *_ in CASES:
         for side in sides:
             row = med[side][label]
-            print(f"{label:<18} {side:<7}" + "".join(
+            print(f"{label:<24} {side:<7}" + "".join(
                 f"{row[c]:>12.1f}" for c in ["total"] + [l for l, _ in LAYERS]))
     if args.noise:
         for side in sides:

@@ -145,9 +145,14 @@ def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
 def _square_sums(flat: list[np.ndarray]) -> np.ndarray:
     """Sum of squared magnitudes of each row of ``(T, k)`` stacks, the
     stacks added in list order."""
-    sums = [np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag) if np.iscomplexobj(a)
-            else np.vecdot(a, a) for a in flat]
-    return sum(sums[1:], sums[0])
+    acc = None
+    for a in flat:
+        if np.iscomplexobj(a):
+            sums = np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag)
+        else:
+            sums = np.vecdot(a, a)
+        acc = sums if acc is None else acc + sums
+    return acc
 
 
 def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -161,10 +166,20 @@ def frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
     is not, because a square overflowed or underflowed, are summed again
     after scaling by the power of two nearest their largest magnitude.
     Each row is computed on its own, whatever stack it sits in.
+
+    This is :func:`_frobenius_norms` under an ``errstate`` that ignores
+    overflow and underflow; a loop of many calls, such as the solver's
+    iteration, enters that ``errstate`` once and calls the inner itself.
     """
+    with np.errstate(over="ignore", under="ignore"):  # such rows are redone
+        return _frobenius_norms(stacks)
+
+
+def _frobenius_norms(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`frobenius_norms` without its ``errstate``: the caller must
+    ignore overflow and underflow."""
     flat = [np.asarray(a).reshape(len(a), -1) for a in stacks]
-    with np.errstate(over="ignore", under="ignore"):  # such rows are redone below
-        acc = _square_sums(flat)
+    acc = _square_sums(flat)
     norms = np.sqrt(acc)
     # scanning the list beats numpy reductions on the short stacks of a solve
     odd = [t for t, a in enumerate(acc.tolist()) if not 2.0**-960 <= a <= 2.0**960]

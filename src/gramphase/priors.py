@@ -191,7 +191,7 @@ def _hard_threshold(v: np.ndarray, k: np.ndarray) -> np.ndarray:
     descending magnitude breaks ties toward the lowest index."""
     order = np.argsort(-np.abs(v), axis=1, kind="stable")
     rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(v.shape[1]), axis=1)
+    rank[np.arange(len(v))[:, None], order] = np.arange(v.shape[1])
     return np.where(rank < k[:, None], v, 0.0)
 
 

@@ -39,9 +39,28 @@ memory layout as a single call, elementwise steps treat each entry
 alone, and every block chooses between the eigendecomposition and the
 SVD by its own values, so each row's result is bitwise independent of
 the batch it was solved in.  Every norm comes from
-:func:`gramphase.blocks.frobenius_norms`, and :func:`rho` and the oracle
-error share one sign distance, so ``oracle_error`` is bitwise
-``rho(estimate, truth) / ||truth||``.
+:func:`gramphase.blocks.frobenius_norms` or its unguarded inner, and
+:func:`rho` and the oracle error share one sign distance, so
+``oracle_error`` is bitwise ``rho(estimate, truth) / ||truth||``.
+
+Each iteration is cheap and a solve runs hundreds of them, so what numpy
+charges per call, rather than per entry, sets the solver's speed.  Two
+places avoid it:
+
+- ``eigh`` and the thin ``svd`` go through :func:`_eigh` and
+  :func:`_svd`.  On float64 and complex128 stacks, the only types an
+  iteration makes, they call numpy's LAPACK gufuncs directly, under the
+  same ``errstate`` as ``np.linalg.eigh`` and ``np.linalg.svd``, so
+  non-convergence still raises ``LinAlgError`` and the bits are the
+  wrapper's.  They skip its type resolution, shape checks and result
+  casts, which on a small stack cost about as much as LAPACK itself.
+  Other types go through the wrapper, which computes in double precision
+  and casts the results back.
+- The iteration loop of :func:`solve_batch` runs under one
+  ``np.errstate`` that ignores overflow and underflow.  Inside it, the
+  norms come from :func:`gramphase.blocks._frobenius_norms`, which still
+  redoes the rows whose sums left the safe range but enters no
+  ``errstate`` of its own.
 
 The SVD's sign (phase) freedom is left unpinned: ``U V*`` is the sum of
 ``u_i v_i*`` over singular pairs, and each term is unchanged when its
@@ -52,16 +71,21 @@ the signs of the eigenvectors.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .blocks import (
     BlockSignal,
     RepresentationStructure,
     StructureMismatch,
+    _frobenius_norms,
+    _whole_number,
     decompose,
     frobenius_norms,
     group_stacks,
@@ -116,10 +140,11 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.algorithm == "rrr" and not 0.0 < self.beta <= 1.0:
             raise ValueError(f"rrr needs 0 < beta <= 1, got {self.beta}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        object.__setattr__(self, "max_iters", _whole_number(self.max_iters, "max_iters"))
+        tol = self.tol
+        if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+                and math.isfinite(tol) and tol > 0.0):
+            raise ValueError(f"tol must be a finite positive number, got {tol!r}")
         if self.stop_on not in ("residual", "oracle"):
             raise ValueError(f"unknown stopping rule {self.stop_on!r}")
 
@@ -160,8 +185,37 @@ def _psd_root(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The PSD square root of ``(G + G*) / 2`` for each matrix ``G`` of a
     ``(..., r, r)`` stack, from one ``eigh`` call, and its eigenvalues in
     ascending order (negative ones clamped to zero in the root only)."""
-    w, v = np.linalg.eigh((g + g.conj().mT) / 2.0)
+    w, v = _eigh((g + g.conj().mT) / 2.0)
     return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().mT, w
+
+
+def _eigh_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+# numpy's own errstate around its LAPACK gufuncs: a failed matrix sets
+# the invalid flag, which calls the handler
+_LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)`` bit for bit: ``(w, v)`` of a stack."""
+    if a.dtype.char not in "dD":  # the wrapper casts other types
+        return np.linalg.eigh(a)
+    with np.errstate(call=_eigh_failed, **_LAPACK_ERRSTATE):
+        return _umath_linalg.eigh_lo(a)
+
+
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)`` bit for bit: ``(u, s, vh)``."""
+    if a.dtype.char not in "dD":
+        return np.linalg.svd(a, full_matrices=False)
+    with np.errstate(call=_svd_failed, **_LAPACK_ERRSTATE):
+        return _umath_linalg.svd_s(a)
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -188,7 +242,7 @@ def _eigh_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A V diag(w)^-1/2 V*`` from ``A* A = V diag(w) V*`` for each matrix
     of a ``(..., n, r)`` stack, and whether ``w_min / w_max`` reaches
     ``POLAR_RCOND``, below which the result is not to be used."""
-    w, v = np.linalg.eigh(a.conj().mT @ a)
+    w, v = _eigh(a.conj().mT @ a)
     # the floor only keeps the matrices that fail the test free of 1 / 0
     root = np.sqrt(np.maximum(w, _SMALLEST))
     q = (a @ (v / root[..., None, :])) @ v.conj().mT
@@ -202,7 +256,7 @@ def _all(mask: np.ndarray) -> bool:
 
 
 def _svd_polar(a: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    u, _, vh = _svd(a)
     return u @ vh
 
 
@@ -211,34 +265,6 @@ def _mask_or_bool(mask: np.ndarray) -> np.ndarray | bool:
     if _all(mask) or not mask.any():
         return bool(mask.all())
     return mask
-
-
-def _polar(a: np.ndarray, try_eigh: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray | bool]:
-    """Unitary polar factor ``U V*`` of each matrix of a ``(..., n, r)``
-    stack, ``n >= r``, and which matrices took it from the eigendecomposition.
-
-    The matrices marked in ``try_eigh`` (a mask, or one bool for all) take
-    it from the eigendecomposition of the r x r ``A* A``.  Forming ``A* A``
-    squares the condition number, so the rest, and those whose
-    ``w_min / w_max`` falls below ``POLAR_RCOND`` (rank deficient, or
-    nearly), take the thin SVD.  Each matrix takes its path by its own
-    values, so a row's result does not depend on the stack.  ``A`` should
-    be near unit size, so that ``A* A`` neither overflows nor underflows.
-    """
-    if try_eigh is False:
-        return _svd_polar(a), False
-    if try_eigh is True:
-        q, ok = _eigh_polar(a)
-        if _all(ok):
-            return q, True
-    else:
-        q, ok = np.empty_like(a), np.zeros(try_eigh.shape, dtype=bool)
-        if try_eigh.any():
-            q[try_eigh], ok[try_eigh] = _eigh_polar(a[try_eigh])
-    bad = ~ok
-    if bad.any():
-        q[bad] = _svd_polar(a[bad])
-    return q, _mask_or_bool(ok)
 
 
 def _unit_scale(size: np.ndarray) -> np.ndarray:
@@ -275,14 +301,37 @@ def _shape_constants(gram: np.ndarray, unit: np.ndarray) -> _Shape:
 
 def _procrustes(c: _Shape, xtilde: np.ndarray) -> tuple[np.ndarray, _Shape]:
     """Measurement projection of a ``(..., n, r)`` stack of blocks, and the
-    constants for the next one: a block whose polar factor once failed the
-    eigendecomposition's test (a sparse iterate can keep a zero column
-    while its Gram has full rank) takes the SVD from then on, rather than
-    paying for both at every iteration."""
+    constants for the next one.
+
+    The unitary polar factor of ``A = Xtilde S`` comes from the
+    eigendecomposition of the r x r ``A* A`` for the blocks marked in
+    ``c.try_eigh``.  Forming ``A* A`` squares the condition number, so the
+    rest, and those whose ``w_min / w_max`` falls below ``POLAR_RCOND``
+    (rank deficient, or nearly), take the thin SVD.  Each block takes its
+    path by its own values, so a row's result does not depend on the
+    stack.  A block that once failed the eigendecomposition's test (a
+    sparse iterate can keep a zero column while its Gram has full rank)
+    takes the SVD from then on, rather than paying for both at every
+    iteration.
+    """
     if xtilde.shape[-1] == 1:
         return _unit_vectors(xtilde[..., 0])[..., None] * c.sqrt, c
-    q, took_eigh = _polar(xtilde @ c.scaled, c.try_eigh)
-    return q @ c.sqrt, c if took_eigh is c.try_eigh else c._replace(try_eigh=took_eigh)
+    a = xtilde @ c.scaled
+    try_eigh = c.try_eigh
+    if try_eigh is False:
+        return _svd_polar(a) @ c.sqrt, c
+    if try_eigh is True:
+        q, ok = _eigh_polar(a)
+        if _all(ok):  # the common case: no mask to keep
+            return q @ c.sqrt, c
+    else:
+        q, ok = np.empty_like(a), np.zeros(try_eigh.shape, dtype=bool)
+        if try_eigh.any():
+            q[try_eigh], ok[try_eigh] = _eigh_polar(a[try_eigh])
+    bad = ~ok
+    if bad.any():
+        q[bad] = _svd_polar(a[bad])
+    return q @ c.sqrt, c._replace(try_eigh=_mask_or_bool(ok))
 
 
 def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
@@ -316,8 +365,10 @@ def procrustes_project(g: np.ndarray, xtilde: np.ndarray) -> np.ndarray:
 
 
 def _sign_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``min(||p - q||, ||p + q||)`` of each row of two ``(T, d)`` stacks."""
-    both = frobenius_norms([np.concatenate([p - q, p + q])])
+    """``min(||p - q||, ||p + q||)`` of each row of two ``(T, d)`` stacks,
+    under the caller's ``errstate``, which must ignore overflow and
+    underflow."""
+    both = _frobenius_norms([np.concatenate([p - q, p + q])])
     return np.minimum(both[: len(p)], both[len(p):])
 
 
@@ -326,7 +377,8 @@ def rho(x: BlockSignal, y: BlockSignal) -> float:
     concatenated blocks.  Zero iff ``y == x`` or ``y == -x``."""
     if x.structure != y.structure:
         raise StructureMismatch("signals live on different structures")
-    return float(_sign_distances(reconstruct(x)[None], reconstruct(y)[None])[0])
+    with np.errstate(over="ignore", under="ignore"):
+        return float(_sign_distances(reconstruct(x)[None], reconstruct(y)[None])[0])
 
 
 def solve(
@@ -406,9 +458,10 @@ class _Rows:
 
     def residuals(self, xs: list[np.ndarray]) -> np.ndarray:
         """Normalized Gram mismatch ``||X* X - G|| / ||G||`` of each row,
-        from the shape groups ``xs`` of its blocks."""
+        from the shape groups ``xs`` of its blocks (under the iteration
+        loop's ``errstate``, as :func:`_sign_distances`)."""
         errs = [_gram(x) - c.gram for x, c in zip(xs, self.shapes)]
-        return frobenius_norms(errs) / self.gram_scale
+        return _frobenius_norms(errs) / self.gram_scale
 
     def oracle_errors(self, p: np.ndarray) -> np.ndarray:
         """Sign-resolved distance to the truth over the truth's norm."""
@@ -493,47 +546,50 @@ def solve_batch(
     # track it; otherwise each row's is computed once, when it stops.
     every_residual = config.stop_on == "residual" or config.track_trajectory
 
-    for k in range(config.max_iters + 1):
-        if not np.isfinite(v).all():
-            row = int(rows.index[np.argmin(np.isfinite(v).all(axis=1))])
-            raise FloatingPointError(
-                f"iterate of row {row} became non-finite entering iteration {k}; "
-                "check the measurement and prior for scale problems"
-            )
-        p = rows.prior_projection(v)
-        xs = group_stacks(p, s)
-        residual = rows.residuals(xs) if every_residual else None
-        if trajectories is not None:
-            for t, value in zip(rows.index, residual.tolist()):
-                trajectories[t].append(value)
-        crit = residual if config.stop_on == "residual" else rows.oracle_errors(p)
-        converged = crit < config.tol
-        stop = converged if k < config.max_iters else np.ones(len(p), dtype=bool)
-        if any(stop.tolist()):
-            done = rows.take(stop)
-            p_done = p[stop]
-            res = residual[stop] if every_residual else done.residuals(group_stacks(p_done, s))
-            err = None
-            if truth is not None:
-                err = crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
-            for j, (t, ok) in enumerate(zip(done.index, converged[stop])):
-                reports[t] = SolveReport(
-                    estimate=decompose(p_done[j], s),
-                    iterations_used=k,
-                    converged=bool(ok),
-                    residual_final=float(res[j]),
-                    residual_trajectory=None if trajectories is None else trajectories[t],
-                    oracle_error=None if err is None else float(err[j]),
+    # one errstate for the whole loop: the norms' overflowed and
+    # underflowed rows are redone, and a non-finite iterate raises below
+    with np.errstate(over="ignore", under="ignore"):
+        for k in range(config.max_iters + 1):
+            if not np.isfinite(v).all():
+                row = int(rows.index[np.argmin(np.isfinite(v).all(axis=1))])
+                raise FloatingPointError(
+                    f"iterate of row {row} became non-finite entering iteration {k}; "
+                    "check the measurement and prior for scale problems"
                 )
-            if stop.all():
-                break
-            keep = ~stop
-            rows, v, p = rows.take(keep), v[keep], p[keep]
+            p = rows.prior_projection(v)
             xs = group_stacks(p, s)
-        if config.algorithm == "alternating_projection":
-            v = _project_measurement(xs, rows, s)
-        else:
-            # relaxed reflect-and-average step
-            reflected = _project_measurement(group_stacks(2.0 * p - v, s), rows, s)
-            v = v + config.beta * (reflected - p)
+            residual = rows.residuals(xs) if every_residual else None
+            if trajectories is not None:
+                for t, value in zip(rows.index, residual.tolist()):
+                    trajectories[t].append(value)
+            crit = residual if config.stop_on == "residual" else rows.oracle_errors(p)
+            converged = crit < config.tol
+            stop = converged if k < config.max_iters else np.ones(len(p), dtype=bool)
+            if any(stop.tolist()):
+                done = rows.take(stop)
+                p_done = p[stop]
+                res = residual[stop] if every_residual else done.residuals(group_stacks(p_done, s))
+                err = None
+                if truth is not None:
+                    err = crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
+                for j, (t, ok) in enumerate(zip(done.index, converged[stop])):
+                    reports[t] = SolveReport(
+                        estimate=decompose(p_done[j], s),
+                        iterations_used=k,
+                        converged=bool(ok),
+                        residual_final=float(res[j]),
+                        residual_trajectory=None if trajectories is None else trajectories[t],
+                        oracle_error=None if err is None else float(err[j]),
+                    )
+                if stop.all():
+                    break
+                keep = ~stop
+                rows, v, p = rows.take(keep), v[keep], p[keep]
+                xs = group_stacks(p, s)
+            if config.algorithm == "alternating_projection":
+                v = _project_measurement(xs, rows, s)
+            else:
+                # relaxed reflect-and-average step
+                reflected = _project_measurement(group_stacks(2.0 * p - v, s), rows, s)
+                v = v + config.beta * (reflected - p)
     return reports

@@ -85,7 +85,12 @@ class TestExperimentConfig:
             ({"sigma_values": (float("inf"),)}, "noise sweep"),
             ({"algorithm": "rrr", "beta": 1.5}, "beta"),
             ({"max_iters": 0}, "max_iters"),
+            ({"max_iters": 10.5}, "max_iters"),
+            ({"max_iters": True}, "max_iters"),
+            ({"max_iters": "5"}, "max_iters"),
             ({"tol": 0.0}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
             ({"master_seed": 2**32}, r"master_seed must be in \[0, 2\*\*32\)"),
         ],
     )
@@ -313,6 +318,40 @@ class TestCli:
         assert code == 0
         _, body, _ = read_csv(tmp_path / "nodir" / "x.csv")
         assert len(body) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_exits_1_by_name(self, capsys, tol):
+        # a NaN tolerance once ran every trial to the cap and exited 0
+        code = main(["exp-iterations", "--K", "2", "--trials", "2", f"--tol={tol}",
+                     "--max-iters", "5"])
+        assert code == 1
+        assert f"error: tol must be a finite positive number, got {float(tol)!r}" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("max_iters", ["10.5", "True", "five"])
+    def test_max_iters_that_is_not_an_integer_is_an_argparse_error(self, capsys, max_iters):
+        with pytest.raises(SystemExit) as exit_:
+            main(["exp-iterations", "--K", "2", "--trials", "2", "--max-iters", max_iters])
+        assert exit_.value.code == 2
+        assert f"--max-iters: invalid int value: '{max_iters}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"tol": NaN}', "tol must be a finite positive number, got nan"),
+            ('{"tol": Infinity}', "tol must be a finite positive number, got inf"),
+            ('{"max_iters": 10.5}', "config file key 'max_iters' must be an integer, got 10.5"),
+            ('{"max_iters": true}', "config file key 'max_iters' must be an integer, got True"),
+            ('{"max_iters": "5"}', "config file key 'max_iters' must be an integer, got '5'"),
+        ],
+    )
+    def test_config_file_tol_and_max_iters_refused_by_name(self, tmp_path, capsys, text,
+                                                           expected):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        code = main(["exp-iterations", "--K", "2", "--trials", "2", "--config", str(cfg_file)])
+        assert code == 1
+        assert f"error: {expected}" in capsys.readouterr().err
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

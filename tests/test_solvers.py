@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gramphase import (
     solve,
     solve_batch,
 )
+from gramphase import solvers
 from gramphase.blocks import frobenius_norms
 from tests._oracles import procrustes_grid_best, svd_procrustes
 
@@ -87,6 +89,99 @@ class TestMatrixSqrt:
         g = np.stack([1e6 * np.eye(2), np.array([[1.0, 1e-6], [0.0, 1.0]])])
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_sqrt_psd(g)
+
+
+def _numpy_wrappers(monkeypatch):
+    """Route the solver's LAPACK helpers through numpy's own wrappers."""
+    monkeypatch.setattr(solvers, "_eigh", np.linalg.eigh)
+    monkeypatch.setattr(solvers, "_svd", lambda a: np.linalg.svd(a, full_matrices=False))
+
+
+def _same_outcome(call, reference):
+    """Both calls raise the same error, or return arrays of the same dtypes
+    and bits (NaNs included)."""
+    try:
+        want = reference()
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc))):
+            call()
+        return
+    got = call()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is np.ndarray and g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w, strict=True)
+
+
+LAPACK_TYPES = [np.float64, np.complex128, np.float32, np.complex64, np.int64]
+
+
+class TestLapackHelpers:
+    """``solvers._eigh`` and ``solvers._svd`` call numpy's LAPACK gufuncs
+    directly; they must give what ``np.linalg.eigh`` and the thin
+    ``np.linalg.svd`` give, bit for bit, dtype and errors included."""
+
+    @staticmethod
+    def _stack(rng, dtype, *shape):
+        a = rng.standard_normal(shape)
+        if np.issubdtype(dtype, np.complexfloating):
+            a = a + 1j * rng.standard_normal(shape)
+        if np.issubdtype(dtype, np.integer):
+            a = np.round(4 * a)
+        return a.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", LAPACK_TYPES)
+    def test_eigh_is_numpys(self, dtype):
+        rng = np.random.default_rng(31)
+        for r in range(1, 9):
+            a = self._stack(rng, dtype, 3, 2, r, r)
+            g = a + a.conj().mT  # Hermitian, in the input's own type
+            _same_outcome(lambda: solvers._eigh(g), lambda: np.linalg.eigh(g))
+            # a non-contiguous view, and a stack of Grams as the solver makes
+            _same_outcome(lambda: solvers._eigh(g.mT), lambda: np.linalg.eigh(g.mT))
+            gram = a.conj().mT @ a
+            _same_outcome(lambda: solvers._eigh(gram), lambda: np.linalg.eigh(gram))
+            if not np.issubdtype(dtype, np.integer):
+                bad = g.copy()
+                bad[1, 0] = np.nan
+                _same_outcome(lambda: solvers._eigh(bad), lambda: np.linalg.eigh(bad))
+
+    @pytest.mark.parametrize("dtype", LAPACK_TYPES)
+    def test_thin_svd_is_numpys(self, dtype):
+        rng = np.random.default_rng(32)
+        thin = lambda a: np.linalg.svd(a, full_matrices=False)  # noqa: E731
+        for r in range(1, 9):
+            for n in (r, r + 3):
+                a = self._stack(rng, dtype, 3, 2, n, r)
+                a[2, 1, :, r // 2:] = 0  # rank deficient, as sparse iterates make
+                _same_outcome(lambda: solvers._svd(a), lambda: thin(a))
+                _same_outcome(lambda: solvers._svd(a[:, ::-1]), lambda: thin(a[:, ::-1]))
+                if not np.issubdtype(dtype, np.integer):
+                    bad = a.copy()
+                    bad[0, 1] = np.nan
+                    _same_outcome(lambda: solvers._svd(bad), lambda: thin(bad))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64, np.complex128])
+    def test_public_projectors_keep_the_wrappers_dtype_and_bits(self, dtype, monkeypatch):
+        # single-precision input is computed in double and cast back, as
+        # numpy's wrappers do; a helper that skipped the cast returned
+        # float64 (complex128) here, with other last bits
+        rng = np.random.default_rng(33)
+        cases = []
+        for rank in (3, 1):  # full rank takes the eigendecomposition, rank 1 the SVD
+            b = self._stack(rng, dtype, rank, 3)
+            g = b.conj().T @ b
+            cases.append(((g + g.conj().T) / 2, self._stack(rng, dtype, 6, 3)))
+        cases.append((cases[0][0], cases[0][1][:, :1] @ np.ones((1, 3), dtype)))
+
+        def run():
+            out = [matrix_sqrt_psd(np.stack([g for g, _ in cases]))]
+            out += [procrustes_project(g, x) for g, x in cases]
+            return out
+
+        ours = run()
+        _numpy_wrappers(monkeypatch)
+        _same_outcome(lambda: ours, run)
 
 
 class TestProcrustes:
@@ -423,6 +518,53 @@ class TestSolve:
             SolverConfig(tol=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(algorithm="rrrr")
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"tol": float("nan")}, "tol must be a finite positive number, got nan"),
+            ({"tol": float("inf")}, "tol must be a finite positive number, got inf"),
+            ({"tol": True}, "tol must be a finite positive number, got True"),
+            ({"tol": "5"}, "tol must be a finite positive number, got '5'"),
+            ({"max_iters": 10.5}, "max_iters must be a whole number >= 1, got 10.5"),
+            ({"max_iters": True}, "max_iters must be a whole number >= 1, got True"),
+            ({"max_iters": "5"}, "max_iters must be a whole number >= 1, got '5'"),
+            ({"max_iters": float("nan")}, "max_iters must be a whole number >= 1, got nan"),
+            ({"max_iters": float("inf")}, "max_iters must be a whole number >= 1, got inf"),
+        ],
+    )
+    def test_config_refuses_what_no_solve_can_run(self, kwargs, match):
+        # a NaN tolerance once ran every row to the cap without saying why,
+        # and a fractional cap failed inside the solve with a bare TypeError
+        with pytest.raises(ValueError, match=re.escape(match)):
+            SolverConfig(**kwargs)
+
+    def test_whole_float_and_numpy_caps_become_ints(self):
+        for cap in (5.0, np.int64(5), np.float32(5.0)):
+            max_iters = SolverConfig(max_iters=cap).max_iters
+            assert type(max_iters) is int and max_iters == 5
+        assert SolverConfig(tol=np.float32(1e-3)).tol == np.float32(1e-3)
+
+    def test_solve_leaves_the_errstate_as_it_found_it(self):
+        # the iteration loop enters one errstate of its own; it must be
+        # undone on return and when the solve raises
+        s = RepresentationStructure(((8, 4), (3, 2)))
+        rng = np.random.default_rng(3)
+        prior = random_subspace_prior(s, 3, rng)
+        truth = decompose(prior.basis @ rng.standard_normal(3), s)
+        bad = reconstruct(random_signal(s, rng))
+        bad[5] = np.nan
+        handler = lambda err, flag: None  # noqa: E731
+        with np.errstate(over="raise", under="warn", divide="ignore", call=handler):
+            before = np.geterr(), np.geterrcall()
+            for algorithm in ("alternating_projection", "rrr"):
+                solve(gram_tuple(truth), prior, SolverConfig(algorithm=algorithm, max_iters=30),
+                      truth=truth)
+                assert (np.geterr(), np.geterrcall()) == before
+                with pytest.raises(FloatingPointError, match="entering iteration 0"):
+                    solve(gram_tuple(truth), prior, SolverConfig(algorithm=algorithm),
+                          init=decompose(bad, s))
+                assert (np.geterr(), np.geterrcall()) == before
 
 
 def _batch_instances(field, kind, rows, seed, k=3):
