@@ -29,7 +29,9 @@ a Gaussian signal and on that signal times 0.0 (signed zeros).
 on a small config (its files go to a temporary directory, named
 ``OUT_DIR`` there).  Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
-result.
+result.  gramphase runs numpy's bundled OpenBLAS on one thread, so the
+outputs do not depend on the CPU count: the two runs may be on different
+CPU sets (``taskset -c 0`` against two CPUs gives the same files).
 """
 import hashlib
 import io

@@ -49,6 +49,7 @@ from .blocks import (
     RepresentationStructure,
     _chunk_map,
     _chunk_rows,
+    _one_blas_thread,
     _whole_number,
     apply,
     decompose,
@@ -419,6 +420,7 @@ def _unit_subspace_point(point, idx: int, basis: np.ndarray) -> np.ndarray:
     return x / nrm
 
 
+@_one_blas_thread
 def transversality_check(
     structure: RepresentationStructure,
     prior: LinearSubspacePrior,
@@ -460,6 +462,8 @@ def transversality_check(
         )
     if points is not None:
         num_points = len(points)
+    num_points = _whole_number(num_points, "num_points", None)
+    grid_resolution = _whole_number(grid_resolution, "grid_resolution", None)
     if num_points < 1 or grid_resolution < 4:
         raise ValueError("need at least one point and grid_resolution >= 4")
     if not 0.0 < exclude_tol < 2.0:
@@ -520,6 +524,7 @@ def transversality_check(
     )
 
 
+@_one_blas_thread
 def intersecting_subspace_prior(
     x: BlockSignal, element: GroupElement
 ) -> LinearSubspacePrior:
@@ -552,6 +557,7 @@ class DistortionReport:
     histogram_edges: np.ndarray
 
 
+@_one_blas_thread
 def distortion_ratios(
     x_amb: np.ndarray,
     y_amb: np.ndarray,
@@ -569,8 +575,7 @@ def distortion_ratios(
 
     With a ``(d, m)`` ``basis``, ``x_amb`` and ``y_amb`` are ``(pairs, m)``
     coefficient rows, and each chunk takes its own ambient rows as
-    ``rows @ basis.T``: no ``(pairs, d)`` array is made, and no product
-    is large enough for the BLAS to start its own threads.  The chunks
+    ``rows @ basis.T``: no ``(pairs, d)`` array is made.  The chunks
     hold at least two rows (a one-row tail joins the chunk before it), as
     a one-row product takes the matrix-vector path and can differ in the
     last bit, so the ratios equal those of the whole products
@@ -607,6 +612,7 @@ def distortion_ratios(
     return num[used] / denom[used], used
 
 
+@_one_blas_thread
 def distortion_estimate(
     structure: RepresentationStructure,
     prior: LinearSubspacePrior,

@@ -28,11 +28,15 @@ before the first imaginary part.
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
 draws and the distortion ratios of :mod:`gramphase.analysis` run their
 chunks on the CPUs' threads through ``_chunk_map``, which shares the
-budget among the threads and changes no bit of any result.  No threaded
-BLAS call runs just before a map: after a product large enough for
-OpenBLAS to thread returns, its workers spin for a tenth of a second or
-more and take the CPUs the map's threads need, so such a product is
-taken chunk by chunk inside the map instead.
+budget among the threads and changes no bit of any result.  The chunk
+map owns the CPUs, and the BLAS runs on one thread: every public
+function that reaches a large BLAS or LAPACK call is wrapped in
+``_one_blas_thread``, which sets numpy's bundled OpenBLAS to one thread
+for the call and restores the caller's count after it.  So no OpenBLAS
+worker spins on a CPU a map needs, and no result depends on how many
+threads the BLAS would have split a product over (a threaded product or
+QR sums in another order).  Importing the package pins nothing; on a
+BLAS other than numpy's bundled OpenBLAS the wrapper does nothing.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -46,6 +50,9 @@ are laid out as an ambient vector and go through ``decompose`` /
 from __future__ import annotations
 
 import contextvars
+import ctypes
+import functools
+import glob
 import itertools
 import numbers
 import os
@@ -56,6 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 __all__ = [
     "RepresentationStructure",
@@ -101,6 +109,53 @@ def _workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, as
+    ctypes functions, or None where numpy was built on another BLAS.
+    Looked up on the first pinned call, not on import."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+def _one_blas_thread(fn: Callable) -> Callable:
+    """``fn`` with numpy's OpenBLAS on one thread while it runs.
+
+    The caller's thread count is saved, set to 1 and restored when ``fn``
+    returns or raises.  A call made while the count is already 1 (a
+    nested call, or a chunk map's thread inside one), or on a BLAS where
+    the lookup found nothing, runs ``fn`` as it is.  The count is global
+    to the process: two Python threads inside gramphase at once can
+    interleave the save and the restore."""
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        threads = _openblas_threads()
+        if threads is None:
+            return fn(*args, **kwargs)
+        get, set_ = threads
+        count = get()
+        if count == 1:
+            return fn(*args, **kwargs)
+        set_(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_(count)
+
+    return pinned
 
 
 def _chunk_rows(width: int) -> int:
@@ -595,13 +650,35 @@ def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
         yield i, j, a
 
 
+# numpy's own errstate around its LAPACK gufuncs: a failed matrix sets
+# the invalid flag, which calls the handler
+_LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+def _qr_failed(err, flag):
+    raise LinAlgError("QR factorization failed")
+
+
 def haar_q(a: np.ndarray) -> np.ndarray:
     """The Haar matrices of a ``(T, n, n)`` stack of Gaussian matrices
-    from :func:`haar_chunks`, one LAPACK QR call for the stack."""
-    q, r = np.linalg.qr(a)
+    from :func:`haar_chunks`, one LAPACK QR call for the stack.
+
+    ``a`` is factored in place: numpy's QR gufuncs are called directly,
+    under the ``errstate`` of ``np.linalg.qr``, so the Q and the diagonal
+    of R are that wrapper's bit for bit on float64 and complex128 stacks,
+    without its copy of ``a`` and its ``triu`` of R.  A failed LAPACK
+    call, or an R diagonal that is not finite (a NaN or an infinity in
+    ``a``), raises ``LinAlgError``.  ``a`` must be float64 or complex128,
+    as :func:`haar_chunks` draws it: the gufuncs would factor a cast copy
+    of another type and leave ``a`` as it was."""
+    with np.errstate(call=_qr_failed, **_LAPACK_ERRSTATE):
+        q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
+    # the factored a holds R on and above its diagonal
+    d = np.diagonal(a, axis1=1, axis2=2)
+    if not np.isfinite(d).all():
+        raise LinAlgError("QR factorization of a non-finite matrix")
     # Plain QR of a Gaussian matrix is not Haar; correcting each column
     # by the sign (phase) of the R diagonal makes the distribution exact.
-    d = np.diagonal(r, axis1=1, axis2=2)
     phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
     q *= phases[:, None, :]
     return q

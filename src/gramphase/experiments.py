@@ -27,6 +27,8 @@ import numpy as np
 from .blocks import (
     GroupAction,
     RepresentationStructure,
+    _one_blas_thread,
+    _whole_number,
     cyclic_action,
     cyclic_structure,
     decompose,
@@ -112,25 +114,24 @@ class ExperimentConfig:
         if self.algorithm == "ap":
             self.algorithm = "alternating_projection"
         self.paper_scale = bool(self.paper_scale)
-        self.solver_config("residual")  # SolverConfig checks algorithm, beta, max_iters, tol
+        # counts are stored as ints, so 10.0 and 10 hash alike
+        for name in ("trials", "subspace_dim", "n_samples", "workers", "grid_resolution",
+                     "max_iters"):
+            if getattr(self, name) is not None:  # None: the runner's fallback
+                setattr(self, name, _whole_number(getattr(self, name), name))
+        self.master_seed = _whole_number(self.master_seed, "master_seed", 0)
+        self.k_values = tuple(_whole_number(k, "each of k_values") for k in self.k_values)
+        self.solver_config("residual")  # SolverConfig checks algorithm, beta and tol
         if self.action not in ("full", "cyclic"):
             raise ValueError(f"unknown action {self.action!r}")
-        if not 0 <= self.master_seed < 2**32:
+        if self.master_seed >= 2**32:
             # a larger seed spans several SeedSequence words, so its trial
             # streams would alias those of another (seed, slot, trial)
             raise ValueError(f"master_seed must be in [0, 2**32), got {self.master_seed}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        if self.subspace_dim is not None and self.subspace_dim < 1:
-            raise ValueError("subspace_dim must be >= 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("subspace dimension sweep must be nonempty and positive")
+        if not self.k_values:
+            raise ValueError("subspace dimension sweep must be nonempty")
         if not self.sigma_values or not all(
             math.isfinite(s) and s >= 0 for s in self.sigma_values
         ):
@@ -289,6 +290,7 @@ def _prior_draw(cfg: ExperimentConfig, runner: str, slot: int):
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread
 def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     """Median iterations to reach the oracle tolerance, per subspace
     dimension; capped trials keep the cap value in the median.  Every
@@ -306,6 +308,7 @@ def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
+@_one_blas_thread
 def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     """Median sign-resolved relative error per noise level.
 
@@ -337,6 +340,7 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread
 def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     """Load (or synthesize) a measurement and prior and solve it; with
     ``cfg.out``, write the report, the estimate and a one-row CSV into
@@ -380,6 +384,7 @@ def _action_for(cfg: ExperimentConfig, s: RepresentationStructure) -> GroupActio
     return cyclic_action(s.ambient_dim, s.field)
 
 
+@_one_blas_thread
 def run_simulate(cfg: ExperimentConfig) -> dict:
     """Generate observations of a random signal, estimate the second
     moment and extract its Gram tuple; with ``cfg.out``, write the truth,
@@ -406,6 +411,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     return {"moment_error": err, "n": samples.n, "out": cfg.out}
 
 
+@_one_blas_thread
 def run_transversality(cfg: ExperimentConfig) -> dict:
     s, m, rng, prior = _prior_draw(cfg, "transversality", 2)
     report = transversality_check(s, prior, cfg.resolved_trials("transversality"),
@@ -428,6 +434,7 @@ def run_transversality(cfg: ExperimentConfig) -> dict:
     return payload
 
 
+@_one_blas_thread
 def run_bilipschitz(cfg: ExperimentConfig) -> dict:
     s, m, rng, prior = _prior_draw(cfg, "bilipschitz", 3)
     report = distortion_estimate(s, prior, cfg.resolved_trials("bilipschitz"), rng)

@@ -15,16 +15,17 @@ distinct shift with the stacked elements of
 most ``CHUNK_ENTRIES // d`` shifts, and gathers the rows into observation
 order; a full-ambiguity action rotates each block of every
 observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
-draw, each chunk's QR call and rotation run on the CPUs' threads by the
-chunk map of :mod:`gramphase.blocks` and written straight into the
-observation array.  The noise is then added in place in row blocks.
-Each chunk (a QR call's Haar matrices, a noise block, a slice of
-shifts) is sized by the one entry budget
+draw per block, the chunks of every block making one stream, block after
+block, whose QR calls and rotations the chunk map of
+:mod:`gramphase.blocks` runs on the CPUs' threads, each written straight
+into the observation array.  The noise is then added in place in row
+blocks.  Each chunk (a QR call's Haar matrices, a noise block, a slice
+of shifts) is sized by the one entry budget
 :data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or the
 number of observations, so the sampler holds the ``(n, d)`` output plus
 about one budget: for a full-ambiguity action, at most ``workers + 1``
-chunks of ``CHUNK_ENTRIES // workers`` entries and the QR working
-copies of the chunks being factored; for a cyclic action, one chunk, one
+chunks of ``CHUNK_ENTRIES // workers`` entries and the QR buffers of
+the chunks being factored; for a cyclic action, one chunk, one
 row per distinct shift and the elements of one slice of shifts.  A
 complex full-ambiguity draw also holds the float64 real parts of one
 block's whole Haar stack.  Neither the chunking nor the number of
@@ -34,6 +35,12 @@ draw, and cyclic observations are those of one
 :func:`~gramphase.blocks.apply`, on the same random stream.  The Gram
 checks of :class:`GramTuple` and the PSD clamp of :func:`extract_gram`
 run once per block shape on stacked matrices.
+
+The sampler, the moment, :func:`gram_tuple` and :func:`extract_gram`
+run with numpy's OpenBLAS on one thread (``blocks._one_blas_thread``):
+the moment's product then sums in one order whatever the CPU count, and
+leaves no OpenBLAS worker spinning on a CPU the next draw's chunk map
+needs.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     _chunk_map,
+    _one_blas_thread,
     _whole_number,
     # apply and haar_sample are no longer called here; bench/measure.py
     # still traces them under these names
@@ -146,6 +154,7 @@ class MraSampleSet:
         return self.observations.shape[0]
 
 
+@_one_blas_thread
 def gram_tuple(x: BlockSignal) -> GramTuple:
     """``G_l = X_l* X_l`` per block."""
     return GramTuple(x.structure, tuple(m.conj().T @ m for m in x.matrices))
@@ -179,6 +188,7 @@ def _add_noise(obs: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
             part[i : i + rows] += noise
 
 
+@_one_blas_thread
 def sample_observations(
     x: BlockSignal,
     action: GroupAction,
@@ -197,15 +207,18 @@ def sample_observations(
     s = x.structure
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if action.kind == "full_ambiguity":
-        # one chunked Haar draw per block, rotating that block of every
-        # observation in place
+        # one stream of chunked Haar draws, block after block, each chunk
+        # rotating its rows of that block of every observation in place
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
-        for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
 
-            def rotate(i, j, a, y=y, m=m):
-                y[i:j] = np.einsum("kab,br->kar", haar_q(a), m)
+        def rotate(y, m, i, j, a):
+            y[i:j] = np.einsum("kab,br->kar", haar_q(a), m)
 
-            _chunk_map(rotate, haar_chunks(dim, n, s.field, rng))
+        _chunk_map(rotate, (
+            (y, m, *chunk)
+            for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices)
+            for chunk in haar_chunks(dim, n, s.field, rng)
+        ))
     else:
         # one shifted copy per distinct shift, built over slices of the
         # shifts and gathered into observation order
@@ -224,6 +237,7 @@ def sample_observations(
     return MraSampleSet(s, obs, float(sigma), int(seed))
 
 
+@_one_blas_thread
 def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:
     """Debiased sample average of observation outer products.
 
@@ -256,6 +270,7 @@ def clamp_psd(g: np.ndarray) -> np.ndarray:
     return g
 
 
+@_one_blas_thread
 def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> GramTuple:
     """Read the Gram tuple out of an ambient second moment.
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DimensionMismatch, RepresentationStructure, _whole_number
+from .blocks import DimensionMismatch, RepresentationStructure, _one_blas_thread, _whole_number
 
 __all__ = [
     "LinearSubspacePrior",
@@ -226,6 +226,7 @@ def project_prior(v: np.ndarray, prior: PriorSpec | PriorStack) -> np.ndarray:
     return _apply(prior.basis, _hard_threshold(_apply(prior.adjoint, v), prior.k))
 
 
+@_one_blas_thread
 def random_subspace_prior(
     structure: RepresentationStructure, m: int, rng: np.random.Generator
 ) -> LinearSubspacePrior:

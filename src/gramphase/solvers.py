@@ -84,7 +84,9 @@ from .blocks import (
     BlockSignal,
     RepresentationStructure,
     StructureMismatch,
+    _LAPACK_ERRSTATE,
     _frobenius_norms,
+    _one_blas_thread,
     _whole_number,
     decompose,
     frobenius_norms,
@@ -195,11 +197,6 @@ def _eigh_failed(err, flag):
 
 def _svd_failed(err, flag):
     raise LinAlgError("SVD did not converge")
-
-
-# numpy's own errstate around its LAPACK gufuncs: a failed matrix sets
-# the invalid flag, which calls the handler
-_LAPACK_ERRSTATE = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 def _eigh(a: np.ndarray):
@@ -482,6 +479,7 @@ def _nonzero(scale: np.ndarray) -> np.ndarray:
     return np.where(scale > 0, scale, 1.0)
 
 
+@_one_blas_thread
 def solve_batch(
     measured: Sequence[GramTuple],
     priors: Sequence[PriorSpec],

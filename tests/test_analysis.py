@@ -571,8 +571,11 @@ class TestDistortion:
             base = draw(count)
             cx.append(base)
             cy.append(base + eps * draw(count))
+        # the whole products on the one BLAS thread the estimate's chunks
+        # run on: a threaded product may sum in another order
+        whole = blocks._one_blas_thread(np.matmul)
         bt = prior.basis.T
-        return distortion_ratios(np.concatenate(cx) @ bt, np.concatenate(cy) @ bt, s)
+        return distortion_ratios(whole(np.concatenate(cx), bt), whole(np.concatenate(cy), bt), s)
 
     def _assert_estimate_equals_the_whole_products(self, monkeypatch, s, prior, num_pairs):
         got = []

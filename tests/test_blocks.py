@@ -29,8 +29,9 @@ from gramphase import (
     random_signal,
     reconstruct,
     reconstruct_cyclic,
+    sample_observations,
 )
-from gramphase import blocks
+from gramphase import blocks, moments
 from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
 from tests._oracles import brute_dft
 
@@ -395,3 +396,102 @@ class TestChunkMap:
     def test_chunks_hold_a_share_of_the_budget(self, workers):
         assert blocks._chunk_rows(4) == blocks.CHUNK_ENTRIES // workers // 4
         assert blocks._chunk_rows(blocks.CHUNK_ENTRIES) == 1
+
+
+needs_openblas = pytest.mark.skipif(
+    blocks._openblas_threads() is None, reason="numpy is not on its bundled OpenBLAS")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The BLAS thread count at 2 for the test, the caller's after it."""
+    get, set_ = blocks._openblas_threads()
+    count = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(count)
+
+
+@needs_openblas
+class TestOneBlasThread:
+    def test_the_count_is_1_inside_and_restored_after_a_return(self, two_blas_threads):
+        seen = []
+        blocks._one_blas_thread(lambda: seen.append(two_blas_threads()))()
+        assert seen == [1] and two_blas_threads() == 2
+
+    def test_the_count_is_restored_after_a_raise(self, two_blas_threads):
+        def fail():
+            raise ValueError("inside")
+
+        with pytest.raises(ValueError, match="inside"):
+            blocks._one_blas_thread(fail)()
+        assert two_blas_threads() == 2
+
+    def test_a_nested_call_and_a_chunk_map_thread_read_1(self, two_blas_threads, workers):
+        seen = []
+        inner = blocks._one_blas_thread(lambda: seen.append(("nested", two_blas_threads())))
+
+        def outer():
+            inner()
+            _chunk_map(lambda i: seen.append((threading.get_ident(), two_blas_threads())),
+                       ((i,) for i in range(8)))
+            seen.append(("after nested", two_blas_threads()))
+
+        blocks._one_blas_thread(outer)()
+        assert {count for _, count in seen} == {1}
+        assert any(t != threading.get_ident() for t, _ in seen[1:-1])
+        assert two_blas_threads() == 2
+
+    def test_nothing_is_pinned_without_the_symbols(self, two_blas_threads, monkeypatch):
+        monkeypatch.setattr(blocks, "_openblas_threads", lambda: None)
+        seen = []
+        blocks._one_blas_thread(lambda: seen.append(two_blas_threads()))()
+        assert seen == [2]
+
+    def test_the_sampler_maps_its_chunks_on_one_blas_thread(self, two_blas_threads,
+                                                            monkeypatch):
+        seen = []
+
+        def spy(fn, chunks):
+            seen.append(two_blas_threads())
+            _chunk_map(fn, chunks)
+
+        monkeypatch.setattr(moments, "_chunk_map", spy)
+        s = RepresentationStructure(((8, 4),))
+        x = random_signal(s, np.random.default_rng(0))
+        sample_observations(x, full_ambiguity_action(s), 0.1, 50, 1)
+        assert seen == [1] and two_blas_threads() == 2
+
+
+def _qr_oracle(a):
+    """``np.linalg.qr``'s Q with each column times the phase of R's
+    diagonal, and that diagonal."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q *= np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)[:, None, :]
+    return q, d
+
+
+class TestHaarQ:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 3, 8, 20])
+    def test_q_and_r_diagonal_are_np_linalg_qr_bit_for_bit(self, field, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((40, n, n))
+        if field == "complex":
+            a = (a + 1j * rng.standard_normal((40, n, n))) / np.sqrt(2.0)
+        want_q, want_d = _qr_oracle(a)
+        factored = a.copy()
+        got = blocks.haar_q(factored)  # factored in place: R on and above the diagonal
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, want_q)
+        assert np.array_equal(np.diagonal(factored, axis1=1, axis2=2), want_d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_chunk_raises(self, bad):
+        a = np.random.default_rng(0).standard_normal((6, 4, 4))
+        a[3, 1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            blocks.haar_q(a)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramphase import RepresentationStructure
+from gramphase import RepresentationStructure, random_subspace_prior, transversality_check
 from gramphase.cli import _build_parser, _config, main, parse_structure
 from gramphase.experiments import (
     ExperimentConfig,
@@ -97,6 +97,39 @@ class TestExperimentConfig:
     def test_rejects_invalid_values(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.5), ("trials", True), ("trials", 0), ("n_samples", 1.5),
+        ("n_samples", "5"), ("master_seed", 1.5), ("master_seed", -1),
+        ("master_seed", float("nan")), ("subspace_dim", 2.5), ("workers", 1.5),
+        ("grid_resolution", 8.5), ("max_iters", 10.5), ("k_values", (2, 2.5)),
+        ("k_values", (True,)),
+    ])
+    def test_counts_that_are_not_whole_are_refused_by_name(self, name, value):
+        named = "each of k_values" if name == "k_values" else name
+        with pytest.raises(ValueError, match=f"^{named} must be a whole number >= "):
+            ExperimentConfig(**{name: value})
+
+    def test_whole_counts_are_stored_as_ints_and_hash_alike(self):
+        counts = dict(trials=5, n_samples=50, master_seed=3, subspace_dim=2, workers=2,
+                      grid_resolution=64, max_iters=10)
+        cfg = ExperimentConfig(k_values=[2.0, np.int32(4)], **{
+            name: (float(v) if i % 2 else np.int64(v)) for i, (name, v) in enumerate(counts.items())})
+        assert {name: getattr(cfg, name) for name in counts} == counts
+        assert all(type(getattr(cfg, name)) is int for name in counts)
+        assert cfg.k_values == (2, 4) and all(type(k) is int for k in cfg.k_values)
+        assert cfg.provenance() == ExperimentConfig(k_values=(2, 4), **counts).provenance()
+        # the hash an int max_iters has always had
+        assert ExperimentConfig(max_iters=10.0).provenance()[1] == "config_hash=126735be28d099cb"
+
+    def test_a_grid_resolution_that_is_not_whole_is_refused_by_name(self):
+        s = RepresentationStructure(((1, 1), (2, 1)))
+        prior = random_subspace_prior(s, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^grid_resolution must be a whole number, got 8\.5"):
+            transversality_check(s, prior, 2, 8.5, np.random.default_rng(1))
+        got = transversality_check(s, prior, 2.0, 8.0, np.random.default_rng(1))
+        want = transversality_check(s, prior, 2, 8, np.random.default_rng(1))
+        assert got.point_margins == want.point_margins
 
     def test_largest_seed_accepted(self):
         assert ExperimentConfig(master_seed=2**32 - 1).master_seed == 2**32 - 1
@@ -709,6 +742,64 @@ class TestSimulateModule:
                              n_samples=5000, sigma=0.0, master_seed=1, out=str(tmp_path / "l"))
         )
         assert large["moment_error"] < small["moment_error"]
+
+
+def _digest_at_blas_threads(code: str, threads: int, tmp_path: Path) -> str:
+    """What ``code`` prints in a fresh interpreter whose OpenBLAS starts
+    with ``threads`` threads; ``code`` finds an empty directory in ``OUT``
+    and ``digest(path)``, the SHA-256 of a file or of a directory's files."""
+    import gramphase
+
+    src = str(Path(gramphase.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / f"threads{threads}"
+    out.mkdir()
+    prelude = (
+        "import hashlib, io, contextlib\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        f"OUT = Path({str(out)!r})\n"
+        "def digest(path):\n"
+        "    h = hashlib.sha256()\n"
+        "    for p in sorted(path.rglob('*')) if path.is_dir() else [path]:\n"
+        "        if p.is_file():\n"
+        "            h.update(p.name.encode() + b'\\0' + p.read_bytes())\n"
+        "    return h.hexdigest()\n"
+    )
+    run = subprocess.run([sys.executable, "-c", prelude + code], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return run.stdout.strip()
+
+
+class TestBlasThreadCount:
+    """Complex outputs are the same bits whatever thread count OpenBLAS
+    starts with: on two CPUs its threaded products and QR sum in another
+    order than on one."""
+
+    @pytest.mark.parametrize("code", [
+        # a complex simulate: the moment of 500 observations
+        "from gramphase.cli import parse_structure\n"
+        "from gramphase.experiments import ExperimentConfig, run_simulate\n"
+        "run_simulate(ExperimentConfig(experiment='simulate', n_samples=500, sigma=0.1,\n"
+        "    structure=parse_structure('8x4,3x2,1x1:complex'), master_seed=3, out=str(OUT)))\n"
+        "print(digest(OUT))\n",
+        # the QR of a complex 1024 x 256 Gaussian basis
+        "from gramphase import cyclic_structure, random_subspace_prior\n"
+        "b = random_subspace_prior(cyclic_structure(1024, 'complex'), 256,\n"
+        "                          np.random.default_rng(0)).basis\n"
+        "print(hashlib.sha256(b.tobytes()).hexdigest())\n",
+        # a complex noise sweep through the CLI, from a 256 x 64 prior
+        "from gramphase.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['exp-noise', '--structure', 'cyclic:256:complex', '--K', '64', '--trials',\n"
+        "          '1', '--sigma', '0.1', '--max-iters', '3', '--seed', '1',\n"
+        "          '--out', str(OUT / 'noise.csv')])\n"
+        "print(digest(OUT))\n",
+    ], ids=["simulate", "random_subspace_prior", "cli-exp-noise"])
+    def test_complex_outputs_do_not_depend_on_the_blas_thread_count(self, code, tmp_path):
+        one, two = (_digest_at_blas_threads(code, t, tmp_path) for t in (1, 2))
+        assert len(one) == 64 and one == two
 
 
 class TestPackage:

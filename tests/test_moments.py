@@ -291,9 +291,15 @@ class TestSampling:
         self.test_cyclic_traced_peak_is_about_the_output()
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_draws_do_not_depend_on_the_worker_count(self, monkeypatch, field):
-        # 10,001 draws cross the chunks of every worker count; the short
-        # switch interval interleaves the threads' writes as often as it can
+    @pytest.mark.parametrize("n", [1, 2, blocks.CHUNK_ENTRIES // 8**2,
+                                   blocks.CHUNK_ENTRIES // 8**2 + 1,
+                                   blocks.CHUNK_ENTRIES // 38 + 1, 10_001])
+    def test_draws_do_not_depend_on_the_worker_count(self, monkeypatch, field, n):
+        # one draw, a Haar chunk of the 8x8 block at one worker and one
+        # draw more, a noise block of the 38 coordinates and one row more,
+        # and 10,001 draws that cross the chunks of every worker count; the
+        # short switch interval interleaves the threads' writes as often as
+        # it can
         s = RepresentationStructure(((8, 4), (3, 2)), field)
         x = random_signal(s, np.random.default_rng(8))
         digests, stacks = set(), []
@@ -302,9 +308,9 @@ class TestSampling:
             sys.setswitchinterval(1e-6)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(blocks, "_workers", lambda: workers)
-                obs = sample_observations(x, full_ambiguity_action(s), 0.1, 10_001, seed=9)
+                obs = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=9)
                 digests.add(hashlib.sha256(obs.observations.tobytes()).hexdigest())
-                stacks.append(haar_stack(3, 10_001, field, np.random.default_rng(10)))
+                stacks.append(haar_stack(3, n, field, np.random.default_rng(10)))
         finally:
             sys.setswitchinterval(interval)
         assert len(digests) == 1
