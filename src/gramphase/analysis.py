@@ -21,8 +21,7 @@ of per-block coordinate pairs, and the exclusion of near-sign-flips
 becomes a slab constraint on the first coordinate.  The product of the
 two largest menus (the base) is binned by that coordinate and the other
 grid assignments (the queries) are grouped the same way.  Per point the
-engine holds one int16 bin key per base entry while the bins are built,
-then one int32 index per entry in the bins' order, and each bin's box of
+engine holds one int16 bin key per base entry and each bin's box of
 sums.  The base sums are built one coordinate at a time, only to key and
 box them, and dropped; every entry the search evaluates is rebuilt from
 the two base menus, bit for bit.  Rounding is monotone, so the value at
@@ -32,6 +31,11 @@ exactly in order of descending bound until the next bound falls below
 the best value, which is then the exact maximum of the same
 floating-point sums.  Ties go to the lowest row-major index into the
 query menus, then into the base menus, whatever the evaluation order.
+So the (group, bin) pairs are ranked only in bands, each taken by a
+partition when the walk reaches it, and only the entries of a band's
+bins are put in order, as int32 indices: at grid 512 on cyclic:8 the
+walk stops within the first three bands of 60,000-260,000 pairs, and no
+order of the whole base is built.  The traced peak there is 11-16 MB per point.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ __all__ = [
 
 # grid search limits: product grids up to BRUTE_CAP elements are
 # enumerated outright, larger ones go through the bound-and-prune engine
-# within its two caps, with its bins, query groups and evaluation chunk;
+# within its two caps, with its bins, query groups, evaluation chunk and
+# the first band of pairs its walk ranks, each band WALK_GROWTH times the last;
 # margins below VIOLATION_STEPS grid steps are violations
 BRUTE_CAP = 2_000_000
 MAX_BASE_COMBOS = 4_200_000
@@ -87,6 +92,8 @@ MAX_MENU_STORAGE = 10_000_000
 BASE_BINS = 4096
 QUERY_GROUPS = 64
 EVAL_CHUNK = 2**16
+WALK_BAND = 256
+WALK_GROWTH = 4
 VIOLATION_STEPS = 10.0
 # bins of the distortion-ratio histogram
 HISTOGRAM_BINS = 50
@@ -274,6 +281,61 @@ def _ranges(starts, sizes):
     return np.arange(ends[-1]) - np.repeat(ends - sizes - starts, sizes)
 
 
+def _base_bins(terms, n_base):
+    """The int16 bin key of every base entry, the nonempty bins and their
+    sizes, and each bin's box of ``a`` and of ``b``, from the base's
+    ``_pair_terms``.  The sums are built one coordinate at a time, only to
+    key and box them, and dropped."""
+    (a_rows, a_cols), (b_rows, b_cols) = terms
+    a = (a_rows[:, None] + a_cols).ravel()
+    key, bins, _, sizes = _binned(a, min(BASE_BINS, n_base // 256))
+    a_box = _bin_box(key, bins, a)
+    del a
+    b_box = _bin_box(key, bins, (b_rows[:, None] + b_cols).ravel())
+    return key, bins, sizes, a_box, b_box
+
+
+def _pair_bounds(a_box, b_box, c_box, d_box, tau):
+    """The corner bounds of the (group, bin) pairs whose boxes meet the
+    slab, and the pairs as flat int32 indices ``group * len(bins) + bin``."""
+    meets = (a_box[1] > -tau - c_box[1][:, None]) & (a_box[0] < tau - c_box[0][:, None])
+    bound = np.empty(meets.shape)
+    for g in range(meets.shape[0]):
+        bound[g] = _corner_bound(a_box + c_box[:, g, None], b_box + d_box[:, g, None])
+    return bound[meets], np.flatnonzero(meets).astype(np.int32)
+
+
+def _next_band(bound, pairs, size):
+    """The ``size`` largest ``bound`` (all if fewer) in descending order
+    with their ``pairs``, then the rest of both in no set order: no bound
+    left is larger than one taken, ties at the edge going either way."""
+    if bound.shape[0] <= size:
+        by_bound = np.argsort(-bound)
+        return bound[by_bound], pairs[by_bound], bound[:0], pairs[:0]
+    part = np.argpartition(bound, bound.shape[0] - size)
+    top, rest = part[-size:], part[:-size]
+    top = top[np.argsort(-bound[top])]
+    return bound[top], pairs[top], bound[rest], pairs[rest]
+
+
+def _band_order(key, bins, sizes, wanted):
+    """The base entries of the bins ``bins[wanted]`` as int32 indices, in
+    the stable order of their keys, and the start in it of each such bin,
+    by position in ``bins`` (other positions are left unset).  The keys
+    are read CHUNK_ENTRIES at a time, so only the band's entries are held
+    and sorted."""
+    table = np.zeros(bins[-1] + 1, bool)
+    table[bins[wanted]] = True
+    entries = np.concatenate([
+        np.flatnonzero(table.take(key[s : s + CHUNK_ENTRIES])).astype(np.int32) + s
+        for s in range(0, key.shape[0], CHUNK_ENTRIES)])
+    order = entries[np.argsort(key[entries], kind="stable")]  # a radix sort on int16 keys
+    wanted = np.flatnonzero(table[bins])
+    start = np.empty(bins.shape[0], np.int64)
+    start[wanted] = np.cumsum(sizes[wanted]) - sizes[wanted]
+    return order, start
+
+
 def _hull_grid_max(menus, tau):
     """Exact feasible max for two-dimensional subspaces on large grids.
 
@@ -289,12 +351,17 @@ def _hull_grid_max(menus, tau):
     (query, bin) pairs are evaluated in order of descending corner bound,
     EVAL_CHUNK entries at a time.
 
-    The base keeps its int16 bin keys until its int32 order (the stable
-    sort of the keys) is taken, and its per-bin boxes; the ``a`` sums are
-    dropped before the ``b`` sums are built, and ``b`` before the sort.
-    Evaluated entries are rebuilt from the two base menus (``_pair_terms``)
-    at the positions the order gives, so the traced peak per point is at
-    most about 2.6 float64 words per base entry (15-22 MB at 1,048,576).
+    The (group, bin) pairs are ranked in bands, WALK_BAND pairs first and
+    each later band WALK_GROWTH times larger, each taken by a partition
+    only when the walk reaches it, so a walk over every pair takes a
+    logarithmic number of bands.  The base keeps its int16 bin keys and
+    per-bin boxes; the ``a`` sums are dropped before the ``b`` sums are
+    built.  For each band the int32 stable order of the entries of its
+    bins alone is built from the keys, and evaluated entries are rebuilt
+    from the two base menus (``_pair_terms``) at the positions it gives.
+    No order of the whole base is built, so the traced peak per point is
+    at most about 2 float64 words per base entry (11-16 MB at 1,048,576,
+    also when every band is walked).
     """
     by_size = sorted(range(len(menus)), key=lambda i: menus[i].size, reverse=True)
     base_ids, rest_ids = by_size[:2], by_size[2:]
@@ -307,16 +374,10 @@ def _hull_grid_max(menus, tau):
             f"{n_rest} (caps {MAX_BASE_COMBOS}, {MAX_ITER_COMBOS}); "
             "lower the resolution or the block count"
         )
-    # the base sums, built one coordinate at a time and then dropped
-    (a_rows, a_cols), (b_rows, b_cols) = _pair_terms([menus[i] for i in base_ids])
+    terms = _pair_terms([menus[i] for i in base_ids])
+    key, bins, bin_size, a_box, b_box = _base_bins(terms, n_base)
+    (a_rows, a_cols), (b_rows, b_cols) = terms
     n2 = a_cols.shape[0]
-    a = (a_rows[:, None] + a_cols).ravel()
-    key, bins, bin_start, bin_size = _binned(a, min(BASE_BINS, n_base // 256))
-    a_box = _bin_box(key, bins, a)
-    del a
-    b_box = _bin_box(key, bins, (b_rows[:, None] + b_cols).ravel())
-    a_order = np.argsort(key, kind="stable").astype(np.int32)  # a radix sort on int16 keys
-    del key
     c, d = _product_sums([menus[i] for i in rest_ids])
     d = d[:, 0]
     # queries with equal sums tie everywhere: keep the lowest index of each
@@ -324,60 +385,60 @@ def _hull_grid_max(menus, tau):
     cs, ds = c[order], d[order]
     first = np.sort(order[np.r_[True, (cs[1:] != cs[:-1]) | (ds[1:] != ds[:-1])]])
     c, d = c[first], d[first]
-    key, groups, group_start, group_size = _binned(c, min(QUERY_GROUPS, len(first) // 64))
-    c_box, d_box = _bin_box(key, groups, c), _bin_box(key, groups, d)
-    by_key = np.argsort(key, kind="stable")
+    q_key, groups, group_start, group_size = _binned(c, min(QUERY_GROUPS, len(first) // 64))
+    c_box, d_box = _bin_box(q_key, groups, c), _bin_box(q_key, groups, d)
+    by_key = np.argsort(q_key, kind="stable")
     c_order, c, d = first[by_key], c[by_key], d[by_key]
     lo, hi = -tau - c, tau - c
+    bound, pairs = _pair_bounds(a_box, b_box, c_box, d_box, tau)
 
-    # (group, bin) pairs whose boxes meet the slab, by descending bound
-    meets = (a_box[1] > -tau - c_box[1][:, None]) & (a_box[0] < tau - c_box[0][:, None])
-    bound = np.empty(meets.shape)
-    for g in range(meets.shape[0]):
-        bound[g] = _corner_bound(a_box + c_box[:, g, None], b_box + d_box[:, g, None])
-    bound = bound[meets]
-    by_bound = np.argsort(-bound)
-    bound = bound[by_bound]
-    walk = np.flatnonzero(meets).astype(np.int32)[by_bound]
-    groups, bins = np.divmod(walk, np.int32(meets.shape[1]))
-    del by_bound, walk
-    walked = np.zeros(bound.shape[0] + 1, np.int64)
-    np.cumsum(group_size[groups], out=walked[1:])
     best, best_key = -np.inf, -1
-    s = 0
-    while s < bound.shape[0] and bound[s] >= best:
-        # (query, bin) pairs of the next (group, bin) pairs, EVAL_CHUNK at most
-        e = max(s + 1, int(np.searchsorted(walked, walked[s] + EVAL_CHUNK, "right")) - 1)
-        g, bn = groups[s:e], bins[s:e]
-        s = e
-        q, bn = _ranges(group_start[g], group_size[g]), np.repeat(bn, group_size[g])
-        qa = np.take(a_box, bn, axis=1)
-        qb = _corner_bound(qa + c[q], np.take(b_box, bn, axis=1) + d[q])
-        keep = np.flatnonzero((qb >= best) & (qa[1] > lo[q]) & (qa[0] < hi[q]))
-        keep = keep[np.argsort(-qb[keep])]
-        q, bn, qb = q[keep], bn[keep], qb[keep]
-        # their entries as one stream, EVAL_CHUNK at a time, rebuilt from the menus
-        ends = np.cumsum(bin_size[bn])
-        starts = ends - bin_size[bn]
-        for e0 in range(0, int(ends[-1]) if keep.size else 0, EVAL_CHUNK):
-            k0 = int(np.searchsorted(ends, e0, "right"))
-            if qb[k0] < best:
-                break
-            ks = slice(k0, int(np.searchsorted(starts, e0 + EVAL_CHUNK)))
-            first = np.maximum(starts[ks], e0)
-            take = np.minimum(ends[ks], e0 + EVAL_CHUNK) - first
-            entry = a_order[_ranges(bin_start[bn[ks]] + first - starts[ks], take)]
-            i, j = np.divmod(entry, n2)
-            qi = np.repeat(q[ks], take)
-            ap = a_rows[i] + a_cols[j]
-            f = (ap + c[qi]) ** 2 + (b_rows[i] + b_cols[j] + d[qi]) ** 2
-            f[(ap <= lo[qi]) | (ap >= hi[qi])] = -np.inf
-            top = f.max()
-            if top > -np.inf and top >= best:
-                hit = np.flatnonzero(f == top)
-                index = int((c_order[qi[hit]] * n_base + entry[hit]).min())
-                if top > best or index < best_key:
-                    best, best_key = top, index
+    size = WALK_BAND
+    while pairs.shape[0]:
+        band_bound, band_pairs, bound, pairs = _next_band(bound, pairs, size)
+        size *= WALK_GROWTH
+        if band_bound[0] < best:
+            break
+        g_all, bn_all = np.divmod(band_pairs, np.int32(bins.shape[0]))
+        a_order, bin_start = _band_order(key, bins, bin_size, bn_all)
+        walked = np.zeros(band_bound.shape[0] + 1, np.int64)
+        np.cumsum(group_size[g_all], out=walked[1:])
+        s = 0
+        while s < band_bound.shape[0] and band_bound[s] >= best:
+            # (query, bin) pairs of the next (group, bin) pairs, EVAL_CHUNK at most
+            e = max(s + 1, int(np.searchsorted(walked, walked[s] + EVAL_CHUNK, "right")) - 1)
+            g, bn = g_all[s:e], bn_all[s:e]
+            s = e
+            q, bn = _ranges(group_start[g], group_size[g]), np.repeat(bn, group_size[g])
+            qa = np.take(a_box, bn, axis=1)
+            qb = _corner_bound(qa + c[q], np.take(b_box, bn, axis=1) + d[q])
+            keep = np.flatnonzero((qb >= best) & (qa[1] > lo[q]) & (qa[0] < hi[q]))
+            keep = keep[np.argsort(-qb[keep])]
+            q, bn, qb = q[keep], bn[keep], qb[keep]
+            # their entries as one stream, EVAL_CHUNK at a time, rebuilt from the menus
+            ends = np.cumsum(bin_size[bn])
+            starts = ends - bin_size[bn]
+            for e0 in range(0, int(ends[-1]) if keep.size else 0, EVAL_CHUNK):
+                k0 = int(np.searchsorted(ends, e0, "right"))
+                if qb[k0] < best:
+                    break
+                ks = slice(k0, int(np.searchsorted(starts, e0 + EVAL_CHUNK)))
+                first = np.maximum(starts[ks], e0)
+                take = np.minimum(ends[ks], e0 + EVAL_CHUNK) - first
+                entry = a_order[_ranges(bin_start[bn[ks]] + first - starts[ks], take)]
+                i, j = np.divmod(entry, n2)
+                qi = np.repeat(q[ks], take)
+                ap = a_rows[i] + a_cols[j]
+                f = (ap + c[qi]) ** 2 + (b_rows[i] + b_cols[j] + d[qi]) ** 2
+                f[(ap <= lo[qi]) | (ap >= hi[qi])] = -np.inf
+                top = f.max()
+                if top > -np.inf and top >= best:
+                    hit = np.flatnonzero(f == top)
+                    index = int((c_order[qi[hit]] * n_base + entry[hit]).min())
+                    if top > best or index < best_key:
+                        best, best_key = top, index
+        if s < band_bound.shape[0]:
+            break  # the next bound fell below the best value
     if best_key < 0:
         return None
     combo = np.unravel_index(best_key, rest_shape + base_shape)

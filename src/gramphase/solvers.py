@@ -186,9 +186,28 @@ def _checked_hermitian(g) -> np.ndarray:
 def _psd_root(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The PSD square root of ``(G + G*) / 2`` for each matrix ``G`` of a
     ``(..., r, r)`` stack, from one ``eigh`` call, and its eigenvalues in
-    ascending order (negative ones clamped to zero in the root only)."""
+    ascending order (negative ones clamped to zero in the root only).
+    The product ``V diag(sqrt(w)) V*`` goes through :func:`_matmul`, which
+    copies ``V*``, a ``.mT`` view, to C order for a real stack."""
     w, v = _eigh((g + g.conj().mT) / 2.0)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().mT, w
+    return _matmul(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], v.conj().mT), w
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on stacks of small matrices, real ones taken in C order.
+
+    The product keeps the bits of matmul on the operands as given (tested
+    for both layouts the callers pass, n = 1-9, r = 1-8).  But with the
+    matrices of an operand transposed in memory (a ``.mT`` view, or the blocks of
+    ``blocks.group_stacks``), on 15,000 real ``8x4`` stacks (one BLAS
+    thread) the Gram ``X* X`` took 1.8 times as long alone and 10 times
+    as long when two threads ran it at once, and the ``4x4`` product of
+    :func:`_psd_root` 2.1 and 16 times; the chunk threads of
+    ``analysis.distortion_ratios`` run both at once.  Complex operands go
+    as given: in C order they took longer alone and contended alike."""
+    if "c" in (a.dtype.kind, b.dtype.kind):
+        return a @ b
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
 
 
 def _eigh_failed(err, flag):
@@ -217,10 +236,18 @@ def _svd(a: np.ndarray):
 
 def _gram(x: np.ndarray) -> np.ndarray:
     """``X* X`` of each matrix of a ``(..., n, r)`` stack (for one column,
-    the same sum as ``matmul``'s, without a call per matrix)."""
+    the same sum as ``matmul``'s, without a call per matrix).
+
+    Stacks of two or more matrices go through :func:`_matmul`.  A single
+    matrix (the solver's residual at T = 1) does not: there the C-order
+    copy cost more than it saved (``8x4``, one BLAS thread: 1.03 against
+    0.99 us, about 1.4% of a T = 1 solve), while two matrices already
+    took 1.09 against 1.13 us."""
     if x.shape[-1] == 1:
         return np.vecdot(x[..., 0], x[..., 0])[..., None, None]
-    return x.conj().mT @ x
+    if x.size == x.shape[-2] * x.shape[-1]:
+        return x.conj().mT @ x
+    return _matmul(x.conj().mT, x)
 
 
 def _unit_vectors(x: np.ndarray) -> np.ndarray:

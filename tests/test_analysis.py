@@ -240,6 +240,58 @@ class TestGridEngines:
         report = transversality_check(s, prior, 1, 64, rng, exclude_tol=1.9, points=[x_amb])
         assert report.worst_margin == np.inf
 
+    @pytest.mark.parametrize("band", [1, 2])
+    @pytest.mark.parametrize("case", ["random", "several_rest", "vanishing_block"])
+    def test_small_bands_give_the_same_max(self, monkeypatch, band, case):
+        # bands of 1 or 2 pairs make many bands, and the grids' symmetries
+        # give runs of equal bounds, which band edges split (a block the
+        # prior vanishes on ties every element of it)
+        n, seed = {"random": (8, 2), "several_rest": (10, 0), "vanishing_block": (8, 22)}[case]
+        s = cyclic_structure(n, "real")
+        rng = np.random.default_rng(seed)
+        basis = rng.standard_normal((n, 2))
+        if case == "vanishing_block":
+            basis[s.block_slices[2]] = 0.0
+        basis = np.linalg.qr(basis)[0]
+        x_amb = _unit_point(basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(basis, x_amb), 32)
+        want = _hull_grid_max(menus, TAU)
+        monkeypatch.setattr(analysis, "WALK_BAND", band)
+        assert _check_engine(menus, TAU) == want
+
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_nothing_feasible_walks_every_band(self, monkeypatch, band):
+        # a slab just below zero width: boxes wider than it still meet it,
+        # but no entry falls inside, so the walk never stops early
+        s = cyclic_structure(8, "real")
+        rng = np.random.default_rng(5)
+        prior = random_subspace_prior(s, 2, rng)
+        x_amb = _unit_point(prior.basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(prior.basis, x_amb), 32)
+        tau = -1e-9
+        monkeypatch.setattr(analysis, "WALK_BAND", band)
+        seen = {"pairs": 0, "walked": 0, "bands": 0}
+        pair_bounds, next_band = analysis._pair_bounds, analysis._next_band
+
+        def counted_pairs(*args):
+            bound, pairs = pair_bounds(*args)
+            seen["pairs"] += pairs.shape[0]
+            return bound, pairs
+
+        def counted_band(*args):
+            out = next_band(*args)
+            seen["walked"] += out[1].shape[0]
+            seen["bands"] += 1
+            return out
+
+        monkeypatch.setattr(analysis, "_pair_bounds", counted_pairs)
+        monkeypatch.setattr(analysis, "_next_band", counted_band)
+        assert _hull_grid_max(menus, tau) is None
+        assert _brute_grid_max(menus, tau) is None
+        assert _engine_order_max(menus, tau) is None
+        assert seen["walked"] == seen["pairs"]
+        assert seen["bands"] >= 3
+
     def test_check_against_oracle_margins(self):
         s = RepresentationStructure(((1, 1), (2, 1), (2, 1)))
         rng = np.random.default_rng(3)
@@ -371,9 +423,10 @@ class TestTransversalityCheck:
 
     def test_traced_peak_is_a_few_words_per_base_entry(self):
         # grid 512 on cyclic:8: two 1024-element O(2) menus make 1,048,576
-        # base entries, held as int16 keys and an int32 order, with one
-        # float64 coordinate at a time while the bins are built (44-47 MB
-        # when the sums and sorted copies of them were kept)
+        # base entries, held as int16 keys, with one float64 coordinate at
+        # a time while the bins are built and then the int32 order of one
+        # band's bins at a time (44-47 MB when the sums and sorted copies
+        # of them were kept)
         s = cyclic_structure(8, "real")
         prior = random_subspace_prior(s, 2, np.random.default_rng(11))
         rng = np.random.default_rng(16)

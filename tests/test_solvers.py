@@ -184,6 +184,32 @@ class TestLapackHelpers:
         _same_outcome(lambda: ours, run)
 
 
+class TestContiguousProducts:
+    """``solvers._gram`` and ``solvers._psd_root`` multiply real stacks in
+    C order (``solvers._matmul``), which numpy's matmul takes down another
+    BLAS path than transposed memory; the products must keep every bit of
+    the plain ``@`` on the ``.mT`` views."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("stack", [(1, 1), (2, 3), (512, 1)])
+    def test_gram_and_root_equal_the_view_products(self, field, stack):
+        rng = np.random.default_rng(34)
+        for n in range(1, 10):
+            for r in range(1, 9):
+                x = rng.standard_normal((*stack, n, r))
+                if field == "complex":
+                    x = x + 1j * rng.standard_normal(x.shape)
+                # each matrix in C order, and transposed in memory as
+                # blocks.group_stacks lays out blocks
+                for x in (x, np.ascontiguousarray(x.mT).mT):
+                    g = solvers._gram(x)
+                    assert np.array_equal(g.view(np.int64), (x.conj().mT @ x).view(np.int64))
+                    w, v = np.linalg.eigh((g + g.conj().mT) / 2.0)
+                    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().mT
+                    assert np.array_equal(solvers._psd_root(g)[0].view(np.int64),
+                                          root.view(np.int64))
+
+
 class TestProcrustes:
     def test_fixed_point(self):
         rng = np.random.default_rng(0)
