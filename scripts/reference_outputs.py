@@ -6,7 +6,9 @@ two checkouts byte for byte.
 
 Covers the acceptance workloads (exp-iterations with 200 trials at
 K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
-cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), a complex
+cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), sweeps on
+the two shape groups of 8x4,3x2 (iterations at the repeated, unsorted
+K=6,2,10,2, and a noisy exp-noise), a complex
 noise sweep, a complex distortion run, one on cyclic:16 (many blocks
 of one shape, where one square-root call covers several blocks) and one
 on 8x4 with 10,241 pairs (a one-row tail after the last full chunk of
@@ -154,6 +156,11 @@ def main(out: Path) -> None:
                                 k_values=(2, 4, 6, 8), master_seed=2026))
     run_error_vs_noise(_config("exp-noise", out / "noise.csv",
                                subspace_dim=10, master_seed=2026))
+    run_iterations_vs_k(_config("exp-iterations", out / "iterations_two_shapes.csv", "8x4,3x2",
+                                k_values=(6, 2, 10, 2), trials=40, max_iters=300,
+                                master_seed=2026))
+    run_error_vs_noise(_config("exp-noise", out / "noise_two_shapes.csv", "8x4,3x2",
+                               subspace_dim=4, trials=50, max_iters=300, master_seed=2026))
     run_error_vs_noise(_config("exp-noise", out / "noise_complex.csv", COMPLEX,
                                subspace_dim=4, trials=50, max_iters=300,
                                master_seed=2026))

@@ -35,7 +35,10 @@ sparsity projections, and both polar factors (the support prior's
 one-line mask is the only projection not timed).
 
 ``--noise`` also times ``run_error_vs_noise`` at K = 10 with 200 trials
-and one worker (seed 2026).  ``--parent DIR`` repeats everything with
+and one worker (seed 2026), split into the trial build (``_trial_stack``,
+or ``_trial_instance`` in a checkout that builds trials one at a time)
+and the solve (the stack engine ``_solve_stack``, or ``solve_batch``
+with its object front); the rest is the runner and its CSV.  ``--parent DIR`` repeats everything with
 ``DIR/src`` on the path, alternating with this checkout round by round,
 and prints the two side by side; numbers are medians over the rounds.
 numpy only.
@@ -144,15 +147,36 @@ def time_case(spec, iters):
     return out
 
 
-def time_noise():
-    from gramphase.cli import parse_structure
-    from gramphase.experiments import ExperimentConfig, run_error_vs_noise
+# the layers of the noise sweep: (label, names in the experiments module,
+# the first one it has being timed)
+NOISE_LAYERS = (("build", ("_trial_stack", "_trial_instance")),
+                ("solve", ("_solve_stack", "solve_batch")))
 
-    cfg = ExperimentConfig(experiment="error_vs_noise", structure=parse_structure("8x4"),
-                           master_seed=2026, workers=1)
-    t0 = time.perf_counter()
-    run_error_vs_noise(cfg)
-    return time.perf_counter() - t0
+
+def time_noise():
+    """Seconds of the K = 10 noise sweep: the total, the trial build and the solve."""
+    from gramphase import experiments
+    from gramphase.cli import parse_structure
+
+    cfg = experiments.ExperimentConfig(experiment="error_vs_noise",
+                                       structure=parse_structure("8x4"),
+                                       master_seed=2026, workers=1)
+    totals = {}
+    saved = []
+    for _, names in NOISE_LAYERS:
+        name = next(n for n in names if hasattr(experiments, n))
+        saved.append((name, _wrap(experiments, name, totals)))
+    try:
+        t0 = time.perf_counter()
+        experiments.run_error_vs_noise(cfg)
+        total = time.perf_counter() - t0
+    finally:
+        for name, fn in saved:
+            setattr(experiments, name, fn)
+    out = {"total": total}
+    for (label, _), (name, _) in zip(NOISE_LAYERS, saved):
+        out[label] = totals.get(name, 0.0)
+    return out
 
 
 def measure(iters, noise):
@@ -210,9 +234,11 @@ def main():
             print(f"{label:<24} {side:<7}" + "".join(
                 f"{row[c]:>12.1f}" for c in ["total"] + [l for l, _ in LAYERS]))
     if args.noise:
+        print("exp-noise K=10, 200 trials, 1 worker, s")
+        print(f"{'side':<7}" + "".join(f"{c:>10}" for c in ("total", "build", "solve")))
         for side in sides:
-            print(f"exp-noise K=10, 200 trials, 1 worker, {side}: "
-                  f"{med[side]['exp-noise s']:.2f} s")
+            row = med[side]["exp-noise s"]
+            print(f"{side:<7}" + "".join(f"{row[c]:>10.3f}" for c in ("total", "build", "solve")))
     print(json.dumps(med))
 
 

@@ -659,20 +659,26 @@ def _qr_failed(err, flag):
     raise LinAlgError("QR factorization failed")
 
 
+def _reduced_q(a: np.ndarray) -> np.ndarray:
+    """The reduced ``Q`` of each matrix of a float64 or complex128
+    ``(T, n, m)`` stack, ``m <= n``, factored in place by numpy's QR
+    gufuncs under ``np.linalg.qr``'s ``errstate``: ``Q``, and ``R`` on and
+    above the diagonal of ``a``, are that wrapper's bit for bit, without
+    its copy of ``a``.  A failed LAPACK call raises ``LinAlgError``."""
+    with np.errstate(call=_qr_failed, **_LAPACK_ERRSTATE):
+        return _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
+
+
 def haar_q(a: np.ndarray) -> np.ndarray:
     """The Haar matrices of a ``(T, n, n)`` stack of Gaussian matrices
     from :func:`haar_chunks`, one LAPACK QR call for the stack.
 
-    ``a`` is factored in place: numpy's QR gufuncs are called directly,
-    under the ``errstate`` of ``np.linalg.qr``, so the Q and the diagonal
-    of R are that wrapper's bit for bit on float64 and complex128 stacks,
-    without its copy of ``a`` and its ``triu`` of R.  A failed LAPACK
+    ``a`` is factored in place by :func:`_reduced_q`, so the Q and the
+    diagonal of R are ``np.linalg.qr``'s bit for bit.  A failed LAPACK
     call, or an R diagonal that is not finite (a NaN or an infinity in
     ``a``), raises ``LinAlgError``.  ``a`` must be float64 or complex128,
-    as :func:`haar_chunks` draws it: the gufuncs would factor a cast copy
-    of another type and leave ``a`` as it was."""
-    with np.errstate(call=_qr_failed, **_LAPACK_ERRSTATE):
-        q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
+    as :func:`haar_chunks` draws it."""
+    q = _reduced_q(a)
     # the factored a holds R on and above its diagonal
     d = np.diagonal(a, axis1=1, axis2=2)
     if not np.isfinite(d).all():

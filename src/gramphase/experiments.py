@@ -3,9 +3,15 @@
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
 scheduled: serial and process-pool runs write the same CSV.  Both sweeps
-solve all their trials as one stack through ``_sweep``; a row of
-:func:`~gramphase.solvers.solve_batch` does not depend on its stack,
-whatever its subspace dimension.  Both analysis runners draw their prior
+solve all their trials as one stack through ``_sweep``, and the trial
+path is stacked: ``_trial_stack`` draws each trial from its own stream,
+then runs the QR and rank test, the orthonormality check, the PSD clamp
+and the Gram check once per stack (per subspace dimension or shape
+group) and hands arrays straight to the solver's stack engine, with no
+prior, Gram tuple or signal object per trial.  A row of that engine does
+not depend on its stack, whatever its subspace dimension.  The one-shot
+solve builds its random instance the same way, as a stack of one.  Both
+analysis runners draw their prior
 through ``_prior_draw``.  Every runner writes through ``_write``, only
 under ``out``: without it nothing is written.  All output files carry
 ``#`` provenance comments with a hash of the semantic config (worker
@@ -27,17 +33,21 @@ import numpy as np
 from .blocks import (
     GroupAction,
     RepresentationStructure,
+    StructureMismatch,
     _one_blas_thread,
     _whole_number,
     cyclic_action,
     cyclic_structure,
-    decompose,
+    # no longer called here; bench/measure.py still traces it under this name
+    decompose,  # noqa: F401
+    flat_block,
     full_ambiguity_action,
+    group_stacks,
     random_signal,
     reconstruct,
 )
 from .moments import (
-    GramTuple,
+    _check_grams,
     analytic_second_moment,
     clamp_psd,
     empirical_second_moment,
@@ -45,8 +55,8 @@ from .moments import (
     gram_tuple,
     sample_observations,
 )
-from .priors import random_subspace_prior
-from .solvers import SolveReport, SolverConfig, solve, solve_batch
+from .priors import _check_subspace_dim, _subspace_stack, random_subspace_prior
+from .solvers import SolveReport, SolverConfig, _reports, _solve_stack, solve
 from .analysis import distortion_estimate, transversality_check
 from . import serialize
 
@@ -208,38 +218,94 @@ class TrialSpec:
     sigma: float | None = None
 
 
-def _trial_instance(spec: TrialSpec):
-    """``(measured, prior, init, truth)`` of one trial."""
-    s = spec.structure
-    rng = _trial_rng(spec.master_seed, spec.slot, spec.index)
-    prior = random_subspace_prior(s, spec.k, rng)
-    truth_amb = prior.basis @ rng.standard_normal(spec.k)
-    truth = decompose(truth_amb, s)
-    if spec.sigma is None:
-        measured = gram_tuple(truth)
-    else:
-        noise = spec.sigma * rng.standard_normal(s.ambient_dim)
-        if s.field == "complex":
-            noise = noise + 1j * spec.sigma * rng.standard_normal(s.ambient_dim)
-        noisy = gram_tuple(decompose(truth_amb + noise, s))
-        measured = GramTuple(s, tuple(clamp_psd(g) for g in noisy.grams))
-    return measured, prior, random_signal(s, rng), truth
+def _trial_stack(specs: list[TrialSpec]):
+    """``(grams, priors, inits, truths)`` of trials on one structure, as
+    the arrays the solver's stack engine takes: a ``(T, G, r, r)`` Gram
+    stack per shape group, one prior stack per subspace dimension with
+    its rows, and ``(T, d)`` init and truth rows.
+
+    Each trial draws from its own stream, in the order of the per-object
+    path: the Gaussian basis, the coefficients, the noise and the init,
+    block by block (real then imaginary parts on the complex field).  The
+    QR and its rank test, the orthonormality check, the PSD clamp and the
+    Gram check then run once per subspace dimension or shape group, for
+    the whole stack.  So each row is bit for bit what
+    :func:`~gramphase.priors.random_subspace_prior`,
+    :func:`~gramphase.moments.gram_tuple`,
+    :func:`~gramphase.moments.clamp_psd` and
+    :func:`~gramphase.blocks.random_signal` give on its stream, and each
+    error they raise still fires, without an object per trial.
+    """
+    s = specs[0].structure
+    if any(spec.structure != s for spec in specs):
+        raise StructureMismatch("trials in one stack use different structures")
+    d, count, parts = s.ambient_dim, len(specs), 2 if s.field == "complex" else 1
+    dims: dict[int, list[int]] = {}  # subspace dimension: positions of its trials
+    for t, spec in enumerate(specs):
+        dims.setdefault(spec.k, []).append(t)
+    for k in dims:
+        _check_subspace_dim(d, k)
+    # the Gaussian draws, real and imaginary parts on the leading axis
+    bases = {k: np.empty((parts, len(rows), d, k)) for k, rows in dims.items()}
+    coeffs = {k: np.empty((len(rows), k)) for k, rows in dims.items()}
+    noise = np.empty((parts, count, d))
+    inits = [np.empty((parts, count, n, r)) for n, r in s.blocks]
+    place = {t: j for rows in dims.values() for j, t in enumerate(rows)}
+    for t, spec in enumerate(specs):
+        rng = _trial_rng(spec.master_seed, spec.slot, spec.index)
+        for a in bases[spec.k][:, place[t]]:
+            rng.standard_normal(out=a)
+        rng.standard_normal(out=coeffs[spec.k][place[t]])
+        if spec.sigma is not None:
+            for a in noise[:, t]:
+                rng.standard_normal(out=a)
+        for m in inits:
+            for a in m[:, t]:
+                rng.standard_normal(out=a)
+
+    def joined(a):  # the draws of one field
+        return a[0] + 1j * a[1] if parts == 2 else a[0]
+
+    truths = np.empty((count, d), s.dtype)
+    priors = []
+    for k, rows in dims.items():
+        stack = _subspace_stack(joined(bases[k]))
+        truths[rows] = np.matmul(stack.basis, coeffs[k][..., None])[..., 0]
+        priors.append((np.array(rows), stack))
+    noisy = [t for t, spec in enumerate(specs) if spec.sigma is not None]
+    observed = truths
+    if noisy:
+        sigma = np.array([specs[t].sigma for t in noisy])[:, None]
+        e = sigma * noise[0, noisy]
+        if parts == 2:
+            e = e + 1j * sigma * noise[1, noisy]
+        observed = truths.copy()
+        observed[noisy] = truths[noisy] + e
+    grams = [x.conj().mT @ x for x in group_stacks(observed, s)]
+    _check_grams(s, grams)
+    if noisy:
+        for g in grams:
+            g[noisy] = clamp_psd(g[noisy])
+        _check_grams(s, [g[noisy] for g in grams])
+    init = np.concatenate([flat_block(joined(m)) for m in inits], axis=1)
+    return grams, priors, init, truths
 
 
-def _solve_trials(specs: list[TrialSpec], config: SolverConfig) -> list[tuple]:
-    """``(iterations, converged, oracle_error)`` per trial, solved as one stack."""
-    measured, priors, inits, truths = zip(*map(_trial_instance, specs))
-    reports = solve_batch(measured, priors, config, inits, truths)
-    return [(r.iterations_used, r.converged, r.oracle_error) for r in reports]
+@_one_blas_thread
+def _solve_trials(specs: list[TrialSpec], config: SolverConfig) -> np.ndarray:
+    """``(iterations, converged, oracle_error)`` per trial, the rows of a
+    ``(T, 3)`` array, solved as one stack."""
+    solved = _solve_stack(specs[0].structure, config, *_trial_stack(specs))
+    return np.column_stack([solved.iterations, solved.converged, solved.oracle_error])
 
 
-def _run_trials(specs: list[TrialSpec], config: SolverConfig, workers: int) -> list[tuple]:
+def _run_trials(specs: list[TrialSpec], config: SolverConfig, workers: int) -> np.ndarray:
     """Solve the trials as one stack.  With several workers the stack is
     dealt out round robin, one share per worker, solved in parallel; a
     row's result does not depend on its stack, so the output is the same."""
     if workers <= 1:
         return _solve_trials(specs, config)
-    out = [None] * len(specs)
+    out = np.empty((len(specs), 3))
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         futures = [
             (w, pool.submit(_solve_trials, specs[w::workers], config))
@@ -258,7 +324,7 @@ def _sweep(cfg: ExperimentConfig, runner: str | None, values, spec) -> tuple[int
     trials = cfg.resolved_trials(runner)
     specs = [spec(slot, v, t) for slot, v in enumerate(values) for t in range(trials)]
     results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
-    table = np.array(results, dtype=float).reshape(len(values), trials, 3).transpose(0, 2, 1)
+    table = results.reshape(len(values), trials, 3).transpose(0, 2, 1)
     return trials, [(iters, conv.astype(bool), errs) for iters, conv, errs in table]
 
 
@@ -347,18 +413,19 @@ def run_demo_solve(cfg: ExperimentConfig) -> SolveReport:
     that directory.  A synthesized instance is trial 0 of slot 0, with
     its signal perturbed at ``cfg.sigma``."""
     k = sigma = ""
+    config = cfg.solver_config("residual")
     if cfg.gram_file or cfg.prior_file:
         if not (cfg.gram_file and cfg.prior_file):
             raise ValueError("need both --gram and --prior, or neither for a random instance")
         measured = serialize.gram_from_dict(serialize.load_json(cfg.gram_file))
         prior = serialize.prior_from_dict(serialize.load_json(cfg.prior_file))
         init = random_signal(measured.structure, _trial_rng(cfg.master_seed, 0, 0))
-        truth = None
+        report = solve(measured, prior, config, init=init)
     else:
         k, sigma = cfg.resolved_subspace_dim("solve"), cfg.sigma
-        spec = TrialSpec(cfg.resolved_structure("solve"), k, 0, 0, cfg.master_seed, sigma or None)
-        measured, prior, init, truth = _trial_instance(spec)
-    report = solve(measured, prior, cfg.solver_config("residual"), init=init, truth=truth)
+        s = cfg.resolved_structure("solve")
+        spec = TrialSpec(s, k, 0, 0, cfg.master_seed, sigma or None)
+        report = _reports(s, _solve_stack(s, config, *_trial_stack([spec])))[0]
     oracle_error = "" if report.oracle_error is None else report.oracle_error
     row = {"trial_id": 0, "K": k, "sigma": sigma, "iterations": report.iterations_used,
            "converged": int(report.converged), "residual": report.residual_final,

@@ -105,26 +105,38 @@ class GramTuple:
                 raise StructureMismatch(
                     f"block {l}: expected Gram shape ({r}, {r}), got {g.shape}"
                 )
-        skew = np.empty(s.num_blocks, dtype=bool)
-        lowest = np.empty(s.num_blocks)
-        floor = np.empty(s.num_blocks)
-        for _, idx in s.shape_groups:
-            g = np.stack([mats[l] for l in idx])
-            gh = np.swapaxes(g.conj(), 1, 2)
-            scale = np.fmax(1.0, np.abs(g).max(axis=(1, 2)))
-            skew[idx] = np.abs(g - gh).max(axis=(1, 2)) > HERMITIAN_TOL * scale
-            lowest[idx] = np.linalg.eigvalsh((g + gh) / 2.0).min(axis=1)
-            trace = np.real(np.trace(g, axis1=1, axis2=2))
-            floor[idx] = -PSD_TOL * np.maximum(trace, np.finfo(float).tiny)
-        bad = np.flatnonzero(skew | (lowest < floor))
-        if bad.size:
-            l = int(bad[0])
-            if skew[l]:
-                raise ValueError(f"block {l}: Gram matrix is not Hermitian")
-            raise ValueError(
-                f"block {l}: Gram matrix has negative eigenvalue {lowest[l]:.3e}"
-            )
+        _check_grams(s, [np.stack([mats[l] for l in idx])[None] for _, idx in s.shape_groups])
         object.__setattr__(self, "grams", mats)
+
+
+def _check_grams(structure: RepresentationStructure, grams: list[np.ndarray]) -> None:
+    """Refuse a stack of Gram tuples unless each Gram is Hermitian and PSD.
+
+    ``grams`` holds a ``(T, G, r, r)`` stack per entry of
+    ``structure.shape_groups``: row ``t`` of every stack is one tuple.
+    The error is the one :class:`GramTuple` raises for the first failing
+    block of the first failing row; the checks run once per shape group.
+    """
+    s = structure
+    shape = (len(grams[0]), s.num_blocks)
+    skew = np.empty(shape, dtype=bool)
+    lowest = np.empty(shape)
+    floor = np.empty(shape)
+    for (_, idx), g in zip(s.shape_groups, grams):
+        gh = g.conj().mT
+        scale = np.fmax(1.0, np.abs(g).max(axis=(-2, -1)))
+        skew[:, idx] = np.abs(g - gh).max(axis=(-2, -1)) > HERMITIAN_TOL * scale
+        lowest[:, idx] = np.linalg.eigvalsh((g + gh) / 2.0).min(axis=-1)
+        trace = np.real(np.trace(g, axis1=-2, axis2=-1))
+        floor[:, idx] = -PSD_TOL * np.maximum(trace, np.finfo(float).tiny)
+    bad = skew | (lowest < floor)
+    if bad.any():
+        t, l = np.argwhere(bad)[0].tolist()
+        if skew[t, l]:
+            raise ValueError(f"block {l}: Gram matrix is not Hermitian")
+        raise ValueError(
+            f"block {l}: Gram matrix has negative eigenvalue {lowest[t, l]:.3e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +270,7 @@ def empirical_second_moment(samples: MraSampleSet) -> np.ndarray:
 def clamp_psd(g: np.ndarray) -> np.ndarray:
     """Hermitian-symmetrize, then zero out negative eigenvalues if any.
 
-    Takes one matrix or a ``(T, r, r)`` stack, treated matrix by matrix.
+    Takes one matrix or a ``(..., r, r)`` stack, treated matrix by matrix.
     """
     g = (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
     w, v = np.linalg.eigh(g)

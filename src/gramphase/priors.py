@@ -16,7 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import DimensionMismatch, RepresentationStructure, _one_blas_thread, _whole_number
+from .blocks import (
+    DimensionMismatch,
+    RepresentationStructure,
+    _one_blas_thread,
+    _reduced_q,
+    _whole_number,
+)
 
 __all__ = [
     "LinearSubspacePrior",
@@ -39,8 +45,10 @@ class RankDeficiencyError(RuntimeError):
 
 
 def _check_orthonormal(b: np.ndarray, what: str) -> None:
-    gram = b.conj().T @ b
-    err = np.max(np.abs(gram - np.eye(b.shape[1])))
+    """Refuse a basis, or a ``(T, d, m)`` stack of them, unless its
+    columns are orthonormal; the error gives the largest deviation."""
+    gram = b.conj().mT @ b
+    err = np.max(np.abs(gram - np.eye(b.shape[-1])))
     if err > ORTHONORMAL_TOL:
         raise ValueError(
             f"{what} must have orthonormal columns (max |B*B - I| = {err:.3e}); "
@@ -114,7 +122,7 @@ PriorSpec = LinearSubspacePrior | SparsityPrior | SupportPrior
 class PriorStack:
     """One prior per row of a ``(T, d)`` stack, all of one type, held as
     stacked arrays so that one :func:`project_prior` call projects every
-    row.  Build it with :func:`stack_priors`."""
+    row.  :func:`stack_priors` builds it from prior objects."""
 
     kind: type
     dim: int  # ambient length the priors apply to; 0 for any length
@@ -226,6 +234,29 @@ def project_prior(v: np.ndarray, prior: PriorSpec | PriorStack) -> np.ndarray:
     return _apply(prior.basis, _hard_threshold(_apply(prior.adjoint, v), prior.k))
 
 
+def _check_subspace_dim(dim: int, m: int) -> None:
+    if not 1 <= m <= dim:
+        raise ValueError(f"subspace dimension must be in [1, {dim}], got {m}")
+
+
+def _subspace_stack(a: np.ndarray) -> PriorStack:
+    """The subspace priors of a ``(T, dim, m)`` stack of Gaussian bases:
+    their orthonormal ``Q`` factors, from one LAPACK QR call for the stack
+    (``np.linalg.qr``'s bit for bit), each checked as
+    :class:`LinearSubspacePrior` checks its basis.  A basis whose ``R``
+    diagonal is numerically rank deficient raises.  ``a`` (float64 or
+    complex128) is factored in place."""
+    q = _reduced_q(a)
+    # the factored a holds R on and above its diagonal
+    diag = np.abs(np.diagonal(a, axis1=-2, axis2=-1))
+    if np.any(diag.min(axis=-1) < 1e-10 * np.maximum(diag.max(axis=-1), 1.0)):
+        raise RankDeficiencyError(
+            "random basis is numerically rank deficient; check the RNG"
+        )
+    _check_orthonormal(q, "subspace basis")
+    return PriorStack(LinearSubspacePrior, q.shape[1], basis=q)
+
+
 @_one_blas_thread
 def random_subspace_prior(
     structure: RepresentationStructure, m: int, rng: np.random.Generator
@@ -233,18 +264,12 @@ def random_subspace_prior(
     """Orthonormalized Gaussian random subspace of dimension ``m``.
 
     A Gaussian basis is full rank with probability one; a numerically
-    rank-deficient draw signals RNG misuse and raises.
+    rank-deficient draw signals RNG misuse and raises.  This is
+    :func:`_subspace_stack` on a stack of one.
     """
     dim = structure.ambient_dim
-    if not 1 <= m <= dim:
-        raise ValueError(f"subspace dimension must be in [1, {dim}], got {m}")
+    _check_subspace_dim(dim, m)
     a = rng.standard_normal((dim, m))
     if structure.field == "complex":
         a = a + 1j * rng.standard_normal((dim, m))
-    q, r = np.linalg.qr(a)
-    diag = np.abs(np.diagonal(r))
-    if diag.min() < 1e-10 * max(diag.max(), 1.0):
-        raise RankDeficiencyError(
-            "random basis is numerically rank deficient; check the RNG"
-        )
-    return LinearSubspacePrior(q)
+    return LinearSubspacePrior(_subspace_stack(a[None]).basis[0])

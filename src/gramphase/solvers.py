@@ -27,8 +27,11 @@ coordinates.  Convergence for these non-convex constraint sets is not
 guaranteed and the residual may oscillate; the solver simply reports
 whether the stopping criterion was met.
 
-One engine, :func:`solve_batch`, iterates a ``(T, d)`` stack of
-instances on one structure, with priors of any types and shapes: each
+One engine, ``_solve_stack``, iterates a ``(T, d)`` stack of
+instances on one structure, with priors of any types and shapes, held as
+arrays; :func:`solve_batch` is its object front, which checks the
+objects and stacks them, and the experiment runners build their trial
+stacks as arrays and call the engine directly.  Each
 iteration is one stacked prior projection per stack of priors of one
 type and shape, and one measurement projection and one residual per
 group of blocks of one shape (``RepresentationStructure.shape_groups``).
@@ -243,9 +246,10 @@ def _gram(x: np.ndarray) -> np.ndarray:
     copy cost more than it saved (``8x4``, one BLAS thread: 1.03 against
     0.99 us, about 1.4% of a T = 1 solve), while two matrices already
     took 1.09 against 1.13 us."""
-    if x.shape[-1] == 1:
+    shape = x.shape
+    if shape[-1] == 1:
         return np.vecdot(x[..., 0], x[..., 0])[..., None, None]
-    if x.size == x.shape[-2] * x.shape[-1]:
+    if x.size == shape[-2] * shape[-1]:
         return x.conj().mT @ x
     return _matmul(x.conj().mT, x)
 
@@ -265,8 +269,14 @@ def _unit_vectors(x: np.ndarray) -> np.ndarray:
 def _eigh_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``A V diag(w)^-1/2 V*`` from ``A* A = V diag(w) V*`` for each matrix
     of a ``(..., n, r)`` stack, and whether ``w_min / w_max`` reaches
-    ``POLAR_RCOND``, below which the result is not to be used."""
-    w, v = _eigh(a.conj().mT @ a)
+    ``POLAR_RCOND``, below which the result is not to be used.
+
+    ``A* A`` of a stack of rows comes from :func:`_gram`, the Gram of the
+    residual and the distortion, in C order.  One row (a T = 1 solve)
+    takes the plain product, without the call: through :func:`_gram` a
+    loop of T = 1 solves took about 1.5% longer (the call and its shape
+    tests), while the experiment sweeps gained about 0.5%."""
+    w, v = _eigh(a.conj().mT @ a if len(a) == 1 else _gram(a))
     # the floor only keeps the matrices that fail the test free of 1 / 0
     root = np.sqrt(np.maximum(w, _SMALLEST))
     q = (a @ (v / root[..., None, :])) @ v.conj().mT
@@ -506,66 +516,58 @@ def _nonzero(scale: np.ndarray) -> np.ndarray:
     return np.where(scale > 0, scale, 1.0)
 
 
-@_one_blas_thread
-def solve_batch(
-    measured: Sequence[GramTuple],
-    priors: Sequence[PriorSpec],
-    config: SolverConfig,
-    inits: Sequence[BlockSignal],
-    truths: Sequence[BlockSignal] | None = None,
-) -> list[SolveReport]:
-    """Solve ``T`` instances on one structure together, as one stack.
+class _Solved(NamedTuple):
+    """What :func:`_solve_stack` returns, one entry per row of the stack."""
 
-    Row ``t`` recovers a signal with Gram tuple ``measured[t]`` under
-    ``priors[t]`` from ``inits[t]`` (and measures its error against
-    ``truths[t]``); the priors may differ in type and shape.  Each
-    iteration projects the whole stack at once: one prior projection per
-    type and shape of prior, one measurement projection per shape of
-    block.  A row leaves the stack when it
-    meets the stopping rule or the iteration cap, and its report is
-    bitwise the report of solving it alone with :func:`solve`.
+    iterations: np.ndarray  # (T,) ints
+    converged: np.ndarray  # (T,) bools
+    residual: np.ndarray  # (T,)
+    oracle_error: np.ndarray | None  # (T,), with a truth
+    estimate: np.ndarray  # (T, d) ambient rows
+    trajectories: list[list[float]] | None
+
+
+def _solve_stack(
+    s: RepresentationStructure,
+    config: SolverConfig,
+    grams: list[np.ndarray],
+    priors: list[tuple[np.ndarray, PriorStack]],
+    v: np.ndarray,
+    truth: np.ndarray | None = None,
+) -> _Solved:
+    """The stack engine of :func:`solve_batch`, on arrays.
+
+    ``grams`` holds a checked ``(T, G, r, r)`` stack per entry of
+    ``s.shape_groups``; ``priors`` the ``(rows, stack)`` pairs of
+    :func:`~gramphase.priors.group_priors`; ``v`` and ``truth`` the
+    ``(T, d)`` ambient rows of the inits and truths.  The caller pins the
+    BLAS to one thread.
     """
-    count = len(measured)
-    if count == 0:
-        raise ValueError("need at least one instance")
-    if len(priors) != count or len(inits) != count or (
-        truths is not None and len(truths) != count
-    ):
-        raise ValueError("need exactly one prior, init and truth per measurement")
-    s = measured[0].structure
-    if any(m.structure != s for m in measured):
-        raise StructureMismatch("measurements in one stack use different structures")
-    if any(x.structure != s for x in inits):
-        raise StructureMismatch("init uses a different structure than the measurement")
-    if truths is not None and any(x.structure != s for x in truths):
-        raise StructureMismatch("truth uses a different structure than the measurement")
-    if config.stop_on == "oracle" and truths is None:
+    count = len(v)
+    if config.stop_on == "oracle" and truth is None:
         raise ValueError("stop_on='oracle' requires a ground-truth signal")
     for (n, r) in s.blocks:
         if n < r:
             raise ValueError(
                 f"wide block ({n}, {r}): the measurement projector needs rows >= columns"
             )
-
-    groups = [idx for _, idx in s.shape_groups]
-    grams = [np.array([[m.grams[l] for l in idx] for m in measured]) for idx in groups]
     gram_scale = _nonzero(frobenius_norms(grams))
     # the blocks of an iterate have about the norms of the Grams' roots
     unit = _unit_scale(gram_scale)[:, None, None, None]
-    truth = truth_scale = None
-    if truths is not None:
-        truth = np.stack([reconstruct(x) for x in truths])
-        truth_scale = _nonzero(frobenius_norms([truth]))
+    truth_scale = None if truth is None else _nonzero(frobenius_norms([truth]))
     rows = _Rows(
         index=np.arange(count),
-        priors=[(_rows_of(rows), stack) for rows, stack in group_priors(list(priors))],
+        priors=[(_rows_of(rows), stack) for rows, stack in priors],
         shapes=[_shape_constants(stack, unit) for stack in grams],
         gram_scale=gram_scale,
         truth=truth,
         truth_scale=truth_scale,
     )
-    v = np.stack([reconstruct(x) for x in inits])
-    reports: list[SolveReport | None] = [None] * count
+    iterations = np.empty(count, dtype=int)
+    converged_at = np.empty(count, dtype=bool)
+    residual_at = np.empty(count)
+    error_at = None if truth is None else np.empty(count)
+    estimates = []
     trajectories = [[] for _ in range(count)] if config.track_trajectory else None
     # The residual is needed every iteration only to stop on it or to
     # track it; otherwise each row's is computed once, when it stops.
@@ -593,19 +595,16 @@ def solve_batch(
             if any(stop.tolist()):
                 done = rows.take(stop)
                 p_done = p[stop]
-                res = residual[stop] if every_residual else done.residuals(group_stacks(p_done, s))
-                err = None
+                iterations[done.index] = k
+                converged_at[done.index] = converged[stop]
+                residual_at[done.index] = (
+                    residual[stop] if every_residual else done.residuals(group_stacks(p_done, s))
+                )
                 if truth is not None:
-                    err = crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
-                for j, (t, ok) in enumerate(zip(done.index, converged[stop])):
-                    reports[t] = SolveReport(
-                        estimate=decompose(p_done[j], s),
-                        iterations_used=k,
-                        converged=bool(ok),
-                        residual_final=float(res[j]),
-                        residual_trajectory=None if trajectories is None else trajectories[t],
-                        oracle_error=None if err is None else float(err[j]),
+                    error_at[done.index] = (
+                        crit[stop] if config.stop_on == "oracle" else done.oracle_errors(p_done)
                     )
+                estimates.append((done.index, p_done))
                 if stop.all():
                     break
                 keep = ~stop
@@ -617,4 +616,66 @@ def solve_batch(
                 # relaxed reflect-and-average step
                 reflected = _project_measurement(group_stacks(2.0 * p - v, s), rows, s)
                 v = v + config.beta * (reflected - p)
-    return reports
+    estimate = np.empty((count, s.ambient_dim), np.result_type(*(q for _, q in estimates)))
+    for index, q in estimates:
+        estimate[index] = q
+    return _Solved(iterations, converged_at, residual_at, error_at, estimate, trajectories)
+
+
+def _reports(s: RepresentationStructure, solved: _Solved) -> list[SolveReport]:
+    """One :class:`SolveReport` per row of a solved stack."""
+    err, paths = solved.oracle_error, solved.trajectories
+    return [
+        SolveReport(
+            estimate=decompose(solved.estimate[t], s),
+            iterations_used=k,
+            converged=ok,
+            residual_final=res,
+            residual_trajectory=None if paths is None else paths[t],
+            oracle_error=None if err is None else float(err[t]),
+        )
+        for t, (k, ok, res) in enumerate(zip(solved.iterations.tolist(),
+                                             solved.converged.tolist(),
+                                             solved.residual.tolist()))
+    ]
+
+
+@_one_blas_thread
+def solve_batch(
+    measured: Sequence[GramTuple],
+    priors: Sequence[PriorSpec],
+    config: SolverConfig,
+    inits: Sequence[BlockSignal],
+    truths: Sequence[BlockSignal] | None = None,
+) -> list[SolveReport]:
+    """Solve ``T`` instances on one structure together, as one stack.
+
+    Row ``t`` recovers a signal with Gram tuple ``measured[t]`` under
+    ``priors[t]`` from ``inits[t]`` (and measures its error against
+    ``truths[t]``); the priors may differ in type and shape.  Each
+    iteration projects the whole stack at once: one prior projection per
+    type and shape of prior, one measurement projection per shape of
+    block.  A row leaves the stack when it
+    meets the stopping rule or the iteration cap, and its report is
+    bitwise the report of solving it alone with :func:`solve`.  This is
+    the object front of the stack engine :func:`_solve_stack`: it checks
+    the objects and stacks them into arrays.
+    """
+    count = len(measured)
+    if count == 0:
+        raise ValueError("need at least one instance")
+    if len(priors) != count or len(inits) != count or (
+        truths is not None and len(truths) != count
+    ):
+        raise ValueError("need exactly one prior, init and truth per measurement")
+    s = measured[0].structure
+    if any(m.structure != s for m in measured):
+        raise StructureMismatch("measurements in one stack use different structures")
+    if any(x.structure != s for x in inits):
+        raise StructureMismatch("init uses a different structure than the measurement")
+    if truths is not None and any(x.structure != s for x in truths):
+        raise StructureMismatch("truth uses a different structure than the measurement")
+    grams = [np.array([[m.grams[l] for l in idx] for m in measured]) for _, idx in s.shape_groups]
+    truth = None if truths is None else np.stack([reconstruct(x) for x in truths])
+    v = np.stack([reconstruct(x) for x in inits])
+    return _reports(s, _solve_stack(s, config, grams, group_priors(list(priors)), v, truth))

@@ -8,7 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gramphase import RepresentationStructure, random_subspace_prior, transversality_check
+from gramphase import (
+    LinearSubspacePrior,
+    RankDeficiencyError,
+    RepresentationStructure,
+    SolverConfig,
+    decompose,
+    experiments,
+    random_subspace_prior,
+    reconstruct,
+    solve_batch,
+    transversality_check,
+)
 from gramphase.cli import _build_parser, _config, main, parse_structure
 from gramphase.experiments import (
     ExperimentConfig,
@@ -262,6 +273,107 @@ class TestNoiseExperiment:
         if zero_row["convergence_rate"] > 0:
             assert zero_row["median_error"] < 1e-6
         assert rows[1]["median_error"] > rows[0]["median_error"]
+
+
+def _object_trial(spec):
+    """``(measured, prior, init, truth)`` of one trial, built one object at
+    a time through the public API from the trial's own stream."""
+    from gramphase import random_signal
+    from gramphase.moments import GramTuple, clamp_psd, gram_tuple
+
+    s = spec.structure
+    rng = experiments._trial_rng(spec.master_seed, spec.slot, spec.index)
+    prior = random_subspace_prior(s, spec.k, rng)
+    truth = prior.basis @ rng.standard_normal(spec.k)
+    if spec.sigma is None:
+        measured = gram_tuple(decompose(truth, s))
+    else:
+        noise = spec.sigma * rng.standard_normal(s.ambient_dim)
+        if s.field == "complex":
+            noise = noise + 1j * spec.sigma * rng.standard_normal(s.ambient_dim)
+        noisy = gram_tuple(decompose(truth + noise, s))
+        measured = GramTuple(s, tuple(clamp_psd(g) for g in noisy.grams))
+    return measured, prior, random_signal(s, rng), truth
+
+
+def _specs(structure, ks, sigmas, trials=3, seed=41):
+    """Slot ``i`` runs ``trials`` trials at subspace dimension ``ks[i]`` and
+    noise ``sigmas[i]`` (None: exact)."""
+    s = parse_structure(structure)
+    return [experiments.TrialSpec(s, k, slot, t, seed, sigma)
+            for slot, (k, sigma) in enumerate(zip(ks, sigmas)) for t in range(trials)]
+
+
+TRIAL_STACKS = {
+    "real K=2,4,8": ("8x4", (2, 4, 8), (None,) * 3),
+    "real K=2,4,2": ("8x4", (2, 4, 2), (None,) * 3),
+    "two shapes": ("8x4,3x2", (2, 4, 6), (None,) * 3),
+    "two shapes noisy": ("8x4,3x2", (4, 4, 2), (0.0, 1e-2, 0.3)),
+    "complex": ("8x4,3x2:complex", (3, 5, 3), (None,) * 3),
+    "complex noisy": ("8x4,3x2:complex", (3, 5, 3), (0.0, 1e-3, 0.1)),
+    "exact and noisy": ("8x4,3x2", (2, 4, 2), (None, 0.1, None)),
+}
+
+
+class TestTrialStack:
+    @pytest.mark.parametrize("name, trials", [*((n, 3) for n in TRIAL_STACKS),
+                                              ("complex noisy", 1), ("real K=2,4,8", 1)])
+    def test_rows_are_the_objects_bit_for_bit(self, name, trials):
+        structure, ks, sigmas = TRIAL_STACKS[name]
+        specs = _specs(structure, ks, sigmas, trials)
+        if trials == 1:
+            specs = specs[1:2]  # a stack of one
+        s = specs[0].structure
+        grams, priors, inits, truths = experiments._trial_stack(specs)
+        assert [len(g) for g in grams] == [len(specs)] * len(s.shape_groups)
+        basis_of = {}
+        for rows, stack in priors:
+            assert stack.kind is LinearSubspacePrior
+            assert {specs[t].k for t in rows} == {stack.basis.shape[2]}
+            basis_of.update((int(t), b) for t, b in zip(rows, stack.basis))
+        assert sorted(basis_of) == list(range(len(specs)))
+        for t, spec in enumerate(specs):
+            measured, prior, init, truth = _object_trial(spec)
+            assert basis_of[t].tobytes() == prior.basis.tobytes()
+            assert truths[t].tobytes() == truth.tobytes()
+            assert inits[t].tobytes() == reconstruct(init).tobytes()
+            for (_, idx), g in zip(s.shape_groups, grams):
+                for j, l in enumerate(idx):
+                    assert g[t, j].tobytes() == measured.grams[l].tobytes()
+
+    @pytest.mark.parametrize("name", ["real K=2,4,2", "complex noisy", "exact and noisy"])
+    def test_solved_trials_equal_the_object_solves(self, name):
+        specs = _specs(*TRIAL_STACKS[name])
+        config = SolverConfig(max_iters=60, stop_on="oracle")
+        table = experiments._solve_trials(specs, config)
+        measured, priors, inits, truths = zip(*map(_object_trial, specs))
+        s = specs[0].structure
+        reports = solve_batch(measured, priors, config, inits,
+                              [decompose(x, s) for x in truths])
+        expected = [(r.iterations_used, r.converged, r.oracle_error) for r in reports]
+        assert table.tobytes() == np.array(expected, dtype=float).tobytes()
+
+    def test_rank_deficient_draw_raises_from_the_stacked_qr(self, monkeypatch):
+        class Ones:  # every draw is ones: each basis has rank 1
+            def standard_normal(self, size=None, out=None):
+                out[...] = 1.0
+
+        monkeypatch.setattr(experiments, "_trial_rng", lambda *_: Ones())
+        with pytest.raises(RankDeficiencyError, match="rank deficient"):
+            experiments._trial_stack(_specs("8x4", (2, 4), (None, None)))
+
+    def test_clamped_grams_are_checked_again(self, monkeypatch):
+        monkeypatch.setattr(experiments, "clamp_psd", lambda g: -g)
+        with pytest.raises(ValueError, match="block 0: Gram matrix has negative eigenvalue"):
+            experiments._trial_stack(_specs("8x4,3x2", (4,), (0.1,)))
+
+    def test_subspace_dimension_above_the_ambient_exits_1_naming_the_range(self, capsys):
+        code = main(["exp-iterations", "--structure", "3x2", "--K", "2,7", "--trials", "2",
+                     "--max-iters", "5"])
+        assert code == 1
+        assert "subspace dimension must be in [1, 6], got 7" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=re.escape("must be in [1, 6], got 7")):
+            experiments._trial_stack(_specs("3x2", (2, 7), (None, None)))
 
 
 def _write_instance(path):

@@ -25,7 +25,7 @@ from gramphase import (
 )
 from gramphase import blocks
 from gramphase.blocks import cyclic_shift_stack, haar_stack
-from gramphase.moments import MraSampleSet, clamp_psd
+from gramphase.moments import MraSampleSet, _check_grams, clamp_psd
 from tests._oracles import cyclic_average_outer
 
 
@@ -116,6 +116,30 @@ class TestGramTuple:
         grams = [kinds[bad[l]] if l in bad else np.eye(2) for l in range(s.num_blocks)]
         with pytest.raises(ValueError, match=message):
             GramTuple(s, tuple(grams))
+
+
+    @pytest.mark.parametrize("kind", ["skew", "indefinite"])
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_a_stack_raises_what_the_tuple_raises(self, kind, block):
+        # row 2 of four tuples holds one bad Gram; blocks 0 and 2 share a shape
+        s = RepresentationStructure(((3, 2), (4, 3), (2, 2)), "complex")
+        bad = {"skew": np.array([[1.0, 1j], [0.0, 1.0]]), "indefinite": np.diag([-1.0, 1.0])}
+        rows = [[np.eye(r, dtype=complex) for _, r in s.blocks] for _ in range(4)]
+        rows[2][block] = np.eye(s.blocks[block][1], dtype=complex)
+        rows[2][block][:2, :2] = bad[kind]
+        with pytest.raises(ValueError) as single:
+            GramTuple(s, tuple(rows[2]))
+        stacks = [np.array([[row[l] for l in idx] for row in rows]) for _, idx in s.shape_groups]
+        with pytest.raises(ValueError) as stacked:
+            _check_grams(s, stacks)
+        assert str(stacked.value) == str(single.value)
+        assert str(single.value).startswith(f"block {block}: ")
+
+    def test_a_stack_names_its_first_bad_row(self):
+        s = RepresentationStructure(((2, 2),))
+        g = np.array([np.eye(2), np.diag([-1.0, 1.0]), np.diag([1.0, -2.0])])[:, None]
+        with pytest.raises(ValueError, match=r"block 0: .* negative eigenvalue -1\.000e\+00"):
+            _check_grams(s, [g])
 
 
 class TestAnalyticMoment:

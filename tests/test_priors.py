@@ -12,7 +12,7 @@ from gramphase import (
     project_prior,
     random_subspace_prior,
 )
-from gramphase.priors import stack_priors
+from gramphase.priors import _check_orthonormal, _subspace_stack, stack_priors
 from tests._oracles import brute_sparse_project
 
 vectors = st.integers(0, 2**32 - 1).map(
@@ -166,6 +166,29 @@ class TestRandomSubspace:
         np.testing.assert_array_equal(a.basis, b.basis)
         gram = a.basis.conj().T @ a.basis
         assert np.max(np.abs(gram - np.eye(5))) < 1e-10
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_qr_rows_are_numpys(self, field):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 12, 3))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((5, 12, 3))
+        stack = _subspace_stack(a.copy())
+        assert stack.kind is LinearSubspacePrior and stack.dim == 12
+        for row, b in zip(stack.basis, a):
+            assert row.tobytes() == np.linalg.qr(b)[0].tobytes()
+
+    def test_rank_deficient_basis_in_a_stack_raises(self):
+        a = np.random.default_rng(5).standard_normal((3, 6, 2))
+        a[1, :, 1] = 2.0 * a[1, :, 0]
+        with pytest.raises(RankDeficiencyError, match="rank deficient"):
+            _subspace_stack(a)
+
+    def test_one_basis_off_orthonormal_in_a_stack_is_refused(self):
+        q = np.array([np.eye(4)[:, :2]] * 3)
+        q[2, 0, 0] = 1.5
+        with pytest.raises(ValueError, match=r"orthonormal columns \(max \|B\*B - I\| = 1\.250e\+00"):
+            _check_orthonormal(q, "subspace basis")
 
     def test_bad_dimension(self):
         s = RepresentationStructure(((2, 2),))
