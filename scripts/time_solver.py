@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the solver iteration layer by layer, and the exp-noise sweep.
+"""Time the solver iteration layer by layer, and the sweeps.
 
     PYTHONPATH=src python3 scripts/time_solver.py [--rounds R] [--iters M]
         [--parent DIR] [--noise]
@@ -35,13 +35,23 @@ sparsity projections, and both polar factors (the support prior's
 one-line mask is the only projection not timed).
 
 ``--noise`` also times ``run_error_vs_noise`` at K = 10 with 200 trials
-and one worker (seed 2026), split into the trial build (``_trial_stack``,
+on one CPU (seed 2026), split into the trial build (``_trial_stack``,
 or ``_trial_instance`` in a checkout that builds trials one at a time)
 and the solve (the stack engine ``_solve_stack``, or ``solve_batch``
-with its object front); the rest is the runner and its CSV.  ``--parent DIR`` repeats everything with
-``DIR/src`` on the path, alternating with this checkout round by round,
-and prints the two side by side; numbers are medians over the rounds.
-numpy only.
+with its object front); the rest is the runner and its CSV.  Then it
+times the sweeps of ``SWEEPS`` on 8x4 (seed 2026) whole, at 1 and at 2
+CPUs: both default sweeps (800 rows each), the two runner calls of one
+bench ``sweep`` round (36 and 12 rows), and iteration and K = 10 noise
+sweeps at the sizes that bracket the row floor ``SPLIT_ROWS`` of
+``gramphase.experiments``.  The CPU count is ``blocks._workers``
+patched, with the row floor set to 1 so that every stack splits at 2;
+by default a stack of fewer than ``2 * SPLIT_ROWS`` rows runs whole on
+the calling thread, as at 1 CPU.  In a checkout whose sweeps run on a
+process pool it is ``ExperimentConfig.workers`` instead.
+
+``--parent DIR`` repeats everything with ``DIR/src`` on the path,
+alternating with this checkout round by round, and prints the two side
+by side; numbers are medians over the rounds.  numpy only.
 """
 import argparse
 import json
@@ -50,6 +60,7 @@ import statistics
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,23 +165,25 @@ NOISE_LAYERS = (("build", ("_trial_stack", "_trial_instance")),
 
 
 def time_noise():
-    """Seconds of the K = 10 noise sweep: the total, the trial build and the solve."""
-    from gramphase import experiments
+    """Seconds of the K = 10 noise sweep on one CPU: the total, the trial
+    build and the solve."""
+    from gramphase import blocks, experiments
     from gramphase.cli import parse_structure
 
     cfg = experiments.ExperimentConfig(experiment="error_vs_noise",
-                                       structure=parse_structure("8x4"),
-                                       master_seed=2026, workers=1)
+                                       structure=parse_structure("8x4"), master_seed=2026)
     totals = {}
     saved = []
     for _, names in NOISE_LAYERS:
         name = next(n for n in names if hasattr(experiments, n))
         saved.append((name, _wrap(experiments, name, totals)))
+    workers, blocks._workers = blocks._workers, lambda: 1
     try:
         t0 = time.perf_counter()
         experiments.run_error_vs_noise(cfg)
         total = time.perf_counter() - t0
     finally:
+        blocks._workers = workers
         for name, fn in saved:
             setattr(experiments, name, fn)
     out = {"total": total}
@@ -179,11 +192,63 @@ def time_noise():
     return out
 
 
+# (label, runner, its config on 8x4 at seed 2026): the default sweeps,
+# one bench sweep round's two calls, and sizes around the row floor
+SWEEPS = (
+    ("exp-noise K=10, 800 rows", "run_error_vs_noise", {}),
+    ("exp-iterations, 800 rows", "run_iterations_vs_k", {}),
+    ("bench iterations, 36 rows", "run_iterations_vs_k",
+     dict(k_values=(2, 4, 8), trials=12, max_iters=150)),
+    ("bench noise, 12 rows", "run_error_vs_noise",
+     dict(subspace_dim=4, sigma_values=(1e-3, 1e-2, 1e-1), trials=4, max_iters=200)),
+    ("iterations, 64 rows", "run_iterations_vs_k", dict(trials=16, max_iters=150)),
+    ("iterations, 128 rows", "run_iterations_vs_k", dict(trials=32, max_iters=150)),
+    ("iterations, 192 rows", "run_iterations_vs_k", dict(trials=48, max_iters=150)),
+    ("noise K=10, 64 rows", "run_error_vs_noise", dict(trials=16)),
+    ("noise K=10, 128 rows", "run_error_vs_noise", dict(trials=32)),
+)
+CPUS = (1, 2)
+
+
+def time_sweeps():
+    """Milliseconds per sweep of ``SWEEPS`` at each CPU count of ``CPUS``."""
+    from gramphase import blocks, experiments
+    from gramphase.cli import parse_structure
+
+    Config = experiments.ExperimentConfig
+    pool = "workers" in {f.name for f in fields(Config)}
+    saved = blocks._workers, getattr(experiments, "SPLIT_ROWS", None)
+
+    def run(runner, given, cpus):
+        cfg = dict(given, structure=parse_structure("8x4"), master_seed=2026)
+        if pool:
+            cfg["workers"] = cpus
+        else:
+            blocks._workers, experiments.SPLIT_ROWS = (lambda: cpus), 1
+        cfg = Config(**cfg)
+        t0 = time.perf_counter()
+        getattr(experiments, runner)(cfg)
+        return 1e3 * (time.perf_counter() - t0)
+
+    out = {}
+    try:
+        for _, runner, given in SWEEPS[2:4]:  # warm-up
+            run(runner, given, 1)
+        for label, runner, given in SWEEPS:
+            out[label] = {str(cpus): run(runner, given, cpus) for cpus in CPUS}
+    finally:
+        blocks._workers = saved[0]
+        if saved[1] is not None:
+            experiments.SPLIT_ROWS = saved[1]
+    return out
+
+
 def measure(iters, noise):
-    """One round in this process: every case, and the noise sweep."""
+    """One round in this process: every case, and the sweeps."""
     result = {label: time_case(spec, iters) for spec in CASES for label in [spec[0]]}
     if noise:
         result["exp-noise s"] = time_noise()
+        result["sweeps ms"] = time_sweeps()
     return result
 
 
@@ -196,13 +261,10 @@ def _child(src, iters, noise):
 
 
 def _medians(rounds):
-    out = {}
-    for key, first in rounds[0].items():
-        if isinstance(first, dict):
-            out[key] = {k: statistics.median(r[key][k] for r in rounds) for k in first}
-        else:
-            out[key] = statistics.median(r[key] for r in rounds)
-    return out
+    """The median of each number over the rounds, nested as in a round."""
+    if isinstance(rounds[0], dict):
+        return {key: _medians([r[key] for r in rounds]) for key in rounds[0]}
+    return statistics.median(rounds)
 
 
 def main():
@@ -234,11 +296,17 @@ def main():
             print(f"{label:<24} {side:<7}" + "".join(
                 f"{row[c]:>12.1f}" for c in ["total"] + [l for l, _ in LAYERS]))
     if args.noise:
-        print("exp-noise K=10, 200 trials, 1 worker, s")
+        print("exp-noise K=10, 200 trials, 1 CPU, s")
         print(f"{'side':<7}" + "".join(f"{c:>10}" for c in ("total", "build", "solve")))
         for side in sides:
             row = med[side]["exp-noise s"]
             print(f"{side:<7}" + "".join(f"{row[c]:>10.3f}" for c in ("total", "build", "solve")))
+        print("sweeps on 8x4, ms per run; every stack split at 2 CPUs")
+        print(f"{'sweep':<27}{'side':<7}" + "".join(f"{f'cpus={c}':>10}" for c in CPUS))
+        for label, *_ in SWEEPS:
+            for side in sides:
+                row = med[side]["sweeps ms"][label]
+                print(f"{label:<27}{side:<7}" + "".join(f"{row[str(c)]:>10.1f}" for c in CPUS))
     print(json.dumps(med))
 
 

@@ -26,17 +26,18 @@ of the whole stack, because the random stream gives every real part
 before the first imaginary part.
 
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
-draws and the distortion ratios of :mod:`gramphase.analysis` run their
-chunks on the CPUs' threads through ``_chunk_map``, which shares the
-budget among the threads and changes no bit of any result.  The chunk
-map owns the CPUs, and the BLAS runs on one thread: every public
-function that reaches a large BLAS or LAPACK call is wrapped in
-``_one_blas_thread``, which sets numpy's bundled OpenBLAS to one thread
-for the call and restores the caller's count after it.  So no OpenBLAS
-worker spins on a CPU a map needs, and no result depends on how many
-threads the BLAS would have split a product over (a threaded product or
-QR sums in another order).  Importing the package pins nothing; on a
-BLAS other than numpy's bundled OpenBLAS the wrapper does nothing.
+draws, the distortion ratios of :mod:`gramphase.analysis` and the shares
+of a large sweep stack run on the CPUs' threads through ``_chunk_map``,
+which shares the budget among the threads and changes no bit of any
+result.  The chunk map owns the CPUs, and the BLAS runs on one thread:
+every public function that reaches a large BLAS or LAPACK call is
+wrapped in ``_one_blas_thread``, which sets numpy's bundled OpenBLAS to
+one thread for the call and restores the caller's count after it.  So
+no OpenBLAS worker spins on a CPU a map needs, and no result depends on
+how many threads the BLAS would have split a product over (a threaded
+product or QR sums in another order).  Importing the package pins
+nothing; on a BLAS other than numpy's bundled OpenBLAS the wrapper does
+nothing.
 
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
@@ -135,10 +136,10 @@ def _one_blas_thread(fn: Callable) -> Callable:
 
     The caller's thread count is saved, set to 1 and restored when ``fn``
     returns or raises.  A call made while the count is already 1 (a
-    nested call, or a chunk map's thread inside one), or on a BLAS where
-    the lookup found nothing, runs ``fn`` as it is.  The count is global
-    to the process: two Python threads inside gramphase at once can
-    interleave the save and the restore."""
+    nested call, or a chunk map's thread inside one, as a sweep's share
+    is), or on a BLAS where the lookup found nothing, runs ``fn`` as it
+    is.  The count is global to the process: two Python threads inside
+    gramphase at once can interleave the save and the restore."""
 
     @functools.wraps(fn)
     def pinned(*args, **kwargs):

@@ -92,7 +92,6 @@ _FLAGS = {
     "tol": dict(type=float, help="stopping tolerance"),
     "out": dict(help="output CSV path (experiments) or directory"),
     "paper_scale": dict(action="store_const", const=True, help="10,000 trials instead of 200"),
-    "workers": dict(type=int, help="process pool size"),
     "n": dict(type=int, help="number of observations"),
     "action": dict(choices=["full", "cyclic"], help="group action kind"),
     "gram": dict(help="JSON file with the measured Gram tuple"),
@@ -115,11 +114,11 @@ _COMMANDS = {
         "converged={converged} iterations={iterations_used} residual={residual_final:.3e}"),
     "exp-iterations": (
         run_iterations_vs_k, "median iterations vs subspace dimension",
-        "structure K trials seed algorithm beta max_iters tol out paper_scale workers",
+        "structure K trials seed algorithm beta max_iters tol out paper_scale",
         "K={K} median_iterations={median_iterations} convergence_rate={convergence_rate:.3f}"),
     "exp-noise": (
         run_error_vs_noise, "median recovery error vs noise level",
-        "structure K sigma trials seed algorithm beta max_iters tol out paper_scale workers",
+        "structure K sigma trials seed algorithm beta max_iters tol out paper_scale",
         "sigma={sigma:g} median_error={median_error:.3e} "
         "convergence_rate={convergence_rate:.3f}"),
     "transversality": (

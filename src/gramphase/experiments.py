@@ -2,20 +2,21 @@
 
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
-scheduled: serial and process-pool runs write the same CSV.  Both sweeps
-solve all their trials as one stack through ``_sweep``, and the trial
-path is stacked: ``_trial_stack`` draws each trial from its own stream,
-then runs the QR and rank test, the orthonormality check, the PSD clamp
-and the Gram check once per stack (per subspace dimension or shape
-group) and hands arrays straight to the solver's stack engine, with no
-prior, Gram tuple or signal object per trial.  A row of that engine does
-not depend on its stack, whatever its subspace dimension.  The one-shot
-solve builds its random instance the same way, as a stack of one.  Both
-analysis runners draw their prior
-through ``_prior_draw``.  Every runner writes through ``_write``, only
-under ``out``: without it nothing is written.  All output files carry
-``#`` provenance comments with a hash of the semantic config (worker
-count and output paths excluded) and the master seed.
+scheduled.  Both sweeps solve their trials through ``_sweep``: one stack
+on the calling thread, or, when it holds ``SPLIT_ROWS`` rows per CPU,
+one share per CPU on the chunk map's threads; both write the same CSV.
+The trial path is stacked: ``_trial_stack`` draws each trial from its
+own stream, then runs the QR and rank test, the orthonormality check,
+the PSD clamp and the Gram check once per stack (per subspace dimension
+or shape group) and hands arrays straight to the solver's stack engine,
+with no prior, Gram tuple or signal object per trial.  A row of that
+engine does not depend on its stack, whatever its subspace dimension.
+The one-shot solve builds its random instance the same way, as a stack
+of one.  Both analysis runners draw their prior through
+``_prior_draw``.  Every runner writes through ``_write``, only under
+``out``: without it nothing is written.  All output files carry ``#``
+provenance comments with a hash of the semantic config (output paths
+excluded) and the master seed.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,7 @@ from .blocks import (
     GroupAction,
     RepresentationStructure,
     StructureMismatch,
+    _chunk_map,
     _one_blas_thread,
     _whole_number,
     cyclic_action,
@@ -58,7 +58,7 @@ from .moments import (
 from .priors import _check_subspace_dim, _subspace_stack, random_subspace_prior
 from .solvers import SolveReport, SolverConfig, _reports, _solve_stack, solve
 from .analysis import distortion_estimate, transversality_check
-from . import serialize
+from . import blocks, serialize
 
 __all__ = [
     "ExperimentConfig",
@@ -90,7 +90,7 @@ _FALLBACKS = {
 }
 
 # fields that change no result: left out of the config hash
-_UNHASHED = frozenset({"out", "workers", "gram_file", "prior_file"})
+_UNHASHED = frozenset({"out", "gram_file", "prior_file"})
 
 
 @dataclass
@@ -113,7 +113,6 @@ class ExperimentConfig:
     max_iters: int = 1000
     tol: float = 1e-6
     paper_scale: bool = False
-    workers: int = 1
     grid_resolution: int = 512
     exclude_tol: float = 0.5
     action: str = "full"  # or "cyclic"
@@ -125,8 +124,7 @@ class ExperimentConfig:
             self.algorithm = "alternating_projection"
         self.paper_scale = bool(self.paper_scale)
         # counts are stored as ints, so 10.0 and 10 hash alike
-        for name in ("trials", "subspace_dim", "n_samples", "workers", "grid_resolution",
-                     "max_iters"):
+        for name in ("trials", "subspace_dim", "n_samples", "grid_resolution", "max_iters"):
             if getattr(self, name) is not None:  # None: the runner's fallback
                 setattr(self, name, _whole_number(getattr(self, name), name))
         self.master_seed = _whole_number(self.master_seed, "master_seed", 0)
@@ -291,28 +289,29 @@ def _trial_stack(specs: list[TrialSpec]):
     return grams, priors, init, truths
 
 
+# Rows per share below which a sweep's stack is not split over threads:
+# on 2 CPUs, splitting 8x4 trials breaks even at 64-128 rows of K=10 noise
+# and near 128 of iterations (``scripts/time_solver.py --noise``).
+SPLIT_ROWS = 64
+
+
 @_one_blas_thread
-def _solve_trials(specs: list[TrialSpec], config: SolverConfig) -> np.ndarray:
+def _run_trials(specs: list[TrialSpec], config: SolverConfig) -> np.ndarray:
     """``(iterations, converged, oracle_error)`` per trial, the rows of a
-    ``(T, 3)`` array, solved as one stack."""
-    solved = _solve_stack(specs[0].structure, config, *_trial_stack(specs))
-    return np.column_stack([solved.iterations, solved.converged, solved.oracle_error])
-
-
-def _run_trials(specs: list[TrialSpec], config: SolverConfig, workers: int) -> np.ndarray:
-    """Solve the trials as one stack.  With several workers the stack is
-    dealt out round robin, one share per worker, solved in parallel; a
-    row's result does not depend on its stack, so the output is the same."""
-    if workers <= 1:
-        return _solve_trials(specs, config)
+    ``(T, 3)`` array.  The stack is dealt out round robin, one share of at
+    least ``SPLIT_ROWS`` rows per CPU, each built and solved on a chunk
+    map thread under this call's one BLAS thread; a row's result does not
+    depend on its stack, so the output is the same however it is split."""
+    shares = max(1, min(blocks._workers(), len(specs) // SPLIT_ROWS))
     out = np.empty((len(specs), 3))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-        futures = [
-            (w, pool.submit(_solve_trials, specs[w::workers], config))
-            for w in range(min(workers, len(specs)))
-        ]
-        for w, future in futures:
-            out[w::workers] = future.result()
+
+    def solve_share(w):
+        share = specs[w::shares]
+        solved = _solve_stack(share[0].structure, config, *_trial_stack(share))
+        out[w::shares] = np.column_stack([solved.iterations, solved.converged,
+                                         solved.oracle_error])
+
+    _chunk_map(solve_share, ((w,) for w in range(shares)))
     return out
 
 
@@ -320,10 +319,10 @@ def _sweep(cfg: ExperimentConfig, runner: str | None, values, spec) -> tuple[int
     """The trial count ``runner`` resolves and, per sweep value, the
     arrays ``(iterations, converged, oracle_error)`` of its trials; the
     trial ``spec(slot, value, index)`` of every (value, trial) pair is
-    solved in one stack, with oracle stopping."""
+    solved by ``_run_trials``, with oracle stopping."""
     trials = cfg.resolved_trials(runner)
     specs = [spec(slot, v, t) for slot, v in enumerate(values) for t in range(trials)]
-    results = _run_trials(specs, cfg.solver_config("oracle"), cfg.workers)
+    results = _run_trials(specs, cfg.solver_config("oracle"))
     table = results.reshape(len(values), trials, 3).transpose(0, 2, 1)
     return trials, [(iters, conv.astype(bool), errs) for iters, conv, errs in table]
 
@@ -360,7 +359,7 @@ def _prior_draw(cfg: ExperimentConfig, runner: str, slot: int):
 def run_iterations_vs_k(cfg: ExperimentConfig) -> list[dict]:
     """Median iterations to reach the oracle tolerance, per subspace
     dimension; capped trials keep the cap value in the median.  Every
-    (dimension, trial) pair is solved in one stack."""
+    (dimension, trial) pair is solved in one sweep stack."""
     s = cfg.resolved_structure()
     trials, results = _sweep(cfg, None, cfg.k_values,
                              lambda slot, k, t: TrialSpec(s, k, slot, t, cfg.master_seed))
@@ -381,7 +380,7 @@ def run_error_vs_noise(cfg: ExperimentConfig) -> list[dict]:
     The noiseless row keeps only converged trials in its median (the
     stalled rest is visible through the convergence rate); noisy rows
     aggregate every trial, since nothing converges below a noise floor.
-    Every (noise level, trial) pair is solved in one stack.  Oracle
+    Every (noise level, trial) pair is solved in one sweep stack.  Oracle
     stopping makes the noiseless row equivalent to the iteration
     experiment; above the noise floor neither rule ever fires early.
     """

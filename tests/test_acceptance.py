@@ -24,6 +24,7 @@ from gramphase import (
     GroupElement,
     RepresentationStructure,
     analytic_second_moment,
+    blocks,
     cyclic_action,
     cyclic_shift_element,
     cyclic_structure,
@@ -32,6 +33,7 @@ from gramphase import (
     distortion_ratios,
     effective_dimension,
     empirical_second_moment,
+    experiments,
     extract_gram,
     full_ambiguity_action,
     gram_tuple,
@@ -373,29 +375,30 @@ def test_criterion_9_effective_dimension():
                 )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     with criterion(10, "byte-identical CSVs: rerun and serial vs parallel", 600):
-        def iter_cfg(out, workers):
+        def iter_cfg(out):
             return ExperimentConfig(
                 experiment="exp-iterations", trials=10, k_values=(2, 3),
-                master_seed=55, max_iters=200, out=str(out), workers=workers,
+                master_seed=55, max_iters=200, out=str(out),
             )
 
-        def noise_cfg(out, workers):
+        def noise_cfg(out):
             return ExperimentConfig(
                 experiment="exp-noise", trials=6, sigma_values=(0.01, 0.1),
                 subspace_dim=4, master_seed=56, max_iters=150, out=str(out),
-                workers=workers,
             )
 
+        # a row floor of 1, so that these small stacks split at 2 and 3 CPUs
+        monkeypatch.setattr(experiments, "SPLIT_ROWS", 1)
         for name, maker, runner in (
             ("iters", iter_cfg, run_iterations_vs_k),
             ("noise", noise_cfg, run_error_vs_noise),
         ):
-            paths = [tmp_path / f"{name}_{tag}.csv" for tag in ("a", "b", "par")]
-            runner(maker(paths[0], 1))
-            runner(maker(paths[1], 1))
-            runner(maker(paths[2], 2))
+            paths = [tmp_path / f"{name}_{tag}.csv" for tag in ("a", "b", "par2", "par3")]
+            for path, workers in zip(paths, (1, 1, 2, 3)):
+                monkeypatch.setattr(blocks, "_workers", lambda: workers)
+                runner(maker(path))
             blobs = [p.read_bytes() for p in paths]
             assert blobs[0] == blobs[1], f"{name}: rerun differs"
-            assert blobs[0] == blobs[2], f"{name}: parallel differs"
+            assert blobs[0] == blobs[2] == blobs[3], f"{name}: parallel differs"

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from gramphase import (
     RankDeficiencyError,
     RepresentationStructure,
     SolverConfig,
+    blocks,
     decompose,
     experiments,
     random_subspace_prior,
@@ -32,7 +34,7 @@ from gramphase.experiments import (
 from gramphase.serialize import read_csv
 
 
-def tiny_iter_cfg(out=None, workers=1, seed=99):
+def tiny_iter_cfg(out=None, seed=99):
     return ExperimentConfig(
         experiment="exp-iterations",
         trials=8,
@@ -40,8 +42,15 @@ def tiny_iter_cfg(out=None, workers=1, seed=99):
         master_seed=seed,
         max_iters=200,
         out=out,
-        workers=workers,
     )
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """``split(w)`` runs the sweeps at ``w`` CPUs with a row floor of 1,
+    so that even a small stack is dealt out to ``w`` shares."""
+    monkeypatch.setattr(experiments, "SPLIT_ROWS", 1)
+    return lambda workers: monkeypatch.setattr(blocks, "_workers", lambda: workers)
 
 
 class TestStructureParsing:
@@ -112,7 +121,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name, value", [
         ("trials", 2.5), ("trials", True), ("trials", 0), ("n_samples", 1.5),
         ("n_samples", "5"), ("master_seed", 1.5), ("master_seed", -1),
-        ("master_seed", float("nan")), ("subspace_dim", 2.5), ("workers", 1.5),
+        ("master_seed", float("nan")), ("subspace_dim", 2.5),
         ("grid_resolution", 8.5), ("max_iters", 10.5), ("k_values", (2, 2.5)),
         ("k_values", (True,)),
     ])
@@ -122,7 +131,7 @@ class TestExperimentConfig:
             ExperimentConfig(**{name: value})
 
     def test_whole_counts_are_stored_as_ints_and_hash_alike(self):
-        counts = dict(trials=5, n_samples=50, master_seed=3, subspace_dim=2, workers=2,
+        counts = dict(trials=5, n_samples=50, master_seed=3, subspace_dim=2,
                       grid_resolution=64, max_iters=10)
         cfg = ExperimentConfig(k_values=[2.0, np.int32(4)], **{
             name: (float(v) if i % 2 else np.int64(v)) for i, (name, v) in enumerate(counts.items())})
@@ -141,6 +150,10 @@ class TestExperimentConfig:
         got = transversality_check(s, prior, 2.0, 8.0, np.random.default_rng(1))
         want = transversality_check(s, prior, 2, 8, np.random.default_rng(1))
         assert got.point_margins == want.point_margins
+
+    def test_the_removed_workers_field_is_refused(self):
+        with pytest.raises(TypeError, match="workers"):
+            ExperimentConfig(workers=2)
 
     def test_largest_seed_accepted(self):
         assert ExperimentConfig(master_seed=2**32 - 1).master_seed == 2**32 - 1
@@ -178,10 +191,10 @@ class TestExperimentConfig:
             rrr.provenance(resolved_trials=200, subspace_dim_resolved=10)[1]
             == "config_hash=e8ef6d15130d24d7"
         )
-        # output paths and the worker count are left out of the hash
+        # output paths are left out of the hash
         sim = ExperimentConfig(
             experiment="simulate", action="cyclic", n_samples=50, sigma=0.2, master_seed=2,
-            out="x", workers=3, gram_file="g", prior_file="p",
+            out="x", gram_file="g", prior_file="p",
         )
         assert sim.provenance(file="estimate")[1] == "config_hash=3301183f36515222"
 
@@ -197,15 +210,16 @@ class TestIterationsExperiment:
         assert any(c.startswith("config_hash=") for c in comments)
         assert any(c.startswith("master_seed=99") for c in comments)
 
-    def test_serial_parallel_identical_bytes(self, tmp_path):
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        run_iterations_vs_k(tiny_iter_cfg(out=str(a), workers=1))
-        run_iterations_vs_k(tiny_iter_cfg(out=str(b), workers=2))
-        assert a.read_bytes() == b.read_bytes()
+    def test_serial_parallel_identical_bytes(self, tmp_path, split):
+        outs = [tmp_path / f"w{workers}.csv" for workers in (1, 2, 3)]
+        for workers, out in zip((1, 2, 3), outs):
+            split(workers)
+            run_iterations_vs_k(tiny_iter_cfg(out=str(out)))
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
-    def test_cli_workers_give_identical_bytes(self, tmp_path):
+    def test_cli_workers_give_identical_bytes(self, tmp_path, split):
         # 7 trials at 3 dimensions: one stack of 21 rows, dealt unevenly
-        # to two workers, each share mixing the dimensions
+        # to two and three shares, each share mixing the dimensions
         # the noise sweep's sigma=0 row takes its median over its converged
         # trials, here 4 of 7
         for tag, argv in (
@@ -214,10 +228,11 @@ class TestIterationsExperiment:
             ("noise", ["exp-noise", "--trials", "7", "--K", "4", "--sigma", "0,0.01",
                        "--max-iters", "150", "--seed", "5"]),
         ):
-            outs = [tmp_path / f"{tag}_w1.csv", tmp_path / f"{tag}_w2.csv"]
-            for workers, out in zip((1, 2), outs):
-                assert main([*argv, "--workers", str(workers), "--out", str(out)]) == 0
-            assert outs[0].read_bytes() == outs[1].read_bytes()
+            outs = [tmp_path / f"{tag}_w{workers}.csv" for workers in (1, 2, 3)]
+            for workers, out in zip((1, 2, 3), outs):
+                split(workers)
+                assert main([*argv, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
         assert read_csv(tmp_path / "noise_w1.csv")[1][0][3] == repr(4 / 7)
 
     def test_rerun_identical(self, tmp_path):
@@ -345,7 +360,7 @@ class TestTrialStack:
     def test_solved_trials_equal_the_object_solves(self, name):
         specs = _specs(*TRIAL_STACKS[name])
         config = SolverConfig(max_iters=60, stop_on="oracle")
-        table = experiments._solve_trials(specs, config)
+        table = experiments._run_trials(specs, config)
         measured, priors, inits, truths = zip(*map(_object_trial, specs))
         s = specs[0].structure
         reports = solve_batch(measured, priors, config, inits,
@@ -374,6 +389,78 @@ class TestTrialStack:
         assert "subspace dimension must be in [1, 6], got 7" in capsys.readouterr().err
         with pytest.raises(ValueError, match=re.escape("must be in [1, 6], got 7")):
             experiments._trial_stack(_specs("3x2", (2, 7), (None, None)))
+
+
+class TestTrialShares:
+    """A sweep's stack dealt out to shares on the chunk map's threads."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """``(rows, thread)`` of each trial stack built, as it is built."""
+        seen, build = [], experiments._trial_stack
+        monkeypatch.setattr(experiments, "_trial_stack", lambda share: (
+            seen.append((len(share), threading.get_ident())) or build(share)))
+        return seen
+
+    @pytest.mark.parametrize("structure, sigmas", [
+        ("8x4,3x2", (None, 0.1, 0.0)),
+        ("8x4,3x2:complex", (None, 1e-3, 0.1)),
+    ])
+    def test_split_rows_equal_the_whole_stack_bit_for_bit(self, split, builds, structure,
+                                                          sigmas):
+        # mixed K, exact and noisy trials in one stack; some rows stop early
+        specs = _specs(structure, (2, 5, 3), sigmas, trials=5)
+        config = SolverConfig(max_iters=80, stop_on="oracle")
+        tables = []
+        for workers in (1, 2, 3):
+            split(workers)
+            tables.append(experiments._run_trials(specs, config).tobytes())
+        assert sorted(rows for rows, _ in builds) == [5, 5, 5, 7, 8, 15]
+        assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize("rows", [12, 36, 2 * experiments.SPLIT_ROWS - 1])
+    def test_a_stack_below_the_floor_starts_no_thread(self, monkeypatch, builds, rows):
+        def refuse(*args):
+            raise AssertionError("a thread pool was made for a stack below the floor")
+
+        monkeypatch.setattr(blocks, "_workers", lambda: 2)
+        monkeypatch.setattr(blocks, "ThreadPoolExecutor", refuse)
+        specs = _specs("8x4", (2, 4, 8), (None,) * 3, trials=rows)[:rows]
+        experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
+        assert builds == [(rows, threading.get_ident())]
+
+    def test_a_share_holds_at_least_the_floor(self, monkeypatch, builds):
+        monkeypatch.setattr(blocks, "_workers", lambda: 3)
+        specs = _specs("8x4", (2, 4), (None,) * 2, trials=experiments.SPLIT_ROWS)
+        experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
+        assert [rows for rows, _ in builds] == [experiments.SPLIT_ROWS] * 2
+
+    @pytest.mark.skipif(blocks._openblas_threads() is None,
+                        reason="numpy is not on its bundled OpenBLAS")
+    def test_shares_run_on_one_blas_thread(self, split, monkeypatch):
+        get, set_ = blocks._openblas_threads()
+        seen, build = [], experiments._trial_stack
+        monkeypatch.setattr(experiments, "_trial_stack", lambda share: (
+            seen.append((threading.get_ident(), get())) or build(share)))
+        split(2)
+        count = get()
+        set_(2)
+        try:
+            experiments._run_trials(_specs("8x4", (2, 4), (None, 0.1)),
+                                    SolverConfig(max_iters=5, stop_on="oracle"))
+            assert get() == 2
+        finally:
+            set_(count)
+        assert len(seen) == 2 and {n for _, n in seen} == {1}
+        assert threading.get_ident() not in {t for t, _ in seen}
+
+    def test_an_error_in_one_share_reaches_the_caller_and_leaves_no_thread(self, split):
+        split(2)
+        specs = _specs("3x2", (2, 7), (None, None), trials=1)  # the second share has K=7
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match=re.escape("must be in [1, 6], got 7")):
+            experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
+        assert threading.active_count() == threads
 
 
 def _write_instance(path):
@@ -659,13 +746,13 @@ SOLVER = "algorithm beta max_iters tol"
 READS = {
     "simulate": "structure sigma seed out n action",
     "solve": f"structure K sigma seed {SOLVER} out gram prior",
-    "exp-iterations": f"structure K trials seed {SOLVER} out paper_scale workers",
-    "exp-noise": f"structure K sigma trials seed {SOLVER} out paper_scale workers",
+    "exp-iterations": f"structure K trials seed {SOLVER} out paper_scale",
+    "exp-noise": f"structure K sigma trials seed {SOLVER} out paper_scale",
     "transversality": "structure K trials seed out grid_res exclude_tol",
     "bilipschitz": "structure K trials seed out",
 }
 # what every subcommand took before the flags were cut to what it reads
-OLD_COMMON = f"structure K sigma trials seed {SOLVER} out paper_scale workers"
+OLD_COMMON = f"structure K sigma trials seed {SOLVER} out paper_scale"
 # per flag: its non-default argv, the same value as a config-file entry,
 # and the config fields it sets
 FLAG_CASES = {
@@ -681,7 +768,6 @@ FLAG_CASES = {
     "tol": (["--tol", "0.001"], 0.001, {"tol": 0.001}),
     "out": (["--out", "o"], "o", {"out": "o"}),
     "paper_scale": (["--paper-scale"], True, {"paper_scale": True}),
-    "workers": (["--workers", "2"], 2, {"workers": 2}),
     "n": (["--n", "9"], 9, {"n_samples": 9}),
     "action": (["--action", "cyclic"], "cyclic", {"action": "cyclic"}),
     "gram": (["--gram", "g.json"], "g.json", {"gram_file": "g.json"}),
@@ -725,6 +811,19 @@ class TestCliFlags:
             _build_parser().parse_args([command, *FLAG_CASES[flag][0]])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_the_removed_workers_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exp-noise", "--workers", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "gramphase exp-noise: error: unrecognized arguments: --workers 2" in err
+
+    def test_a_config_file_with_workers_is_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"workers": 2}))
+        assert main(["exp-noise", "--config", str(cfg_file)]) == 1
+        assert "config file keys exp-noise does not read: ['workers']" in capsys.readouterr().err
 
     def test_unread_flag_is_reported_by_its_subcommand(self, capsys):
         assert_exit = pytest.raises(SystemExit)
@@ -912,6 +1011,25 @@ class TestBlasThreadCount:
     def test_complex_outputs_do_not_depend_on_the_blas_thread_count(self, code, tmp_path):
         one, two = (_digest_at_blas_threads(code, t, tmp_path) for t in (1, 2))
         assert len(one) == 64 and one == two
+
+    def test_a_split_complex_noise_sweep_is_the_whole_one(self, tmp_path):
+        # two threads in OpenBLAS at once, which starts with two threads
+        # of its own: neither changes the other's bits
+        code = (
+            "from gramphase import blocks, experiments\n"
+            "from gramphase.cli import main\n"
+            "def noise(tag):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        main(['exp-noise', '--structure', '8x4,3x2:complex', '--K', '3',\n"
+            "              '--trials', '10', '--sigma', '0,0.01', '--max-iters', '150',\n"
+            "              '--seed', '4', '--out', str(OUT / tag / 'noise.csv')])\n"
+            "    return digest(OUT / tag / 'noise.csv')\n"
+            "whole = noise('whole')\n"
+            "blocks._workers, experiments.SPLIT_ROWS = (lambda: 2), 1\n"
+            "print(whole, noise('split'))\n"
+        )
+        whole, split = _digest_at_blas_threads(code, 2, tmp_path).split()
+        assert len(whole) == 64 and whole == split
 
 
 class TestPackage:
