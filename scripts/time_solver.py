@@ -35,19 +35,20 @@ sparsity projections, and both polar factors (the support prior's
 one-line mask is the only projection not timed).
 
 ``--noise`` also times ``run_error_vs_noise`` at K = 10 with 200 trials
-on one CPU (seed 2026), split into the trial build (``_trial_stack``,
-or ``_trial_instance`` in a checkout that builds trials one at a time)
-and the solve (the stack engine ``_solve_stack``, or ``solve_batch``
-with its object front); the rest is the runner and its CSV.  Then it
-times the sweeps of ``SWEEPS`` on 8x4 (seed 2026) whole, at 1 and at 2
-CPUs: both default sweeps (800 rows each), the two runner calls of one
-bench ``sweep`` round (36 and 12 rows), and iteration and K = 10 noise
-sweeps at the sizes that bracket the row floor ``SPLIT_ROWS`` of
-``gramphase.experiments``.  The CPU count is ``blocks._workers``
-patched, with the row floor set to 1 so that every stack splits at 2;
-by default a stack of fewer than ``2 * SPLIT_ROWS`` rows runs whole on
-the calling thread, as at 1 CPU.  In a checkout whose sweeps run on a
-process pool it is ``ExperimentConfig.workers`` instead.
+on one CPU (seed 2026), split into the trial build (``_trial_stack``)
+and the solve (the stack engine ``_solve_stack``); the rest is the
+runner and its CSV.  Then it times the sweeps of ``SWEEPS`` (seed 2026)
+whole, at 1 CPU, and split, at 2: on 8x4 both default sweeps (800 rows
+each), the two runner calls of one bench ``sweep`` round (36 and 12
+rows), and iteration and K = 10 noise sweeps at the sizes that bracket
+the real row floor of ``SPLIT_ROWS`` in ``gramphase.experiments``; both
+default sweeps and noise sweeps near that floor on the complex 8x4,3x2,
+whose products contend when two threads run them at once; and noise
+sweeps of 800 and 128 rows on the larger real 16x8.  The CPU count is
+``blocks._workers`` patched, with every field's row floor set to 1 so
+that every stack splits at 2; by default a real stack of fewer than
+twice its floor, and every complex stack, runs whole on the calling
+thread, as at 1 CPU.
 
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side
@@ -60,7 +61,6 @@ import statistics
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,10 +158,8 @@ def time_case(spec, iters):
     return out
 
 
-# the layers of the noise sweep: (label, names in the experiments module,
-# the first one it has being timed)
-NOISE_LAYERS = (("build", ("_trial_stack", "_trial_instance")),
-                ("solve", ("_solve_stack", "solve_batch")))
+# the layers of the noise sweep: (label, its function in the experiments module)
+NOISE_LAYERS = (("build", "_trial_stack"), ("solve", "_solve_stack"))
 
 
 def time_noise():
@@ -174,8 +172,7 @@ def time_noise():
                                        structure=parse_structure("8x4"), master_seed=2026)
     totals = {}
     saved = []
-    for _, names in NOISE_LAYERS:
-        name = next(n for n in names if hasattr(experiments, n))
+    for _, name in NOISE_LAYERS:
         saved.append((name, _wrap(experiments, name, totals)))
     workers, blocks._workers = blocks._workers, lambda: 1
     try:
@@ -187,25 +184,35 @@ def time_noise():
         for name, fn in saved:
             setattr(experiments, name, fn)
     out = {"total": total}
-    for (label, _), (name, _) in zip(NOISE_LAYERS, saved):
+    for label, name in NOISE_LAYERS:
         out[label] = totals.get(name, 0.0)
     return out
 
 
-# (label, runner, its config on 8x4 at seed 2026): the default sweeps,
-# one bench sweep round's two calls, and sizes around the row floor
+# (label, runner, structure, its config at seed 2026): the default sweeps,
+# one bench sweep round's two calls and sizes around the row floor on
+# 8x4; both default sweeps and noise sizes around the real floor on a
+# complex structure; the default noise sweep and one near the floor on a
+# larger real one
 SWEEPS = (
-    ("exp-noise K=10, 800 rows", "run_error_vs_noise", {}),
-    ("exp-iterations, 800 rows", "run_iterations_vs_k", {}),
-    ("bench iterations, 36 rows", "run_iterations_vs_k",
+    ("exp-noise K=10, 800 rows", "run_error_vs_noise", "8x4", {}),
+    ("exp-iterations, 800 rows", "run_iterations_vs_k", "8x4", {}),
+    ("bench iterations, 36 rows", "run_iterations_vs_k", "8x4",
      dict(k_values=(2, 4, 8), trials=12, max_iters=150)),
-    ("bench noise, 12 rows", "run_error_vs_noise",
+    ("bench noise, 12 rows", "run_error_vs_noise", "8x4",
      dict(subspace_dim=4, sigma_values=(1e-3, 1e-2, 1e-1), trials=4, max_iters=200)),
-    ("iterations, 64 rows", "run_iterations_vs_k", dict(trials=16, max_iters=150)),
-    ("iterations, 128 rows", "run_iterations_vs_k", dict(trials=32, max_iters=150)),
-    ("iterations, 192 rows", "run_iterations_vs_k", dict(trials=48, max_iters=150)),
-    ("noise K=10, 64 rows", "run_error_vs_noise", dict(trials=16)),
-    ("noise K=10, 128 rows", "run_error_vs_noise", dict(trials=32)),
+    ("iterations, 64 rows", "run_iterations_vs_k", "8x4", dict(trials=16, max_iters=150)),
+    ("iterations, 128 rows", "run_iterations_vs_k", "8x4", dict(trials=32, max_iters=150)),
+    ("iterations, 192 rows", "run_iterations_vs_k", "8x4", dict(trials=48, max_iters=150)),
+    ("noise K=10, 64 rows", "run_error_vs_noise", "8x4", dict(trials=16)),
+    ("noise K=10, 128 rows", "run_error_vs_noise", "8x4", dict(trials=32)),
+    ("complex noise, 800 rows", "run_error_vs_noise", "8x4,3x2:complex", {}),
+    ("complex iterations, 800 rows", "run_iterations_vs_k", "8x4,3x2:complex", {}),
+    ("complex noise, 64 rows", "run_error_vs_noise", "8x4,3x2:complex", dict(trials=16)),
+    ("complex noise, 128 rows", "run_error_vs_noise", "8x4,3x2:complex", dict(trials=32)),
+    ("complex noise, 192 rows", "run_error_vs_noise", "8x4,3x2:complex", dict(trials=48)),
+    ("16x8 noise, 800 rows", "run_error_vs_noise", "16x8", {}),
+    ("16x8 noise, 128 rows", "run_error_vs_noise", "16x8", dict(trials=32)),
 )
 CPUS = (1, 2)
 
@@ -215,31 +222,25 @@ def time_sweeps():
     from gramphase import blocks, experiments
     from gramphase.cli import parse_structure
 
-    Config = experiments.ExperimentConfig
-    pool = "workers" in {f.name for f in fields(Config)}
-    saved = blocks._workers, getattr(experiments, "SPLIT_ROWS", None)
+    saved = blocks._workers, experiments.SPLIT_ROWS
 
-    def run(runner, given, cpus):
-        cfg = dict(given, structure=parse_structure("8x4"), master_seed=2026)
-        if pool:
-            cfg["workers"] = cpus
-        else:
-            blocks._workers, experiments.SPLIT_ROWS = (lambda: cpus), 1
-        cfg = Config(**cfg)
+    def run(runner, structure, given, cpus):
+        blocks._workers = lambda: cpus
+        experiments.SPLIT_ROWS = dict.fromkeys(saved[1], 1)
+        cfg = experiments.ExperimentConfig(**given, structure=parse_structure(structure),
+                                           master_seed=2026)
         t0 = time.perf_counter()
         getattr(experiments, runner)(cfg)
         return 1e3 * (time.perf_counter() - t0)
 
     out = {}
     try:
-        for _, runner, given in SWEEPS[2:4]:  # warm-up
-            run(runner, given, 1)
-        for label, runner, given in SWEEPS:
-            out[label] = {str(cpus): run(runner, given, cpus) for cpus in CPUS}
+        for _, *sweep in SWEEPS[2:4]:  # warm-up
+            run(*sweep, 1)
+        for label, *sweep in SWEEPS:
+            out[label] = {str(cpus): run(*sweep, cpus) for cpus in CPUS}
     finally:
-        blocks._workers = saved[0]
-        if saved[1] is not None:
-            experiments.SPLIT_ROWS = saved[1]
+        blocks._workers, experiments.SPLIT_ROWS = saved
     return out
 
 
@@ -301,12 +302,12 @@ def main():
         for side in sides:
             row = med[side]["exp-noise s"]
             print(f"{side:<7}" + "".join(f"{row[c]:>10.3f}" for c in ("total", "build", "solve")))
-        print("sweeps on 8x4, ms per run; every stack split at 2 CPUs")
-        print(f"{'sweep':<27}{'side':<7}" + "".join(f"{f'cpus={c}':>10}" for c in CPUS))
+        print("sweeps, ms per run; every stack split at 2 CPUs")
+        print(f"{'sweep':<30}{'side':<7}" + "".join(f"{f'cpus={c}':>10}" for c in CPUS))
         for label, *_ in SWEEPS:
             for side in sides:
                 row = med[side]["sweeps ms"][label]
-                print(f"{label:<27}{side:<7}" + "".join(f"{row[str(c)]:>10.1f}" for c in CPUS))
+                print(f"{label:<30}{side:<7}" + "".join(f"{row[str(c)]:>10.1f}" for c in CPUS))
     print(json.dumps(med))
 
 

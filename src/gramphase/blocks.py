@@ -27,7 +27,7 @@ before the first imaginary part.
 
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
 draws, the distortion ratios of :mod:`gramphase.analysis` and the shares
-of a large sweep stack run on the CPUs' threads through ``_chunk_map``,
+of a large real sweep stack run on the CPUs' threads through ``_chunk_map``,
 which shares the budget among the threads and changes no bit of any
 result.  The chunk map owns the CPUs, and the BLAS runs on one thread:
 every public function that reaches a large BLAS or LAPACK call is

@@ -3,7 +3,7 @@
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
 trial_index)``, so results are byte-identical no matter how trials are
 scheduled.  Both sweeps solve their trials through ``_sweep``: one stack
-on the calling thread, or, when it holds ``SPLIT_ROWS`` rows per CPU,
+on the calling thread, or, for a real one of ``SPLIT_ROWS`` rows per CPU,
 one share per CPU on the chunk map's threads; both write the same CSV.
 The trial path is stacked: ``_trial_stack`` draws each trial from its
 own stream, then runs the QR and rank test, the orthonormality check,
@@ -289,20 +289,21 @@ def _trial_stack(specs: list[TrialSpec]):
     return grams, priors, init, truths
 
 
-# Rows per share below which a sweep's stack is not split over threads:
-# on 2 CPUs, splitting 8x4 trials breaks even at 64-128 rows of K=10 noise
-# and near 128 of iterations (``scripts/time_solver.py --noise``).
-SPLIT_ROWS = 64
+# Rows per share below which a sweep's stack runs whole, per field, from
+# ``scripts/time_solver.py --noise`` on 2 CPUs: 8x4 iteration stacks of
+# 128-191 rows run about 5% slower split.  Complex products contend on two
+# threads (800-row complex sweeps ran 10-13% slower split): never split.
+SPLIT_ROWS = {"real": 64, "complex": math.inf}
 
 
 @_one_blas_thread
 def _run_trials(specs: list[TrialSpec], config: SolverConfig) -> np.ndarray:
-    """``(iterations, converged, oracle_error)`` per trial, the rows of a
-    ``(T, 3)`` array.  The stack is dealt out round robin, one share of at
-    least ``SPLIT_ROWS`` rows per CPU, each built and solved on a chunk
-    map thread under this call's one BLAS thread; a row's result does not
-    depend on its stack, so the output is the same however it is split."""
-    shares = max(1, min(blocks._workers(), len(specs) // SPLIT_ROWS))
+    """``(iterations, converged, oracle_error)`` per trial, a ``(T, 3)``
+    array.  The stack is dealt out round robin, one share of at least
+    ``SPLIT_ROWS`` rows per CPU, each built and solved on a chunk map
+    thread under this call's one BLAS thread; no row depends on its stack."""
+    floor = SPLIT_ROWS[specs[0].structure.field]
+    shares = max(1, min(blocks._workers(), int(len(specs) // floor)))
     out = np.empty((len(specs), 3))
 
     def solve_share(w):

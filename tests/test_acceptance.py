@@ -390,7 +390,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
             )
 
         # a row floor of 1, so that these small stacks split at 2 and 3 CPUs
-        monkeypatch.setattr(experiments, "SPLIT_ROWS", 1)
+        monkeypatch.setattr(experiments, "SPLIT_ROWS", {"real": 1, "complex": 1})
         for name, maker, runner in (
             ("iters", iter_cfg, run_iterations_vs_k),
             ("noise", noise_cfg, run_error_vs_noise),

@@ -47,9 +47,10 @@ def tiny_iter_cfg(out=None, seed=99):
 
 @pytest.fixture
 def split(monkeypatch):
-    """``split(w)`` runs the sweeps at ``w`` CPUs with a row floor of 1,
-    so that even a small stack is dealt out to ``w`` shares."""
-    monkeypatch.setattr(experiments, "SPLIT_ROWS", 1)
+    """``split(w)`` runs the sweeps at ``w`` CPUs with a row floor of 1 in
+    either field, so that even a small or complex stack is dealt out to
+    ``w`` shares."""
+    monkeypatch.setattr(experiments, "SPLIT_ROWS", {"real": 1, "complex": 1})
     return lambda workers: monkeypatch.setattr(blocks, "_workers", lambda: workers)
 
 
@@ -418,22 +419,27 @@ class TestTrialShares:
         assert sorted(rows for rows, _ in builds) == [5, 5, 5, 7, 8, 15]
         assert tables[0] == tables[1] == tables[2]
 
-    @pytest.mark.parametrize("rows", [12, 36, 2 * experiments.SPLIT_ROWS - 1])
-    def test_a_stack_below_the_floor_starts_no_thread(self, monkeypatch, builds, rows):
+    @pytest.mark.parametrize("structure, rows", [
+        ("8x4", 12), ("8x4", 36), ("8x4", 2 * experiments.SPLIT_ROWS["real"] - 1),
+        ("8x4,3x2:complex", 256),  # a complex stack is never split
+    ])
+    def test_a_stack_below_the_floor_starts_no_thread(self, monkeypatch, builds, structure,
+                                                      rows):
         def refuse(*args):
             raise AssertionError("a thread pool was made for a stack below the floor")
 
         monkeypatch.setattr(blocks, "_workers", lambda: 2)
         monkeypatch.setattr(blocks, "ThreadPoolExecutor", refuse)
-        specs = _specs("8x4", (2, 4, 8), (None,) * 3, trials=rows)[:rows]
+        specs = _specs(structure, (2, 4, 8), (None,) * 3, trials=rows)[:rows]
         experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
         assert builds == [(rows, threading.get_ident())]
 
     def test_a_share_holds_at_least_the_floor(self, monkeypatch, builds):
         monkeypatch.setattr(blocks, "_workers", lambda: 3)
-        specs = _specs("8x4", (2, 4), (None,) * 2, trials=experiments.SPLIT_ROWS)
+        floor = experiments.SPLIT_ROWS["real"]
+        specs = _specs("8x4", (2, 4), (None,) * 2, trials=floor)
         experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
-        assert [rows for rows, _ in builds] == [experiments.SPLIT_ROWS] * 2
+        assert [rows for rows, _ in builds] == [floor] * 2
 
     @pytest.mark.skipif(blocks._openblas_threads() is None,
                         reason="numpy is not on its bundled OpenBLAS")
@@ -1025,7 +1031,8 @@ class TestBlasThreadCount:
             "              '--seed', '4', '--out', str(OUT / tag / 'noise.csv')])\n"
             "    return digest(OUT / tag / 'noise.csv')\n"
             "whole = noise('whole')\n"
-            "blocks._workers, experiments.SPLIT_ROWS = (lambda: 2), 1\n"
+            "blocks._workers = lambda: 2\n"
+            "experiments.SPLIT_ROWS = {'real': 1, 'complex': 1}\n"
             "print(whole, noise('split'))\n"
         )
         whole, split = _digest_at_blas_threads(code, 2, tmp_path).split()
