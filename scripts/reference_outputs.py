@@ -6,7 +6,10 @@ two checkouts byte for byte.
 
 Covers the acceptance workloads (exp-iterations with 200 trials at
 K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
-cyclic:8 at grid 512; bilipschitz on 8x4 with 100,000 pairs), sweeps on
+cyclic:8 at grid 512, at random points and at points of planted
+intersections (``transversality_planted.txt``: the spans of a signal and
+a turned copy, one signal with a zero block, whose elements all tie, with
+every margin in hex and every violation's element labels); bilipschitz on 8x4 with 100,000 pairs), sweeps on
 the two shape groups of 8x4,3x2 (iterations at the repeated, unsorted
 K=6,2,10,2, and a noisy exp-noise), a complex
 noise sweep, a complex distortion run, one on cyclic:16 (many blocks
@@ -55,6 +58,7 @@ from gramphase.experiments import (
     run_simulate,
     run_transversality,
 )
+from gramphase.analysis import intersecting_subspace_prior, transversality_check
 from gramphase.moments import gram_tuple, sample_observations
 from gramphase.priors import SparsityPrior, random_subspace_prior
 
@@ -128,6 +132,39 @@ def _cli_stdout() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def _planted_transversality() -> str:
+    """Margins and violations on cyclic:8 at grid 512 for points of the
+    span of a signal and a copy of it turned on one or two blocks, by a
+    grid angle or between grid angles; the third signal is zero on block 3,
+    so every element of that block ties and the lowest index must win."""
+    s = parse_structure("cyclic:8")
+    rng = np.random.default_rng(2026)
+    lines = []
+    for case, (turns, zero) in enumerate((({1: np.pi / 2}, None), ({2: 2.0, 3: 2.5}, None),
+                                          ({1: 2.5}, 3))):
+        x = blocks.random_signal(s, rng)
+        if zero is not None:
+            x = blocks.BlockSignal(s, tuple(0.0 * m if l == zero else m
+                                            for l, m in enumerate(x.matrices)))
+        g = blocks.GroupElement(tuple(_rotation(turns[l]) if l in turns else np.eye(n)
+                                      for l, (n, _) in enumerate(s.blocks)))
+        prior = intersecting_subspace_prior(x, g)
+        x_amb, gx_amb = blocks.reconstruct(x), blocks.reconstruct(blocks.apply(g, x))
+        points = [x_amb, gx_amb, x_amb + gx_amb, x_amb - 0.5 * gx_amb]
+        report = transversality_check(s, prior, len(points), 512, rng, points=points)
+        lines.append(f"case {case} margins "
+                     + " ".join(float(m).hex() for m in report.point_margins))
+        for v in report.violations:
+            labels = " ".join(f"{kind}:{t}" for kind, t in v.description)
+            lines.append(f"case {case} point {v.point_index} margin {float(v.margin).hex()} "
+                         f"element {labels}")
+    return "\n".join(lines) + "\n"
+
+
 def _sparse_solves(out: Path) -> None:
     s = parse_structure("8x4")
     rng = np.random.default_rng(5)
@@ -166,6 +203,7 @@ def main(out: Path) -> None:
                                master_seed=2026))
     run_transversality(_config("transversality", out / "transversality", "cyclic:8",
                                subspace_dim=2, grid_resolution=512, master_seed=11))
+    (out / "transversality_planted.txt").write_text(_planted_transversality())
     run_bilipschitz(_config("bilipschitz", out / "bilipschitz", subspace_dim=4,
                             trials=100_000, master_seed=7))
     run_bilipschitz(_config("bilipschitz", out / "bilipschitz_complex", COMPLEX,

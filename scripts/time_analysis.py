@@ -14,11 +14,18 @@ It reports milliseconds per point for the whole check, for the engine
 the analysis module's own helpers:
 
 - keys and boxes: ``_base_bins`` (the base's int16 bin keys and per-bin
-  boxes);
+  boxes), split into two sub-phases that show where its time goes:
+  keys, ``_binned`` (the bin keys of the base and of the query groups,
+  and each bin's box of the binned coordinate, read off the bin's edges),
+  and boxes, ``_bin_box`` (the exact per-bin box of the second
+  coordinate, two ``ufunc.at`` scans).  Both count the query groups'
+  calls too (at most 65,536 entries against the base's 1,048,576), and
+  the rest of ``_base_bins`` is the building of the sums;
 - bound ranking: ``_pair_bounds`` and ``_next_band`` (the corner bounds
   of the (group, bin) pairs, and each band of them the walk reaches);
 - band orders: ``_band_order`` (the stable order of one band's bins);
-- walk: the rest of the engine (the query groups and the walk itself).
+- walk: the rest of the engine (the query groups and the walk itself);
+  the sub-phases are not taken off it.
 
 Distortion: ``distortion_ratios`` on 30,000 ``8x4`` pairs of coefficient
 rows of a 4-dimensional prior, with ``blocks._workers`` patched to 1 and
@@ -48,7 +55,9 @@ PHASES = (
     ("bound ranking", ("_pair_bounds", "_next_band")),
     ("band orders", ("_band_order",)),
 )
-COLUMNS = ("check", "engine") + tuple(label for label, _ in PHASES) + ("walk",)
+SUB_PHASES = (("keys", ("_binned",)), ("boxes", ("_bin_box",)))
+COLUMNS = ("check", "engine", "keys and boxes", "keys", "boxes", "bound ranking",
+           "band orders", "walk")
 
 
 def _points():
@@ -102,7 +111,7 @@ def time_grid():
 
     check(*cases[0])  # warm-up
     totals = {}
-    for name in ["_hull_grid_max"] + [n for _, ns in PHASES for n in ns]:
+    for name in ["_hull_grid_max"] + [n for _, ns in PHASES + SUB_PHASES for n in ns]:
         if hasattr(analysis, name):
             _wrap(analysis, name, totals)
     t0 = time.perf_counter()
@@ -110,7 +119,7 @@ def time_grid():
         check(*case)
     per = 1e3 / len(cases)
     out = {"check": per * (time.perf_counter() - t0), "engine": per * totals["_hull_grid_max"]}
-    for label, ns in PHASES:
+    for label, ns in PHASES + SUB_PHASES:
         kept = all(hasattr(analysis, n) for n in ns)
         out[label] = per * sum(totals.get(n, 0.0) for n in ns) if kept else None
     phases = [out[label] for label, _ in PHASES]

@@ -24,7 +24,12 @@ grid assignments (the queries) are grouped the same way.  Per point the
 engine holds one int16 bin key per base entry and each bin's box of
 sums.  The base sums are built one coordinate at a time, only to key and
 box them, and dropped; every entry the search evaluates is rebuilt from
-the two base menus, bit for bit.  Rounding is monotone, so the value at
+the two base menus, bit for bit.  The box of the binned coordinate is
+read off the bin's edges, widened by a few ulps to cover the rounding of
+the key, and the base's range off the ranges of its two menus; only the
+box of the second coordinate is taken exactly, by scanning.  A box only
+prunes, and a wider one that still holds every value it stands for
+changes no result.  Rounding is monotone, so the value at
 the largest corner of the box of sums a (group, bin) or (query, bin)
 pair spans bounds every value computed inside it; pairs are evaluated
 exactly in order of descending bound until the next bound falls below
@@ -236,32 +241,41 @@ def _brute_grid_max(menus, tau):
     return float(f[best]), {i: int(j) for i, j in enumerate(combo)}
 
 
-def _binned(u, count):
-    """Entries of ``u`` in ``count`` equal-width bins of ``u`` (one bin
-    for ``count`` below 1), without a copy of ``u``: the int16 bin key of
-    each entry, computed CHUNK_ENTRIES entries at a time, then the keys of
-    the nonempty bins and their starts and sizes in the stable order of
-    the keys (``np.argsort(key, kind="stable")``, which the caller takes
-    when it needs it)."""
-    lo = u.min()
-    span = u.max() - lo  # the largest u - lo, since rounding is monotone
+def _binned(u, count, lo, hi):
+    """Entries of ``u`` in ``count`` equal-width bins of ``[lo, hi]`` (one
+    bin for ``count`` below 1), the caller's exact ``u.min()`` and
+    ``u.max()``, without a copy of ``u``: the int16 bin key of each entry,
+    computed CHUNK_ENTRIES entries at a time, then the keys of the nonempty
+    bins, their starts and sizes in the stable order of the keys
+    (``np.argsort(key, kind="stable")``, which the caller takes when it
+    needs it) and each one's box of ``u``, stacked on the first axis.
+
+    The box is read off the bin's edges, not off its entries: each edge is
+    moved out by 16 ulps of ``|lo| + |hi|``, which covers the 3 roundings
+    of the key formula and the 4 of the edge, each at most one such ulp,
+    and clipped to ``[lo, hi]``.  So it may be wider than the exact box,
+    never narrower."""
+    span, n = hi - lo, max(count, 1)
     key = np.empty(u.shape, np.int16)
-    sizes = np.zeros(max(count, 1), np.int64)
+    sizes = np.zeros(n, np.int64)
     for s in range(0, u.shape[0], CHUNK_ENTRIES):
         k = u[s : s + CHUNK_ENTRIES] - lo
         if span > 0:
             k /= span
             k *= count
-        k = np.minimum(k.astype(np.int16), sizes.shape[0] - 1, out=key[s : s + CHUNK_ENTRIES])
-        sizes += np.bincount(k, minlength=sizes.shape[0])
+        k = np.minimum(k.astype(np.int16), n - 1, out=key[s : s + CHUNK_ENTRIES])
+        sizes += np.bincount(k, minlength=n)
     bins = np.flatnonzero(sizes)
     sizes = sizes[bins]
-    return key, bins, np.cumsum(sizes) - sizes, sizes
+    pad = 16 * np.spacing(abs(lo) + abs(hi))
+    box = lo + span / n * np.stack([bins, bins + 1]) + [[-pad], [pad]]
+    return key, bins, np.cumsum(sizes) - sizes, sizes, np.clip(box, lo, hi)
 
 
 def _bin_box(key, bins, v):
-    """The (min, max) of ``v`` over the entries keyed to each of ``bins``,
-    stacked on the first axis."""
+    """The exact (min, max) of ``v`` over the entries keyed to each of
+    ``bins``, stacked on the first axis: the box of the second coordinate,
+    which the bins do not order."""
     box = np.full((2, bins[-1] + 1), np.inf)
     box[1] = -np.inf
     np.minimum.at(box[0], key, v)
@@ -284,13 +298,15 @@ def _ranges(starts, sizes):
 def _base_bins(terms, n_base):
     """The int16 bin key of every base entry, the nonempty bins and their
     sizes, and each bin's box of ``a`` and of ``b``, from the base's
-    ``_pair_terms``.  The sums are built one coordinate at a time, only to
-    key and box them, and dropped."""
+    ``_pair_terms``.  Rounding is monotone, so the base's range is the sum
+    of the two menus' ranges, equal to its ``min()`` and ``max()`` but for
+    the sign of a zero, which no key sees.  The ``a`` box is read off the
+    bins' edges (``_binned``), the ``b`` box is exact (``_bin_box``); each
+    coordinate's sums are built only to key or box them, and dropped."""
     (a_rows, a_cols), (b_rows, b_cols) = terms
-    a = (a_rows[:, None] + a_cols).ravel()
-    key, bins, _, sizes = _binned(a, min(BASE_BINS, n_base // 256))
-    a_box = _bin_box(key, bins, a)
-    del a
+    key, bins, _, sizes, a_box = _binned(
+        (a_rows[:, None] + a_cols).ravel(), min(BASE_BINS, n_base // 256),
+        a_rows.min() + a_cols.min(), a_rows.max() + a_cols.max())
     b_box = _bin_box(key, bins, (b_rows[:, None] + b_cols).ravel())
     return key, bins, sizes, a_box, b_box
 
@@ -355,7 +371,8 @@ def _hull_grid_max(menus, tau):
     each later band WALK_GROWTH times larger, each taken by a partition
     only when the walk reaches it, so a walk over every pair takes a
     logarithmic number of bands.  The base keeps its int16 bin keys and
-    per-bin boxes; the ``a`` sums are dropped before the ``b`` sums are
+    per-bin boxes (``a`` and ``c`` read off the bins' edges, ``b`` and
+    ``d`` exact); the ``a`` sums are dropped before the ``b`` sums are
     built.  For each band the int32 stable order of the entries of its
     bins alone is built from the keys, and evaluated entries are rebuilt
     from the two base menus (``_pair_terms``) at the positions it gives.
@@ -385,8 +402,9 @@ def _hull_grid_max(menus, tau):
     cs, ds = c[order], d[order]
     first = np.sort(order[np.r_[True, (cs[1:] != cs[:-1]) | (ds[1:] != ds[:-1])]])
     c, d = c[first], d[first]
-    q_key, groups, group_start, group_size = _binned(c, min(QUERY_GROUPS, len(first) // 64))
-    c_box, d_box = _bin_box(q_key, groups, c), _bin_box(q_key, groups, d)
+    q_key, groups, group_start, group_size, c_box = _binned(
+        c, min(QUERY_GROUPS, len(first) // 64), c.min(), c.max())
+    d_box = _bin_box(q_key, groups, d)
     by_key = np.argsort(q_key, kind="stable")
     c_order, c, d = first[by_key], c[by_key], d[by_key]
     lo, hi = -tau - c, tau - c

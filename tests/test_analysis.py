@@ -26,6 +26,8 @@ from gramphase import (
     transversality_check,
 )
 from gramphase.analysis import (
+    _Menu,
+    _base_bins,
     _bin_box,
     _binned,
     _brute_grid_max,
@@ -292,6 +294,35 @@ class TestGridEngines:
         assert seen["walked"] == seen["pairs"]
         assert seen["bands"] >= 3
 
+    @pytest.mark.parametrize("base_bins", [1, 2, 4096])
+    @pytest.mark.parametrize("offset", [0.0, 1e8], ids=["plain", "offset"])
+    @pytest.mark.parametrize("n,res", [(8, 32), (6, 64)])
+    def test_edge_boxes_give_the_same_max(self, monkeypatch, n, res, offset, base_bins):
+        # few bins make wide edge boxes; a large common offset in a with a
+        # small spread makes the edges' widening a large part of each bin
+        s = cyclic_structure(n, "real")
+        rng = np.random.default_rng(40 + n)
+        prior = random_subspace_prior(s, 2, rng)
+        x_amb = _unit_point(prior.basis, rng)
+        menus = _build_menus(decompose(x_amb, s), _rebased_subspace(prior.basis, x_amb), res)
+        if offset:
+            # the base is menus 1 and 2, the queries hold the offset back
+            menus[1].a = offset / 2 + 1e-6 * menus[1].a
+            menus[2].a = offset / 2 + 1e-6 * menus[2].a
+            menus[0].a = menus[0].a - offset
+        want = _hull_grid_max(menus, TAU)
+        monkeypatch.setattr(analysis, "BASE_BINS", base_bins)
+        hit = _hull_grid_max(menus, TAU)
+        assert hit == want == _engine_order_max(menus, TAU)
+        fb, _ = _brute_grid_max(menus, TAU)
+        if offset:
+            # the brute engine sums in menu order, which rounds at ulps of 1e8
+            assert abs(fb - hit[0]) <= 1e-6
+        else:
+            assert abs(fb - hit[0]) <= 4 * np.finfo(float).eps
+            oracle = brute_transversality_margin(s, prior.basis, x_amb, res, 0.5)
+            assert abs(np.sqrt(max(1.0 - hit[0], 0.0)) - oracle) < 1e-10
+
     def test_check_against_oracle_margins(self):
         s = RepresentationStructure(((1, 1), (2, 1), (2, 1)))
         rng = np.random.default_rng(3)
@@ -313,13 +344,62 @@ def _tied_values(rng, n):
     return v
 
 
+def _plain_key(x, lo, span, count):
+    """The bin key of ``x`` by the formula of ``_binned``, in Python floats,
+    as ``test_binned_against_a_plain_loop`` computes it."""
+    return min(int((x - lo) / span * count), max(count, 1) - 1) if span > 0 else 0
+
+
+def _menu(a, rng):
+    """A menu of first coordinates ``a``; its ``b`` is Gaussian."""
+    a = np.asarray(a, float)
+    return _Menu(a, rng.standard_normal((a.shape[0], 1)), None, None)
+
+
+def _edge_case(case, rng):
+    """The ``a`` of two base menus, for the edge-box cases."""
+    signed = lambda n: rng.choice([-1.0, 1.0], n)  # noqa: E731
+    if case == "magnitudes":  # sums from 1e-150 to 1e150
+        return (signed(70) * 10.0 ** rng.uniform(-150, 150, 70),
+                signed(60) * 10.0 ** rng.uniform(-150, 150, 60))
+    if case in ("tiny", "huge"):
+        scale = 1e-150 if case == "tiny" else 1e150
+        return scale * rng.standard_normal(70), scale * rng.standard_normal(60)
+    if case == "zero_span":
+        z = np.zeros(64)
+        z[::3] = -0.0
+        return z, z[::-1].copy()
+    if case == "one_bin":  # 200 entries, below 256
+        return rng.standard_normal(10), rng.standard_normal(20)
+    if case == "on_edges":  # 16 bins of width 1, every integer sum on an edge
+        cols = np.zeros(64)
+        cols[::2] = -0.0
+        return np.arange(65) * 0.25, cols
+    if case == "near_edges":  # sums within 32 ulps of edges that do not round exactly
+        return 0.3 + 1.7 * np.arange(65) / 64, np.spacing(2.0) * np.arange(-32, 32)
+    if case == "signed_zeros":
+        return _tied_values(rng, 70), _tied_values(rng, 60)
+    if case == "offset":  # a large common offset, a spread of about 1e-6
+        return 1e8 + 1e-6 * rng.standard_normal(70), 1e8 + 1e-6 * rng.standard_normal(60)
+    raise AssertionError(case)
+
+
+def _check_edge_boxes(u, key, bins, box, lo, hi):
+    """Every entry of ``u`` lies in its bin's box, and every box in ``[lo, hi]``."""
+    at = {b: i for i, b in enumerate(bins.tolist())}
+    lows, highs = box.tolist()
+    for x, k in zip(u.tolist(), key.tolist()):
+        assert lows[at[k]] <= x <= highs[at[k]]
+    assert lo <= min(lows) and max(highs) <= hi
+
+
 class TestBinning:
     @pytest.mark.parametrize("n, count", [
         (1, 4), (50, 0), (1000, 16), (2 * CHUNK_ENTRIES + 5, 4096)])
     def test_binned_against_a_plain_loop(self, n, count):
         rng = np.random.default_rng(n)
         u, w = _tied_values(rng, n), _tied_values(rng, n)
-        key, bins, starts, sizes = _binned(u, count)
+        key, bins, starts, sizes, _ = _binned(u, count, u.min(), u.max())
         lo = min(u.tolist())
         span = max(u.tolist()) - lo
         top = max(count, 1) - 1
@@ -342,9 +422,58 @@ class TestBinning:
                 assert lo_hi.tolist() == [min(vals), max(vals)]
 
     def test_constant_values_fill_one_bin(self):
-        key, bins, starts, sizes = _binned(np.full(300, 0.7), 64)
+        key, bins, starts, sizes, box = _binned(np.full(300, 0.7), 64, 0.7, 0.7)
         assert not key.any()
         assert (bins.tolist(), starts.tolist(), sizes.tolist()) == ([0], [0], [300])
+        assert box.tolist() == [[0.7], [0.7]]
+
+    @pytest.mark.parametrize("case", [
+        "magnitudes", "tiny", "huge", "zero_span", "one_bin", "on_edges", "near_edges",
+        "signed_zeros", "offset"])
+    def test_base_entries_lie_in_their_edge_boxes(self, case):
+        rng = np.random.default_rng(len(case))
+        rows, cols = _edge_case(case, rng)
+        menus = [_menu(rows, rng), _menu(cols, rng)]
+        terms = _pair_terms(menus)
+        (a_rows, a_cols), _ = terms
+        a, b = _product_sums(menus)
+        # the menus give the range of the product, but for the sign of a zero
+        lo, hi = a_rows.min() + a_cols.min(), a_rows.max() + a_cols.max()
+        assert (lo, hi) == (a.min(), a.max())
+        n_base = a.shape[0]
+        key, bins, sizes, a_box, b_box = _base_bins(terms, n_base)
+        count = min(analysis.BASE_BINS, n_base // 256)
+        lo_, span = min(a.tolist()), max(a.tolist()) - min(a.tolist())
+        for i, x in enumerate(a.tolist()):
+            assert key[i] == _plain_key(x, lo_, span, count)
+        assert np.array_equal(sizes, np.bincount(key)[bins])
+        _check_edge_boxes(a, key, bins, a_box, lo, hi)
+        assert np.array_equal(b_box, _bin_box(key, bins, b[:, 0]))
+        # and at the most bins the base takes
+        key, bins, _, _, box = _binned(a, analysis.BASE_BINS, lo, hi)
+        assert all(k == _plain_key(x, lo_, span, analysis.BASE_BINS)
+                   for x, k in zip(a.tolist(), key.tolist()))
+        _check_edge_boxes(a, key, bins, box, lo, hi)
+
+    def test_edge_boxes_hold_on_random_menus(self):
+        # random scales and offsets, from 1e-150 to 1e150, some with ties;
+        # every other case puts the sums within 8 ulps of the bins' edges
+        rng = np.random.default_rng(2026)
+        for t in range(600):
+            scale, offset = 10.0 ** rng.uniform(-150, 150, 2)
+            count = int(rng.choice([1, 2, 7, 64, 100, 4096]))
+            if t % 2:
+                rows = offset * rng.uniform(-1, 1) + scale * np.arange(count + 1) / count
+                cols = np.spacing(np.abs(rows).max()) * np.arange(-8, 9)
+            else:
+                rows, cols = (offset * rng.choice([-1.0, 0.0, 1.0])
+                              + scale * np.round(rng.standard_normal(n), rng.integers(0, 4))
+                              for n in rng.integers(1, 80, 2))
+            lo, hi = rows.min() + cols.min(), rows.max() + cols.max()
+            a = (rows[:, None] + cols).ravel()
+            key, bins, _, _, box = _binned(a, count, lo, hi)
+            at = np.searchsorted(bins, key)
+            assert np.all((box[0, at] <= a) & (a <= box[1, at]))
 
     @pytest.mark.parametrize("res", [16, 64])
     def test_pair_terms_rebuild_the_product_sums(self, res):
