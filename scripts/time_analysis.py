@@ -34,18 +34,15 @@ to 2, in milliseconds per call.
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side by
 side; a phase whose helper a checkout lacks prints as ``-``.  Numbers are
-medians over the rounds, each round a fresh process.  numpy only.
+medians over the rounds, each round a fresh process (``_rounds.py``).
+numpy only.
 """
-import argparse
 import json
-import os
 import statistics
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import _rounds
+
 GRID = 512
 EXCLUDE_TOL = 0.5
 PAIRS = 30_000
@@ -86,18 +83,6 @@ def _points():
     return cases
 
 
-def _wrap(owner, name, totals):
-    fn = getattr(owner, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
-        return out
-
-    setattr(owner, name, timed)
-
-
 def time_grid():
     """Milliseconds per point: the check, the engine and its phases."""
     import numpy as np
@@ -113,7 +98,7 @@ def time_grid():
     totals = {}
     for name in ["_hull_grid_max"] + [n for _, ns in PHASES + SUB_PHASES for n in ns]:
         if hasattr(analysis, name):
-            _wrap(analysis, name, totals)
+            _rounds.wrap(analysis, name, totals)
     t0 = time.perf_counter()
     for case in cases:
         check(*case)
@@ -158,43 +143,20 @@ def measure():
     return {**time_grid(), **time_distortion()}
 
 
-def _child(src):
-    env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, __file__, "--child"]
-    return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True,
-                                     text=True).stdout)
-
-
-def _median(values):
-    values = [v for v in values if v is not None]
-    return statistics.median(values) if values else None
-
-
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--parent", type=Path, help="checkout to time beside this one")
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
+    args = _rounds.parser(__doc__).parse_args()
     if args.child:
         print(json.dumps(measure()))
         return
-    sides = {"this": ROOT / "src"}
-    if args.parent:
-        sides = {"parent": args.parent.resolve() / "src", **sides}
-    rounds = {side: [] for side in sides}
-    for _ in range(args.rounds):
-        for side, src in sides.items():
-            rounds[side].append(_child(src))
-    med = {side: {k: _median([r[k] for r in rs]) for k in rs[0]} for side, rs in rounds.items()}
+    med = _rounds.run(__file__, [], args.rounds, args.parent)
     fmt = lambda v: f"{v:>15.2f}" if v is not None else f"{'-':>15}"  # noqa: E731
     print(f"grid {GRID} on cyclic:8, ms per point, median of {args.rounds} rounds")
     print(f"{'side':<7}" + "".join(f"{c:>15}" for c in COLUMNS))
-    for side in sides:
+    for side in med:
         print(f"{side:<7}" + "".join(fmt(med[side][c]) for c in COLUMNS))
     print(f"distortion_ratios, {PAIRS} 8x4 pairs, ms per call")
     print(f"{'side':<7}{'1 worker':>15}{'2 workers':>15}")
-    for side in sides:
+    for side in med:
         print(f"{side:<7}" + "".join(fmt(med[side][f"distortion {w}w"]) for w in (1, 2)))
     print(json.dumps(med))
 

@@ -34,10 +34,11 @@ algorithms, both fields, one and two shape groups, the subspace and
 sparsity projections, and both polar factors (the support prior's
 one-line mask is the only projection not timed).
 
-``--noise`` also times ``run_error_vs_noise`` at K = 10 with 200 trials
-on one CPU (seed 2026), split into the trial build (``_trial_stack``)
-and the solve (the stack engine ``_solve_stack``); the rest is the
-runner and its CSV.  Then it times the sweeps of ``SWEEPS`` (seed 2026)
+``--noise`` also times ``run_error_vs_noise`` with 200 trials on one
+CPU (seed 2026) on real 8x4 at K = 10 and on complex 8x4,3x2 at K = 4,
+split into the trial build (``_trial_stack``, also in microseconds per
+trial) and the solve (the stack engine ``_solve_stack``); the rest is
+the runner and its CSV.  Then it times the sweeps of ``SWEEPS`` (seed 2026)
 whole, at 1 CPU, and split, at 2: on 8x4 both default sweeps (800 rows
 each), the two runner calls of one bench ``sweep`` round (36 and 12
 rows), and iteration and K = 10 noise sweeps at the sizes that bracket
@@ -52,18 +53,13 @@ thread, as at 1 CPU.
 
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side
-by side; numbers are medians over the rounds.  numpy only.
+by side; numbers are medians over the rounds, each round a fresh process
+(``_rounds.py``).  numpy only.
 """
-import argparse
 import json
-import os
-import statistics
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import _rounds
 
 # (label, structure, prior, its dimension or sparsity, T, stopping rule, algorithm)
 CASES = (
@@ -114,19 +110,6 @@ def _instances(structure, kind, k, count, seed):
     return [list(c) for c in zip(*rows)]
 
 
-def _wrap(owner, name, totals):
-    fn = getattr(owner, name)
-
-    def timed(*args, **kwargs):
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        totals[name] = totals.get(name, 0.0) + time.perf_counter() - t0
-        return out
-
-    setattr(owner, name, timed)
-    return fn
-
-
 def time_case(spec, iters):
     """Microseconds per iteration: the total, then each layer."""
     from gramphase import SolverConfig, solve_batch, solvers
@@ -146,7 +129,7 @@ def time_case(spec, iters):
         owner = solvers._Rows if path.startswith("_Rows.") else solvers
         name = path.rsplit(".", 1)[-1]
         if hasattr(owner, name):
-            saved.append((owner, name, _wrap(owner, name, totals)))
+            saved.append((owner, name, _rounds.wrap(owner, name, totals)))
     try:
         solve_batch(measured, priors, config, inits, truths)
     finally:
@@ -160,20 +143,23 @@ def time_case(spec, iters):
 
 # the layers of the noise sweep: (label, its function in the experiments module)
 NOISE_LAYERS = (("build", "_trial_stack"), ("solve", "_solve_stack"))
+# (label, structure, subspace dimension) of the noise sweeps timed by layer
+NOISE_SWEEPS = (("8x4 K=10", "8x4", 10), ("8x4,3x2:complex K=4", "8x4,3x2:complex", 4))
+NOISE_COLUMNS = ("total", "build", "solve", "build us/trial")
 
 
-def time_noise():
-    """Seconds of the K = 10 noise sweep on one CPU: the total, the trial
-    build and the solve."""
+def time_noise(structure, k):
+    """Seconds of a noise sweep of 200 trials per level on one CPU: the
+    total, the trial build and the solve, and the build per trial in us."""
     from gramphase import blocks, experiments
     from gramphase.cli import parse_structure
 
-    cfg = experiments.ExperimentConfig(experiment="error_vs_noise",
-                                       structure=parse_structure("8x4"), master_seed=2026)
+    cfg = experiments.ExperimentConfig(experiment="error_vs_noise", subspace_dim=k,
+                                       structure=parse_structure(structure), master_seed=2026)
     totals = {}
     saved = []
     for _, name in NOISE_LAYERS:
-        saved.append((name, _wrap(experiments, name, totals)))
+        saved.append((name, _rounds.wrap(experiments, name, totals)))
     workers, blocks._workers = blocks._workers, lambda: 1
     try:
         t0 = time.perf_counter()
@@ -186,6 +172,7 @@ def time_noise():
     out = {"total": total}
     for label, name in NOISE_LAYERS:
         out[label] = totals.get(name, 0.0)
+    out["build us/trial"] = 1e6 * out["build"] / (cfg.resolved_trials() * len(cfg.sigma_values))
     return out
 
 
@@ -248,64 +235,41 @@ def measure(iters, noise):
     """One round in this process: every case, and the sweeps."""
     result = {label: time_case(spec, iters) for spec in CASES for label in [spec[0]]}
     if noise:
-        result["exp-noise s"] = time_noise()
+        result["noise s"] = {label: time_noise(*sweep) for label, *sweep in NOISE_SWEEPS}
         result["sweeps ms"] = time_sweeps()
     return result
 
 
-def _child(src, iters, noise):
-    env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, __file__, "--child", "--iters", str(iters)] + (
-        ["--noise"] if noise else [])
-    return json.loads(subprocess.run(cmd, env=env, check=True, capture_output=True,
-                                     text=True).stdout)
-
-
-def _medians(rounds):
-    """The median of each number over the rounds, nested as in a round."""
-    if isinstance(rounds[0], dict):
-        return {key: _medians([r[key] for r in rounds]) for key in rounds[0]}
-    return statistics.median(rounds)
-
-
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rounds", type=int, default=3)
+    ap = _rounds.parser(__doc__)
     ap.add_argument("--iters", type=int, default=200)
-    ap.add_argument("--parent", type=Path, help="checkout to time beside this one")
-    ap.add_argument("--noise", action="store_true", help="also time exp-noise K=10")
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--noise", action="store_true", help="also time the noise sweeps")
     args = ap.parse_args()
     if args.child:
         print(json.dumps(measure(args.iters, args.noise)))
         return
-    sides = {"this": ROOT / "src"}
-    if args.parent:
-        sides = {"parent": args.parent.resolve() / "src", **sides}
-    rounds = {side: [] for side in sides}
-    for _ in range(args.rounds):
-        for side, src in sides.items():
-            rounds[side].append(_child(src, args.iters, args.noise))
-    med = {side: _medians(r) for side, r in rounds.items()}
+    flags = ["--iters", str(args.iters)] + (["--noise"] if args.noise else [])
+    med = _rounds.run(__file__, flags, args.rounds, args.parent)
     print(f"us per iteration, median of {args.rounds} rounds of {args.iters} iterations")
     head = f"{'case':<24} {'side':<7}" + "".join(f"{c:>12}" for c in
                                                   ["total"] + [l for l, _ in LAYERS])
     print(head)
     for label, *_ in CASES:
-        for side in sides:
+        for side in med:
             row = med[side][label]
             print(f"{label:<24} {side:<7}" + "".join(
                 f"{row[c]:>12.1f}" for c in ["total"] + [l for l, _ in LAYERS]))
     if args.noise:
-        print("exp-noise K=10, 200 trials, 1 CPU, s")
-        print(f"{'side':<7}" + "".join(f"{c:>10}" for c in ("total", "build", "solve")))
-        for side in sides:
-            row = med[side]["exp-noise s"]
-            print(f"{side:<7}" + "".join(f"{row[c]:>10.3f}" for c in ("total", "build", "solve")))
+        print("noise sweeps, 200 trials per level, 1 CPU, s (build also in us per trial)")
+        print(f"{'sweep':<24}{'side':<7}" + "".join(f"{c:>16}" for c in NOISE_COLUMNS))
+        for label, *_ in NOISE_SWEEPS:
+            for side in med:
+                row = med[side]["noise s"][label]
+                print(f"{label:<24}{side:<7}" + "".join(f"{row[c]:>16.3f}" for c in NOISE_COLUMNS))
         print("sweeps, ms per run; every stack split at 2 CPUs")
         print(f"{'sweep':<30}{'side':<7}" + "".join(f"{f'cpus={c}':>10}" for c in CPUS))
         for label, *_ in SWEEPS:
-            for side in sides:
+            for side in med:
                 row = med[side]["sweeps ms"][label]
                 print(f"{label:<30}{side:<7}" + "".join(f"{row[str(c)]:>10.1f}" for c in CPUS))
     print(json.dumps(med))

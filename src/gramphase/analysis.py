@@ -58,6 +58,7 @@ from .blocks import (
     RepresentationStructure,
     _chunk_map,
     _chunk_rows,
+    _gaussian,
     _one_blas_thread,
     _whole_number,
     apply,
@@ -719,24 +720,18 @@ def distortion_estimate(
             stacklevel=2,
         )
 
-    def draw_coeffs(count):
-        c = rng.standard_normal((count, m))
-        if structure.field == "complex":
-            c = c + 1j * rng.standard_normal((count, m))
-        return c
-
     n_global = max(1, int(0.4 * num_pairs))
     n_local = num_pairs - n_global
     eps_levels = (1e-1, 1e-3, 1e-5)
     split = [n_local // len(eps_levels)] * len(eps_levels)
     split[-1] += n_local - sum(split)
 
-    cx = [draw_coeffs(n_global)]
-    cy = [draw_coeffs(n_global)]
+    cx = [_gaussian(rng, (n_global, m), structure.field)]
+    cy = [_gaussian(rng, (n_global, m), structure.field)]
     for eps, cnt in zip(eps_levels, split):
-        base = draw_coeffs(cnt)  # a zero count draws nothing from rng
+        base = _gaussian(rng, (cnt, m), structure.field)  # a zero count draws nothing
         cx.append(base)
-        cy.append(base + eps * draw_coeffs(cnt))
+        cy.append(base + eps * _gaussian(rng, (cnt, m), structure.field))
     ratios, _ = distortion_ratios(np.concatenate(cx), np.concatenate(cy), structure, prior.basis)
     if ratios.size == 0:
         raise ValueError("all sampled pairs were sign- or phase-degenerate; widen the sampling")

@@ -20,10 +20,10 @@ elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
 ``haar_q`` turns each chunk into Haar matrices (``haar_stack`` joins
 them), and ``cyclic_shift_stack`` builds shift elements, and the
 validated single elements of ``haar_sample`` / ``cyclic_shift_element``
-are their one-row cases.  A real Haar draw holds the Gaussians of at most
-``workers + 1`` chunks at a time; a complex one also holds the real parts
-of the whole stack, because the random stream gives every real part
-before the first imaginary part.
+are their one-row cases.  Every random array follows the one stream
+rule of ``_gaussian``: a real Haar draw holds the Gaussians of at most
+``workers + 1`` chunks at a time, and a complex one also holds the real
+parts of the whole stack, which that rule draws first.
 
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
 draws, the distortion ratios of :mod:`gramphase.analysis` and the shares
@@ -57,6 +57,7 @@ import glob
 import itertools
 import numbers
 import os
+import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -131,15 +132,20 @@ def _openblas_threads():
     return None
 
 
+# shared by every pinned call on every thread, as the BLAS thread count is
+_PIN_LOCK = threading.Lock()
+_pin = {"depth": 0, "saved": 1}  # calls inside the pin, the count to restore
+
+
 def _one_blas_thread(fn: Callable) -> Callable:
     """``fn`` with numpy's OpenBLAS on one thread while it runs.
 
-    The caller's thread count is saved, set to 1 and restored when ``fn``
-    returns or raises.  A call made while the count is already 1 (a
-    nested call, or a chunk map's thread inside one, as a sweep's share
-    is), or on a BLAS where the lookup found nothing, runs ``fn`` as it
-    is.  The count is global to the process: two Python threads inside
-    gramphase at once can interleave the save and the restore."""
+    The pin is one counted section under a lock, shared by every thread:
+    the first call to enter it saves the caller's thread count and sets
+    1, and the last to leave, on return or raise, restores the count.
+    Nested calls, chunk map threads and calls on other Python threads
+    only count.  On a BLAS where the lookup found nothing, ``fn`` runs as
+    it is."""
 
     @functools.wraps(fn)
     def pinned(*args, **kwargs):
@@ -147,14 +153,18 @@ def _one_blas_thread(fn: Callable) -> Callable:
         if threads is None:
             return fn(*args, **kwargs)
         get, set_ = threads
-        count = get()
-        if count == 1:
-            return fn(*args, **kwargs)
-        set_(1)
+        with _PIN_LOCK:
+            if _pin["depth"] == 0:
+                _pin["saved"] = get()
+                set_(1)
+            _pin["depth"] += 1
         try:
             return fn(*args, **kwargs)
         finally:
-            set_(count)
+            with _PIN_LOCK:
+                _pin["depth"] -= 1
+                if _pin["depth"] == 0:
+                    set_(_pin["saved"])
 
     return pinned
 
@@ -625,18 +635,33 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     return GroupElement(tuple(a @ b for a, b in zip(g.blocks, h.blocks)))
 
 
+def _gaussian(rng: np.random.Generator, shape: int | tuple[int, ...], field: str) -> np.ndarray:
+    """I.i.d. standard normal entries, per real and imaginary part on the
+    complex field: the one stream rule of every random array.  A complex
+    array is one draw of all its real parts, then one of all its
+    imaginary parts, taken as one ``(2, *shape)`` draw (the same stream);
+    it is ``re + 1j * im`` bit for bit wherever ``re`` is nonzero.
+    :func:`haar_chunks` and ``moments._add_noise`` are its chunked forms."""
+    if field == "real":
+        return rng.standard_normal(shape)
+    z = np.empty(shape, np.complex128)
+    parts = rng.standard_normal((2, *z.shape))
+    z.real, z.imag = parts[0], parts[1]  # not an unpacking of parts: that is slower
+    return z
+
+
 def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
     """The Gaussian matrices of ``count`` Haar draws of ``n x n`` matrices,
     yielded as ``(start, stop, a)`` with ``a`` the ``(stop - start, n, n)``
     stack for draws ``start`` to ``stop``, ``_chunk_rows(n**2)`` at a time;
     :func:`haar_q` turns each chunk into its Haar matrices.
 
-    The Gaussians come from the stream of one whole ``(count, n, n)``
-    draw, and LAPACK factors every matrix on its own, so the draws do not
-    depend on the chunking.  A real draw holds one chunk at a time.  On
-    the complex field every real part precedes every imaginary part in
-    that stream, so the real parts are drawn whole first (a float64
-    ``(count, n, n)`` array) and the imaginary parts chunk by chunk.
+    The Gaussians are ``_gaussian(rng, (count, n, n), field)`` (over
+    sqrt 2 on the complex field) in chunks, and LAPACK factors every
+    matrix on its own, so the draws do not depend on the chunking.  A
+    real draw holds one chunk at a time.  That rule draws every real part
+    first, so a complex draw holds its real parts whole (a float64
+    ``(count, n, n)`` array) and draws the imaginary parts chunk by chunk.
     The draws are taken from ``rng`` lazily, as the generator is
     iterated, so the caller must exhaust it before drawing anything else
     from ``rng``.
@@ -723,11 +748,5 @@ def random_signal(
     structure: RepresentationStructure, rng: np.random.Generator
 ) -> BlockSignal:
     """Signal with i.i.d. standard normal entries (per real and imaginary
-    part for the complex field)."""
-    mats = []
-    for n, r in structure.blocks:
-        m = rng.standard_normal((n, r))
-        if structure.field == "complex":
-            m = m + 1j * rng.standard_normal((n, r))
-        mats.append(m)
-    return BlockSignal(structure, tuple(mats))
+    part for the complex field), drawn block by block by :func:`_gaussian`."""
+    return BlockSignal(structure, [_gaussian(rng, b, structure.field) for b in structure.blocks])

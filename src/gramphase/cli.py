@@ -23,6 +23,8 @@ import sys
 
 from .blocks import RepresentationStructure, cyclic_structure
 from .experiments import (
+    DESK_TRIALS,
+    PAPER_TRIALS,
     ExperimentConfig,
     run_bilipschitz,
     run_demo_solve,
@@ -91,7 +93,8 @@ _FLAGS = {
     "max_iters": dict(type=int, help="iteration cap"),
     "tol": dict(type=float, help="stopping tolerance"),
     "out": dict(help="output CSV path (experiments) or directory"),
-    "paper_scale": dict(action="store_const", const=True, help="10,000 trials instead of 200"),
+    "paper_scale": dict(action="store_const", const=True,
+                        help=f"{PAPER_TRIALS:,} trials instead of {DESK_TRIALS}"),
     "n": dict(type=int, help="number of observations"),
     "action": dict(choices=["full", "cyclic"], help="group action kind"),
     "gram": dict(help="JSON file with the measured Gram tuple"),

@@ -1,22 +1,23 @@
 """Reproducible experiment runners behind the CLI.
 
 Every trial owns an RNG stream derived from ``(master_seed, sweep_slot,
-trial_index)``, so results are byte-identical no matter how trials are
-scheduled.  Both sweeps solve their trials through ``_sweep``: one stack
-on the calling thread, or, for a real one of ``SPLIT_ROWS`` rows per CPU,
-one share per CPU on the chunk map's threads; both write the same CSV.
-The trial path is stacked: ``_trial_stack`` draws each trial from its
-own stream, then runs the QR and rank test, the orthonormality check,
-the PSD clamp and the Gram check once per stack (per subspace dimension
-or shape group) and hands arrays straight to the solver's stack engine,
-with no prior, Gram tuple or signal object per trial.  A row of that
-engine does not depend on its stack, whatever its subspace dimension.
-The one-shot solve builds its random instance the same way, as a stack
-of one.  Both analysis runners draw their prior through
-``_prior_draw``.  Every runner writes through ``_write``, only under
-``out``: without it nothing is written.  All output files carry ``#``
-provenance comments with a hash of the semantic config (output paths
-excluded) and the master seed.
+trial_index)`` by ``_trial_rng``, the runners' one stream constructor, so
+results are byte-identical no matter how trials are scheduled.  Both
+sweeps solve their trials through ``_sweep``: one stack on the calling
+thread, or, for a real one of ``SPLIT_ROWS`` rows per CPU, one share per
+CPU on the chunk map's threads; both write the same CSV.  The trial path
+is stacked: ``_trial_stack`` draws each trial's arrays from its own
+stream by the one rule of ``blocks._gaussian``, then runs the QR and
+rank test, the orthonormality check, the PSD clamp and the Gram check
+once per stack (per subspace dimension or shape group) and hands arrays
+straight to the solver's stack engine, with no prior, Gram tuple or
+signal object per trial.  A row of that engine does not depend on its
+stack, whatever its subspace dimension.  The one-shot solve builds its
+random instance the same way, as a stack of one.  Both analysis runners
+draw their prior through ``_prior_draw``.  Every runner writes through
+``_write``, only under ``out``: without it nothing is written.  All
+output files carry ``#`` provenance comments with a hash of the semantic
+config (output paths excluded) and the master seed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     _chunk_map,
+    _gaussian,
     _one_blas_thread,
     _whole_number,
     cyclic_action,
@@ -72,10 +74,7 @@ __all__ = [
 
 DESK_TRIALS = 200
 PAPER_TRIALS = 10_000
-
-
-def _default_structure() -> RepresentationStructure:
-    return RepresentationStructure(((8, 4),), "real")
+_DEFAULT_STRUCTURE = RepresentationStructure(((8, 4),), "real")
 
 
 # per runner, the subspace dimension, the trial count and the structure it
@@ -83,10 +82,10 @@ def _default_structure() -> RepresentationStructure:
 # points and grids cyclic:8, whose blocks have dimension 1 or 2, and
 # bilipschitz counts signal pairs
 _FALLBACKS = {
-    "exp-noise": (10, DESK_TRIALS, _default_structure()),
-    "solve": (4, DESK_TRIALS, _default_structure()),
+    "exp-noise": (10, DESK_TRIALS, _DEFAULT_STRUCTURE),
+    "solve": (4, DESK_TRIALS, _DEFAULT_STRUCTURE),
     "transversality": (2, 20, cyclic_structure(8, "real")),
-    "bilipschitz": (4, 100_000, _default_structure()),
+    "bilipschitz": (4, 100_000, _DEFAULT_STRUCTURE),
 }
 
 # fields that change no result: left out of the config hash
@@ -108,10 +107,10 @@ class ExperimentConfig:
     n_samples: int = 1000
     master_seed: int = 0
     out: str | None = None
-    algorithm: str = "alternating_projection"  # "ap" is accepted for it
-    beta: float = 0.5
-    max_iters: int = 1000
-    tol: float = 1e-6
+    algorithm: str = SolverConfig.algorithm  # "ap" is accepted for alternating_projection
+    beta: float = SolverConfig.beta
+    max_iters: int = SolverConfig.max_iters
+    tol: float = SolverConfig.tol
     paper_scale: bool = False
     grid_resolution: int = 512
     exclude_tol: float = 0.5
@@ -159,7 +158,7 @@ class ExperimentConfig:
         without an entry fall back to 8x4."""
         if self.structure is not None:
             return self.structure
-        return _default_structure() if runner is None else _FALLBACKS[runner][2]
+        return _DEFAULT_STRUCTURE if runner is None else _FALLBACKS[runner][2]
 
     def resolved_subspace_dim(self, runner: str) -> int:
         """The subspace dimension ``runner`` (a ``_FALLBACKS`` key) uses."""
@@ -189,8 +188,9 @@ class ExperimentConfig:
         ]
 
 
-def _trial_rng(master_seed: int, slot: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, slot, trial]))
+def _trial_rng(*words: int) -> np.random.Generator:
+    """The runners' one stream constructor, on ``(master_seed, slot[, trial])``."""
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,8 @@ def _trial_stack(specs: list[TrialSpec]):
     its rows, and ``(T, d)`` init and truth rows.
 
     Each trial draws from its own stream, in the order of the per-object
-    path: the Gaussian basis, the coefficients, the noise and the init,
-    block by block (real then imaginary parts on the complex field).  The
+    path, each array by :func:`~gramphase.blocks._gaussian`: the basis,
+    the real coefficients, the noise and the init, block by block.  The
     QR and its rank test, the orthonormality check, the PSD clamp and the
     Gram check then run once per subspace dimension or shape group, for
     the whole stack.  So each row is bit for bit what
@@ -237,55 +237,39 @@ def _trial_stack(specs: list[TrialSpec]):
     s = specs[0].structure
     if any(spec.structure != s for spec in specs):
         raise StructureMismatch("trials in one stack use different structures")
-    d, count, parts = s.ambient_dim, len(specs), 2 if s.field == "complex" else 1
-    dims: dict[int, list[int]] = {}  # subspace dimension: positions of its trials
+    d, count = s.ambient_dim, len(specs)
+    drawn: dict[int, tuple[list, list, list]] = {}  # K: its trials, bases, coefficients
+    noisy, noise = [], []  # the noisy trials, and sigma times their noise
+    inits = [np.empty((count, n, r), s.dtype) for n, r in s.blocks]
     for t, spec in enumerate(specs):
-        dims.setdefault(spec.k, []).append(t)
-    for k in dims:
-        _check_subspace_dim(d, k)
-    # the Gaussian draws, real and imaginary parts on the leading axis
-    bases = {k: np.empty((parts, len(rows), d, k)) for k, rows in dims.items()}
-    coeffs = {k: np.empty((len(rows), k)) for k, rows in dims.items()}
-    noise = np.empty((parts, count, d))
-    inits = [np.empty((parts, count, n, r)) for n, r in s.blocks]
-    place = {t: j for rows in dims.values() for j, t in enumerate(rows)}
-    for t, spec in enumerate(specs):
+        _check_subspace_dim(d, spec.k)
+        rows, bases, coeffs = drawn.setdefault(spec.k, ([], [], []))
         rng = _trial_rng(spec.master_seed, spec.slot, spec.index)
-        for a in bases[spec.k][:, place[t]]:
-            rng.standard_normal(out=a)
-        rng.standard_normal(out=coeffs[spec.k][place[t]])
+        rows.append(t)
+        bases.append(_gaussian(rng, (d, spec.k), s.field))
+        coeffs.append(rng.standard_normal(spec.k))
         if spec.sigma is not None:
-            for a in noise[:, t]:
-                rng.standard_normal(out=a)
+            noisy.append(t)
+            noise.append(spec.sigma * _gaussian(rng, d, s.field))
         for m in inits:
-            for a in m[:, t]:
-                rng.standard_normal(out=a)
-
-    def joined(a):  # the draws of one field
-        return a[0] + 1j * a[1] if parts == 2 else a[0]
-
+            m[t] = _gaussian(rng, m.shape[1:], s.field)
     truths = np.empty((count, d), s.dtype)
     priors = []
-    for k, rows in dims.items():
-        stack = _subspace_stack(joined(bases[k]))
-        truths[rows] = np.matmul(stack.basis, coeffs[k][..., None])[..., 0]
+    for rows, bases, coeffs in drawn.values():
+        stack = _subspace_stack(np.array(bases))
+        truths[rows] = np.matmul(stack.basis, np.array(coeffs)[..., None])[..., 0]
         priors.append((np.array(rows), stack))
-    noisy = [t for t, spec in enumerate(specs) if spec.sigma is not None]
     observed = truths
     if noisy:
-        sigma = np.array([specs[t].sigma for t in noisy])[:, None]
-        e = sigma * noise[0, noisy]
-        if parts == 2:
-            e = e + 1j * sigma * noise[1, noisy]
         observed = truths.copy()
-        observed[noisy] = truths[noisy] + e
+        observed[noisy] += noise
     grams = [x.conj().mT @ x for x in group_stacks(observed, s)]
     _check_grams(s, grams)
     if noisy:
         for g in grams:
             g[noisy] = clamp_psd(g[noisy])
         _check_grams(s, [g[noisy] for g in grams])
-    init = np.concatenate([flat_block(joined(m)) for m in inits], axis=1)
+    init = np.concatenate([flat_block(m) for m in inits], axis=1)
     return grams, priors, init, truths
 
 
@@ -347,7 +331,7 @@ def _prior_draw(cfg: ExperimentConfig, runner: str, slot: int):
     the prior is the first draw of the stream ``(master_seed, slot)``."""
     s = cfg.resolved_structure(runner)
     m = cfg.resolved_subspace_dim(runner)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, slot]))
+    rng = _trial_rng(cfg.master_seed, slot)
     return s, m, rng, random_subspace_prior(s, m, rng)
 
 
@@ -459,8 +443,7 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
     Returns the moment error, the observation count and ``cfg.out``."""
     s = cfg.resolved_structure()
     action = _action_for(cfg, s)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, 1]))
-    truth = random_signal(s, rng)
+    truth = random_signal(s, _trial_rng(cfg.master_seed, 1))
     samples = sample_observations(truth, action, cfg.sigma, cfg.n_samples, cfg.master_seed)
     moment = empirical_second_moment(samples)
     analytic = analytic_second_moment(truth)

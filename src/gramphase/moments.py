@@ -188,10 +188,10 @@ def analytic_second_moment(x: BlockSignal) -> np.ndarray:
 
 
 def _add_noise(obs: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
-    """Add i.i.d. ``N(0, sigma^2)`` noise to every real coordinate of
-    ``obs`` in place, from the stream of one whole-array draw (all real
-    parts, then all imaginary parts on the complex field), in row blocks
-    of at most CHUNK_ENTRIES entries (one row where that is larger)."""
+    """Add ``sigma`` times a ``blocks._gaussian`` draw of ``obs``'s shape
+    and field to ``obs`` in place, in its chunked form: each part (real,
+    then imaginary on the complex field) in row blocks of at most
+    CHUNK_ENTRIES entries (one row where that is larger)."""
     rows = max(1, CHUNK_ENTRIES // obs.shape[1])
     for part in (obs.real, obs.imag) if np.iscomplexobj(obs) else (obs,):
         for i in range(0, len(part), rows):

@@ -19,6 +19,7 @@ import numpy as np
 from .blocks import (
     DimensionMismatch,
     RepresentationStructure,
+    _gaussian,
     _one_blas_thread,
     _reduced_q,
     _whole_number,
@@ -269,7 +270,5 @@ def random_subspace_prior(
     """
     dim = structure.ambient_dim
     _check_subspace_dim(dim, m)
-    a = rng.standard_normal((dim, m))
-    if structure.field == "complex":
-        a = a + 1j * rng.standard_normal((dim, m))
-    return LinearSubspacePrior(_subspace_stack(a[None]).basis[0])
+    a = _gaussian(rng, (1, dim, m), structure.field)
+    return LinearSubspacePrior(_subspace_stack(a).basis[0])

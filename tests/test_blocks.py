@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -316,6 +317,24 @@ class TestRandomSignal:
         assert abs(entries.var() - 1.0) < 0.05
 
 
+class TestGaussian:
+    """The stream rule of every random array, against plain numpy draws."""
+
+    @pytest.mark.parametrize("shape", [5, (8, 4), (3, 8, 4)])
+    def test_real_is_one_draw_and_complex_is_real_parts_then_imaginary_parts(self, shape):
+        rng, plain = np.random.default_rng(27), np.random.default_rng(27)
+        real = blocks._gaussian(rng, shape, "real")
+        z = blocks._gaussian(rng, shape, "complex")
+        expected = [plain.standard_normal(shape) for _ in range(3)]
+        assert real.dtype == np.float64 and z.dtype == np.complex128
+        assert real.shape == z.shape == np.shape(expected[0])
+        assert real.tobytes() == expected[0].tobytes()
+        assert z.real.tobytes() == expected[1].tobytes()
+        assert z.imag.tobytes() == expected[2].tobytes()
+        # the stream goes on where two plain draws leave it
+        assert rng.standard_normal(4).tobytes() == plain.standard_normal(4).tobytes()
+
+
 @pytest.fixture(params=[2, 3])
 def workers(request, monkeypatch):
     """A worker count above one, whatever CPUs the machine has."""
@@ -442,6 +461,59 @@ class TestOneBlasThread:
         blocks._one_blas_thread(outer)()
         assert {count for _, count in seen} == {1}
         assert any(t != threading.get_ident() for t, _ in seen[1:-1])
+        assert two_blas_threads() == 2
+
+    def test_two_python_threads_read_1_until_both_have_returned(self, two_blas_threads):
+        # A enters, then B; A returns while B is still inside
+        a_inside, b_inside, a_returned, b_may_return = (threading.Event() for _ in range(4))
+        seen = {}
+
+        def a():
+            a_inside.set()
+            b_inside.wait(10)
+            seen["a"] = two_blas_threads()
+
+        def b():
+            b_inside.set()
+            a_returned.wait(10)
+            seen["b"] = two_blas_threads()
+            b_may_return.wait(10)
+
+        def run_a():
+            blocks._one_blas_thread(a)()
+            a_returned.set()
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=blocks._one_blas_thread(b))]
+        threads[0].start()
+        assert a_inside.wait(10)
+        threads[1].start()
+        assert a_returned.wait(10)
+        threads[0].join(10)
+        seen["between"] = two_blas_threads()
+        b_may_return.set()
+        threads[1].join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a": 1, "b": 1, "between": 1}
+        assert two_blas_threads() == 2
+
+    def test_many_threads_entering_and_leaving_read_1_and_restore(self, two_blas_threads):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        counts = []
+        pinned = blocks._one_blas_thread(lambda: counts.append(two_blas_threads()))
+        nested = blocks._one_blas_thread(lambda: [pinned() for _ in range(3)])
+        try:
+            threads = [threading.Thread(target=lambda: [nested() for _ in range(200)])
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(counts) == 8 * 200 * 3 and set(counts) == {1}
         assert two_blas_threads() == 2
 
     def test_nothing_is_pinned_without_the_symbols(self, two_blas_threads, monkeypatch):

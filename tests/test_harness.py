@@ -179,6 +179,10 @@ class TestExperimentConfig:
         report = run_transversality(cfg)
         assert (report["m_dim"], report["samples_checked"]) == (2, 20)
 
+    @pytest.mark.parametrize("stop_on", ["residual", "oracle"])
+    def test_solver_defaults_are_the_solver_configs(self, stop_on):
+        assert ExperimentConfig().solver_config(stop_on) == SolverConfig(stop_on=stop_on)
+
     def test_config_hash_pinned(self):
         # values written by earlier releases; the hash payload must not move
         assert ExperimentConfig().provenance()[1] == "config_hash=2f6f80763f45a39a"
@@ -371,8 +375,8 @@ class TestTrialStack:
 
     def test_rank_deficient_draw_raises_from_the_stacked_qr(self, monkeypatch):
         class Ones:  # every draw is ones: each basis has rank 1
-            def standard_normal(self, size=None, out=None):
-                out[...] = 1.0
+            def standard_normal(self, size=None):
+                return np.ones(size)
 
         monkeypatch.setattr(experiments, "_trial_rng", lambda *_: Ones())
         with pytest.raises(RankDeficiencyError, match="rank deficient"):
