@@ -59,6 +59,7 @@ from .blocks import (
     _chunk_map,
     _chunk_rows,
     _gaussian,
+    _gram,
     _one_blas_thread,
     _whole_number,
     apply,
@@ -70,7 +71,7 @@ from .blocks import (
 )
 from .moments import gram_tuple
 from .priors import LinearSubspacePrior
-from .solvers import _gram, _psd_root, _unit_vectors, matrix_sqrt_psd
+from .solvers import _psd_root, _unit_vectors, matrix_sqrt_psd
 
 __all__ = [
     "TransversalityReport",
@@ -662,7 +663,7 @@ def distortion_ratios(
     ``x_amb @ basis.T`` and ``y_amb @ basis.T`` bit for bit.
 
     The numerator is the distance between the tuples of the solver's
-    square-root Grams (``solvers._psd_root`` of ``solvers._gram``), one
+    square-root Grams (``solvers._psd_root`` of ``blocks._gram``), one
     ``eigh`` call per shape group of blocks, chunk and side; both
     distances are :func:`gramphase.blocks.frobenius_norms`.  The pairs
     go in row chunks of ``CHUNK_ENTRIES // workers`` ambient entries, run

@@ -39,6 +39,14 @@ product or QR sums in another order).  Importing the package pins
 nothing; on a BLAS other than numpy's bundled OpenBLAS the wrapper does
 nothing.
 
+The package's one Gram product ``X* X`` is ``_gram``, its one
+orthonormality check ``_check_orthonormal``, and its only private LAPACK
+calls ``_eigh``, ``_svd`` and ``_reduced_q``: on float64 and complex128
+stacks they call numpy's LAPACK gufuncs under the wrappers' ``errstate``,
+with the wrappers' bits and errors but without their type resolution,
+shape checks and result casts, which on a small stack cost about as much
+as LAPACK itself.
+
 Cyclic shift structures use the unitary (1/sqrt(N)-scaled) DFT, which
 makes the shift action exactly unitary on the blocks.  Real input is
 packed into real irreducible blocks: one 1-dim block for frequency 0,
@@ -96,8 +104,8 @@ __all__ = [
     "frobenius_norms",
 ]
 
-# Max-entry tolerance for D* D == I on group elements.
-UNITARY_TOL = 1e-10
+# Max-entry tolerance of every orthonormality check, max |B* B - I|.
+ORTHONORMAL_TOL = 1e-10
 # Entries per chunk of every chunked stack: Haar draws, noise blocks,
 # cyclic shift slices and distortion pairs.  Stacks mapped over threads
 # by _chunk_map share it out: each chunk holds CHUNK_ENTRIES // workers.
@@ -364,6 +372,26 @@ class RepresentationStructure:
         return tuple(out)
 
 
+def _field_array(a, structure: RepresentationStructure) -> np.ndarray:
+    """``a`` in the structure's dtype; complex data on a real one is refused."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c" and structure.field == "real":
+        raise ValueError("complex data passed to a real-field structure")
+    return a.astype(structure.dtype, copy=False)
+
+
+def _block_arrays(arrays, structure: RepresentationStructure, shapes, what: str) -> tuple:
+    """One :func:`_field_array` per block, refused unless block ``l`` has
+    the shape ``shapes[l]``; ``what`` names the matrices in the errors."""
+    mats = tuple(_field_array(a, structure) for a in arrays)
+    if len(mats) != structure.num_blocks:
+        raise StructureMismatch(f"expected {structure.num_blocks} {what} matrices, got {len(mats)}")
+    for l, (m, shape) in enumerate(zip(mats, shapes)):
+        if m.shape != shape:
+            raise StructureMismatch(f"block {l}: expected {what} shape {shape}, got {m.shape}")
+    return mats
+
+
 @dataclass(frozen=True, eq=False)
 class BlockSignal:
     """A signal as the tuple of per-block coefficient matrices.
@@ -377,17 +405,8 @@ class BlockSignal:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(np.asarray(m, dtype=self.structure.dtype) for m in self.matrices)
-        if len(mats) != self.structure.num_blocks:
-            raise StructureMismatch(
-                f"expected {self.structure.num_blocks} block matrices, got {len(mats)}"
-            )
-        for l, (m, (n, r)) in enumerate(zip(mats, self.structure.blocks)):
-            if m.shape != (n, r):
-                raise StructureMismatch(
-                    f"block {l}: expected shape ({n}, {r}), got {m.shape}"
-                )
-        object.__setattr__(self, "matrices", mats)
+        s = self.structure
+        object.__setattr__(self, "matrices", _block_arrays(self.matrices, s, s.blocks, "block"))
 
     def norm(self) -> float:
         """Euclidean norm of the ambient vector (= total Frobenius norm)."""
@@ -406,13 +425,7 @@ class GroupElement:
         for l, d in enumerate(mats):
             if d.ndim != 2 or d.shape[0] != d.shape[1]:
                 raise ValueError(f"block {l}: group element blocks must be square")
-            gram = d.conj().T @ d
-            err = np.max(np.abs(gram - np.eye(d.shape[0])))
-            if err > UNITARY_TOL:
-                raise ValueError(
-                    f"block {l}: matrix is not orthogonal/unitary "
-                    f"(max |D*D - I| = {err:.3e} > {UNITARY_TOL:.0e})"
-                )
+            _check_orthonormal(d, f"block {l}: an orthogonal/unitary group element")
 
     def block_dims(self) -> tuple[int, ...]:
         return tuple(d.shape[0] for d in self.blocks)
@@ -519,9 +532,6 @@ def decompose(v: np.ndarray, structure: RepresentationStructure) -> BlockSignal:
             f"ambient vector has length {v.shape[0]}, structure expects "
             f"{structure.ambient_dim}"
         )
-    if structure.field == "real" and np.iscomplexobj(v):
-        raise ValueError("complex data passed to a real-field structure")
-    v = v.astype(structure.dtype, copy=False)
     return BlockSignal(structure, tuple(m[0] for m in block_stacks(v[None], structure)))
 
 
@@ -693,6 +703,78 @@ def _reduced_q(a: np.ndarray) -> np.ndarray:
     its copy of ``a``.  A failed LAPACK call raises ``LinAlgError``."""
     with np.errstate(call=_qr_failed, **_LAPACK_ERRSTATE):
         return _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` on stacks of small matrices, real ones taken in C order.
+
+    The product keeps the bits of matmul on the operands as given (tested
+    for the layouts the callers pass, n = 1-9, r = 1-8).  But with the
+    matrices of an operand transposed in memory (a ``.mT`` view, or the
+    blocks of :func:`group_stacks`), on 15,000 real ``8x4`` stacks (one BLAS
+    thread) the Gram ``X* X`` took 1.8 times as long alone and 10 times
+    as long when two threads ran it at once, and the ``4x4`` product of
+    ``solvers._psd_root`` 2.1 and 16 times; the chunk threads of
+    ``analysis.distortion_ratios`` run both at once.  Complex operands go
+    as given: in C order they took longer alone and contended alike."""
+    if "c" in (a.dtype.kind, b.dtype.kind):
+        return a @ b
+    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
+
+
+def _eigh_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge")
+
+
+def _eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)`` bit for bit: ``(w, v)`` of a stack."""
+    if a.dtype.char not in "dD":  # the wrapper casts other types
+        return np.linalg.eigh(a)
+    with np.errstate(call=_eigh_failed, **_LAPACK_ERRSTATE):
+        return _umath_linalg.eigh_lo(a)
+
+
+def _svd(a: np.ndarray):
+    """``np.linalg.svd(a, full_matrices=False)`` bit for bit: ``(u, s, vh)``."""
+    if a.dtype.char not in "dD":
+        return np.linalg.svd(a, full_matrices=False)
+    with np.errstate(call=_svd_failed, **_LAPACK_ERRSTATE):
+        return _umath_linalg.svd_s(a)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``X* X`` of each matrix of a ``(..., n, r)`` stack by the rule of
+    :func:`_matmul`, written out to save a call per iteration of a solve
+    (for one column, the same sum as ``matmul``'s, without a call per
+    matrix).
+
+    One matrix takes the same path as a stack, so each matrix's Gram has
+    the same bits whatever stack it sits in.  The plain ``X.mT @ X`` of a
+    real ``X`` is numpy's ``syrk`` call (both operands share a buffer),
+    whose sums differ from those of the ``gemm`` on C-order copies from
+    16 rows up (n = 16-39 with r = 2-4 in a probe; up to 15 rows they
+    agree)."""
+    if x.shape[-1] == 1:
+        return np.vecdot(x[..., 0], x[..., 0])[..., None, None]
+    xh = x.conj().mT
+    if x.dtype.kind == "c":
+        return xh @ x
+    return np.ascontiguousarray(xh) @ np.ascontiguousarray(x)
+
+
+def _check_orthonormal(b: np.ndarray, what: str) -> None:
+    """Refuse a matrix, or a ``(T, d, m)`` stack, unless its columns are
+    orthonormal; the error names ``what`` and gives ``max |B*B - I|``."""
+    err = np.max(np.abs(_gram(b) - np.eye(b.shape[-1])))
+    if not err <= ORTHONORMAL_TOL:  # a NaN or an infinity fails too
+        raise ValueError(
+            f"{what} must have orthonormal columns (max |B*B - I| = {err:.3e}); "
+            "orthonormalize it first, e.g. with numpy.linalg.qr"
+        )
 
 
 def haar_q(a: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ from .blocks import (
     StructureMismatch,
     _chunk_map,
     _gaussian,
+    _gram,
     _one_blas_thread,
     _whole_number,
     cyclic_action,
@@ -263,7 +264,7 @@ def _trial_stack(specs: list[TrialSpec]):
     if noisy:
         observed = truths.copy()
         observed[noisy] += noise
-    grams = [x.conj().mT @ x for x in group_stacks(observed, s)]
+    grams = [_gram(x) for x in group_stacks(observed, s)]
     _check_grams(s, grams)
     if noisy:
         for g in grams:

@@ -57,7 +57,10 @@ from .blocks import (
     GroupAction,
     RepresentationStructure,
     StructureMismatch,
+    _block_arrays,
     _chunk_map,
+    _field_array,
+    _gram,
     _one_blas_thread,
     _whole_number,
     # apply and haar_sample are no longer called here; bench/measure.py
@@ -95,16 +98,7 @@ class GramTuple:
 
     def __post_init__(self):
         s = self.structure
-        mats = tuple(np.asarray(g, dtype=s.dtype) for g in self.grams)
-        if len(mats) != s.num_blocks:
-            raise StructureMismatch(
-                f"expected {s.num_blocks} Gram matrices, got {len(mats)}"
-            )
-        for l, (g, (_, r)) in enumerate(zip(mats, s.blocks)):
-            if g.shape != (r, r):
-                raise StructureMismatch(
-                    f"block {l}: expected Gram shape ({r}, {r}), got {g.shape}"
-                )
+        mats = _block_arrays(self.grams, s, [(r, r) for _, r in s.blocks], "Gram")
         _check_grams(s, [np.stack([mats[l] for l in idx])[None] for _, idx in s.shape_groups])
         object.__setattr__(self, "grams", mats)
 
@@ -149,7 +143,7 @@ class MraSampleSet:
     master_seed: int
 
     def __post_init__(self):
-        obs = np.asarray(self.observations, dtype=self.structure.dtype)
+        obs = _field_array(self.observations, self.structure)
         if obs.ndim != 2 or obs.shape[1] != self.structure.ambient_dim:
             raise DimensionMismatch(
                 f"observations must be (n, {self.structure.ambient_dim}), "
@@ -169,7 +163,7 @@ class MraSampleSet:
 @_one_blas_thread
 def gram_tuple(x: BlockSignal) -> GramTuple:
     """``G_l = X_l* X_l`` per block."""
-    return GramTuple(x.structure, tuple(m.conj().T @ m for m in x.matrices))
+    return GramTuple(x.structure, tuple(_gram(m) for m in x.matrices))
 
 
 def analytic_second_moment(x: BlockSignal) -> np.ndarray:
@@ -182,8 +176,7 @@ def analytic_second_moment(x: BlockSignal) -> np.ndarray:
     s = x.structure
     out = np.zeros((s.ambient_dim, s.ambient_dim), dtype=s.dtype)
     for (n, _), sl, m in zip(s.blocks, s.block_slices, x.matrices):
-        g = m.conj().T @ m
-        out[sl, sl] = np.kron(g.T, np.eye(n, dtype=s.dtype)) / n
+        out[sl, sl] = np.kron(_gram(m).T, np.eye(n, dtype=s.dtype)) / n
     return out
 
 

@@ -1,12 +1,11 @@
 """Prior projectors: linear subspace, sparsity, and known support.
 
 Each prior is a set in ambient coordinates together with a Euclidean
-nearest-point map.  The projectors are idempotent; any object with a
-compatible ``project`` contract (idempotent, distance non-increasing to
-its set) can stand in for these in the solver, which only ever calls
-:func:`project_prior`.  The solver projects a whole stack of iterates at
-once, one prior per row, through one :class:`PriorStack` per type and
-shape of prior (:func:`group_priors`).
+nearest-point map.  The projectors are idempotent.  The solver only ever
+calls :func:`project_prior`, which takes these three types alone: any
+other object raises ``TypeError``.  The solver projects a whole stack of
+iterates at once, one prior per row, through one :class:`PriorStack` per
+type and shape of prior (:func:`group_priors`).
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import numpy as np
 from .blocks import (
     DimensionMismatch,
     RepresentationStructure,
+    _check_orthonormal,
     _gaussian,
     _one_blas_thread,
     _reduced_q,
@@ -38,23 +38,9 @@ __all__ = [
     "stack_priors",
 ]
 
-ORTHONORMAL_TOL = 1e-10
-
 
 class RankDeficiencyError(RuntimeError):
     """A basis that should be full rank numerically is not."""
-
-
-def _check_orthonormal(b: np.ndarray, what: str) -> None:
-    """Refuse a basis, or a ``(T, d, m)`` stack of them, unless its
-    columns are orthonormal; the error gives the largest deviation."""
-    gram = b.conj().mT @ b
-    err = np.max(np.abs(gram - np.eye(b.shape[-1])))
-    if err > ORTHONORMAL_TOL:
-        raise ValueError(
-            f"{what} must have orthonormal columns (max |B*B - I| = {err:.3e}); "
-            "orthonormalize it first, e.g. with numpy.linalg.qr"
-        )
 
 
 @dataclass(frozen=True, eq=False)

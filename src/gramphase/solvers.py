@@ -50,16 +50,10 @@ Each iteration is cheap and a solve runs hundreds of them, so what numpy
 charges per call, rather than per entry, sets the solver's speed.  Two
 places avoid it:
 
-- ``eigh`` and the thin ``svd`` go through :func:`_eigh` and
-  :func:`_svd`.  On float64 and complex128 stacks, the only types an
-  iteration makes, they call numpy's LAPACK gufuncs directly, under the
-  same ``errstate`` as ``np.linalg.eigh`` and ``np.linalg.svd``, so
-  non-convergence still raises ``LinAlgError`` and the bits are the
-  wrapper's.  They skip its type resolution, shape checks and result
-  casts, which on a small stack cost about as much as LAPACK itself.
-  Other types go through the wrapper, which computes in double precision
-  and casts the results back.
-- The iteration loop of :func:`solve_batch` runs under one
+- ``eigh``, the thin ``svd`` and the Gram ``X* X`` go through the
+  kernels of :mod:`gramphase.blocks` (``_eigh``, ``_svd``, ``_gram``),
+  which skip the wrappers' per-call work and keep their bits.
+- The iteration loop of :func:`_solve_stack` runs under one
   ``np.errstate`` that ignores overflow and underflow.  Inside it, the
   norms come from :func:`gramphase.blocks._frobenius_norms`, which still
   redoes the rows whose sums left the safe range but enters no
@@ -81,15 +75,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .blocks import (
     BlockSignal,
     RepresentationStructure,
     StructureMismatch,
-    _LAPACK_ERRSTATE,
+    _eigh,
     _frobenius_norms,
+    _gram,
+    _matmul,
     _one_blas_thread,
+    _svd,
     _whole_number,
     decompose,
     frobenius_norms,
@@ -196,64 +192,6 @@ def _psd_root(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _matmul(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :], v.conj().mT), w
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` on stacks of small matrices, real ones taken in C order.
-
-    The product keeps the bits of matmul on the operands as given (tested
-    for both layouts the callers pass, n = 1-9, r = 1-8).  But with the
-    matrices of an operand transposed in memory (a ``.mT`` view, or the blocks of
-    ``blocks.group_stacks``), on 15,000 real ``8x4`` stacks (one BLAS
-    thread) the Gram ``X* X`` took 1.8 times as long alone and 10 times
-    as long when two threads ran it at once, and the ``4x4`` product of
-    :func:`_psd_root` 2.1 and 16 times; the chunk threads of
-    ``analysis.distortion_ratios`` run both at once.  Complex operands go
-    as given: in C order they took longer alone and contended alike."""
-    if "c" in (a.dtype.kind, b.dtype.kind):
-        return a @ b
-    return np.ascontiguousarray(a) @ np.ascontiguousarray(b)
-
-
-def _eigh_failed(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
-
-
-def _svd_failed(err, flag):
-    raise LinAlgError("SVD did not converge")
-
-
-def _eigh(a: np.ndarray):
-    """``np.linalg.eigh(a)`` bit for bit: ``(w, v)`` of a stack."""
-    if a.dtype.char not in "dD":  # the wrapper casts other types
-        return np.linalg.eigh(a)
-    with np.errstate(call=_eigh_failed, **_LAPACK_ERRSTATE):
-        return _umath_linalg.eigh_lo(a)
-
-
-def _svd(a: np.ndarray):
-    """``np.linalg.svd(a, full_matrices=False)`` bit for bit: ``(u, s, vh)``."""
-    if a.dtype.char not in "dD":
-        return np.linalg.svd(a, full_matrices=False)
-    with np.errstate(call=_svd_failed, **_LAPACK_ERRSTATE):
-        return _umath_linalg.svd_s(a)
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """``X* X`` of each matrix of a ``(..., n, r)`` stack (for one column,
-    the same sum as ``matmul``'s, without a call per matrix).
-
-    Stacks of two or more matrices go through :func:`_matmul`.  A single
-    matrix (the solver's residual at T = 1) does not: there the C-order
-    copy cost more than it saved (``8x4``, one BLAS thread: 1.03 against
-    0.99 us, about 1.4% of a T = 1 solve), while two matrices already
-    took 1.09 against 1.13 us."""
-    shape = x.shape
-    if shape[-1] == 1:
-        return np.vecdot(x[..., 0], x[..., 0])[..., None, None]
-    if x.size == shape[-2] * shape[-1]:
-        return x.conj().mT @ x
-    return _matmul(x.conj().mT, x)
-
-
 def _unit_vectors(x: np.ndarray) -> np.ndarray:
     """``x / ||x||`` for each vector of a ``(..., n)`` stack; a zero vector
     maps to ``e_1``."""
@@ -271,12 +209,9 @@ def _eigh_polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of a ``(..., n, r)`` stack, and whether ``w_min / w_max`` reaches
     ``POLAR_RCOND``, below which the result is not to be used.
 
-    ``A* A`` of a stack of rows comes from :func:`_gram`, the Gram of the
-    residual and the distortion, in C order.  One row (a T = 1 solve)
-    takes the plain product, without the call: through :func:`_gram` a
-    loop of T = 1 solves took about 1.5% longer (the call and its shape
-    tests), while the experiment sweeps gained about 0.5%."""
-    w, v = _eigh(a.conj().mT @ a if len(a) == 1 else _gram(a))
+    ``A* A`` comes from :func:`_gram`, as every Gram does, so a row's
+    bits do not depend on its stack."""
+    w, v = _eigh(_gram(a))
     # the floor only keeps the matrices that fail the test free of 1 / 0
     root = np.sqrt(np.maximum(w, _SMALLEST))
     q = (a @ (v / root[..., None, :])) @ v.conj().mT

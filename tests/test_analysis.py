@@ -597,6 +597,25 @@ class TestTransversalityCheck:
             )
 
 
+    @pytest.mark.parametrize("caps, m, match", [
+        ({"MAX_MENU_STORAGE": 99}, 2, "grid storage 100 exceeds 99"),
+        ({"BRUTE_CAP": 0, "MAX_BASE_COMBOS": 1023}, 2,
+         r"base product 1024, remaining product 128 \(caps 1023, 65536\)"),
+        ({"BRUTE_CAP": 0, "MAX_ITER_COMBOS": 127}, 2,
+         r"base product 1024, remaining product 128 \(caps 4200000, 127\)"),
+        ({"BRUTE_CAP": 0}, 3, "1.31e\\+05 elements with a 3-dimensional subspace"),
+    ], ids=["menu-storage", "base-product", "rest-product", "subspace-above-2"])
+    def test_grid_caps(self, monkeypatch, caps, m, match):
+        # cyclic:8 at grid 16: menus of 2, 32, 32, 32 and 2 elements, a
+        # product of 131,072; each cap lowered just below what it guards
+        for name, value in caps.items():
+            monkeypatch.setattr(analysis, name, value)
+        s = cyclic_structure(8, "real")
+        prior = random_subspace_prior(s, m, np.random.default_rng(0))
+        with pytest.raises(IntractableGridError, match=match):
+            transversality_check(s, prior, 1, 16, np.random.default_rng(1))
+
+
 class TestDistortion:
     def test_scalar_ratio_is_one(self):
         s = RepresentationStructure(((1, 1),))

@@ -32,7 +32,7 @@ from gramphase import (
     reconstruct_cyclic,
     sample_observations,
 )
-from gramphase import blocks, moments
+from gramphase import blocks, moments, serialize
 from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
 from tests._oracles import brute_dft
 
@@ -221,6 +221,14 @@ class TestGroupAction:
     def test_non_orthogonal_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
             GroupElement((np.array([[1.0, 0.2], [0.0, 1.0]]),))
+        with pytest.raises(ValueError, match=r"block 1: .*orthogonal.*= 2\.000e-01"):
+            GroupElement((np.eye(3), np.array([[1.0, 0.2], [0.0, 1.0]])))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_element_rejected(self, bad):
+        # a NaN deviation once passed the tolerance test
+        with pytest.raises(ValueError, match="block 0: .*orthogonal"):
+            GroupElement((np.array([[bad]]),))
 
     @given(structures, st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -315,6 +323,30 @@ class TestRandomSignal:
         )
         assert entries.size >= 100_000
         assert abs(entries.var() - 1.0) < 0.05
+
+
+REAL_2X2 = RepresentationStructure(((2, 2),))
+COMPLEX_GRAM = np.array([[2.0, 1j], [-1j, 2.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: decompose(np.ones(4) + 1j, REAL_2X2),
+    lambda: BlockSignal(REAL_2X2, (np.eye(2) + 1j,)),
+    lambda: moments.GramTuple(REAL_2X2, (COMPLEX_GRAM,)),
+    lambda: moments.MraSampleSet(REAL_2X2, np.ones((3, 4)) + 1j, 0.0, 0),
+    lambda: apply(GroupElement((1j * np.eye(2),)), BlockSignal(REAL_2X2, (np.eye(2),))),
+    lambda: moments.extract_gram(np.kron(COMPLEX_GRAM.T, np.eye(2)) / 2, REAL_2X2),
+    lambda: serialize.gram_from_dict({"structure": serialize.structure_to_dict(REAL_2X2),
+                                      "grams": [serialize.array_to_json(COMPLEX_GRAM)]}),
+    lambda: serialize.signal_from_dict({"structure": serialize.structure_to_dict(REAL_2X2),
+                                        "matrices": [serialize.array_to_json(np.eye(2) + 1j)]}),
+], ids=["decompose", "BlockSignal", "GramTuple", "MraSampleSet", "apply", "extract_gram",
+        "gram_from_dict", "signal_from_dict"])
+def test_complex_data_on_a_real_structure_is_refused(build):
+    # each of these once cast the data to float64, dropping the imaginary
+    # parts with only a ComplexWarning
+    with pytest.raises(ValueError, match="complex data passed to a real-field structure"):
+        build()
 
 
 class TestGaussian:

@@ -332,6 +332,8 @@ TRIAL_STACKS = {
     "complex": ("8x4,3x2:complex", (3, 5, 3), (None,) * 3),
     "complex noisy": ("8x4,3x2:complex", (3, 5, 3), (0.0, 1e-3, 0.1)),
     "exact and noisy": ("8x4,3x2", (2, 4, 2), (None, 0.1, None)),
+    # blocks of 16 or more rows, where a real Gram's bits depend on its path
+    "large blocks": ("20x3,17x2", (4, 8, 4), (None, 1e-2, None)),
 }
 
 

@@ -8,9 +8,13 @@ from gramphase import (
     RankDeficiencyError,
     RepresentationStructure,
     SparsityPrior,
+    SolverConfig,
     SupportPrior,
+    gram_tuple,
     project_prior,
+    random_signal,
     random_subspace_prior,
+    solve,
 )
 from gramphase.priors import _check_orthonormal, _subspace_stack, stack_priors
 from tests._oracles import brute_sparse_project
@@ -102,9 +106,24 @@ class TestProjectorContracts:
             SparsityPrior(0)
         with pytest.raises(ValueError, match="orthonormal"):
             LinearSubspacePrior(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="orthonormal"):  # NaN deviation
+            LinearSubspacePrior(np.array([[np.nan], [0.0]]))
         p = LinearSubspacePrior(np.eye(4)[:, :1])
         with pytest.raises(Exception, match="3"):
             project_prior(np.zeros(3), p)
+
+    def test_an_object_of_another_type_is_refused(self):
+        # a duck-typed projector does not stand in for the three prior types
+        class Halving:
+            def project(self, v):
+                return v / 2
+
+        s = RepresentationStructure(((2, 1),))
+        measured = gram_tuple(random_signal(s, np.random.default_rng(0)))
+        with pytest.raises(TypeError, match="unknown prior type Halving"):
+            project_prior(np.ones(2), Halving())
+        with pytest.raises(TypeError, match="unknown prior type Halving"):
+            solve(measured, Halving(), SolverConfig(max_iters=5))
 
     @pytest.mark.parametrize("k", [2.5, float("nan"), float("inf"), True, np.True_, "3"],
                              ids=["fraction", "nan", "inf", "bool", "numpy-bool", "string"])

@@ -127,6 +127,19 @@ def test_cli_names_a_fractional_sparsity_level(tmp_path, capsys):
     assert "sparsity level k must be a whole number >= 1, got 2.5" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_complex_gram_file_on_a_real_structure(tmp_path, capsys):
+    # the imaginary parts were once dropped with only a ComplexWarning
+    g = {"structure": {"field": "real", "blocks": [[2, 2]]},
+         "grams": [ser.array_to_json(np.array([[2.0, 1j], [-1j, 2.0]]))]}
+    ser.save_json(tmp_path / "g.json", g)
+    ser.save_json(tmp_path / "p.json", ser.prior_to_dict(LinearSubspacePrior(np.eye(4)[:, :2])))
+    code = main(["solve", "--gram", str(tmp_path / "g.json"), "--prior", str(tmp_path / "p.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "complex data passed to a real-field structure" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_sparsity_level_loads_as_int():
     p = ser.prior_from_dict({"variant": "sparsity", "k": 3.0})
     assert p.k == 3 and type(p.k) is int

@@ -23,7 +23,7 @@ from gramphase import (
     solve,
     solve_batch,
 )
-from gramphase import solvers
+from gramphase import blocks, solvers
 from gramphase.blocks import frobenius_norms
 from tests._oracles import procrustes_grid_best, svd_procrustes
 
@@ -117,9 +117,11 @@ LAPACK_TYPES = [np.float64, np.complex128, np.float32, np.complex64, np.int64]
 
 
 class TestLapackHelpers:
-    """``solvers._eigh`` and ``solvers._svd`` call numpy's LAPACK gufuncs
-    directly; they must give what ``np.linalg.eigh`` and the thin
-    ``np.linalg.svd`` give, bit for bit, dtype and errors included."""
+    """The kernels of ``blocks``: ``_eigh``, ``_svd`` and ``_reduced_q``
+    call numpy's LAPACK gufuncs directly (``solvers`` imports the first
+    two); they must give what ``np.linalg.eigh``, the thin
+    ``np.linalg.svd`` and the reduced ``np.linalg.qr`` give, bit for bit,
+    dtype and errors included.  ``_gram`` must give the plain product."""
 
     @staticmethod
     def _stack(rng, dtype, *shape):
@@ -161,6 +163,55 @@ class TestLapackHelpers:
                     bad[0, 1] = np.nan
                     _same_outcome(lambda: solvers._svd(bad), lambda: thin(bad))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_reduced_q_is_numpys(self, dtype):
+        rng = np.random.default_rng(35)
+        for n, m in [(1, 1), (4, 4), (9, 3), (32, 10)]:
+            a = self._stack(rng, dtype, 5, n, m)
+            bad = a.copy()
+            bad[2, n // 2, m // 2] = np.nan
+            for x in (a, bad):
+                factored = x.copy()  # R is left on and above its diagonal
+                _same_outcome(lambda: (blocks._reduced_q(factored), np.triu(factored[:, :m])),
+                              lambda: tuple(np.linalg.qr(x, mode="reduced")))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_gram_is_the_plain_product(self, field):
+        rng = np.random.default_rng(36)
+        for n in range(1, 10):
+            for r in range(1, 9):
+                s = RepresentationStructure(((n, r), (n, r), (1, 1)), field)
+                for t in (1, 3, 36, 200):
+                    rows = self._stack(rng, s.dtype, t, s.ambient_dim)
+                    bases = self._stack(rng, s.dtype, t, n, r)
+                    # the group stacks of a trial stack, a signal's blocks,
+                    # and 2-D and stacked bases in C and Fortran order
+                    for x in (*blocks.group_stacks(rows, s), *decompose(rows[0], s).matrices,
+                              bases, bases[0], np.asfortranarray(bases[0]),
+                              np.ascontiguousarray(bases.mT).mT):
+                        want = x.conj().mT @ x
+                        got = blocks._gram(x)
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_gram_of_a_stack_is_the_gram_of_each_matrix(self, field):
+        # from 16 rows the plain product of a real matrix (numpy's syrk)
+        # leaves the bits of the C-order product; _gram takes the same
+        # path for one matrix as for a stack
+        rng = np.random.default_rng(37)
+        for n in (16, 17, 33):
+            for r in (2, 3, 4, 8):
+                rows = self._stack(rng, np.complex128 if field == "complex" else np.float64,
+                                   3, 2 * n * r)
+                s = RepresentationStructure(((n, r), (n, r)), field)
+                x = blocks.group_stacks(rows, s)[0]
+                g = blocks._gram(x)
+                for t in range(3):
+                    for j in range(2):
+                        assert np.array_equal(g[t, j].view(np.int64),
+                                              blocks._gram(x[t, j]).view(np.int64))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.float64, np.complex128])
     def test_public_projectors_keep_the_wrappers_dtype_and_bits(self, dtype, monkeypatch):
         # single-precision input is computed in double and cast back, as
@@ -185,10 +236,10 @@ class TestLapackHelpers:
 
 
 class TestContiguousProducts:
-    """``solvers._gram`` and ``solvers._psd_root`` multiply real stacks in
-    C order (``solvers._matmul``), which numpy's matmul takes down another
-    BLAS path than transposed memory; the products must keep every bit of
-    the plain ``@`` on the ``.mT`` views."""
+    """``blocks._gram`` and ``solvers._psd_root`` multiply real stacks in
+    C order (the rule of ``blocks._matmul``), which numpy's matmul takes
+    down another BLAS path than transposed memory; up to 9 rows the
+    products must keep every bit of the plain ``@`` on the ``.mT`` views."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("stack", [(1, 1), (2, 3), (512, 1)])
@@ -682,6 +733,22 @@ class TestBatchedSolve:
             for report, single in zip(solve_batch(measured, priors, config, inits, truths),
                                       singles):
                 _assert_same_report(report, single)
+
+    def test_rows_on_blocks_of_16_or_more_rows_equal_single_solves(self):
+        # such blocks once took numpy's syrk for one row and the C-order
+        # product for a stack, whose sums differ
+        s = RepresentationStructure(((20, 3), (17, 2)))
+        rng = np.random.default_rng(13)
+        rows = []
+        for _ in range(4):
+            prior = random_subspace_prior(s, 6, rng)
+            t = decompose(prior.basis @ rng.standard_normal(6), s)
+            rows.append((gram_tuple(t), prior, random_signal(s, rng), t))
+        for config in (SolverConfig(max_iters=60), SolverConfig(algorithm="rrr", max_iters=60)):
+            measured, priors, inits, truths = zip(*rows)
+            batched = solve_batch(measured, priors, config, inits, truths)
+            for (m, p, i, t), report in zip(rows, batched):
+                _assert_same_report(report, solve(m, p, config, init=i, truth=t))
 
     def test_rows_on_one_column_blocks_equal_single_solves(self):
         s = RepresentationStructure(((1, 1), (2, 1), (2, 1), (3, 2), (1, 1), (2, 1)))
