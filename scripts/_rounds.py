@@ -1,5 +1,5 @@
 """The round driver of the timing scripts (``time_solver.py``,
-``time_analysis.py``).
+``time_analysis.py``, ``time_import.py``).
 
 A script measures one round in a fresh child process (itself run with
 ``--child``, with a checkout's ``src`` on ``PYTHONPATH``, printing one
@@ -54,10 +54,13 @@ def child(script, src, args):
 
 def medians(rounds):
     """The median of each number over the rounds, nested as in a round;
-    ``None`` (a phase whose helper the checkout lacks) is skipped, and a
-    number that is ``None`` in every round stays ``None``."""
+    ``None`` (a phase whose helper the checkout lacks) is skipped, a
+    number that is ``None`` in every round stays ``None``, and a string
+    (a label, the same in every round) is kept as the first round has it."""
     if isinstance(rounds[0], dict):
         return {key: medians([r[key] for r in rounds]) for key in rounds[0]}
+    if isinstance(rounds[0], str):
+        return rounds[0]
     values = [v for v in rounds if v is not None]
     return statistics.median(values) if values else None
 

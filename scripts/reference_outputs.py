@@ -32,7 +32,9 @@ and the noise blocks, and cyclic:16 x 20,000 and cyclic:7:complex x
 a Gaussian signal and on that signal times 0.0 (signed zeros).
 ``cli_stdout.txt`` holds what each subcommand prints, and its exit code,
 on a small config (its files go to a temporary directory, named
-``OUT_DIR`` there).  Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
+``OUT_DIR`` there).  ``api_surface.txt`` lists each name of
+``from gramphase import *`` with the type and module of the object it
+resolves to, so a dropped or re-pointed name shows.  Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.  gramphase runs numpy's bundled OpenBLAS on one thread, so the
 outputs do not depend on the CPU count: the two runs may be on different
@@ -42,6 +44,7 @@ import hashlib
 import io
 import sys
 import tempfile
+import types
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -129,6 +132,22 @@ def _cli_stdout() -> str:
                 code = cli_main(run.format(d=d).split())
             lines += [f"$ gramphase {run.format(d='OUT_DIR')}",
                       stdout.getvalue().replace(d, "OUT_DIR") + f"exit {code}"]
+    return "\n".join(lines) + "\n"
+
+
+def _api_surface() -> str:
+    ns = {}
+    exec("from gramphase import *", ns)
+    lines = []
+    for name in sorted(set(ns) - {"__builtins__"}):
+        obj = ns[name]
+        if isinstance(obj, types.ModuleType):
+            home = obj.__name__
+        elif isinstance(obj, types.UnionType):  # PriorSpec, by its members
+            home = repr(obj)
+        else:
+            home = obj.__module__
+        lines.append(f"{name} {type(obj).__name__} {home}")
     return "\n".join(lines) + "\n"
 
 
@@ -249,6 +268,7 @@ def main(out: Path) -> None:
              for field in ("real", "complex") for n in [*range(1, 18), 64, 1024]]
     (out / "cyclic_sha256.txt").write_text("\n".join(lines) + "\n")
     (out / "cli_stdout.txt").write_text(_cli_stdout())
+    (out / "api_surface.txt").write_text(_api_surface())
 
 
 if __name__ == "__main__":

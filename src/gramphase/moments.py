@@ -68,9 +68,11 @@ from .blocks import (
     apply,  # noqa: F401
     block_stacks,
     cyclic_shift_stack,
+    group_stacks,
     haar_chunks,
     haar_q,
     haar_sample,  # noqa: F401
+    reconstruct,
 )
 
 __all__ = [
@@ -162,8 +164,14 @@ class MraSampleSet:
 
 @_one_blas_thread
 def gram_tuple(x: BlockSignal) -> GramTuple:
-    """``G_l = X_l* X_l`` per block."""
-    return GramTuple(x.structure, tuple(_gram(m) for m in x.matrices))
+    """``G_l = X_l* X_l`` per block: one ``_gram`` call per shape group, on
+    the signal's ambient row, as the sweeps' trial stack forms it."""
+    s = x.structure
+    grams = [None] * s.num_blocks
+    for (_, idx), g in zip(s.shape_groups, group_stacks(reconstruct(x)[None], s)):
+        for l, gram in zip(idx, _gram(g)[0]):
+            grams[l] = gram
+    return GramTuple(s, tuple(grams))
 
 
 def analytic_second_moment(x: BlockSignal) -> np.ndarray:

@@ -81,6 +81,44 @@ class TestGramTuple:
         for k, g in enumerate(gram_tuple(sig).grams):
             assert abs(g[0, 0] - spectrum[k]) < 1e-12
 
+    @pytest.mark.parametrize("blocks_, field", [
+        (((1, 1), (2, 1), (2, 1), (2, 1), (1, 1)), "real"),  # cyclic:8's blocks
+        (((1, 1),) * 16, "complex"),  # cyclic:16:complex
+        (((8, 4), (3, 2), (1, 1)), "real"),
+        (((8, 4), (3, 2), (1, 1)), "complex"),
+        (((20, 3), (17, 2), (16, 4)), "real"),
+        (((8, 4), (8, 4), (3, 2), (8, 4)), "real"),
+        (((8, 4), (8, 4), (3, 2), (8, 4)), "complex"),
+    ])
+    def test_one_call_per_shape_group_is_the_per_block_product(
+            self, monkeypatch, blocks_, field):
+        """``gram_tuple`` forms each shape group's Grams in one ``_gram``
+        call; each Gram has the bits of ``_gram`` on its block alone, for
+        a drawn signal's block views and for C-order copies of them."""
+        s = RepresentationStructure(blocks_, field)
+        calls = []
+        monkeypatch.setattr("gramphase.moments._gram",
+                            lambda x: calls.append(x.shape) or blocks._gram(x))
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            x = random_signal(s, rng)
+            for sig in (x, BlockSignal(s, tuple(np.ascontiguousarray(m) for m in x.matrices))):
+                calls.clear()
+                grams = gram_tuple(sig).grams
+                assert len(calls) == len(s.shape_groups)
+                for m, g in zip(sig.matrices, grams):
+                    assert g.tobytes() == blocks._gram(m).tobytes()
+
+    @pytest.mark.parametrize("n, field", [(17, "real"), (1024, "real"), (16, "complex")])
+    def test_cyclic_grams_are_the_per_block_products(self, n, field):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        if field == "complex":
+            x = x + 1j * rng.standard_normal(n)
+        sig = decompose_cyclic(x)
+        for m, g in zip(sig.matrices, gram_tuple(sig).grams):
+            assert g.tobytes() == blocks._gram(m).tobytes()
+
     def test_invariance_under_group(self):
         rng = np.random.default_rng(9)
         for s in (
