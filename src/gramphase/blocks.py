@@ -16,28 +16,30 @@ between ambient vectors and block matrices go through ``block_stacks``
 ``(T, G, n, r)`` array), and through their one-row forms ``decompose`` /
 ``reconstruct`` on signals, so the bijection lives in one place.  Group
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
-``haar_chunks`` draws the Gaussian matrices of Haar draws in chunks and
-``haar_q`` turns each chunk into Haar matrices (``haar_stack`` joins
-them), and ``cyclic_shift_stack`` builds shift elements, and the
-validated single elements of ``haar_sample`` / ``cyclic_shift_element``
-are their one-row cases.  Every random array follows the one stream
-rule of ``_gaussian``: a real Haar draw holds the Gaussians of at most
-``workers + 1`` chunks at a time, and a complex one also holds the real
-parts of the whole stack, which that rule draws first.
+``haar_chunks`` draws the Gaussians of Haar draws in chunks and
+``haar_rotate`` applies each chunk's Householder reflectors to a block
+matrix (the sampler's rotations) or to the identity (``haar_stack``),
+``cyclic_shift_stack`` builds shift elements, and the validated single
+elements of ``haar_sample`` / ``cyclic_shift_element`` are their one-row
+cases.  Every random array follows the one stream rule of ``_gaussian``,
+a Haar draw one ``_gaussian`` call of its own: a Haar draw holds the
+Gaussians of one chunk at a time, whichever the field.
 
-``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The Haar
-draws, the distortion ratios of :mod:`gramphase.analysis` and the shares
-of a large real sweep stack run on the CPUs' threads through ``_chunk_map``,
-which shares the budget among the threads and changes no bit of any
-result.  The chunk map owns the CPUs, and the BLAS runs on one thread:
-every public function that reaches a large BLAS or LAPACK call is
-wrapped in ``_one_blas_thread``, which sets numpy's bundled OpenBLAS to
-one thread for the call and restores the caller's count after it.  So
-no OpenBLAS worker spins on a CPU a map needs, and no result depends on
-how many threads the BLAS would have split a product over (a threaded
-product or QR sums in another order).  Importing the package pins
-nothing; on a BLAS other than numpy's bundled OpenBLAS the wrapper does
-nothing.
+``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The
+distortion ratios of :mod:`gramphase.analysis` and the shares of a large
+real sweep stack run on the CPUs' threads through ``_chunk_map``, which
+shares the budget among the threads and changes no bit of any result.
+The Haar chunks run on the calling thread: their kernel is many short
+elementwise ufunc calls, which on two threads contend for the GIL and
+took longer than on one.  The chunk map owns the CPUs, and the BLAS
+runs on one thread: every public function that reaches a large BLAS or
+LAPACK call is wrapped in ``_one_blas_thread``, which sets numpy's
+bundled OpenBLAS to one thread for the call and restores the caller's
+count after it.  So no OpenBLAS worker spins on a CPU a map needs, and
+no result depends on how many threads the BLAS would have split a
+product over (a threaded product or QR sums in another order).
+Importing the package pins nothing; on a BLAS other than numpy's
+bundled OpenBLAS the wrapper does nothing.
 
 The package's one Gram product ``X* X`` is ``_gram``, its one
 orthonormality check ``_check_orthonormal``, and its only private LAPACK
@@ -193,7 +195,9 @@ def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
     output.  At most ``workers + 1`` chunks are drawn and not yet done.
     One chunk, or one CPU, runs on the calling thread.  The first
     exception, in chunk order, reaches the caller once the pool's threads
-    have exited.  Numpy's LAPACK loops release the GIL, so they overlap.
+    have exited.  Numpy's LAPACK loops release the GIL, so they overlap;
+    chunks of many short ufunc calls contend for it instead, which is why
+    the Haar chunks do not come here.
     """
     workers = _workers()
     chunks = iter(chunks)
@@ -651,39 +655,14 @@ def _gaussian(rng: np.random.Generator, shape: int | tuple[int, ...], field: str
     array is one draw of all its real parts, then one of all its
     imaginary parts, taken as one ``(2, *shape)`` draw (the same stream);
     it is ``re + 1j * im`` bit for bit wherever ``re`` is nonzero.
-    :func:`haar_chunks` and ``moments._add_noise`` are its chunked forms."""
+    :func:`haar_chunks` takes a chunk's per-draw calls as one draw, and
+    ``moments._add_noise`` is its chunked form."""
     if field == "real":
         return rng.standard_normal(shape)
     z = np.empty(shape, np.complex128)
     parts = rng.standard_normal((2, *z.shape))
     z.real, z.imag = parts[0], parts[1]  # not an unpacking of parts: that is slower
     return z
-
-
-def haar_chunks(n: int, count: int, field: str, rng: np.random.Generator):
-    """The Gaussian matrices of ``count`` Haar draws of ``n x n`` matrices,
-    yielded as ``(start, stop, a)`` with ``a`` the ``(stop - start, n, n)``
-    stack for draws ``start`` to ``stop``, ``_chunk_rows(n**2)`` at a time;
-    :func:`haar_q` turns each chunk into its Haar matrices.
-
-    The Gaussians are ``_gaussian(rng, (count, n, n), field)`` (over
-    sqrt 2 on the complex field) in chunks, and LAPACK factors every
-    matrix on its own, so the draws do not depend on the chunking.  A
-    real draw holds one chunk at a time.  That rule draws every real part
-    first, so a complex draw holds its real parts whole (a float64
-    ``(count, n, n)`` array) and draws the imaginary parts chunk by chunk.
-    The draws are taken from ``rng`` lazily, as the generator is
-    iterated, so the caller must exhaust it before drawing anything else
-    from ``rng``.
-    """
-    re = rng.standard_normal((count, n, n)) if field == "complex" else None
-    step = _chunk_rows(n**2)
-    for i in range(0, count, step):
-        j = min(i + step, count)
-        a = rng.standard_normal((j - i, n, n))
-        if re is not None:
-            a = (re[i:j] + 1j * a) / np.sqrt(2.0)
-        yield i, j, a
 
 
 # numpy's own errstate around its LAPACK gufuncs: a failed matrix sets
@@ -777,36 +756,188 @@ def _check_orthonormal(b: np.ndarray, what: str) -> None:
         )
 
 
-def haar_q(a: np.ndarray) -> np.ndarray:
-    """The Haar matrices of a ``(T, n, n)`` stack of Gaussian matrices
-    from :func:`haar_chunks`, one LAPACK QR call for the stack.
+def haar_chunks(n: int, count: int, width: int, field: str, rng: np.random.Generator):
+    """The Gaussians of ``count`` Haar draws of ``n x n`` matrices, yielded
+    as ``(start, stop, g)`` for draws ``start`` to ``stop``, for
+    :func:`haar_rotate` to apply to ``(n, width)`` matrices.
 
-    ``a`` is factored in place by :func:`_reduced_q`, so the Q and the
-    diagonal of R are ``np.linalg.qr``'s bit for bit.  A failed LAPACK
-    call, or an R diagonal that is not finite (a NaN or an infinity in
-    ``a``), raises ``LinAlgError``.  ``a`` must be float64 or complex128,
-    as :func:`haar_chunks` draws it."""
-    q = _reduced_q(a)
-    # the factored a holds R on and above its diagonal
-    d = np.diagonal(a, axis1=1, axis2=2)
-    if not np.isfinite(d).all():
-        raise LinAlgError("QR factorization of a non-finite matrix")
-    # Plain QR of a Gaussian matrix is not Haar; correcting each column
-    # by the sign (phase) of the R diagonal makes the distribution exact.
-    phases = np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)
-    q *= phases[:, None, :]
-    return q
+    Draw ``t`` takes one ``_gaussian(rng, n * (n + 1) // 2, field)``: the
+    vectors of lengths ``n, n - 1, ..., 1`` of its reflectors, one after
+    the other.  So ``g`` is ``(T, K)`` on the real field and ``(T, 2, K)``,
+    each draw's real parts then its imaginary parts, on the complex field.
+    A chunk's Gaussians and output entries, ``K + n * width`` per draw,
+    count against CHUNK_ENTRIES.  The draws are taken from ``rng`` lazily,
+    as the generator is iterated, so the caller must exhaust it before
+    drawing anything else from ``rng``.
+    """
+    k = n * (n + 1) // 2
+    shape = (k,) if field == "real" else (2, k)
+    step = max(1, CHUNK_ENTRIES // (k + n * width))
+    for i in range(0, count, step):
+        j = min(i + step, count)
+        yield i, j, rng.standard_normal((j - i, *shape))
+
+
+@functools.cache
+def _reflector_slots(n: int) -> np.ndarray:
+    """Where the first ``n - 1`` vectors of a draw go in the flat
+    ``(n - 1, n)`` reflector table: vector ``k``, of length ``n - k``, at
+    the start of row ``k``."""
+    return np.array([k * n + i for k in range(n - 1) for i in range(n - k)], dtype=np.intp)
+
+
+def _halving_sum(a: np.ndarray, m: int) -> None:
+    """``a[..., 0, :] = a[..., :m, :].sum(axis=-2)`` in place, by adding the
+    top half onto the bottom half until one row is left: a fixed order
+    given ``m``."""
+    while m > 1:
+        h = m // 2
+        np.add(a[..., :h, :], a[..., m - h : m, :], out=a[..., :h, :])
+        m -= h
+
+
+def _times(a: np.ndarray, b: np.ndarray, out=None, work=None) -> np.ndarray:
+    """``a * b`` for numbers held as planes on the first axis, ``(1, ...)``
+    real or ``(2, ...)`` real and imaginary parts, by float64 products and
+    sums only: numpy's complex multiply may fuse them, and not alike in
+    every loop.  ``work`` takes the four products of a complex one."""
+    if len(a) == 1:
+        return np.multiply(a, b, out=out)
+    p = np.multiply(a[:, None], b[None], out=work)
+    if out is None:
+        out = np.empty(p.shape[1:])
+    np.subtract(p[0, 0], p[1, 1], out=out[0])
+    np.add(p[0, 1], p[1, 0], out=out[1])
+    return out
+
+
+def _reflectors(g: np.ndarray, n: int):
+    """``(v*, tau v, signs)`` of a chunk's draws from their Gaussians ``g``,
+    ``(P, K, T)`` planes (see :func:`haar_rotate`): ``v*`` (the planes of
+    the conjugate) and ``tau v`` are ``(P, n - 1, n, T)``, row ``k`` the
+    zero-padded vector of reflector ``k`` (``v[0] = 1``), and ``signs``
+    the ``(n - 1, T)`` signs of the betas."""
+    planes, _, t = g.shape
+    v = np.zeros((planes, (n - 1) * n, t))
+    v[:, _reflector_slots(n)] = g[:, :-1]
+    v = v.reshape(planes, n - 1, n, t)
+    alpha = v[:, :, 0].copy()
+    x = v[:, :, 1:]
+    xnorm = x * x
+    if planes == 2:
+        xnorm[0] += xnorm[1]
+    xnorm = xnorm[0]
+    _halving_sum(xnorm, n - 1)
+    xnorm = xnorm[:, 0].copy()  # and free the squares
+    ar, ai = alpha[0], alpha[1] if planes == 2 else 0.0
+    # larfg: no reflection (tau = 0, beta = alpha) where x is zero and
+    # alpha real
+    reflect = (xnorm > 0) | (ai != 0)
+    norm = ar * ar
+    norm += ai * ai
+    norm += xnorm
+    np.sqrt(norm, out=norm)
+    beta = np.where(reflect, -np.copysign(norm, ar), ar)
+    safe = np.where(reflect, beta, 1.0)
+    tau = np.empty_like(alpha)
+    np.divide(beta - ar, safe, out=tau[0])
+    # x times the reciprocal of alpha - beta, as larfg scales it
+    d = np.where(reflect, ar - beta, 1.0)
+    inv = np.empty_like(alpha)
+    if planes == 2:
+        np.divide(-ai, safe, out=tau[1])
+        d2 = d * d
+        d2 += ai * ai
+        np.divide(d, d2, out=inv[0])
+        np.divide(-ai, d2, out=inv[1])
+    else:
+        np.divide(1.0, d, out=inv[0])
+    _times(inv[:, :, None], x, out=x)
+    v[0, :, 0] = 1.0
+    if planes == 2:
+        v[1, :, 0] = 0.0
+    tv = _times(tau[:, :, None], v)
+    if planes == 2:
+        np.negative(v[1], out=v[1])
+    return v, tv, np.where(beta < 0, -1.0, 1.0)
+
+
+def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
+    """Write ``Q_t @ m`` into ``out[t]`` for the Haar draw ``Q_t`` of each
+    draw's Gaussians ``g[t]`` from :func:`haar_chunks`; ``m`` is an
+    ``(n, r)`` matrix, or None for the identity, and ``out`` a
+    ``(T, n, r)`` array or view.
+
+    ``Q_t`` is Householder QR of a Gaussian matrix with the trailing
+    update skipped (Stewart 1980).  Reflector ``k`` is built from vector
+    ``k`` of the draw, ``(alpha, x)``, by LAPACK ``larfg``'s rule:
+    ``H = I - tau v v*`` with ``v[0] = 1`` and ``H* (alpha, x) = (beta,
+    0)``, ``beta = -sign(Re alpha) |(alpha, x)|``; where ``x`` is zero
+    and ``alpha`` real, ``tau = 0`` and ``beta = alpha``.  Rotation
+    invariance makes each updated trailing column of a Gaussian matrix
+    again a fresh Gaussian vector, so the law is that of the sign-fixed
+    QR, exactly Haar (Mezzadri 2007):
+    ``Q = H_1 ... H_{n-1} diag(sign beta_1, ..., sign beta_{n-1}, z/|z|)``,
+    with ``z`` the last, one-entry vector and 1 for the sign or phase
+    of 0.  The reflectors go straight onto ``diag(...) m``, the last
+    first, and no ``n x n`` matrix is formed for a given ``m``; on the
+    identity, each reflector skips the columns to its left, which are
+    zero where it acts.
+
+    Every work array holds its numbers as float64 planes, ``P = 1`` (real)
+    or 2 (real and imaginary parts) on the first axis, and the draws on
+    the last axis; every operation across the draws is an elementwise
+    float64 ufunc, and the sums over a vector are :func:`_halving_sum`, so
+    each draw's bits do not depend on the chunk it sits in.
+    """
+    t, n, r = out.shape
+    g = g.reshape(t, -1, g.shape[-1]).transpose(1, 2, 0)  # (P, K, T)
+    planes = len(g)
+    # the diagonal: the signs of the betas, then the sign or phase of z
+    diag = np.zeros((planes, n, t))
+    z = g[:, -1]
+    if planes == 2:
+        size = np.sqrt(z[0] * z[0] + z[1] * z[1])
+        zero = size == 0
+        size[zero] = 1.0
+        diag[0, -1] = np.where(zero, 1.0, z[0] / size)
+        np.divide(z[1], size, out=diag[1, -1])
+    else:
+        diag[0, -1] = np.where(z[0] < 0, -1.0, 1.0)
+    if n > 1:
+        v, tv, diag[0, :-1] = _reflectors(g, n)
+    # y[:, j, i] holds entry (i, j) of the output matrices, the draws last
+    if m is None:
+        y = np.zeros((planes, n, n, t))
+        y.reshape(planes, n * n, t)[:, :: n + 1] = diag
+    else:
+        mt = np.stack([m.T.real, m.T.imag]) if planes == 2 else m.T[None]
+        y = _times(mt[..., None], diag[:, None])
+    dest = out[..., None].view(np.float64) if planes == 2 else out[..., None]
+    dest = dest.transpose(3, 2, 1, 0)  # the planes of out, laid out as y
+    if n == 1:
+        dest[...] = y
+        return
+    b = np.empty_like(y)
+    p = np.empty((2, *y.shape)) if planes == 2 else None
+    for k in range(n - 2, -1, -1):
+        mk = n - k
+        cols = slice(k if m is None else 0, None)
+        yk, bk, pk = y[:, cols, k:], b[:, cols, :mk], None if p is None else p[:, :, cols, :mk]
+        # w = v* y, then y - (tau v) w; the first reflector, applied last,
+        # writes the output
+        _times(v[:, None, k, :mk], yk, bk, pk)
+        _halving_sum(bk, mk)
+        _times(tv[:, None, k, :mk], bk[:, :, :1].copy(), bk, pk)
+        np.subtract(yk, bk, out=dest if k == 0 else yk)
 
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
-    """The draws of :func:`haar_chunks` as one ``(count, n, n)`` stack,
-    their QR chunks run by :func:`_chunk_map`."""
+    """``count`` Haar draws as one ``(count, n, n)`` stack: the reflectors
+    of :func:`haar_chunks` applied to the identity by :func:`haar_rotate`."""
     out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
-
-    def fill(i, j, a):
-        out[i:j] = haar_q(a)
-
-    _chunk_map(fill, haar_chunks(n, count, field, rng))
+    for i, j, g in haar_chunks(n, count, n, field, rng):
+        haar_rotate(g, None, out[i:j])
     return out
 
 

@@ -13,34 +13,32 @@ cyclic action draws all shifts in one call, shifts the signal once per
 distinct shift with the stacked elements of
 :func:`~gramphase.blocks.cyclic_shift_stack`, built over slices of at
 most ``CHUNK_ENTRIES // d`` shifts, and gathers the rows into observation
-order; a full-ambiguity action rotates each block of every
-observation by the chunks of one :func:`~gramphase.blocks.haar_chunks`
-draw per block, the chunks of every block making one stream, block after
-block, whose QR calls and rotations the chunk map of
-:mod:`gramphase.blocks` runs on the CPUs' threads, each written straight
-into the observation array.  The noise is then added in place in row
-blocks.  Each chunk (a QR call's Haar matrices, a noise block, a slice
-of shifts) is sized by the one entry budget
-:data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or the
-number of observations, so the sampler holds the ``(n, d)`` output plus
-about one budget: for a full-ambiguity action, at most ``workers + 1``
-chunks of ``CHUNK_ENTRIES // workers`` entries and the QR buffers of
-the chunks being factored; for a cyclic action, one chunk, one
-row per distinct shift and the elements of one slice of shifts.  A
-complex full-ambiguity draw also holds the float64 real parts of one
-block's whole Haar stack.  Neither the chunking nor the number of
-threads changes a bit: every observation is that of one whole-stack
-draw, and cyclic observations are those of one
-:func:`~gramphase.blocks.haar_sample` per observation applied with
-:func:`~gramphase.blocks.apply`, on the same random stream.  The Gram
-checks of :class:`GramTuple` and the PSD clamp of :func:`extract_gram`
-run once per block shape on stacked matrices.
+order; a full-ambiguity action rotates each block of every observation
+by the Haar draws of :func:`~gramphase.blocks.haar_chunks`, one stream
+of draws block after block, in observation order: each chunk's
+Householder reflectors go straight onto the block matrix by
+:func:`~gramphase.blocks.haar_rotate`, written into the observation
+array, with no Haar matrix and no rotation product formed.  The noise
+is then added in place in row blocks.  Each chunk (a chunk of Haar
+draws, a noise block, a slice of shifts) is sized by the one entry
+budget :data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or
+the number of observations, so the sampler holds the ``(n, d)`` output
+plus about one budget: for a full-ambiguity action, one chunk's
+Gaussians and the kernel's work arrays, whichever the field; for a
+cyclic action, one chunk, one row per distinct shift and the elements
+of one slice of shifts.  Neither the chunking nor the number of CPUs
+changes a bit: every observation is that of one unchunked draw, a
+full-ambiguity one is that of :func:`~gramphase.blocks.haar_sample`
+applied with :func:`~gramphase.blocks.apply` to rounding, and cyclic
+observations are bitwise those of one ``haar_sample`` per observation
+applied with ``apply``, on the same random stream.  The Gram checks of
+:class:`GramTuple` and the PSD clamp of :func:`extract_gram` run once
+per block shape on stacked matrices.
 
 The sampler, the moment, :func:`gram_tuple` and :func:`extract_gram`
 run with numpy's OpenBLAS on one thread (``blocks._one_blas_thread``):
 the moment's product then sums in one order whatever the CPU count, and
-leaves no OpenBLAS worker spinning on a CPU the next draw's chunk map
-needs.
+leaves no OpenBLAS worker spinning on a CPU that the next call needs.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     _block_arrays,
-    _chunk_map,
     _field_array,
     _gram,
     _one_blas_thread,
@@ -70,7 +67,7 @@ from .blocks import (
     cyclic_shift_stack,
     group_stacks,
     haar_chunks,
-    haar_q,
+    haar_rotate,
     haar_sample,  # noqa: F401
     reconstruct,
 )
@@ -220,18 +217,13 @@ def sample_observations(
     s = x.structure
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if action.kind == "full_ambiguity":
-        # one stream of chunked Haar draws, block after block, each chunk
-        # rotating its rows of that block of every observation in place
+        # one stream of chunked Haar draws, block after block, each chunk's
+        # reflectors applied to the block and written into its rows; on the
+        # calling thread, where the kernel's short ufunc calls run fastest
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
-
-        def rotate(y, m, i, j, a):
-            y[i:j] = np.einsum("kab,br->kar", haar_q(a), m)
-
-        _chunk_map(rotate, (
-            (y, m, *chunk)
-            for (dim, _), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices)
-            for chunk in haar_chunks(dim, n, s.field, rng)
-        ))
+        for (dim, r), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
+            for i, j, g in haar_chunks(dim, n, r, s.field, rng):
+                haar_rotate(g, m, y[i:j])
     else:
         # one shifted copy per distinct shift, built over slices of the
         # shifts and gathered into observation order

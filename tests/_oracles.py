@@ -207,3 +207,50 @@ def brute_transversality_margin(
         if dist.size:
             best = min(best, float(dist.min()))
     return best
+
+
+def mezzadri_haar(rng: np.random.Generator, n: int, count: int, field: str) -> np.ndarray:
+    """``count`` Haar draws by Mezzadri's recipe ("How to generate random
+    matrices from the classical compact groups", 2007): the Q of
+    ``np.linalg.qr`` of a Gaussian matrix, each column times the sign
+    (phase) of R's matching diagonal entry."""
+    z = rng.standard_normal((count, n, n))
+    if field == "complex":
+        z = (z + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def dense_householder_haar(g: np.ndarray, n: int) -> np.ndarray:
+    """The Haar matrix of one draw's Gaussians ``g`` (``(K,)`` real parts,
+    or ``(2, K)`` real then imaginary parts, ``K = n (n + 1) / 2``) by
+    Stewart's construction, written out with dense matrices.
+
+    The draw holds vectors of lengths ``n, ..., 1``.  Vector ``k``,
+    ``(alpha, x)``, gives LAPACK ``larfg``'s reflector ``H_k = I - tau v
+    v*`` on coordinates ``k..n-1``, with ``beta = -sign(Re alpha)
+    |(alpha, x)|``, ``tau = (beta - alpha) / beta``, ``v = (1, x / (alpha
+    - beta))``, or ``H_k = I`` and ``beta = alpha`` where ``x = 0`` and
+    ``alpha`` is real.  The result is ``H_0 ... H_{n-2}`` times the diagonal
+    of the betas' signs and the phase of the last, one-entry vector."""
+    z = g if g.ndim == 1 else g[0] + 1j * g[1]
+    q = np.eye(n, dtype=z.dtype)
+    signs = []
+    start = 0
+    for k in range(n - 1):
+        alpha, x = z[start], z[start + 1 : start + n - k]
+        start += n - k
+        h = np.eye(n, dtype=z.dtype)
+        if np.linalg.norm(x) == 0 and np.imag(alpha) == 0:
+            beta = np.real(alpha)
+        else:
+            beta = -math.copysign(math.sqrt(abs(alpha) ** 2 + np.linalg.norm(x) ** 2),
+                                  np.real(alpha))
+            v = np.concatenate([[1.0], x / (alpha - beta)])
+            h[k:, k:] -= (beta - alpha) / beta * np.outer(v, v.conj())
+        q = q @ h
+        signs.append(-1.0 if beta < 0 else 1.0)
+    last = z[-1]
+    signs.append(last / abs(last) if last != 0 else 1.0)
+    return q * np.array(signs)

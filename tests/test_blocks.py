@@ -34,7 +34,7 @@ from gramphase import (
 )
 from gramphase import blocks, moments, serialize
 from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
-from tests._oracles import brute_dft
+from tests._oracles import brute_dft, dense_householder_haar, mezzadri_haar
 
 structures = st.builds(
     lambda blocks, field: RepresentationStructure(tuple(blocks), field),
@@ -554,48 +554,141 @@ class TestOneBlasThread:
         blocks._one_blas_thread(lambda: seen.append(two_blas_threads()))()
         assert seen == [2]
 
-    def test_the_sampler_maps_its_chunks_on_one_blas_thread(self, two_blas_threads,
-                                                            monkeypatch):
+    def test_the_sampler_rotates_its_chunks_on_one_blas_thread(self, two_blas_threads,
+                                                               monkeypatch):
         seen = []
 
-        def spy(fn, chunks):
+        def spy(g, m, out):
             seen.append(two_blas_threads())
-            _chunk_map(fn, chunks)
+            blocks.haar_rotate(g, m, out)
 
-        monkeypatch.setattr(moments, "_chunk_map", spy)
+        monkeypatch.setattr(moments, "haar_rotate", spy)
         s = RepresentationStructure(((8, 4),))
         x = random_signal(s, np.random.default_rng(0))
         sample_observations(x, full_ambiguity_action(s), 0.1, 50, 1)
         assert seen == [1] and two_blas_threads() == 2
 
 
-def _qr_oracle(a):
-    """``np.linalg.qr``'s Q with each column times the phase of R's
-    diagonal, and that diagonal."""
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q *= np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)[:, None, :]
-    return q, d
+def _draws(rng, n, count, field):
+    """The Gaussians of ``count`` Haar draws of ``n x n`` matrices, as
+    :func:`blocks.haar_chunks` lays them out."""
+    k = n * (n + 1) // 2
+    return rng.standard_normal((count, k) if field == "real" else (count, 2, k))
 
 
-class TestHaarQ:
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("n", [1, 3, 8, 20])
-    def test_q_and_r_diagonal_are_np_linalg_qr_bit_for_bit(self, field, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal((40, n, n))
+def _rotate(g, n, field, m=None):
+    """:func:`blocks.haar_rotate` of ``g`` into a new array: the Haar
+    matrices, or their products with ``m``."""
+    out = np.empty((len(g), n, n if m is None else m.shape[1]),
+                   dtype=np.complex128 if field == "complex" else np.float64)
+    blocks.haar_rotate(g, m, out)
+    return out
+
+
+def _crafted(n, field):
+    """Draws whose vectors hit every branch of ``larfg``: a zero tail under
+    a positive, a negative and (complex) a non-real alpha, a zero alpha
+    over a nonzero tail, an all-zero vector and a zero last entry."""
+    rng = np.random.default_rng(n)
+    g = _draws(rng, n, 7, field)
+    re = g if field == "real" else g[:, 0]
+    starts = np.cumsum([0] + [n - k for k in range(n)])
+    if n > 1:
+        first, second = slice(starts[0] + 1, starts[1]), slice(starts[1] + 1, starts[2])
+        re[0, first] = 0.0  # a zero tail under a positive alpha
+        re[0, starts[0]] = 1.5
+        re[1, first] = 0.0  # ... under a negative alpha
+        re[1, starts[0]] = -0.5
+        re[2, starts[0]] = 0.0  # a zero alpha over a nonzero tail
+        re[3, starts[1] : starts[2]] = 0.0  # an all-zero vector
         if field == "complex":
-            a = (a + 1j * rng.standard_normal((40, n, n))) / np.sqrt(2.0)
-        want_q, want_d = _qr_oracle(a)
-        factored = a.copy()
-        got = blocks.haar_q(factored)  # factored in place: R on and above the diagonal
-        assert got.dtype == a.dtype
-        assert np.array_equal(got, want_q)
-        assert np.array_equal(np.diagonal(factored, axis1=1, axis2=2), want_d)
+            g[0, 1, starts[0] : starts[1]] = 0.0  # alpha real: no reflection
+            g[1, 1, first] = 0.0  # alpha not real: a reflection all the same
+            g[2, 1, starts[0]] = 0.0
+            g[3, 1, starts[1] : starts[2]] = 0.0
+        re[4, second] = 0.0
+    re[5, -1] = 0.0  # the last entry zero, its sign or phase 1
+    if field == "complex":
+        g[5, 1, -1] = 0.0
+    return g
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_a_non_finite_chunk_raises(self, bad):
-        a = np.random.default_rng(0).standard_normal((6, 4, 4))
-        a[3, 1, 2] = bad
-        with pytest.raises(np.linalg.LinAlgError):
-            blocks.haar_q(a)
+
+class TestHaarKernel:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+    def test_each_draw_is_the_dense_product_of_its_reflectors(self, field, n):
+        g = _draws(np.random.default_rng(n), n, 40, field)
+        got = _rotate(g, n, field)
+        for q, draw in zip(got, g):
+            assert np.max(np.abs(q - dense_householder_haar(draw, n))) <= 1e-14
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_crafted_draws_are_orthonormal(self, field, n):
+        g = _crafted(n, field)
+        got = _rotate(g, n, field)
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got.conj().mT @ got - np.eye(n))) <= 1e-14
+        for q, draw in zip(got, g):
+            assert np.max(np.abs(q - dense_householder_haar(draw, n))) <= 1e-14
+
+    def test_one_entry_draws_are_their_signs_and_phases(self):
+        real = _rotate(np.array([[2.0], [-0.5], [0.0]]), 1, "real")
+        assert real.ravel().tolist() == [1.0, -1.0, 1.0]
+        z = _rotate(np.array([[[3.0], [4.0]], [[0.0], [-2.0]], [[0.0], [0.0]]]), 1, "complex")
+        assert np.allclose(z.ravel(), [0.6 + 0.8j, -1j, 1.0], rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (3, 2), (8, 4), (5, 9)])
+    def test_a_block_gets_the_draw_times_the_block(self, field, n, r):
+        rng = np.random.default_rng(10 * n + r)
+        g = _draws(rng, n, 30, field)
+        m = rng.standard_normal((n, r))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((n, r))
+        got = _rotate(g, n, field, m)
+        want = _rotate(g, n, field) @ m
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(m)) * n
+
+
+def _check_haar_moments(q, field):
+    """The Diaconis-Shahshahani moments of Haar measure, each sample mean
+    within 6 of its standard errors (from the sample's own spread) of
+    the exact value: ``E tr Q = 0``, ``E |tr Q|^2 = 1``, ``E tr(Q)^4 = 3``
+    (real, n >= 4), ``E |tr Q|^4 = 2`` (complex, n >= 2), ``E |Q_1n|^4 =
+    3 / (n (n + 2))`` (real) or ``2 / (n (n + 1))`` (complex), and a
+    uniform sign (phase) of the determinant: ``E det Q = 0``, and
+    ``E det(Q)^2 = 0`` on the complex field."""
+    count, n, _ = q.shape
+    tr = np.trace(q, axis1=1, axis2=2)
+    det = np.linalg.det(q)
+    real = field == "real"
+    stats = [("E tr", tr, 0.0), ("E |tr|^2", np.abs(tr) ** 2, 1.0),
+             ("E |Q_1n|^4", np.abs(q[:, 0, -1]) ** 4,
+              3.0 / (n * (n + 2)) if real else 2.0 / (n * (n + 1))),
+             ("E det", det, 0.0)]
+    if real and n >= 4:
+        stats.append(("E tr^4", tr**4, 3.0))
+    if not real:
+        stats.append(("E det^2", det**2, 0.0))
+        if n >= 2:
+            stats.append(("E |tr|^4", np.abs(tr) ** 4, 2.0))
+    for name, s, want in stats:
+        error = np.sqrt(np.mean(np.abs(s - s.mean()) ** 2) / count)
+        assert abs(s.mean() - want) <= 6.0 * error + 1e-12, (name, s.mean(), want, error)
+    assert np.max(np.abs(np.abs(det) - 1.0)) <= 1e-12
+
+
+class TestHaarLaw:
+    """The draws against the moments of Haar measure, and Mezzadri's QR
+    sampler against the same values."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_haar_stack_has_the_haar_moments(self, field, n):
+        _check_haar_moments(blocks.haar_stack(n, 20_000, field, np.random.default_rng(n)), field)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_the_qr_oracle_has_the_haar_moments(self, field, n):
+        _check_haar_moments(mezzadri_haar(np.random.default_rng(n), n, 20_000, field), field)

@@ -37,15 +37,28 @@ def _noisy(rows, sigma, rng):
     return rows + noise
 
 
-def _unsliced_haar_stack(n, count, field, rng):
-    """Haar draws with one np.linalg.qr call over the whole stack."""
-    a = rng.standard_normal((count, n, n))
-    if field == "complex":
-        a = (a + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    q *= np.where(np.abs(d) > 0, d / np.abs(np.where(d == 0, 1.0, d)), 1.0)[:, None, :]
-    return q
+def _gaussians(rng, n, count, field):
+    """The Gaussians of ``count`` Haar draws of ``n x n`` matrices as one
+    draw, laid out as ``blocks.haar_chunks`` yields them."""
+    k = n * (n + 1) // 2
+    return rng.standard_normal((count, k) if field == "real" else (count, 2, k))
+
+
+def _unchunked_haar_stack(n, count, field, rng):
+    """Haar draws with one ``blocks.haar_rotate`` call over the whole stack."""
+    out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
+    blocks.haar_rotate(_gaussians(rng, n, count, field), None, out)
+    return out
+
+
+def _unchunked_rotations(x, n, rng):
+    """``n`` rotated copies of ``x``, each block's by one
+    ``blocks.haar_rotate`` call over all ``n`` draws, blocks in order."""
+    s = x.structure
+    rows = np.empty((n, s.ambient_dim), dtype=s.dtype)
+    for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
+        blocks.haar_rotate(_gaussians(rng, dim, n, s.field), m, y)
+    return rows
 
 
 def _traced_sampling_peak(action, n):
@@ -276,26 +289,42 @@ class TestSampling:
         want = _noisy(np.stack([rows[k] for k in shifts]), 0.2, ref_rng)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_haar_stack_slices_equal_one_qr_call(self, field, offset):
-        count = blocks.CHUNK_ENTRIES // 3**2 + offset
+    def test_haar_stack_chunks_equal_one_kernel_call(self, monkeypatch, field, offset, workers):
+        # two chunks less one draw, two chunks, and a one-row tail
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        count = 2 * (blocks.CHUNK_ENTRIES // (6 + 3 * 3)) + offset
         got = haar_stack(3, count, field, np.random.default_rng(count))
-        want = _unsliced_haar_stack(3, count, field, np.random.default_rng(count))
+        want = _unchunked_haar_stack(3, count, field, np.random.default_rng(count))
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_full_ambiguity_draw_across_slices_equals_one_qr_call(self, field):
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_full_ambiguity_draw_across_chunks_equals_one_kernel_call(
+            self, monkeypatch, field, offset, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
         s = RepresentationStructure(((3, 2), (2, 1)), field)
         x = random_signal(s, np.random.default_rng(5))
-        # two chunks and one draw of the 2x2 block, the larger count per chunk
-        n = 2 * (blocks.CHUNK_ENTRIES // 2**2) + 1
+        # about two chunks of the 2x2 block, the larger count per chunk (a
+        # one-row tail at offset 1), and five of the 3x3 block
+        n = 2 * (blocks.CHUNK_ENTRIES // (3 + 2 * 1)) + offset
         got = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=6).observations
         rng = np.random.default_rng(np.random.SeedSequence(6))
-        rows = np.empty_like(got)
-        for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
-            y[...] = np.einsum("kab,br->kar", _unsliced_haar_stack(dim, n, field, rng), m)
+        rows = _unchunked_rotations(x, n, rng)
         assert np.array_equal(got, _noisy(rows, 0.1, rng))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_noiseless_observations_keep_each_block_gram(self, field):
+        s = RepresentationStructure(((8, 4), (3, 2), (1, 3), (5, 5)), field)
+        x = random_signal(s, np.random.default_rng(11))
+        obs = sample_observations(x, full_ambiguity_action(s), 0.0, 5000, seed=12).observations
+        for y, m in zip(blocks.block_stacks(obs, s), x.matrices):
+            want = m.conj().T @ m
+            got = y.conj().mT @ y
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("kind", ["full", "cyclic"])
@@ -308,27 +337,28 @@ class TestSampling:
         s = action.structure
         n = 2 * (blocks.CHUNK_ENTRIES // s.ambient_dim) + offset
         x = random_signal(s, np.random.default_rng(n))
-        got = sample_observations(x, action, 0.3, n, seed=n).observations
         # the rotations drawn unchunked, then all the noise in one draw
         rng = np.random.default_rng(np.random.SeedSequence(n))
         if kind == "full":
-            rows = np.empty_like(got)
-            for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
-                y[...] = np.einsum("kab,br->kar", _unsliced_haar_stack(dim, n, field, rng), m)
+            rows = _unchunked_rotations(x, n, rng)
         else:
             shifts = rng.integers(action.cyclic_n, size=n)
             shifted = [reconstruct(apply(cyclic_shift_element(action, k), x))
                        for k in range(action.cyclic_n)]
             rows = np.stack([shifted[k] for k in shifts])
-        assert np.array_equal(got, _noisy(rows, 0.3, rng))
+        want = _noisy(rows, 0.3, rng)
+        for workers in (1, 2, 3) if kind == "full" else (blocks._workers(),):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(blocks, "_workers", lambda: workers)
+                got = sample_observations(x, action, 0.3, n, seed=n).observations
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_traced_peak_is_about_the_output(self, field):
-        # the output plus one chunk; a complex draw also holds the real
-        # parts of one block's Haar stack
+        # the output plus one chunk and its work arrays, on either field
         action = full_ambiguity_action(RepresentationStructure(((8, 4), (3, 2)), field))
         peak, obs = _traced_sampling_peak(action, 100_000)
-        assert peak <= {"real": 1.1, "complex": 2.0}[field] * obs.nbytes
+        assert peak <= 1.1 * obs.nbytes
 
     def test_traced_peak_does_not_grow_with_the_block_size(self):
         # 200 draws of 64x64 matrices would be 6.5 MB in one QR call;
