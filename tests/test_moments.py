@@ -570,3 +570,78 @@ class TestExtractGram:
         s = RepresentationStructure(((2, 2),))
         with pytest.raises(Exception, match="4"):
             extract_gram(np.eye(3), s)
+
+
+def _structure(text):
+    """``"8x4,3x2"`` or ``"8x4,3x2:complex"`` as a structure."""
+    blocks_text, _, field = text.partition(":")
+    pairs = tuple(tuple(int(v) for v in b.split("x")) for b in blocks_text.split(","))
+    return RepresentationStructure(pairs, field or "real")
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of 200 haar_sample draws per action (seed 2026), each draw's
+# blocks in order
+HAAR_DIGESTS = {
+    ("full", "8x4,3x2,1x1"):
+        "1737498227f0da18f72994436e2b1c98ec47b6868a8e470a137f2e504f4d61cf",
+    ("full", "8x4,3x2,1x1:complex"):
+        "7d9b7293c120a23e1744b4fd9e138577804ccf32a941723b3bc69facd6ba8090",
+    ("cyclic", 8, "real"):
+        "a51daee282e06191a3fa2bce8e86fe29e24f803f0bc7fe96d6ebad92e1f4f19f",
+    ("cyclic", 6, "complex"):
+        "7622c99df5f568688107c15c17a124cb66a4f7d1ed0d238db78e19f803f32351",
+}
+
+# SHA-256 of the observations of sample_observations(x, action, 0.3, n,
+# 2026), x a random_signal of the seed 2026: full draws that cross the
+# Haar chunks and the noise blocks, cyclic ones that cross the noise blocks
+OBSERVATION_DIGESTS = {
+    ("full", "8x4,3x2", 10_001):
+        "4f8b52f997b942c93986c0e16737cb8f0bdfcb093962650b69b9e6ace6c78d31",
+    ("full", "8x4,3x2:complex", 10_001):
+        "d25941fbc87fce75c115c7fb755dfa943da74334de00de377f06266d8ccfaa15",
+    ("cyclic", 16, "real", 2000):
+        "c1f723ad22d48d4790b7b3f8bcffea1bc427bcd6f0f6050ff44443443bdf9e70",
+    ("cyclic", 1024, "real", 10):
+        "337b3f8459c8afa585b6f817e183e38175ea992f61eabeb5804c4bcb64602748",
+    ("cyclic", 7, "complex", 500):
+        "fae47fce378186e55c0c2f4a4d5a992548dc860dd994495daf306be840d8bc07",
+    ("cyclic", 16, "real", 20_000):
+        "244fa41b0a7af78e11476e8ab13ac58c17247c8f5856877e0e331b60a9316e54",
+    ("cyclic", 7, "complex", 30_000):
+        "874e0d993691314053eb210c6df772c09049d15d61f0a497991abcc1eceec8d8",
+}
+
+
+def _action(key):
+    if key[0] == "full":
+        return full_ambiguity_action(_structure(key[1]))
+    return cyclic_action(key[1], key[2])
+
+
+class TestReferenceDigests:
+    """The sampler's bits, pinned by digest at every worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_haar_draws_keep_their_digests(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        for key, want in HAAR_DIGESTS.items():
+            action, rng = _action(key), np.random.default_rng(2026)
+            draws = [d for _ in range(200) for d in haar_sample(action, rng).blocks]
+            assert _sha256(draws) == want, key
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_observations_keep_their_digests(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        for key, want in OBSERVATION_DIGESTS.items():
+            action = _action(key[:-1])
+            x = random_signal(action.structure, np.random.default_rng(2026))
+            obs = sample_observations(x, action, 0.3, key[-1], 2026).observations
+            assert _sha256([obs]) == want, key
