@@ -16,14 +16,15 @@ between ambient vectors and block matrices go through ``block_stacks``
 ``(T, G, n, r)`` array), and through their one-row forms ``decompose`` /
 ``reconstruct`` on signals, so the bijection lives in one place.  Group
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
-``haar_chunks`` draws the Gaussians of Haar draws in chunks and
+``haar_chunks`` splits Haar draws into chunks of Gaussians and
 ``haar_rotate`` applies each chunk's Householder reflectors to a block
 matrix (the sampler's rotations) or to the identity (``haar_stack``),
 ``cyclic_shift_stack`` builds shift elements, and the validated single
 elements of ``haar_sample`` / ``cyclic_shift_element`` are their one-row
 cases.  Every random array follows the one stream rule of ``_gaussian``,
 a Haar draw one ``_gaussian`` call of its own: a Haar draw holds the
-Gaussians of one chunk at a time, whichever the field.
+Gaussians of a few chunks at a time (the ring of ``_draw_ahead``),
+whichever the field.
 
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The
 distortion ratios of :mod:`gramphase.analysis` and the shares of a large
@@ -31,8 +32,11 @@ real sweep stack run on the CPUs' threads through ``_chunk_map``, which
 shares the budget among the threads and changes no bit of any result.
 The Haar chunks run on the calling thread: their kernel is many short
 elementwise ufunc calls, which on two threads contend for the GIL and
-took longer than on one.  The chunk map owns the CPUs, and the BLAS
-runs on one thread: every public function that reaches a large BLAS or
+took longer than on one.  Their Gaussians, and the sampler's noise, are
+drawn ahead on a second thread by ``_draw_ahead``, in stream order:
+numpy's generator fills release the GIL, so they overlap the kernel.
+Both run on ``_pool``, one thread pool made on first use and kept for
+the process.  The pool owns the CPUs, and the BLAS runs on one thread: every public function that reaches a large BLAS or
 LAPACK call is wrapped in ``_one_blas_thread``, which sets numpy's
 bundled OpenBLAS to one thread for the call and restores the caller's
 count after it.  So no OpenBLAS worker spins on a CPU a map needs, and
@@ -65,8 +69,10 @@ import ctypes
 import functools
 import glob
 import itertools
+import math
 import numbers
 import os
+import queue
 import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Sequence
@@ -111,6 +117,8 @@ ORTHONORMAL_TOL = 1e-10
 # Entries per chunk of every chunked stack: Haar draws, noise blocks,
 # cyclic shift slices and distortion pairs.  Stacks mapped over threads
 # by _chunk_map share it out: each chunk holds CHUNK_ENTRIES // workers.
+# A Haar chunk's Gaussians, like a noise block, hold at most one budget,
+# and so does each buffer of the ring that _draw_ahead draws them into.
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -185,21 +193,41 @@ def _chunk_rows(width: int) -> int:
     return max(1, CHUNK_ENTRIES // _workers() // width)
 
 
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process's thread pool for ``workers`` CPUs, made on first use and
+    kept: ``_chunk_map`` runs its chunks there and ``_draw_ahead`` its
+    draws.  Its threads mark themselves, so a map or a draw made on one of
+    them runs inline rather than wait on a pool that its caller fills."""
+    return ThreadPoolExecutor(workers, initializer=setattr, initargs=(_IN_POOL, "on", True))
+
+
+_IN_POOL = threading.local()  # "on" is set on the pool's threads
+os.register_at_fork(after_in_child=_pool.cache_clear)  # a child has none of the threads
+
+
+def _threads() -> int:
+    """The worker count of a map or a draw made now: ``_workers()``, or 1 on
+    a pool thread."""
+    return 1 if getattr(_IN_POOL, "on", False) else _workers()
+
+
 def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
     """Call ``fn(*chunk)`` for every chunk of ``chunks`` on the CPUs' threads.
 
     The calling thread advances ``chunks``, so whatever draws them (a
     random stream) runs in order on one thread.  Each call runs on a
-    thread of a pool made for this map, in a copy of the caller's context
-    (so its ``np.errstate`` holds), and must write only its own chunk's
-    output.  At most ``workers + 1`` chunks are drawn and not yet done.
-    One chunk, or one CPU, runs on the calling thread.  The first
-    exception, in chunk order, reaches the caller once the pool's threads
-    have exited.  Numpy's LAPACK loops release the GIL, so they overlap;
-    chunks of many short ufunc calls contend for it instead, which is why
-    the Haar chunks do not come here.
+    thread of :func:`_pool`, in a copy of the caller's context (so its
+    ``np.errstate`` holds), and must write only its own chunk's output.
+    At most ``workers + 1`` chunks are drawn and not yet done.  One chunk,
+    one CPU, or a map made on a pool thread runs on the calling thread.
+    The first exception, in chunk order, reaches the caller once every
+    chunk it submitted has finished or been cancelled.  Numpy's LAPACK
+    loops release the GIL, so they overlap; chunks of many short ufunc
+    calls contend for it instead, which is why the Haar chunks do not
+    come here.
     """
-    workers = _workers()
+    workers = _threads()
     chunks = iter(chunks)
     head = list(itertools.islice(chunks, 2))
     chunks = itertools.chain(head, chunks)
@@ -207,7 +235,7 @@ def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
         for chunk in chunks:
             fn(*chunk)
         return
-    pool = ThreadPoolExecutor(workers)
+    pool = _pool(workers)
     pending = deque()
     try:
         for chunk in chunks:
@@ -217,7 +245,64 @@ def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
         while pending:
             pending.popleft().result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future in pending:
+            if not future.cancel():  # running: wait for it
+                future.exception()
+
+
+# Buffers in the ring of _draw_ahead: one in use, the others drawn ahead
+DRAWS_AHEAD = 3
+
+
+def _draw_ahead(rng: np.random.Generator, draws: Sequence[tuple]) -> None:
+    """Call ``use(rng.standard_normal(shape))`` for each ``(shape, use)`` of
+    ``draws``, in order, on the calling thread, with the draws made ahead
+    on a thread of :func:`_pool`.
+
+    The pool thread makes every ``rng`` call, in order and with the same
+    shapes, so the stream and every bit are those of the plain loop.  It
+    writes each draw into a ring of DRAWS_AHEAD preallocated float64
+    buffers, each the size of the largest draw, and waits while the ring
+    is full; a buffer goes back to the ring once its ``use`` has returned,
+    so ``use`` must not keep its array.  Generator fills release the GIL,
+    so the draws overlap the uses.  One draw, one CPU, or a call made on a
+    pool thread runs inline.  The pool thread has stopped before this
+    returns or raises, and the first error, of a draw or of a use,
+    reaches the caller.
+    """
+    workers = _threads()
+    if workers == 1 or len(draws) < 2:
+        for shape, use in draws:
+            use(rng.standard_normal(shape))
+        return
+    sizes = [math.prod(shape) for shape, _ in draws]
+    ring, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    largest = max(sizes)
+    for _ in range(min(DRAWS_AHEAD, len(draws))):
+        ring.put(np.empty(largest))
+
+    def draw():
+        try:
+            for (shape, _), size in zip(draws, sizes):
+                buf = ring.get()
+                if buf is None:  # the uses have stopped
+                    return
+                rng.standard_normal(out=buf[:size].reshape(shape))
+                drawn.put(buf)
+        finally:
+            drawn.put(None)
+
+    task = _pool(workers).submit(draw)
+    try:
+        for (shape, use), size in zip(draws, sizes):
+            buf = drawn.get()
+            if buf is None:  # a draw failed
+                task.result()
+            use(buf[:size].reshape(shape))
+            ring.put(buf)
+    finally:
+        ring.put(None)
+        task.exception()  # wait for the draws to stop, without raising
 
 
 def _square_sums(flat: list[np.ndarray]) -> np.ndarray:
@@ -656,7 +741,7 @@ def _gaussian(rng: np.random.Generator, shape: int | tuple[int, ...], field: str
     imaginary parts, taken as one ``(2, *shape)`` draw (the same stream);
     it is ``re + 1j * im`` bit for bit wherever ``re`` is nonzero.
     :func:`haar_chunks` takes a chunk's per-draw calls as one draw, and
-    ``moments._add_noise`` is its chunked form."""
+    ``moments._noise_draws`` is its chunked form."""
     if field == "real":
         return rng.standard_normal(shape)
     z = np.empty(shape, np.complex128)
@@ -756,26 +841,31 @@ def _check_orthonormal(b: np.ndarray, what: str) -> None:
         )
 
 
-def haar_chunks(n: int, count: int, width: int, field: str, rng: np.random.Generator):
-    """The Gaussians of ``count`` Haar draws of ``n x n`` matrices, yielded
-    as ``(start, stop, g)`` for draws ``start`` to ``stop``, for
-    :func:`haar_rotate` to apply to ``(n, width)`` matrices.
+def haar_chunks(n: int, count: int, width: int, field: str) -> list[tuple]:
+    """The chunks of ``count`` Haar draws of ``n x n`` matrices, for
+    :func:`haar_rotate` to apply to ``(n, width)`` matrices: ``(start,
+    stop, shape)`` per chunk, whose draws ``start`` to ``stop`` take their
+    Gaussians from one ``rng.standard_normal(shape)``.
 
     Draw ``t`` takes one ``_gaussian(rng, n * (n + 1) // 2, field)``: the
     vectors of lengths ``n, n - 1, ..., 1`` of its reflectors, one after
-    the other.  So ``g`` is ``(T, K)`` on the real field and ``(T, 2, K)``,
-    each draw's real parts then its imaginary parts, on the complex field.
-    A chunk's Gaussians and output entries, ``K + n * width`` per draw,
-    count against CHUNK_ENTRIES.  The draws are taken from ``rng`` lazily,
-    as the generator is iterated, so the caller must exhaust it before
-    drawing anything else from ``rng``.
+    the other.  So ``shape`` is ``(T, K)`` on the real field and ``(T, 2,
+    K)``, each draw's real parts then its imaginary parts, on the complex
+    field.  A chunk's Gaussians fill at most CHUNK_ENTRIES, as a noise
+    block does, and its Gaussians and output entries, ``P K + n * width``
+    per draw (``P`` = 1 real, 2 complex), at most twice that.  Once the
+    draws are made ahead (:func:`_draw_ahead`), numpy's cost per call of
+    the kernel sets the speed, and larger chunks make fewer calls; the
+    Gaussians' cap keeps the ring of drawn chunks, and the kernel's work
+    arrays, which grow like ``n**2`` per draw, within a few budgets for
+    large blocks.
     """
     k = n * (n + 1) // 2
     shape = (k,) if field == "real" else (2, k)
-    step = max(1, CHUNK_ENTRIES // (k + n * width))
-    for i in range(0, count, step):
-        j = min(i + step, count)
-        yield i, j, rng.standard_normal((j - i, *shape))
+    size = math.prod(shape)
+    step = max(1, min(CHUNK_ENTRIES // size, 2 * CHUNK_ENTRIES // (size + n * width)))
+    return [(i, min(i + step, count), (min(i + step, count) - i, *shape))
+            for i in range(0, count, step)]
 
 
 @functools.cache
@@ -934,10 +1024,12 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar draws as one ``(count, n, n)`` stack: the reflectors
-    of :func:`haar_chunks` applied to the identity by :func:`haar_rotate`."""
+    of :func:`haar_chunks` applied to the identity by :func:`haar_rotate`,
+    chunk by chunk, with each chunk's Gaussians drawn ahead by
+    :func:`_draw_ahead`."""
     out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
-    for i, j, g in haar_chunks(n, count, n, field, rng):
-        haar_rotate(g, None, out[i:j])
+    _draw_ahead(rng, [(shape, lambda g, y=out[i:j]: haar_rotate(g, None, y))
+                      for i, j, shape in haar_chunks(n, count, n, field)])
     return out
 
 

@@ -19,19 +19,23 @@ of draws block after block, in observation order: each chunk's
 Householder reflectors go straight onto the block matrix by
 :func:`~gramphase.blocks.haar_rotate`, written into the observation
 array, with no Haar matrix and no rotation product formed.  The noise
-is then added in place in row blocks.  Each chunk (a chunk of Haar
-draws, a noise block, a slice of shifts) is sized by the one entry
+is then added in place in row blocks.  The Gaussians of both (a
+full-ambiguity action's Haar chunks, then the noise blocks of either
+action) come from one ``blocks._draw_ahead`` call: a pool thread draws
+them in stream order into a small ring of buffers, ahead of the
+rotations and additions on the calling thread.  Each chunk (a chunk of
+Haar draws, a noise block, a slice of shifts) is sized by the one entry
 budget :data:`~gramphase.blocks.CHUNK_ENTRIES`, not by the block size or
 the number of observations, so the sampler holds the ``(n, d)`` output
-plus about one budget: for a full-ambiguity action, one chunk's
-Gaussians and the kernel's work arrays, whichever the field; for a
-cyclic action, one chunk, one row per distinct shift and the elements
-of one slice of shifts.  Neither the chunking nor the number of CPUs
-changes a bit: every observation is that of one unchunked draw, a
-full-ambiguity one is that of :func:`~gramphase.blocks.haar_sample`
-applied with :func:`~gramphase.blocks.apply` to rounding, and cyclic
-observations are bitwise those of one ``haar_sample`` per observation
-applied with ``apply``, on the same random stream.  The Gram checks of
+plus a few budgets: for a full-ambiguity action, the ring and one
+chunk's kernel work arrays, whichever the field; for a cyclic action,
+the ring, one row per distinct shift and the elements of one slice of
+shifts.  Neither the chunking nor the number of CPUs changes a bit:
+every observation is that of one unchunked draw, a full-ambiguity one is
+that of :func:`~gramphase.blocks.haar_sample` applied with
+:func:`~gramphase.blocks.apply` to rounding, and cyclic observations are
+bitwise those of one ``haar_sample`` per observation applied with
+``apply``, on the same random stream.  The Gram checks of
 :class:`GramTuple` and the PSD clamp of :func:`extract_gram` run once
 per block shape on stacked matrices.
 
@@ -56,6 +60,7 @@ from .blocks import (
     RepresentationStructure,
     StructureMismatch,
     _block_arrays,
+    _draw_ahead,
     _field_array,
     _gram,
     _one_blas_thread,
@@ -185,17 +190,21 @@ def analytic_second_moment(x: BlockSignal) -> np.ndarray:
     return out
 
 
-def _add_noise(obs: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
-    """Add ``sigma`` times a ``blocks._gaussian`` draw of ``obs``'s shape
-    and field to ``obs`` in place, in its chunked form: each part (real,
+def _noise_draws(obs: np.ndarray, sigma: float) -> list[tuple]:
+    """The draws that add ``sigma`` times a ``blocks._gaussian`` draw of
+    ``obs``'s shape and field to ``obs`` in place, in its chunked form, as
+    ``(shape, use)`` pairs for ``blocks._draw_ahead``: each part (real,
     then imaginary on the complex field) in row blocks of at most
     CHUNK_ENTRIES entries (one row where that is larger)."""
+
+    def add(noise, part):
+        noise *= sigma
+        part += noise
+
     rows = max(1, CHUNK_ENTRIES // obs.shape[1])
-    for part in (obs.real, obs.imag) if np.iscomplexobj(obs) else (obs,):
-        for i in range(0, len(part), rows):
-            noise = rng.standard_normal(part[i : i + rows].shape)
-            noise *= sigma
-            part[i : i + rows] += noise
+    return [(part[i : i + rows].shape, lambda g, y=part[i : i + rows]: add(g, y))
+            for part in ((obs.real, obs.imag) if np.iscomplexobj(obs) else (obs,))
+            for i in range(0, len(part), rows)]
 
 
 @_one_blas_thread
@@ -208,22 +217,31 @@ def sample_observations(
 ) -> MraSampleSet:
     """Draw ``n`` observations: a Haar-rotated copy of ``x`` plus i.i.d.
     ``N(0, sigma^2)`` noise per real coordinate (per real and imaginary
-    part for the complex field)."""
+    part for the complex field).
+
+    A signal with a NaN or an infinity is refused, by block, before any
+    draw.  The Gaussians (a full-ambiguity action's Haar chunks, then the
+    noise blocks of either action) come from one ``blocks._draw_ahead``
+    call, which makes them on a pool thread in stream order while this
+    thread rotates and adds, so no bit depends on the CPU count."""
     n = _whole_number(n, "n")
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if action.structure != x.structure:
         raise StructureMismatch("action and signal use different structures")
+    for l, m in enumerate(x.matrices):
+        if not np.isfinite(m).all():
+            raise ValueError(f"block {l}: the signal must be finite, got a NaN or an infinity")
     s = x.structure
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = []
     if action.kind == "full_ambiguity":
         # one stream of chunked Haar draws, block after block, each chunk's
-        # reflectors applied to the block and written into its rows; on the
-        # calling thread, where the kernel's short ufunc calls run fastest
+        # reflectors applied to the block and written into its rows
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
         for (dim, r), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
-            for i, j, g in haar_chunks(dim, n, r, s.field, rng):
-                haar_rotate(g, m, y[i:j])
+            draws += [(shape, lambda g, m=m, y=y[i:j]: haar_rotate(g, m, y))
+                      for i, j, shape in haar_chunks(dim, n, r, s.field)]
     else:
         # one shifted copy per distinct shift, built over slices of the
         # shifts and gathered into observation order
@@ -238,7 +256,7 @@ def sample_observations(
             ):
                 np.matmul(d, m, out=y)
         obs = rows[inverse]
-    _add_noise(obs, sigma, rng)
+    _draw_ahead(rng, draws + _noise_draws(obs, sigma))
     return MraSampleSet(s, obs, float(sigma), int(seed))
 
 

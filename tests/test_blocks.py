@@ -407,8 +407,9 @@ class TestChunkMap:
         assert done[0] == 30
         assert max(ahead) <= workers + 1
 
-    def test_a_failing_chunk_reaches_the_caller_and_leaves_no_thread(self, workers):
-        threads = threading.active_count()
+    def test_a_failing_chunk_reaches_the_caller_and_leaves_no_thread(self, workers,
+                                                                     started_pool):
+        threads = started_pool(workers)
 
         def work(i):
             if i in (3, 7):
@@ -417,6 +418,13 @@ class TestChunkMap:
         with pytest.raises(ValueError, match="chunk 3"):
             _chunk_map(work, ((i,) for i in range(20)))
         assert threading.active_count() == threads
+        assert started_pool(workers) == threads  # every pool thread is free again
+
+    def test_every_map_runs_on_the_same_pool_threads(self, workers):
+        ran = set()
+        for _ in range(3):
+            _chunk_map(lambda i: ran.add(threading.current_thread()), ((i,) for i in range(8)))
+        assert threading.current_thread() not in ran and len(ran) <= workers
 
     def test_chunks_run_under_the_callers_errstate(self, workers):
         seen = []
@@ -429,9 +437,9 @@ class TestChunkMap:
 
     def test_one_chunk_starts_no_thread(self, workers, monkeypatch):
         def refuse(*args):
-            raise AssertionError("a thread pool was made for one chunk")
+            raise AssertionError("a thread pool was used for one chunk")
 
-        monkeypatch.setattr(blocks, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(blocks, "_pool", refuse)
         ran = []
         _chunk_map(lambda i: ran.append(threading.get_ident()), [(0,)])
         assert ran == [threading.get_ident()]
@@ -447,6 +455,92 @@ class TestChunkMap:
     def test_chunks_hold_a_share_of_the_budget(self, workers):
         assert blocks._chunk_rows(4) == blocks.CHUNK_ENTRIES // workers // 4
         assert blocks._chunk_rows(blocks.CHUNK_ENTRIES) == 1
+
+
+class _RecordingRng:
+    """A generator that records the thread of each ``standard_normal``
+    call and raises on call ``fail`` (counted from 1), if given."""
+
+    def __init__(self, seed, fail=None):
+        self.rng, self.fail, self.threads = np.random.default_rng(seed), fail, []
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail:
+            raise RuntimeError(f"draw {self.fail}")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+SHAPES = [(3,), (2, 4), (5, 2, 3), (1,), (7,), (2, 2)]
+
+
+class TestDrawAhead:
+    def test_draws_are_the_plain_streams_on_a_pool_thread(self, workers):
+        rng, got = _RecordingRng(4), []
+        blocks._draw_ahead(rng, [(shape, lambda g: got.append(g.copy())) for shape in SHAPES])
+        plain = np.random.default_rng(4)
+        assert [g.tobytes() for g in got] == [plain.standard_normal(s).tobytes() for s in SHAPES]
+        assert [g.shape for g in got] == SHAPES
+        assert len(rng.threads) == len(SHAPES)
+        assert threading.get_ident() not in rng.threads
+
+    def test_the_draws_stay_at_most_the_ring_ahead_of_the_uses(self, workers):
+        rng, ahead = _RecordingRng(0), []
+
+        def use(g):
+            time.sleep(0.002)  # let the draws run ahead
+            ahead.append(len(rng.threads) - len(ahead))
+
+        blocks._draw_ahead(rng, [((4,), use)] * 20)
+        assert max(ahead) <= blocks.DRAWS_AHEAD
+
+    def test_a_failing_use_reaches_the_caller_and_frees_the_pool(self, workers, started_pool):
+        threads = started_pool(workers)
+        used = []
+
+        def use(g):
+            used.append(g)
+            if len(used) == 2:
+                raise ValueError("use 2")
+
+        with pytest.raises(ValueError, match="use 2"):
+            blocks._draw_ahead(_RecordingRng(0), [((4,), use)] * 10)
+        assert len(used) == 2
+        assert threading.active_count() == threads
+        assert started_pool(workers) == threads
+
+    def test_a_failing_draw_reaches_the_caller_and_frees_the_pool(self, workers, started_pool):
+        threads = started_pool(workers)
+        used = []
+        with pytest.raises(RuntimeError, match="draw 3"):
+            blocks._draw_ahead(_RecordingRng(0, fail=3), [((4,), used.append)] * 10)
+        assert len(used) == 2
+        assert threading.active_count() == threads
+        assert started_pool(workers) == threads
+
+    def test_one_draw_one_worker_or_a_pool_thread_runs_inline(self, workers, monkeypatch):
+        rng = _RecordingRng(0)
+        with monkeypatch.context() as mp:
+            mp.setattr(blocks, "_pool", None)  # a call that reached the pool would fail
+            blocks._draw_ahead(rng, [((4,), lambda g: None)])
+            mp.setattr(blocks, "_workers", lambda: 1)
+            blocks._draw_ahead(rng, [(shape, lambda g: None) for shape in SHAPES])
+        assert rng.threads == [threading.get_ident()] * (1 + len(SHAPES))
+        # a draw made on a pool thread runs there, rather than wait on a
+        # pool its caller fills; run on a thread of its own so that a
+        # deadlock fails the test rather than hang it
+        want = blocks.haar_stack(3, 30_000, "real", np.random.default_rng(1))
+        got = [None] * (workers + 1)
+
+        def stack(i):
+            got[i] = blocks.haar_stack(3, 30_000, "real", np.random.default_rng(1))
+
+        runner = threading.Thread(
+            target=_chunk_map, args=(stack, ((i,) for i in range(workers + 1))), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert all(np.array_equal(g, want) for g in got)
 
 
 needs_openblas = pytest.mark.skipif(

@@ -432,10 +432,10 @@ class TestTrialShares:
     def test_a_stack_below_the_floor_starts_no_thread(self, monkeypatch, builds, structure,
                                                       rows):
         def refuse(*args):
-            raise AssertionError("a thread pool was made for a stack below the floor")
+            raise AssertionError("a thread pool was used for a stack below the floor")
 
         monkeypatch.setattr(blocks, "_workers", lambda: 2)
-        monkeypatch.setattr(blocks, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(blocks, "_pool", refuse)
         specs = _specs(structure, (2, 4, 8), (None,) * 3, trials=rows)[:rows]
         experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
         assert builds == [(rows, threading.get_ident())]
@@ -466,10 +466,11 @@ class TestTrialShares:
         assert len(seen) == 2 and {n for _, n in seen} == {1}
         assert threading.get_ident() not in {t for t, _ in seen}
 
-    def test_an_error_in_one_share_reaches_the_caller_and_leaves_no_thread(self, split):
+    def test_an_error_in_one_share_reaches_the_caller_and_leaves_no_thread(self, split,
+                                                                           started_pool):
         split(2)
         specs = _specs("3x2", (2, 7), (None, None), trials=1)  # the second share has K=7
-        threads = threading.active_count()
+        threads = started_pool(2)
         with pytest.raises(ValueError, match=re.escape("must be in [1, 6], got 7")):
             experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
         assert threading.active_count() == threads

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from gramphase import (
     reconstruct,
     sample_observations,
 )
-from gramphase import blocks
+from gramphase import blocks, moments
 from gramphase.blocks import cyclic_shift_stack, haar_stack
 from gramphase.moments import MraSampleSet, _check_grams, clamp_psd
 from tests._oracles import cyclic_average_outer
@@ -645,3 +646,115 @@ class TestReferenceDigests:
             x = random_signal(action.structure, np.random.default_rng(2026))
             obs = sample_observations(x, action, 0.3, key[-1], 2026).observations
             assert _sha256([obs]) == want, key
+
+
+class TestDrawThread:
+    """The sampler's draws run on a pool thread and leave none behind."""
+
+    @pytest.fixture(params=[2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(blocks, "_workers", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def _draws():
+        """A full-ambiguity draw across the Haar chunks and noise blocks, a
+        cyclic one across the noise blocks, and a Haar stack."""
+        full = full_ambiguity_action(_structure("8x4,3x2"))
+        x = random_signal(full.structure, np.random.default_rng(0))
+        cyc = cyclic_action(16)
+        y = random_signal(cyc.structure, np.random.default_rng(0))
+        sample_observations(x, full, 0.1, 10_001, 1)
+        sample_observations(y, cyc, 0.1, 20_000, 1)
+        haar_stack(3, 30_000, "complex", np.random.default_rng(1))
+
+    def test_a_normal_return_leaves_no_thread(self, workers, started_pool):
+        threads = started_pool(workers)
+        self._draws()
+        assert threading.active_count() == threads
+        assert started_pool(workers) == threads
+
+    def test_a_failing_rotation_reaches_the_caller_and_leaves_no_thread(
+            self, workers, started_pool, monkeypatch):
+        threads = started_pool(workers)
+        rotate, chunks = blocks.haar_rotate, []
+
+        def failing(g, m, out):
+            chunks.append(len(out))
+            if len(chunks) == 2:
+                raise RuntimeError("chunk 2")
+            rotate(g, m, out)
+
+        monkeypatch.setattr(moments, "haar_rotate", failing)
+        monkeypatch.setattr(blocks, "haar_rotate", failing)
+        s = _structure("8x4,3x2")
+        x = random_signal(s, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="chunk 2"):
+            sample_observations(x, full_ambiguity_action(s), 0.1, 10_001, 1)
+        chunks.clear()
+        with pytest.raises(RuntimeError, match="chunk 2"):
+            haar_stack(3, 30_000, "real", np.random.default_rng(1))
+        assert threading.active_count() == threads
+        assert started_pool(workers) == threads
+
+    def test_a_failing_draw_reaches_the_caller_and_leaves_no_thread(
+            self, workers, started_pool, monkeypatch):
+        threads = started_pool(workers)
+        make = np.random.default_rng
+
+        class Failing:
+            def __init__(self, *args):
+                self.rng, self.calls = make(*args), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("draw 3")
+                return self.rng.standard_normal(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        for action in (full_ambiguity_action(_structure("8x4,3x2")), cyclic_action(16)):
+            x = random_signal(action.structure, make(0))
+            with pytest.raises(RuntimeError, match="draw 3"):
+                sample_observations(x, action, 0.1, 20_000, 1)
+        with pytest.raises(RuntimeError, match="draw 3"):
+            haar_stack(3, 30_000, "real", Failing(1))
+        assert threading.active_count() == threads
+        assert started_pool(workers) == threads
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a thread pool was used at one worker")
+
+        monkeypatch.setattr(blocks, "_workers", lambda: 1)
+        monkeypatch.setattr(blocks, "_pool", refuse)
+        threads = threading.active_count()
+        self._draws()
+        assert threading.active_count() == threads
+
+
+class TestFiniteSignal:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["full", "cyclic"])
+    def test_a_non_finite_signal_is_refused_by_block_before_any_draw(
+            self, monkeypatch, kind, bad):
+        action = (full_ambiguity_action(_structure("8x4,3x2,1x1")) if kind == "full"
+                  else cyclic_action(8))
+        x = random_signal(action.structure, np.random.default_rng(0))
+        mats = list(x.matrices)
+        mats[1] = mats[1].copy()
+        mats[1][0, -1] = bad
+        x = BlockSignal(action.structure, tuple(mats))
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail
+        with pytest.raises(ValueError, match="block 1: the signal must be finite"):
+            sample_observations(x, action, 0.1, 10, 1)
+
+    def test_a_complex_signal_with_a_nan_part_is_refused(self):
+        s = _structure("3x2:complex")
+        m = np.ones((3, 2), complex)
+        m[2, 1] = complex(1.0, np.nan)
+        with pytest.raises(ValueError, match="block 0: the signal must be finite"):
+            sample_observations(BlockSignal(s, (m,)), full_ambiguity_action(s), 0.1, 10, 1)
