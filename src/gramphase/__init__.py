@@ -11,12 +11,12 @@ module's globals.  ``dir(gramphase)`` and ``from gramphase import *``
 list the deferred names too; a star import loads them.
 
 Two imports inside the modules stay eager.  ``blocks`` imports
-``ThreadPoolExecutor`` at its top, since callers patch
-``blocks.ThreadPoolExecutor`` by attribute.  ``experiments`` imports
-``analysis`` at its top, since callers (the benchmark's tracer among them)
-wrap ``experiments.transversality_check`` and
-``experiments.distortion_estimate`` by attribute; so using the runners
-loads the grid engine too.
+``ThreadPoolExecutor`` at its top, and with it ``queue`` and
+``threading``, which its thread pool and draw helper use.
+``experiments`` imports ``analysis`` at its top, since callers (the
+benchmark's tracer among them) wrap ``experiments.transversality_check``
+and ``experiments.distortion_estimate`` by attribute; so using the
+runners loads the grid engine too.
 """
 
 from importlib import import_module as _import_module

@@ -739,7 +739,7 @@ class TestDrawThread:
 class TestFiniteSignal:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["full", "cyclic"])
-    def test_a_non_finite_signal_is_refused_by_block_before_any_draw(
+    def test_a_non_finite_signal_is_refused_by_block_before_any_gaussian(
             self, monkeypatch, kind, bad):
         action = (full_ambiguity_action(_structure("8x4,3x2,1x1")) if kind == "full"
                   else cyclic_action(8))
@@ -748,7 +748,7 @@ class TestFiniteSignal:
         mats[1] = mats[1].copy()
         mats[1][0, -1] = bad
         x = BlockSignal(action.structure, tuple(mats))
-        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail
+        monkeypatch.setattr(moments, "_draw_ahead", None)  # a Gaussian draw would fail
         with pytest.raises(ValueError, match="block 1: the signal must be finite"):
             sample_observations(x, action, 0.1, 10, 1)
 
