@@ -458,16 +458,13 @@ class TestChunkMap:
 
 
 class _RecordingRng:
-    """A generator that records the thread of each ``standard_normal``
-    call and raises on call ``fail`` (counted from 1), if given."""
+    """A generator that records the thread of each ``standard_normal`` call."""
 
-    def __init__(self, seed, fail=None):
-        self.rng, self.fail, self.threads = np.random.default_rng(seed), fail, []
+    def __init__(self, seed):
+        self.rng, self.threads = np.random.default_rng(seed), []
 
     def standard_normal(self, *args, **kwargs):
         self.threads.append(threading.get_ident())
-        if len(self.threads) == self.fail:
-            raise RuntimeError(f"draw {self.fail}")
         return self.rng.standard_normal(*args, **kwargs)
 
 
@@ -493,30 +490,6 @@ class TestDrawAhead:
 
         blocks._draw_ahead(rng, [((4,), use)] * 20)
         assert max(ahead) <= blocks.DRAWS_AHEAD
-
-    def test_a_failing_use_reaches_the_caller_and_frees_the_pool(self, workers, started_pool):
-        threads = started_pool(workers)
-        used = []
-
-        def use(g):
-            used.append(g)
-            if len(used) == 2:
-                raise ValueError("use 2")
-
-        with pytest.raises(ValueError, match="use 2"):
-            blocks._draw_ahead(_RecordingRng(0), [((4,), use)] * 10)
-        assert len(used) == 2
-        assert threading.active_count() == threads
-        assert started_pool(workers) == threads
-
-    def test_a_failing_draw_reaches_the_caller_and_frees_the_pool(self, workers, started_pool):
-        threads = started_pool(workers)
-        used = []
-        with pytest.raises(RuntimeError, match="draw 3"):
-            blocks._draw_ahead(_RecordingRng(0, fail=3), [((4,), used.append)] * 10)
-        assert len(used) == 2
-        assert threading.active_count() == threads
-        assert started_pool(workers) == threads
 
     def test_one_draw_one_worker_or_a_pool_thread_runs_inline(self, workers, monkeypatch):
         rng = _RecordingRng(0)
