@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from gramphase import (
 from gramphase.cli import _build_parser, _config, main, parse_structure
 from gramphase.experiments import (
     ExperimentConfig,
+    run_bilipschitz,
     run_demo_solve,
     run_error_vs_noise,
     run_iterations_vs_k,
@@ -474,6 +476,63 @@ class TestTrialShares:
         with pytest.raises(ValueError, match=re.escape("must be in [1, 6], got 7")):
             experiments._run_trials(specs, SolverConfig(max_iters=5, stop_on="oracle"))
         assert threading.active_count() == threads
+
+
+# SHA-256 of each file that scripts/reference_outputs.py writes for its
+# runs through the chunk map: the distortion chunks of four bilipschitz
+# runs (one with a one-row tail) and two sweeps of 160 and 200 real rows,
+# which split into shares at two and three CPUs
+CHUNK_MAP_DIGESTS = {
+    "bilipschitz/bilipschitz.json":
+        "ab5e83951efafff12124b3520be70de75cbe718cbad15a295b082d7e7fba3126",
+    "bilipschitz/ratio_histogram.csv":
+        "6518780554f365b46b53cabdee25cb1d2682b78312b2753f2b52c9149032606b",
+    "bilipschitz_complex/bilipschitz.json":
+        "48bd7c259dc86cb26ed3e9e54aa57d000aa2e26e2c07eb36b4e3217cdf47783c",
+    "bilipschitz_complex/ratio_histogram.csv":
+        "dbb936732169033f9967c6fff54a5771229f2f13ab5345936669f3c949e9767a",
+    "bilipschitz_cyclic/bilipschitz.json":
+        "17adeef3f9bab67737bb5afa181dd2423405484045a3f3131addcb7868a98c95",
+    "bilipschitz_cyclic/ratio_histogram.csv":
+        "6e432dee2699c06057e51d334c3ac27e0f94a83c7d73a7e08a54e74f76fbeb2e",
+    "bilipschitz_tail/bilipschitz.json":
+        "bd21955a01a688930db3be21c6aa9be4d35c49b0892b8675d28edbd2ab06d17f",
+    "bilipschitz_tail/ratio_histogram.csv":
+        "e663d3487061895f67aa59f01065ce772b55b582ef1f3ff93eccd0fb7c2f2852",
+    "iterations_two_shapes.csv":
+        "095b477e9d9925678118aedd2987f103f25e56a346e74ae614b6f3c528be51c3",
+    "noise_two_shapes.csv":
+        "1c22fdce5acc450a29e25e3b52980069781f9e428846f6f2033ea0bc7bcc2b6d",
+}
+
+
+class TestChunkMapDigests:
+    """The outputs that run through the chunk map, pinned by digest at
+    every worker count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_reference_runs_keep_their_digests(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+
+        def config(experiment, name, structure, seed=2026, **kwargs):
+            return ExperimentConfig(experiment=experiment, structure=parse_structure(structure),
+                                    out=str(tmp_path / name), master_seed=seed, **kwargs)
+
+        run_iterations_vs_k(config("exp-iterations", "iterations_two_shapes.csv", "8x4,3x2",
+                                   k_values=(6, 2, 10, 2), trials=40, max_iters=300))
+        run_error_vs_noise(config("exp-noise", "noise_two_shapes.csv", "8x4,3x2",
+                                  subspace_dim=4, trials=50, max_iters=300))
+        for name, structure, dim, pairs in (
+            ("bilipschitz", "8x4", 4, 100_000),
+            ("bilipschitz_complex", "8x4,3x2:complex", 3, 20_000),
+            ("bilipschitz_cyclic", "cyclic:16", 4, 20_000),
+            ("bilipschitz_tail", "8x4", 4, 10_241),
+        ):
+            run_bilipschitz(config("bilipschitz", name, structure, 7, subspace_dim=dim,
+                                   trials=pairs))
+        got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+        assert got == CHUNK_MAP_DIGESTS
 
 
 def _write_instance(path):
