@@ -667,10 +667,10 @@ def distortion_ratios(
     ``eigh`` call per shape group of blocks, chunk and side; both
     distances are :func:`gramphase.blocks.frobenius_norms`.  The pairs
     go in row chunks of ``CHUNK_ENTRIES // workers`` ambient entries, run
-    on the CPUs' threads by the chunk map of :mod:`gramphase.blocks`, so
-    memory is the inputs plus at most ``workers + 1`` chunks and their
-    roots; each row is computed on its own, whatever the chunking or the
-    number of threads."""
+    on the CPUs' threads by the chunk map of :mod:`gramphase.blocks`, at
+    most ``workers`` at once and none drawn ahead, so memory is the inputs
+    plus one budget of chunks and their roots; each row is computed on its
+    own, whatever the chunking or the number of threads."""
     x_amb, y_amb = np.atleast_2d(x_amb, y_amb)
     count = len(x_amb)
     num, denom = np.empty((2, count))
@@ -688,7 +688,7 @@ def distortion_ratios(
     starts = list(range(0, count, step))
     if count % step == 1 and len(starts) > 1:
         starts.pop()  # a one-row tail joins the chunk before it
-    _chunk_map(ratio_chunk, zip(starts, [*starts[1:], count]))
+    _chunk_map(ratio_chunk, list(zip(starts, [*starts[1:], count])))
     used = denom >= 1e-12
     return num[used] / denom[used], used
 

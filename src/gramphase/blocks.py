@@ -28,22 +28,25 @@ whichever the field.
 
 ``CHUNK_ENTRIES`` is the entry budget of every chunked stack.  The
 distortion ratios of :mod:`gramphase.analysis` and the shares of a large
-real sweep stack run on the CPUs' threads through ``_chunk_map``, which
-shares the budget among the threads and changes no bit of any result.
-The Haar chunks run on the calling thread: their kernel is many short
-elementwise ufunc calls, which on two threads contend for the GIL and
-took longer than on one.  Their Gaussians, and the sampler's noise, are
-drawn ahead on a second thread by ``_draw_ahead``, in stream order:
-numpy's generator fills release the GIL, so they overlap the kernel.
-Both run on ``_pool``, one thread pool made on first use and kept for
-the process.  The pool owns the CPUs, and the BLAS runs on one thread: every public function that reaches a large BLAS or
-LAPACK call is wrapped in ``_one_blas_thread``, which sets numpy's
-bundled OpenBLAS to one thread for the call and restores the caller's
-count after it.  So no OpenBLAS worker spins on a CPU a map needs, and
-no result depends on how many threads the BLAS would have split a
-product over (a threaded product or QR sums in another order).
-Importing the package pins nothing; on a BLAS other than numpy's
-bundled OpenBLAS the wrapper does nothing.
+real sweep stack run on the CPUs' threads through ``_chunk_map``, at
+most one chunk per thread at a time and none drawn ahead, so the chunks
+in flight hold one budget; no bit of any result changes.  The Haar
+chunks run on the calling thread: their kernel is many short elementwise
+ufunc calls, which on two threads contend for the GIL and took longer
+than on one.  Their Gaussians, and the sampler's noise, are drawn ahead
+on a second thread by ``_draw_ahead``, in stream order: numpy's
+generator fills release the GIL, so they overlap the kernel.  Both run
+on ``_pool``, one thread pool made on first use and kept for the
+process, and both take it from ``_pool_for``, the one rule that runs
+work inline or there.  The pool owns the CPUs, and the BLAS runs on one
+thread: every public function that reaches a large BLAS or LAPACK call
+is wrapped in ``_one_blas_thread``, which sets numpy's bundled OpenBLAS
+to one thread for the call and restores the caller's count after it.  So
+no OpenBLAS worker spins on a CPU a map needs, and no result depends on
+how many threads the BLAS would have split a product over (a threaded
+product or QR sums in another order).  Importing the package pins
+nothing; on a BLAS other than numpy's bundled OpenBLAS the wrapper does
+nothing.
 
 The package's one Gram product ``X* X`` is ``_gram``, its one
 orthonormality check ``_check_orthonormal``, and its only private LAPACK
@@ -68,14 +71,12 @@ import contextvars
 import ctypes
 import functools
 import glob
-import itertools
 import math
 import numbers
 import os
 import queue
 import threading
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,9 +197,10 @@ def _chunk_rows(width: int) -> int:
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The process's thread pool for ``workers`` CPUs, made on first use and
-    kept: ``_chunk_map`` runs its chunks there and ``_draw_ahead`` its
-    draws.  Its threads mark themselves, so a map or a draw made on one of
-    them runs inline rather than wait on a pool that its caller fills."""
+    kept: ``_chunk_map`` runs its chunks there, at most ``workers`` at
+    once, and ``_draw_ahead`` its draws.  Its threads mark themselves, so
+    that :func:`_pool_for` runs a map or a draw made on one of them inline
+    rather than wait on a pool that its caller fills."""
     return ThreadPoolExecutor(workers, initializer=setattr, initargs=(_IN_POOL, "on", True))
 
 
@@ -206,47 +208,43 @@ _IN_POOL = threading.local()  # "on" is set on the pool's threads
 os.register_at_fork(after_in_child=_pool.cache_clear)  # a child has none of the threads
 
 
-def _threads() -> int:
-    """The worker count of a map or a draw made now: ``_workers()``, or 1 on
-    a pool thread."""
-    return 1 if getattr(_IN_POOL, "on", False) else _workers()
+def _pool_for(tasks: int) -> ThreadPoolExecutor | None:
+    """The pool to run ``tasks`` tasks on, or None to run them inline on the
+    calling thread: for fewer than two tasks, on a pool thread (whose
+    caller may be waiting on the pool), or on one CPU."""
+    if tasks < 2 or getattr(_IN_POOL, "on", False):
+        return None
+    workers = _workers()
+    return None if workers == 1 else _pool(workers)
 
 
-def _chunk_map(fn: Callable[..., None], chunks: Iterable[tuple]) -> None:
-    """Call ``fn(*chunk)`` for every chunk of ``chunks`` on the CPUs' threads.
+def _chunk_map(fn: Callable[..., None], chunks: Sequence[tuple]) -> None:
+    """Call ``fn(*chunk)`` for every chunk of ``chunks``, a list built on
+    the calling thread, on the CPUs' threads.
 
-    The calling thread advances ``chunks``, so whatever draws them (a
-    random stream) runs in order on one thread.  Each call runs on a
-    thread of :func:`_pool`, in a copy of the caller's context (so its
-    ``np.errstate`` holds), and must write only its own chunk's output.
-    At most ``workers + 1`` chunks are drawn and not yet done.  One chunk,
-    one CPU, or a map made on a pool thread runs on the calling thread.
-    The first exception, in chunk order, reaches the caller once every
-    chunk it submitted has finished or been cancelled.  Numpy's LAPACK
-    loops release the GIL, so they overlap; chunks of many short ufunc
-    calls contend for it instead, which is why the Haar chunks do not
-    come here.
+    Every chunk is submitted at once to the pool of :func:`_pool_for`,
+    which runs at most ``workers`` of them at a time; none is drawn ahead.
+    Each call runs in a copy of the caller's context (so its
+    ``np.errstate`` holds) and must write only its own chunk's output.
+    The results are awaited in chunk order, and the first exception in
+    that order reaches the caller once the chunks not started are
+    cancelled and the running ones have finished.  One chunk, one CPU, or
+    a map made on a pool thread runs inline.  Numpy's LAPACK loops release
+    the GIL, so they overlap; chunks of many short ufunc calls contend for
+    it instead, which is why the Haar chunks do not come here.
     """
-    workers = _threads()
-    chunks = iter(chunks)
-    head = list(itertools.islice(chunks, 2))
-    chunks = itertools.chain(head, chunks)
-    if workers == 1 or len(head) < 2:
+    pool = _pool_for(len(chunks))
+    if pool is None:
         for chunk in chunks:
             fn(*chunk)
         return
-    pool = _pool(workers)
-    pending = deque()
+    futures = [pool.submit(contextvars.copy_context().run, fn, *chunk) for chunk in chunks]
     try:
-        for chunk in chunks:
-            pending.append(pool.submit(contextvars.copy_context().run, fn, *chunk))
-            if len(pending) > workers:
-                pending.popleft().result()
-        while pending:
-            pending.popleft().result()
+        for future in futures:
+            future.result()
     finally:
-        for future in pending:
-            if not future.cancel():  # running: wait for it
+        for future in futures:
+            if not future.cancel():  # running or done: wait for it
                 future.exception()
 
 
@@ -270,8 +268,8 @@ def _draw_ahead(rng: np.random.Generator, draws: Sequence[tuple]) -> None:
     returns or raises, and the first error, of a draw or of a use,
     reaches the caller.
     """
-    workers = _threads()
-    if workers == 1 or len(draws) < 2:
+    pool = _pool_for(len(draws))
+    if pool is None:
         for shape, use in draws:
             use(rng.standard_normal(shape))
         return
@@ -292,7 +290,7 @@ def _draw_ahead(rng: np.random.Generator, draws: Sequence[tuple]) -> None:
         finally:
             drawn.put(None)
 
-    task = _pool(workers).submit(draw)
+    task = pool.submit(draw)
     try:
         for (shape, use), size in zip(draws, sizes):
             buf = drawn.get()

@@ -297,7 +297,7 @@ def _run_trials(specs: list[TrialSpec], config: SolverConfig) -> np.ndarray:
         out[w::shares] = np.column_stack([solved.iterations, solved.converged,
                                          solved.oracle_error])
 
-    _chunk_map(solve_share, ((w,) for w in range(shares)))
+    _chunk_map(solve_share, [(w,) for w in range(shares)])
     return out
 
 

@@ -383,29 +383,29 @@ class TestChunkMap:
                 drawn.append(threading.get_ident())
                 yield (i,)
 
-        _chunk_map(lambda i: ran.append((i, threading.get_ident())), chunks())
+        _chunk_map(lambda i: ran.append((i, threading.get_ident())), list(chunks()))
         assert drawn == [threading.get_ident()] * 20
         assert sorted(i for i, _ in ran) == list(range(20))
         assert any(t != threading.get_ident() for _, t in ran)
 
-    def test_at_most_one_chunk_beyond_the_workers_is_in_flight(self, workers):
-        lock = threading.Lock()
-        done, ahead = [0], []
+    def test_a_map_inside_a_chunk_runs_inline_and_completes(self, workers):
+        ran = [[] for _ in range(workers + 1)]
 
-        def chunks():
-            for i in range(30):
-                with lock:
-                    ahead.append(i + 1 - done[0])
-                yield (i,)
+        def outer(i):
+            _chunk_map(lambda j: ran[i].append((j, threading.get_ident())),
+                       [(j,) for j in range(4)])
 
-        def work(i):
-            time.sleep(0.002)
-            with lock:
-                done[0] += 1
-
-        _chunk_map(work, chunks())
-        assert done[0] == 30
-        assert max(ahead) <= workers + 1
+        # run on a thread of its own so that a deadlock fails the test
+        # rather than hang it
+        runner = threading.Thread(
+            target=_chunk_map, args=(outer, [(i,) for i in range(workers + 1)]), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        for inner in ran:
+            assert [j for j, _ in inner] == list(range(4))
+            assert len({t for _, t in inner}) == 1  # on the chunk's own thread
+        assert runner.ident not in {t for inner in ran for _, t in inner}
 
     def test_a_failing_chunk_reaches_the_caller_and_leaves_no_thread(self, workers,
                                                                      started_pool):
@@ -416,23 +416,23 @@ class TestChunkMap:
                 raise ValueError(f"chunk {i}")
 
         with pytest.raises(ValueError, match="chunk 3"):
-            _chunk_map(work, ((i,) for i in range(20)))
+            _chunk_map(work, [(i,) for i in range(20)])
         assert threading.active_count() == threads
         assert started_pool(workers) == threads  # every pool thread is free again
 
     def test_every_map_runs_on_the_same_pool_threads(self, workers):
         ran = set()
         for _ in range(3):
-            _chunk_map(lambda i: ran.add(threading.current_thread()), ((i,) for i in range(8)))
+            _chunk_map(lambda i: ran.add(threading.current_thread()), [(i,) for i in range(8)])
         assert threading.current_thread() not in ran and len(ran) <= workers
 
     def test_chunks_run_under_the_callers_errstate(self, workers):
         seen = []
         with np.errstate(over="raise"):
             caller = np.geterr()
-            _chunk_map(lambda i: seen.append(np.geterr()), ((i,) for i in range(10)))
+            _chunk_map(lambda i: seen.append(np.geterr()), [(i,) for i in range(10)])
             with pytest.raises(FloatingPointError):
-                _chunk_map(lambda i: np.float64(1e300) * 1e300, ((i,) for i in range(10)))
+                _chunk_map(lambda i: np.float64(1e300) * 1e300, [(i,) for i in range(10)])
         assert seen == [caller] * 10 and caller["over"] == "raise"
 
     def test_one_chunk_starts_no_thread(self, workers, monkeypatch):
@@ -509,7 +509,7 @@ class TestDrawAhead:
             got[i] = blocks.haar_stack(3, 30_000, "real", np.random.default_rng(1))
 
         runner = threading.Thread(
-            target=_chunk_map, args=(stack, ((i,) for i in range(workers + 1))), daemon=True)
+            target=_chunk_map, args=(stack, [(i,) for i in range(workers + 1)]), daemon=True)
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
@@ -554,7 +554,7 @@ class TestOneBlasThread:
         def outer():
             inner()
             _chunk_map(lambda i: seen.append((threading.get_ident(), two_blas_threads())),
-                       ((i,) for i in range(8)))
+                       [(i,) for i in range(8)])
             seen.append(("after nested", two_blas_threads()))
 
         blocks._one_blas_thread(outer)()
