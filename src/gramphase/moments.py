@@ -108,28 +108,36 @@ class GramTuple:
 
 
 def _check_grams(structure: RepresentationStructure, grams: list[np.ndarray]) -> None:
-    """Refuse a stack of Gram tuples unless each Gram is Hermitian and PSD.
+    """Refuse a stack of Gram tuples unless each Gram is finite, Hermitian
+    and PSD.
 
     ``grams`` holds a ``(T, G, r, r)`` stack per entry of
     ``structure.shape_groups``: row ``t`` of every stack is one tuple.
     The error is the one :class:`GramTuple` raises for the first failing
-    block of the first failing row; the checks run once per shape group.
+    block of the first failing row; the checks run once per shape group,
+    and a NaN fails each of them.  No non-finite Gram reaches ``eigvalsh``.
     """
     s = structure
     shape = (len(grams[0]), s.num_blocks)
+    finite = np.empty(shape, dtype=bool)
     skew = np.empty(shape, dtype=bool)
     lowest = np.empty(shape)
     floor = np.empty(shape)
     for (_, idx), g in zip(s.shape_groups, grams):
+        finite[:, idx] = ok = np.isfinite(g).all(axis=(-2, -1))
+        if not ok.all():  # checked on zeros: LAPACK does not converge on a NaN
+            g = np.where(ok[..., None, None], g, 0.0)
         gh = g.conj().mT
         scale = np.fmax(1.0, np.abs(g).max(axis=(-2, -1)))
-        skew[:, idx] = np.abs(g - gh).max(axis=(-2, -1)) > HERMITIAN_TOL * scale
+        skew[:, idx] = ~(np.abs(g - gh).max(axis=(-2, -1)) <= HERMITIAN_TOL * scale)
         lowest[:, idx] = np.linalg.eigvalsh((g + gh) / 2.0).min(axis=-1)
         trace = np.real(np.trace(g, axis1=-2, axis2=-1))
         floor[:, idx] = -PSD_TOL * np.maximum(trace, np.finfo(float).tiny)
-    bad = skew | (lowest < floor)
+    bad = ~finite | skew | ~(lowest >= floor)
     if bad.any():
         t, l = np.argwhere(bad)[0].tolist()
+        if not finite[t, l]:
+            raise ValueError(f"block {l}: Gram matrix must be finite, got a NaN or an infinity")
         if skew[t, l]:
             raise ValueError(f"block {l}: Gram matrix is not Hermitian")
         raise ValueError(
@@ -313,7 +321,9 @@ def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> Gram
     instead of picking one reduces estimator variance for free.  The
     result is symmetrized and eigenvalue-clamped so noisy estimates stay
     PSD; on an exact moment this changes nothing and the composition
-    with :func:`analytic_second_moment` inverts :func:`gram_tuple`.
+    with :func:`analytic_second_moment` inverts :func:`gram_tuple`.  A
+    NaN or an infinity in the entries a block reads is refused, naming
+    the first such block, before any eigendecomposition.
     """
     moment = np.asarray(moment)
     d = structure.ambient_dim
@@ -326,7 +336,13 @@ def extract_gram(moment: np.ndarray, structure: RepresentationStructure) -> Gram
         sub = moment[sl, sl].reshape(r, n, r, n)
         # (i, j) sub-block of the moment is G[j, i] / n * I
         grams.append(np.einsum("iaja->ji", sub))
-    for _, idx in structure.shape_groups:
-        for l, g in zip(idx, clamp_psd(np.stack([grams[l] for l in idx]))):
-            grams[l] = g
+    stacks = [np.stack([grams[l] for l in idx]) for _, idx in structure.shape_groups]
+    bad = [idx[i] for (_, idx), g in zip(structure.shape_groups, stacks)
+           for i in np.flatnonzero(~np.isfinite(g).all(axis=(-2, -1)))]
+    if bad:
+        raise ValueError(f"block {min(bad)}: the moment must be finite, "
+                         "got a NaN or an infinity")
+    for (_, idx), g in zip(structure.shape_groups, stacks):
+        for l, c in zip(idx, clamp_psd(g)):
+            grams[l] = c
     return GramTuple(structure, tuple(grams))

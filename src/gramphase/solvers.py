@@ -165,19 +165,24 @@ def matrix_sqrt_psd(g: np.ndarray) -> np.ndarray:
     matrix or of each matrix in a ``(..., r, r)`` stack.
 
     Eigenvalues pushed slightly negative by noise are clamped to zero;
-    genuinely non-Hermitian input is rejected, each matrix measured
-    against its own largest entry.  The root is :func:`_psd_root`'s.
+    non-finite or genuinely non-Hermitian input is rejected, each matrix
+    measured against its own largest entry.  The root is :func:`_psd_root`'s.
     """
     return _psd_root(_checked_hermitian(g))[0]
 
 
 def _checked_hermitian(g) -> np.ndarray:
-    """``g`` as an array, refused unless its matrices are square and Hermitian."""
+    """``g`` as an array, refused unless its matrices are square, finite and
+    Hermitian.  A non-finite matrix of a stack is named by its index."""
     g = np.asarray(g)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {g.shape}")
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        at = f" {np.argwhere(~finite)[0].tolist()}" if g.ndim > 2 else ""
+        raise ValueError(f"matrix{at} must be finite, got a NaN or an infinity")
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
-    if np.any(np.max(np.abs(g - g.conj().mT), axis=(-2, -1)) > HERMITIAN_INPUT_TOL * scale):
+    if not np.all(np.max(np.abs(g - g.conj().mT), axis=(-2, -1)) <= HERMITIAN_INPUT_TOL * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
     return g
 

@@ -170,12 +170,13 @@ class TestGramTuple:
             GramTuple(s, tuple(grams))
 
 
-    @pytest.mark.parametrize("kind", ["skew", "indefinite"])
+    @pytest.mark.parametrize("kind", ["skew", "indefinite", "nan", "inf"])
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_a_stack_raises_what_the_tuple_raises(self, kind, block):
         # row 2 of four tuples holds one bad Gram; blocks 0 and 2 share a shape
         s = RepresentationStructure(((3, 2), (4, 3), (2, 2)), "complex")
-        bad = {"skew": np.array([[1.0, 1j], [0.0, 1.0]]), "indefinite": np.diag([-1.0, 1.0])}
+        bad = {"skew": np.array([[1.0, 1j], [0.0, 1.0]]), "indefinite": np.diag([-1.0, 1.0]),
+               "nan": np.diag([1.0, np.nan]), "inf": np.diag([np.inf, 1.0])}
         rows = [[np.eye(r, dtype=complex) for _, r in s.blocks] for _ in range(4)]
         rows[2][block] = np.eye(s.blocks[block][1], dtype=complex)
         rows[2][block][:2, :2] = bad[kind]
@@ -192,6 +193,63 @@ class TestGramTuple:
         g = np.array([np.eye(2), np.diag([-1.0, 1.0]), np.diag([1.0, -2.0])])[:, None]
         with pytest.raises(ValueError, match=r"block 0: .* negative eigenvalue -1\.000e\+00"):
             _check_grams(s, [g])
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteGrams:
+    """A NaN or an infinity in a Gram or a moment is refused by block,
+    wherever it sits, before it reaches LAPACK."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 3)])
+    def test_a_4x4_gram_is_refused_by_block(self, bad, entry):
+        s = RepresentationStructure(((5, 4), (6, 4)))
+        g = np.eye(4)
+        g[entry] = bad
+        with pytest.raises(ValueError, match="^block 1: Gram matrix must be finite"):
+            GramTuple(s, (np.eye(4), g))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_a_1x1_gram_is_refused_by_block(self, bad):
+        s = RepresentationStructure(((3, 1), (2, 1)))
+        with pytest.raises(ValueError, match="^block 0: Gram matrix must be finite"):
+            GramTuple(s, (np.array([[bad]]), np.eye(1)))
+
+    def test_a_complex_gram_with_a_nan_part_is_refused(self):
+        s = RepresentationStructure(((3, 2),), "complex")
+        g = np.eye(2, dtype=complex)
+        g[0, 1] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="^block 0: Gram matrix must be finite"):
+            GramTuple(s, (g,))
+
+    def test_a_non_finite_block_before_a_skew_one_is_named_first(self):
+        s = RepresentationStructure(((2, 2), (3, 2)))
+        with pytest.raises(ValueError, match="^block 0: Gram matrix must be finite"):
+            GramTuple(s, (np.diag([np.nan, 1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])))
+        with pytest.raises(ValueError, match="^block 0: Gram matrix is not Hermitian"):
+            GramTuple(s, (np.array([[1.0, 1.0], [0.0, 1.0]]), np.diag([np.nan, 1.0])))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("r", [4, 1])
+    def test_extract_gram_refuses_a_non_finite_moment_by_block(self, bad, r):
+        s = RepresentationStructure(((5, r), (6, r)))
+        moment = np.eye(s.ambient_dim)
+        i = s.block_slices[1].start
+        moment[i, i] = bad  # an entry of block 1's Gram (0, 0)
+        with pytest.raises(ValueError, match="^block 1: the moment must be finite"):
+            extract_gram(moment, s)
+
+    def test_extract_gram_names_the_first_block_across_shape_groups(self):
+        # blocks 0 and 2 share a shape; block 1 holds the first bad entry
+        s = RepresentationStructure(((2, 2), (3, 1), (2, 2)))
+        moment = np.eye(s.ambient_dim)
+        for l in (1, 2):
+            i = s.block_slices[l].start
+            moment[i, i] = np.nan
+        with pytest.raises(ValueError, match="^block 1: the moment must be finite"):
+            extract_gram(moment, s)
 
 
 class TestAnalyticMoment:

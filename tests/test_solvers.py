@@ -68,6 +68,22 @@ class TestMatrixSqrt:
         with pytest.raises(ValueError, match="Hermitian"):
             matrix_sqrt_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("r, entry", [(4, (0, 0)), (4, (1, 1)), (4, (0, 3)), (1, (0, 0))])
+    def test_a_non_finite_matrix_is_refused(self, bad, r, entry):
+        g = np.eye(r)
+        g[entry] = bad
+        with pytest.raises(ValueError, match="^matrix must be finite"):
+            matrix_sqrt_psd(g)
+        with pytest.raises(ValueError, match="^matrix must be finite"):
+            procrustes_project(g, np.eye(r + 1, r))
+
+    def test_a_stack_names_its_non_finite_matrix(self):
+        g = np.stack([np.eye(3)] * 6).reshape(2, 3, 3, 3)
+        g[1, 0, 2, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix \[1, 0\] must be finite"):
+            matrix_sqrt_psd(g)
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_stack_rows_equal_single_calls_bitwise(self, field):
         rng = np.random.default_rng(8)
