@@ -3,7 +3,8 @@
 
 A script measures one round in a fresh child process (itself run with
 ``--child``, with a checkout's ``src`` on ``PYTHONPATH``, printing one
-JSON object) and reports medians over the rounds.  With ``--parent DIR``
+JSON object) and reports medians over the rounds, with the first and
+third quartiles beside them where a script prints them.  With ``--parent DIR``
 each round runs ``DIR/src`` and this checkout, the side that goes first
 alternating from round to round.  numpy only.
 """
@@ -52,22 +53,30 @@ def child(script, src, args):
                                      text=True).stdout)
 
 
-def medians(rounds):
-    """The median of each number over the rounds, nested as in a round;
+def summary(rounds, stat=statistics.median):
+    """``stat`` of each number over the rounds, nested as in a round;
     ``None`` (a phase whose helper the checkout lacks) is skipped, a
     number that is ``None`` in every round stays ``None``, and a string
     (a label, the same in every round) is kept as the first round has it."""
     if isinstance(rounds[0], dict):
-        return {key: medians([r[key] for r in rounds]) for key in rounds[0]}
+        return {key: summary([r[key] for r in rounds], stat) for key in rounds[0]}
     if isinstance(rounds[0], str):
         return rounds[0]
     values = [v for v in rounds if v is not None]
-    return statistics.median(values) if values else None
+    return stat(values) if values else None
+
+
+def quartile(q):
+    """The ``q``-th quartile (1 or 3) of some numbers, inside their range."""
+    return lambda values: (statistics.quantiles(values, n=4, method="inclusive")[q - 1]
+                           if len(values) > 1 else values[0])
 
 
 def run(script, args, count, parent=None):
-    """``{side: medians}`` of ``count`` rounds of ``script`` per side:
-    ``"parent"`` (with ``parent``) and ``"this"``, in that order."""
+    """``(medians, q1, q3)`` of ``count`` rounds of ``script`` per side, each
+    ``{side: numbers}`` with the sides ``"parent"`` (with ``parent``) and
+    ``"this"``, in that order: the median and the first and third
+    quartiles of each number over the rounds."""
     sides = {"this": ROOT / "src"}
     if parent:
         sides = {"parent": parent.resolve() / "src", **sides}
@@ -75,4 +84,14 @@ def run(script, args, count, parent=None):
     for i in range(count):
         for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
             rounds[side].append(child(script, sides[side], args))
-    return {side: medians(r) for side, r in rounds.items()}
+    return tuple({side: summary(r, stat) for side, r in rounds.items()}
+                 for stat in (statistics.median, quartile(1), quartile(3)))
+
+
+def spread(stats, side, key, digits=1):
+    """``median [q1, q3]`` of ``key`` on ``side``, from what :func:`run`
+    returns, or ``-`` for a number the checkout lacks."""
+    med, q1, q3 = (s[side][key] for s in stats)
+    if med is None:
+        return "-"
+    return f"{med:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]"

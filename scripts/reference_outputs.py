@@ -9,16 +9,16 @@ K=2,4,6,8 and exp-noise at K=10, both seed 2026; transversality on
 cyclic:8 at grid 512, at random points and at points of planted
 intersections (``transversality_planted.txt``: the spans of a signal and
 a turned copy, one signal with a zero block, whose elements all tie, with
-every margin in hex and every violation's element labels); bilipschitz on 8x4 with 100,000 pairs), sweeps on
-the two shape groups of 8x4,3x2 (iterations at the repeated, unsorted
-K=6,2,10,2, and a noisy exp-noise), a complex
-noise sweep, a complex distortion run, one on cyclic:16 (many blocks
-of one shape, where one square-root call covers several blocks) and one
-on 8x4 with 10,241 pairs (a one-row tail after the last full chunk of
-pairs at one and at two workers),
-simulate under the full real, full complex and cyclic actions, solve
-with real alternating projection (on 8x4 and on the three shape groups
-of 8x4,3x2,1x1) and complex RRR, solve from files on 8x4 with a
+every margin in hex and every violation's element labels); bilipschitz
+on 8x4 with 100,000 pairs), sweeps on the two shape groups of 8x4,3x2
+(iterations at the repeated, unsorted K=6,2,10,2, and a noisy
+exp-noise), a complex noise sweep, a complex distortion run, one on
+cyclic:16 (many blocks of one shape, where one square-root call covers
+several blocks) and one on 8x4 with 10,241 pairs (a one-row tail after
+the last full chunk of pairs at one and at two workers), simulate under
+the full real, full complex and cyclic actions, solve with real
+alternating projection (on 8x4 and on the three shape groups of
+8x4,3x2,1x1) and complex RRR, solve from files on 8x4 with a
 6-sparse prior (alternating projection, whose rank-deficient Gram sends
 every polar factor to the SVD) and a 6-sparse prior in a random
 orthonormal dictionary (RRR), a SHA-256 of 200 Haar draws per action,
@@ -34,7 +34,8 @@ a Gaussian signal and on that signal times 0.0 (signed zeros).
 on a small config (its files go to a temporary directory, named
 ``OUT_DIR`` there).  ``api_surface.txt`` lists each name of
 ``from gramphase import *`` with the type and module of the object it
-resolves to, so a dropped or re-pointed name shows.  Run it once per checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
+resolves to, so a dropped or re-pointed name shows.  Run it once per
+checkout, with that checkout's ``src`` on ``PYTHONPATH``, then
 ``diff -r`` the two output directories: any difference is a changed
 result.  gramphase runs numpy's bundled OpenBLAS on one thread, so the
 outputs do not depend on the CPU count: the two runs may be on different

@@ -34,8 +34,9 @@ to 2, in milliseconds per call.
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side by
 side; a phase whose helper a checkout lacks prints as ``-``.  Numbers are
-medians over the rounds, each round a fresh process (``_rounds.py``).
-numpy only.
+medians over the rounds, each round a fresh process (``_rounds.py``),
+with their first and third quartiles in brackets, so that a difference
+between the sides can be read against either side's spread.  numpy only.
 """
 import json
 import statistics
@@ -148,17 +149,18 @@ def main():
     if args.child:
         print(json.dumps(measure()))
         return
-    med = _rounds.run(__file__, [], args.rounds, args.parent)
-    fmt = lambda v: f"{v:>15.2f}" if v is not None else f"{'-':>15}"  # noqa: E731
-    print(f"grid {GRID} on cyclic:8, ms per point, median of {args.rounds} rounds")
-    print(f"{'side':<7}" + "".join(f"{c:>15}" for c in COLUMNS))
-    for side in med:
-        print(f"{side:<7}" + "".join(fmt(med[side][c]) for c in COLUMNS))
+    stats = _rounds.run(__file__, [], args.rounds, args.parent)
+    sides = list(stats[0])
+    print(f"grid {GRID} on cyclic:8, ms per point, median [q1, q3] of {args.rounds} rounds")
+    print(f"{'phase':<16}" + "".join(f"{side:>26}" for side in sides))
+    for c in COLUMNS:
+        print(f"{c:<16}" + "".join(f"{_rounds.spread(stats, side, c, 2):>26}" for side in sides))
     print(f"distortion_ratios, {PAIRS} 8x4 pairs, ms per call")
-    print(f"{'side':<7}{'1 worker':>15}{'2 workers':>15}")
-    for side in med:
-        print(f"{side:<7}" + "".join(fmt(med[side][f"distortion {w}w"]) for w in (1, 2)))
-    print(json.dumps(med))
+    print(f"{'workers':<16}" + "".join(f"{side:>26}" for side in sides))
+    for w in (1, 2):
+        print(f"{w:<16}" + "".join(f"{_rounds.spread(stats, side, f'distortion {w}w', 2):>26}"
+                                   for side in sides))
+    print(json.dumps(dict(zip(("median", "q1", "q3"), stats))))
 
 
 if __name__ == "__main__":

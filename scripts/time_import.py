@@ -76,7 +76,7 @@ def main():
     if args.child:
         print(json.dumps(measure()))
         return
-    med = _rounds.run(__file__, [], args.rounds, args.parent)
+    med = _rounds.run(__file__, [], args.rounds, args.parent)[0]
     print(f"ms, median of {args.rounds} rounds; numpy and scipy imported first")
     print(f"{'side':<7}" + "".join(f"{c:>22}" for c in COLUMNS))
     for side in med:

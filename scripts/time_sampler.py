@@ -13,7 +13,9 @@ further call at two workers (the traced call is not timed).
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side
 by side.  Numbers are medians over the rounds, each round a fresh
-process (``_rounds.py``).  numpy only.
+process (``_rounds.py``), with their first and third quartiles in
+brackets, so that a difference between the sides can be read against
+either side's spread.  numpy only.
 """
 import json
 import time
@@ -84,16 +86,16 @@ def main():
     if args.child:
         print(json.dumps(measure()))
         return
-    med = _rounds.run(__file__, [], args.rounds, args.parent)
+    stats = _rounds.run(__file__, [], args.rounds, args.parent)
     print(f"{COUNT} draws on 8x4,3x2 (haar_stack: 8x8), ms per call (best of {CALLS}) "
-          f"and traced peak over the output, median of {args.rounds} rounds")
-    print(f"{'case':<20}{'side':<8}{'1 worker':>12}{'2 workers':>12}{'peak/out':>10}")
+          f"and traced peak over the output, median [q1, q3] of {args.rounds} rounds")
+    print(f"{'case':<20}{'side':<8}{'1 worker':>24}{'2 workers':>24}{'peak/out':>24}")
     for case in CASES:
-        for side in med:
-            row = med[side]
-            print(f"{case:<20}{side:<8}{row[f'{case} 1w']:>12.1f}{row[f'{case} 2w']:>12.1f}"
-                  f"{row[f'{case} peak']:>10.3f}")
-    print(json.dumps(med))
+        for side in stats[0]:
+            print(f"{case:<20}{side:<8}" + "".join(
+                f"{_rounds.spread(stats, side, f'{case} {key}', digits):>24}"
+                for key, digits in (("1w", 1), ("2w", 1), ("peak", 3))))
+    print(json.dumps(dict(zip(("median", "q1", "q3"), stats))))
 
 
 if __name__ == "__main__":

@@ -260,7 +260,7 @@ def main():
         print(json.dumps(measure(args.iters, args.noise)))
         return
     flags = ["--iters", str(args.iters)] + (["--noise"] if args.noise else [])
-    med = _rounds.run(__file__, flags, args.rounds, args.parent)
+    med = _rounds.run(__file__, flags, args.rounds, args.parent)[0]
     print(f"us per iteration, median of {args.rounds} rounds of {args.iters} iterations "
           f"(each round the fastest of {CALLS} calls)")
     head = f"{'case':<24} {'side':<7}" + "".join(f"{c:>12}" for c in
