@@ -407,6 +407,21 @@ class TestChunkMap:
             assert len({t for _, t in inner}) == 1  # on the chunk's own thread
         assert runner.ident not in {t for inner in ran for _, t in inner}
 
+    def test_at_most_workers_chunks_run_at_once(self, workers):
+        lock = threading.Lock()
+        running, most = [0], [0]
+
+        def work(i):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+
+        _chunk_map(work, [(i,) for i in range(30)])
+        assert running[0] == 0 and 1 <= most[0] <= workers
+
     def test_a_failing_chunk_reaches_the_caller_and_leaves_no_thread(self, workers,
                                                                      started_pool):
         threads = started_pool(workers)
