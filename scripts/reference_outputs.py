@@ -23,10 +23,12 @@ alternating projection (on 8x4 and on the three shape groups of
 every polar factor to the SVD) and a 6-sparse prior in a random
 orthonormal dictionary (RRR), a SHA-256 of 200 Haar draws per action,
 and a SHA-256 of the observations ``sample_observations`` draws on a few
-full and cyclic actions.  Those cross every chunk boundary of the
-sampler: 10,001 full-ambiguity draws cross the chunks of ``haar_chunks``
-and the noise blocks, and cyclic:16 x 20,000 and cyclic:7:complex x
-30,000 cross the noise blocks of a real and a complex cyclic draw.
+full and cyclic actions (the full ones on ``8x4,3x2`` and on a tall, a
+square and a wide block, ``4x2,3x3,1x2``).  Those cross every chunk
+boundary of the sampler: 10,001 full-ambiguity draws cross the chunks of
+``haar_chunks`` and the noise blocks, and cyclic:16 x 20,000 and
+cyclic:7:complex x 30,000 cross the noise blocks of a real and a complex
+cyclic draw.
 ``cyclic_sha256.txt`` holds a SHA-256 of ``decompose_cyclic`` and
 ``reconstruct_cyclic`` per N = 1..17, 64 and 1024, real and complex, on
 a Gaussian signal and on that signal times 0.0 (signed zeros).
@@ -67,6 +69,7 @@ from gramphase.moments import gram_tuple, sample_observations
 from gramphase.priors import SparsityPrior, random_subspace_prior
 
 COMPLEX = "8x4,3x2:complex"
+MIXED = "4x2,3x3,1x2"  # a tall, a square and a wide block
 
 
 def _config(experiment, out, structure="8x4", **kwargs):
@@ -257,6 +260,9 @@ def main(out: Path) -> None:
     for name, action, n in (
         ("full 8x4,3x2", blocks.full_ambiguity_action(parse_structure("8x4,3x2")), 10_001),
         ("full 8x4,3x2:complex", blocks.full_ambiguity_action(parse_structure(COMPLEX)), 10_001),
+        ("full 4x2,3x3,1x2", blocks.full_ambiguity_action(parse_structure(MIXED)), 10_001),
+        ("full 4x2,3x3,1x2:complex",
+         blocks.full_ambiguity_action(parse_structure(f"{MIXED}:complex")), 10_001),
         ("cyclic:16", blocks.cyclic_action(16), 2000),
         ("cyclic:1024", blocks.cyclic_action(1024), 10),
         ("cyclic:7:complex", blocks.cyclic_action(7, "complex"), 500),

@@ -6,7 +6,11 @@
 On ``8x4,3x2``, real and complex, it times ``sample_observations`` of
 100,000 full-ambiguity observations (sigma 0.1) and ``haar_stack(8,
 100_000)``, each with ``blocks._workers`` patched to 1 and to 2, in
-milliseconds per call: the best of several calls in a round.  Each case
+milliseconds per call: the best of several calls in a round.  The
+``sample square`` case draws as many real observations on the square
+blocks ``8x8,3x3``, whose draws use every reflector: a control that a
+change to the tall blocks' draws leaves alone, so that the machine's
+drift between the sides can be read off it.  Each case
 also reports its tracemalloc peak over the output's bytes, from one
 further call at two workers (the traced call is not timed).
 
@@ -25,7 +29,8 @@ import _rounds
 
 COUNT = 100_000
 CALLS = 5
-CASES = ("sample real", "sample complex", "haar_stack real", "haar_stack complex")
+CASES = ("sample real", "sample complex", "sample square", "haar_stack real",
+         "haar_stack complex")
 
 
 def _calls():
@@ -43,6 +48,11 @@ def _calls():
             lambda x=x, action=action: sample_observations(x, action, 0.1, COUNT, 7).observations)
         calls[f"haar_stack {field}"] = (
             lambda field=field: blocks.haar_stack(8, COUNT, field, np.random.default_rng(7)))
+    s = RepresentationStructure(((8, 8), (3, 3)))
+    x = random_signal(s, np.random.default_rng(2026))
+    action = full_ambiguity_action(s)
+    calls["sample square"] = (
+        lambda: sample_observations(x, action, 0.1, COUNT, 7).observations)
     return calls
 
 
@@ -87,7 +97,8 @@ def main():
         print(json.dumps(measure()))
         return
     stats = _rounds.run(__file__, [], args.rounds, args.parent)
-    print(f"{COUNT} draws on 8x4,3x2 (haar_stack: 8x8), ms per call (best of {CALLS}) "
+    print(f"{COUNT} draws on 8x4,3x2 (square: 8x8,3x3; haar_stack: 8x8), "
+          f"ms per call (best of {CALLS}) "
           f"and traced peak over the output, median [q1, q3] of {args.rounds} rounds")
     print(f"{'case':<20}{'side':<8}{'1 worker':>24}{'2 workers':>24}{'peak/out':>24}")
     for case in CASES:

@@ -18,7 +18,8 @@ between ambient vectors and block matrices go through ``block_stacks``
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
 ``haar_chunks`` splits Haar draws into chunks of Gaussians and
 ``haar_rotate`` applies each chunk's Householder reflectors to a block
-matrix (the sampler's rotations) or to the identity (``haar_stack``),
+matrix (the sampler's rotations; a tall block takes only the reflectors
+it uses, applied to the R of its QR) or to the identity (``haar_stack``),
 ``cyclic_shift_stack`` builds shift elements, and the validated single
 elements of ``haar_sample`` / ``cyclic_shift_element`` are their one-row
 cases.  Every random array follows the one stream rule of ``_gaussian``,
@@ -479,13 +480,28 @@ def _block_arrays(arrays, structure: RepresentationStructure, shapes, what: str)
     return mats
 
 
+def _refuse_non_finite(structure: RepresentationStructure, mats) -> None:
+    """Refuse a signal's block matrices if any holds a NaN or an infinity,
+    naming the first such block: one ``isfinite`` per shape group, so
+    that many blocks of one shape cost one call."""
+    bad = []
+    for _, idx in structure.shape_groups:
+        finite = np.isfinite(np.array([mats[l] for l in idx]))
+        if not finite.all():
+            bad.append(idx[np.argmin(finite.all(axis=(1, 2)))])
+    if bad:
+        raise ValueError(f"block {min(bad)}: the signal must be finite, "
+                         "got a NaN or an infinity")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockSignal:
     """A signal as the tuple of per-block coefficient matrices.
 
     ``matrices[l]`` has shape ``(n_l, r_l)``; column ``i`` is the
-    component in the ``i``-th multiplicity copy of block ``l``.
-    Treated as immutable after construction.
+    component in the ``i``-th multiplicity copy of block ``l``.  A block
+    with a NaN or an infinity is refused by its index.  Treated as
+    immutable after construction.
     """
 
     structure: RepresentationStructure
@@ -493,7 +509,9 @@ class BlockSignal:
 
     def __post_init__(self):
         s = self.structure
-        object.__setattr__(self, "matrices", _block_arrays(self.matrices, s, s.blocks, "block"))
+        mats = _block_arrays(self.matrices, s, s.blocks, "block")
+        _refuse_non_finite(s, mats)
+        object.__setattr__(self, "matrices", mats)
 
     def norm(self) -> float:
         """Euclidean norm of the ambient vector (= total Frobenius norm)."""
@@ -845,20 +863,24 @@ def haar_chunks(n: int, count: int, width: int, field: str) -> list[tuple]:
     stop, shape)`` per chunk, whose draws ``start`` to ``stop`` take their
     Gaussians from one ``rng.standard_normal(shape)``.
 
-    Draw ``t`` takes one ``_gaussian(rng, n * (n + 1) // 2, field)``: the
-    vectors of lengths ``n, n - 1, ..., 1`` of its reflectors, one after
-    the other.  So ``shape`` is ``(T, K)`` on the real field and ``(T, 2,
-    K)``, each draw's real parts then its imaginary parts, on the complex
-    field.  A chunk's Gaussians fill at most CHUNK_ENTRIES, as a noise
-    block does, and its Gaussians and output entries, ``P K + n * width``
-    per draw (``P`` = 1 real, 2 complex), at most twice that.  Once the
-    draws are made ahead (:func:`_draw_ahead`), numpy's cost per call of
-    the kernel sets the speed, and larger chunks make fewer calls; the
-    Gaussians' cap keeps the ring of drawn chunks, and the kernel's work
-    arrays, which grow like ``n**2`` per draw, within a few budgets for
-    large blocks.
+    Draw ``t`` takes one ``_gaussian(rng, K, field)``: the vectors of
+    lengths ``n, n - 1, ..., n - c + 1`` of its reflectors, one after the
+    other, for the ``c = min(n, width)`` reflectors that a matrix of that
+    width uses (:func:`haar_rotate`).  A square or wide block, or the
+    identity, takes all ``n``, ``K = n (n + 1) / 2``; a tall block takes
+    ``K = c n - c (c - 1) / 2``: 26 for ``8x4``, 5 for ``3x2``.  So
+    ``shape`` is ``(T, K)`` on the real field and ``(T, 2, K)``, each
+    draw's real parts then its imaginary parts, on the complex field.  A
+    chunk's Gaussians fill at most CHUNK_ENTRIES, as a noise block does,
+    and its Gaussians and output entries, ``P K + n * width`` per draw
+    (``P`` = 1 real, 2 complex), at most twice that.  Once the draws are
+    made ahead (:func:`_draw_ahead`), numpy's cost per call of the kernel
+    sets the speed, and larger chunks make fewer calls; the Gaussians' cap
+    keeps the ring of drawn chunks, and the kernel's work arrays, which
+    grow like ``n**2`` per draw, within a few budgets for large blocks.
     """
-    k = n * (n + 1) // 2
+    c = min(n, width)
+    k = c * n - c * (c - 1) // 2
     shape = (k,) if field == "real" else (2, k)
     size = math.prod(shape)
     step = max(1, min(CHUNK_ENTRIES // size, 2 * CHUNK_ENTRIES // (size + n * width)))
@@ -867,11 +889,11 @@ def haar_chunks(n: int, count: int, width: int, field: str) -> list[tuple]:
 
 
 @functools.cache
-def _reflector_slots(n: int) -> np.ndarray:
-    """Where the first ``n - 1`` vectors of a draw go in the flat
-    ``(n - 1, n)`` reflector table: vector ``k``, of length ``n - k``, at
-    the start of row ``k``."""
-    return np.array([k * n + i for k in range(n - 1) for i in range(n - k)], dtype=np.intp)
+def _reflector_slots(n: int, c: int) -> np.ndarray:
+    """Where the first ``c`` vectors of a draw go in the flat ``(c, n)``
+    reflector table: vector ``k``, of length ``n - k``, at the start of
+    row ``k``."""
+    return np.array([k * n + i for k in range(c) for i in range(n - k)], dtype=np.intp)
 
 
 def _halving_sum(a: np.ndarray, m: int) -> None:
@@ -899,16 +921,17 @@ def _times(a: np.ndarray, b: np.ndarray, out=None, work=None) -> np.ndarray:
     return out
 
 
-def _reflectors(g: np.ndarray, n: int):
-    """``(v*, tau v, signs)`` of a chunk's draws from their Gaussians ``g``,
-    ``(P, K, T)`` planes (see :func:`haar_rotate`): ``v*`` (the planes of
-    the conjugate) and ``tau v`` are ``(P, n - 1, n, T)``, row ``k`` the
-    zero-padded vector of reflector ``k`` (``v[0] = 1``), and ``signs``
-    the ``(n - 1, T)`` signs of the betas."""
+def _reflectors(g: np.ndarray, n: int, c: int):
+    """``(v*, tau v, signs)`` of the first ``c`` reflectors of a chunk's
+    draws from their Gaussians ``g``, ``(P, K, T)`` planes (see
+    :func:`haar_rotate`): ``v*`` (the planes of the conjugate) and ``tau
+    v`` are ``(P, c, n, T)``, row ``k`` the zero-padded vector of reflector
+    ``k`` (``v[0] = 1``), and ``signs`` the ``(c, T)`` signs of the betas."""
     planes, _, t = g.shape
-    v = np.zeros((planes, (n - 1) * n, t))
-    v[:, _reflector_slots(n)] = g[:, :-1]
-    v = v.reshape(planes, n - 1, n, t)
+    slots = _reflector_slots(n, c)
+    v = np.zeros((planes, c * n, t))
+    v[:, slots] = g[:, : len(slots)]
+    v = v.reshape(planes, c, n, t)
     alpha = v[:, :, 0].copy()
     x = v[:, :, 1:]
     xnorm = x * x
@@ -951,10 +974,12 @@ def _reflectors(g: np.ndarray, n: int):
 
 
 def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
-    """Write ``Q_t @ m`` into ``out[t]`` for the Haar draw ``Q_t`` of each
-    draw's Gaussians ``g[t]`` from :func:`haar_chunks`; ``m`` is an
-    ``(n, r)`` matrix, or None for the identity, and ``out`` a
-    ``(T, n, r)`` array or view.
+    """Write ``Q_t @ m`` into ``out[t]``, or a draw of its law, for the Haar
+    draw ``Q_t`` of each draw's Gaussians ``g[t]`` from
+    :func:`haar_chunks`; ``m`` is an ``(n, r)`` matrix, None for the
+    identity, or for a tall block (``r < n``) the ``(r, r)`` upper
+    triangular ``R`` of a thin QR of the block, and ``out`` a ``(T, n, r)``
+    array or view.
 
     ``Q_t`` is Householder QR of a Gaussian matrix with the trailing
     update skipped (Stewart 1980).  Reflector ``k`` is built from vector
@@ -965,12 +990,22 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     invariance makes each updated trailing column of a Gaussian matrix
     again a fresh Gaussian vector, so the law is that of the sign-fixed
     QR, exactly Haar (Mezzadri 2007):
-    ``Q = H_1 ... H_{n-1} diag(sign beta_1, ..., sign beta_{n-1}, z/|z|)``,
-    with ``z`` the last, one-entry vector and 1 for the sign or phase
-    of 0.  The reflectors go straight onto ``diag(...) m``, the last
-    first, and no ``n x n`` matrix is formed for a given ``m``; on the
-    identity, each reflector skips the columns to its left, which are
-    zero where it acts.
+    ``Q = H_1 ... H_{n-1} D``, ``D = diag(sign beta_1, ..., sign
+    beta_{n-1}, z/|z|)``, with ``z`` the last, one-entry vector and 1 for
+    the sign or phase of 0.  The reflectors go straight onto ``D m``, the
+    last first, and no ``n x n`` matrix is formed for a given ``m``.
+
+    A tall block uses only its first ``r`` reflectors.  Let ``m = U R`` be
+    a thin QR, ``U`` with orthonormal columns.  Then ``Q m = (Q W) E R``,
+    with ``W`` any orthogonal (unitary) completion of ``U`` and ``E =
+    [I_r; 0]``, and ``Q W`` is Haar by invariance.  The first ``r`` columns
+    of Stewart's ``Q`` are ``H_1 ... H_r E D_r``, since ``H_k E = E`` for
+    ``k > r``.  So ``Q m`` has the law of ``H_1 ... H_r [D_r R; 0]``: the
+    draw holds only the first ``r`` vectors, of lengths ``n, ..., n - r +
+    1``, and no ``z``, and ``out[t]`` is that product.  Any ``R`` with
+    ``R* R = m* m`` gives the law.  On the identity and on ``[D_r R; 0]``,
+    both upper triangular, each reflector skips the columns to its left,
+    which are zero where it acts.
 
     Every work array holds its numbers as float64 planes, ``P = 1`` (real)
     or 2 (real and imaginary parts) on the first axis, and the draws on
@@ -981,43 +1016,47 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     t, n, r = out.shape
     g = g.reshape(t, -1, g.shape[-1]).transpose(1, 2, 0)  # (P, K, T)
     planes = len(g)
+    c = n if m is None else len(m)  # the draw's vectors: n, or r for an R
+    k = min(c, n - 1)  # its reflectors
     # the diagonal: the signs of the betas, then the sign or phase of z
-    diag = np.zeros((planes, n, t))
-    z = g[:, -1]
-    if planes == 2:
-        size = np.sqrt(z[0] * z[0] + z[1] * z[1])
-        zero = size == 0
-        size[zero] = 1.0
-        diag[0, -1] = np.where(zero, 1.0, z[0] / size)
-        np.divide(z[1], size, out=diag[1, -1])
-    else:
-        diag[0, -1] = np.where(z[0] < 0, -1.0, 1.0)
-    if n > 1:
-        v, tv, diag[0, :-1] = _reflectors(g, n)
+    diag = np.zeros((planes, c, t))
+    if c == n:
+        z = g[:, -1]
+        if planes == 2:
+            size = np.sqrt(z[0] * z[0] + z[1] * z[1])
+            zero = size == 0
+            size[zero] = 1.0
+            diag[0, -1] = np.where(zero, 1.0, z[0] / size)
+            np.divide(z[1], size, out=diag[1, -1])
+        else:
+            diag[0, -1] = np.where(z[0] < 0, -1.0, 1.0)
+    if k:
+        v, tv, diag[0, :k] = _reflectors(g, n, k)
     # y[:, j, i] holds entry (i, j) of the output matrices, the draws last
+    y = np.zeros((planes, r, n, t))
     if m is None:
-        y = np.zeros((planes, n, n, t))
         y.reshape(planes, n * n, t)[:, :: n + 1] = diag
     else:
         mt = np.stack([m.T.real, m.T.imag]) if planes == 2 else m.T[None]
-        y = _times(mt[..., None], diag[:, None])
+        _times(mt[..., None], diag[:, None], out=y[:, :, :c])
     dest = out[..., None].view(np.float64) if planes == 2 else out[..., None]
     dest = dest.transpose(3, 2, 1, 0)  # the planes of out, laid out as y
-    if n == 1:
+    if k == 0:
         dest[...] = y
         return
+    triangular = c < n or m is None
     b = np.empty_like(y)
     p = np.empty((2, *y.shape)) if planes == 2 else None
-    for k in range(n - 2, -1, -1):
-        mk = n - k
-        cols = slice(k if m is None else 0, None)
-        yk, bk, pk = y[:, cols, k:], b[:, cols, :mk], None if p is None else p[:, :, cols, :mk]
+    for j in range(k - 1, -1, -1):
+        mj = n - j
+        cols = slice(j if triangular else 0, None)
+        yj, bj, pj = y[:, cols, j:], b[:, cols, :mj], None if p is None else p[:, :, cols, :mj]
         # w = v* y, then y - (tau v) w; the first reflector, applied last,
         # writes the output
-        _times(v[:, None, k, :mk], yk, bk, pk)
-        _halving_sum(bk, mk)
-        _times(tv[:, None, k, :mk], bk[:, :, :1].copy(), bk, pk)
-        np.subtract(yk, bk, out=dest if k == 0 else yk)
+        _times(v[:, None, j, :mj], yj, bj, pj)
+        _halving_sum(bj, mj)
+        _times(tv[:, None, j, :mj], bj[:, :, :1].copy(), bj, pj)
+        np.subtract(yj, bj, out=dest if j == 0 else yj)
 
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:

@@ -18,7 +18,11 @@ by the Haar draws of :func:`~gramphase.blocks.haar_chunks`, one stream
 of draws block after block, in observation order: each chunk's
 Householder reflectors go straight onto the block matrix by
 :func:`~gramphase.blocks.haar_rotate`, written into the observation
-array, with no Haar matrix and no rotation product formed.  The noise
+array, with no Haar matrix and no rotation product formed.  A tall block
+(fewer columns than rows) is factored once per call, ``m = U R``, and
+only its first ``r`` reflectors go onto ``[R; 0]``: ``Q m`` has the law
+of ``Q [R; 0]``, so its draws take ``r n - r (r - 1) / 2`` Gaussians
+rather than ``n (n + 1) / 2`` (26 rather than 36 for ``8x4``).  The noise
 is then added in place in row blocks.  The Gaussians of both (a
 full-ambiguity action's Haar chunks, then the noise blocks of either
 action) come from one ``blocks._draw_ahead`` call: a pool thread draws
@@ -31,11 +35,11 @@ plus a few budgets: for a full-ambiguity action, the ring and one
 chunk's kernel work arrays, whichever the field; for a cyclic action,
 the ring, one row per distinct shift and the elements of one slice of
 shifts.  Neither the chunking nor the number of CPUs changes a bit:
-every observation is that of one unchunked draw, a full-ambiguity one is
-that of :func:`~gramphase.blocks.haar_sample` applied with
-:func:`~gramphase.blocks.apply` to rounding, and cyclic observations are
-bitwise those of one ``haar_sample`` per observation applied with
-``apply``, on the same random stream.  The Gram checks of
+every observation is that of one unchunked draw, a square or wide
+full-ambiguity block is that of :func:`~gramphase.blocks.haar_sample`
+applied with :func:`~gramphase.blocks.apply` to rounding, and cyclic
+observations are bitwise those of one ``haar_sample`` per observation
+applied with ``apply``, on the same random stream.  The Gram checks of
 :class:`GramTuple` and the PSD clamp of :func:`extract_gram` run once
 per block shape on stacked matrices.
 
@@ -64,6 +68,7 @@ from .blocks import (
     _field_array,
     _gram,
     _one_blas_thread,
+    _refuse_non_finite,
     _whole_number,
     # apply and haar_sample are no longer called here; bench/measure.py
     # still traces them under these names
@@ -215,13 +220,6 @@ def _noise_draws(obs: np.ndarray, sigma: float) -> list[tuple]:
             for i in range(0, len(part), rows)]
 
 
-def _refuse_non_finite(x: BlockSignal) -> None:
-    """Refuse a signal with a NaN or an infinity, naming its first such block."""
-    for l, m in enumerate(x.matrices):
-        if not np.isfinite(m).all():
-            raise ValueError(f"block {l}: the signal must be finite, got a NaN or an infinity")
-
-
 @_one_blas_thread
 def sample_observations(
     x: BlockSignal,
@@ -234,9 +232,14 @@ def sample_observations(
     ``N(0, sigma^2)`` noise per real coordinate (per real and imaginary
     part for the complex field).
 
-    A signal with a NaN or an infinity is refused by block, before any
-    Gaussian is drawn.  The Gaussians (a full-ambiguity action's Haar
-    chunks, then the noise blocks of either action) come from one
+    A signal with a NaN or an infinity, written into its arrays after it
+    was built, is refused by block, before any Gaussian is drawn.  A
+    full-ambiguity action rotates a square or wide block ``m`` by a Haar
+    draw ``Q``, and a tall one by the first ``r`` reflectors of a shorter
+    draw applied to ``[R; 0]``, ``R`` from one thin QR of ``m`` per call:
+    the same law (see :func:`~gramphase.blocks.haar_rotate`), from fewer
+    Gaussians.  The Gaussians (a full-ambiguity action's Haar chunks,
+    then the noise blocks of either action) come from one
     ``blocks._draw_ahead`` call, which makes them on a pool thread in
     stream order while this thread rotates and adds, so no bit depends on
     the CPU count."""
@@ -249,11 +252,13 @@ def sample_observations(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
     if action.kind == "full_ambiguity":
-        _refuse_non_finite(x)
+        _refuse_non_finite(s, x.matrices)
         # one stream of chunked Haar draws, block after block, each chunk's
         # reflectors applied to the block and written into its rows
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
         for (dim, r), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
+            if r < dim:  # a tall block: its R, rotated in law as the block
+                m = np.linalg.qr(m, mode="r")
             draws += [(shape, lambda g, m=m, y=y[i:j]: haar_rotate(g, m, y))
                       for i, j, shape in haar_chunks(dim, n, r, s.field)]
     else:
@@ -273,7 +278,7 @@ def sample_observations(
         # a non-finite block makes its shifted rows non-finite: one check
         # of the rows, where one per block cost 0.7 ms on cyclic:1024
         if not np.isfinite(rows).all():
-            _refuse_non_finite(x)
+            _refuse_non_finite(s, x.matrices)
         obs = rows[inverse]
     _draw_ahead(rng, draws + _noise_draws(obs, sigma))
     return MraSampleSet(s, obs, float(sigma), int(seed))

@@ -34,7 +34,8 @@ from gramphase import (
 )
 from gramphase import blocks, moments, serialize
 from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
-from tests._oracles import brute_dft, dense_householder_haar, mezzadri_haar
+from tests._oracles import (brute_dft, dense_householder_haar, mezzadri_haar,
+                            tall_householder_rotation)
 
 structures = st.builds(
     lambda blocks, field: RepresentationStructure(tuple(blocks), field),
@@ -388,20 +389,16 @@ class TestChunkMap:
         assert sorted(i for i, _ in ran) == list(range(20))
         assert any(t != threading.get_ident() for _, t in ran)
 
-    def test_a_map_inside_a_chunk_runs_inline_and_completes(self, workers):
+    def test_a_map_inside_a_chunk_runs_inline_and_completes(self, workers, join_or_dump):
         ran = [[] for _ in range(workers + 1)]
 
         def outer(i):
             _chunk_map(lambda j: ran[i].append((j, threading.get_ident())),
                        [(j,) for j in range(4)])
 
-        # run on a thread of its own so that a deadlock fails the test
-        # rather than hang it
         runner = threading.Thread(
             target=_chunk_map, args=(outer, [(i,) for i in range(workers + 1)]), daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
+        join_or_dump(runner)
         for inner in ran:
             assert [j for j, _ in inner] == list(range(4))
             assert len({t for _, t in inner}) == 1  # on the chunk's own thread
@@ -506,7 +503,8 @@ class TestDrawAhead:
         blocks._draw_ahead(rng, [((4,), use)] * 20)
         assert max(ahead) <= blocks.DRAWS_AHEAD
 
-    def test_one_draw_one_worker_or_a_pool_thread_runs_inline(self, workers, monkeypatch):
+    def test_one_draw_one_worker_or_a_pool_thread_runs_inline(self, workers, monkeypatch,
+                                                              join_or_dump):
         rng = _RecordingRng(0)
         with monkeypatch.context() as mp:
             mp.setattr(blocks, "_pool", None)  # a call that reached the pool would fail
@@ -515,8 +513,7 @@ class TestDrawAhead:
             blocks._draw_ahead(rng, [(shape, lambda g: None) for shape in SHAPES])
         assert rng.threads == [threading.get_ident()] * (1 + len(SHAPES))
         # a draw made on a pool thread runs there, rather than wait on a
-        # pool its caller fills; run on a thread of its own so that a
-        # deadlock fails the test rather than hang it
+        # pool its caller fills
         want = blocks.haar_stack(3, 30_000, "real", np.random.default_rng(1))
         got = [None] * (workers + 1)
 
@@ -525,9 +522,7 @@ class TestDrawAhead:
 
         runner = threading.Thread(
             target=_chunk_map, args=(stack, [(i,) for i in range(workers + 1)]), daemon=True)
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
+        join_or_dump(runner)
         assert all(np.array_equal(g, want) for g in got)
 
 
@@ -651,10 +646,12 @@ class TestOneBlasThread:
         assert seen == [1] and two_blas_threads() == 2
 
 
-def _draws(rng, n, count, field):
+def _draws(rng, n, count, field, width=None):
     """The Gaussians of ``count`` Haar draws of ``n x n`` matrices, as
-    :func:`blocks.haar_chunks` lays them out."""
-    k = n * (n + 1) // 2
+    :func:`blocks.haar_chunks` lays them out for blocks of ``width``
+    columns (all ``n`` vectors for the identity)."""
+    c = n if width is None else min(n, width)
+    k = sum(n - j for j in range(c))
     return rng.standard_normal((count, k) if field == "real" else (count, 2, k))
 
 
@@ -731,6 +728,37 @@ class TestHaarKernel:
         got = _rotate(g, n, field, m)
         want = _rotate(g, n, field) @ m
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(m)) * n
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 4), (6, 1), (8, 4)])
+    def test_a_tall_block_gets_its_first_reflectors_on_its_r(self, field, n, r):
+        """Short draws on a tall block's R are the per-draw oracle, on
+        random draws and on the crafted ones, cut to their first ``r``
+        vectors."""
+        rng = np.random.default_rng(10 * n + r)
+        k = sum(n - j for j in range(r))
+        g = np.concatenate([_draws(rng, n, 20, field, r), _crafted(n, field)[..., :k]])
+        m = rng.standard_normal((n, r))
+        if field == "complex":
+            m = m + 1j * rng.standard_normal((n, r))
+        got = _rotate(g, n, field, np.linalg.qr(m, mode="r"))
+        for y, draw in zip(got, g):
+            want = tall_householder_rotation(draw, m)
+            assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(m)) * n
+
+    def test_a_draw_holds_the_reflectors_its_block_uses(self):
+        """A tall block's draw holds the vectors of its first ``r``
+        reflectors; a square or wide block's, and the identity's, all
+        ``n (n + 1) / 2`` Gaussians."""
+
+        def per_draw(n, width, field):
+            return blocks.haar_chunks(n, 10, width, field)[0][2][1:]
+
+        assert per_draw(8, 4, "real") == (26,) and per_draw(3, 2, "real") == (5,)
+        assert per_draw(8, 4, "complex") == (2, 26) and per_draw(3, 2, "complex") == (2, 5)
+        for n, width in ((8, 8), (3, 3), (3, 5), (1, 1), (1, 2), (4, 9)):
+            assert per_draw(n, width, "real") == (n * (n + 1) // 2,)
+            assert per_draw(n, width, "complex") == (2, n * (n + 1) // 2)
 
 
 def _check_haar_moments(q, field):

@@ -535,6 +535,53 @@ class TestChunkMapDigests:
         assert got == CHUNK_MAP_DIGESTS
 
 
+# SHA-256 of each file scripts/reference_outputs.py writes for its two
+# full-ambiguity simulate runs, whose observations cross the Haar chunks
+SIMULATE_DIGESTS = {
+    "simulate_full_real/analytic_moment.csv":
+        "083ea8947e11fe1f8a79ff17a8a3a66c1d119323b11cfaf27fd0ea7fa7a07ae2",
+    "simulate_full_real/empirical_moment.csv":
+        "f059f99de6dd6273798e15fab74c57abfdee71e8601a0a7d81068ffb85eac39b",
+    "simulate_full_real/gram_estimated.json":
+        "a7b07e118426defdbf19b745fecd50f09b44a70a3832c197674c633f64186fcc",
+    "simulate_full_real/gram_true.json":
+        "8457bf62464036bf7c20809c733b5a31c9f41d6435ca98d5c589f111918b6d1e",
+    "simulate_full_real/samples.csv":
+        "dc23bbf42fabb7a8c6bbb9350f58a9033ea26951239d993de0a000e218139c2c",
+    "simulate_full_real/truth.json":
+        "2e728d0816d41a1b7c84bc9929b84b39c314977944c9f80cc3e368afd76e3c1b",
+    "simulate_full_complex/analytic_moment.csv":
+        "32e28634db8ac45983a13303fe67d09e27c4ad25a2c2fc6b06261bd5cf59c4fb",
+    "simulate_full_complex/empirical_moment.csv":
+        "37a6b76c19ba3a923a23b34eb029c0dd4df6d70e738d41e45f876ebf49974e1a",
+    "simulate_full_complex/gram_estimated.json":
+        "e1a0148a6d53b20cce1a3290e539219fd627023c08e17deac68cbb6b33272c5f",
+    "simulate_full_complex/gram_true.json":
+        "bfd5c2d4460bb50c52817aaf9e6a8b2f1816842c1d32688d25e608b7da423649",
+    "simulate_full_complex/samples.csv":
+        "9f65692d8cef06811d6e6799753d013e7abb599e2d468977f9780de84d785f40",
+    "simulate_full_complex/truth.json":
+        "8f69b6e46e5a85f855dcecd4b74e5b95dc068a7b3a688d8604433726dae7581d",
+}
+
+
+class TestSimulateDigests:
+    """The full-ambiguity simulate runs, pinned by digest at every worker
+    count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_reference_runs_keep_their_digests(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        for name, structure in (("full_real", "8x4,3x2,1x1"), ("full_complex", "8x4,3x2:complex")):
+            run_simulate(ExperimentConfig(
+                experiment="simulate", structure=parse_structure(structure),
+                out=str(tmp_path / f"simulate_{name}"), action="full", n_samples=500,
+                sigma=0.3, master_seed=1))
+        got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.rglob("*") if p.is_file()}
+        assert got == SIMULATE_DIGESTS
+
+
 def _write_instance(path):
     """Make an instance with the library and dump ``gram.json`` and
     ``prior.json`` into ``path``."""

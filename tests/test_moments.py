@@ -14,6 +14,7 @@ from gramphase import (
     apply,
     cyclic_action,
     cyclic_shift_element,
+    decompose,
     decompose_cyclic,
     empirical_second_moment,
     extract_gram,
@@ -27,7 +28,7 @@ from gramphase import (
 from gramphase import blocks, moments
 from gramphase.blocks import cyclic_shift_stack, haar_stack
 from gramphase.moments import MraSampleSet, _check_grams, clamp_psd
-from tests._oracles import cyclic_average_outer
+from tests._oracles import cyclic_average_outer, tall_householder_rotation
 
 
 def _noisy(rows, sigma, rng):
@@ -38,10 +39,13 @@ def _noisy(rows, sigma, rng):
     return rows + noise
 
 
-def _gaussians(rng, n, count, field):
+def _gaussians(rng, n, count, field, width=None):
     """The Gaussians of ``count`` Haar draws of ``n x n`` matrices as one
-    draw, laid out as ``blocks.haar_chunks`` yields them."""
-    k = n * (n + 1) // 2
+    draw, laid out as ``blocks.haar_chunks`` yields them for blocks of
+    ``width`` columns: the vectors of the first ``min(n, width)``
+    reflectors (all ``n`` for the identity)."""
+    c = n if width is None else min(n, width)
+    k = sum(n - j for j in range(c))
     return rng.standard_normal((count, k) if field == "real" else (count, 2, k))
 
 
@@ -54,11 +58,13 @@ def _unchunked_haar_stack(n, count, field, rng):
 
 def _unchunked_rotations(x, n, rng):
     """``n`` rotated copies of ``x``, each block's by one
-    ``blocks.haar_rotate`` call over all ``n`` draws, blocks in order."""
+    ``blocks.haar_rotate`` call over all ``n`` draws, blocks in order; a
+    tall block's draws go onto the R of its QR."""
     s = x.structure
     rows = np.empty((n, s.ambient_dim), dtype=s.dtype)
-    for (dim, _), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
-        blocks.haar_rotate(_gaussians(rng, dim, n, s.field), m, y)
+    for (dim, r), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
+        m = np.linalg.qr(m, mode="r") if r < dim else m
+        blocks.haar_rotate(_gaussians(rng, dim, n, s.field, r), m, y)
     return rows
 
 
@@ -321,14 +327,21 @@ class TestSampling:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_full_ambiguity_draw_is_haar_sample_on_the_same_stream(self, field):
-        s = RepresentationStructure(((4, 2), (3, 3), (1, 2)), field)
+        """Square and wide blocks are ``haar_sample``'s draw times the
+        block; a tall block is the per-draw oracle on its short draw."""
+        s = RepresentationStructure(((4, 2), (3, 3), (1, 2), (5, 1)), field)
         action = full_ambiguity_action(s)
         x = random_signal(s, np.random.default_rng(2))
         for seed in range(5):
-            obs = sample_observations(x, action, 0.0, 1, seed).observations[0]
+            obs = sample_observations(x, action, 0.0, 1, seed).observations
             rng = np.random.default_rng(np.random.SeedSequence(seed))
-            ref = reconstruct(apply(haar_sample(action, rng), x))
-            assert np.max(np.abs(obs - ref)) <= 1e-14 * np.max(np.abs(ref))
+            for (n, r), y, m in zip(s.blocks, blocks.block_stacks(obs, s), x.matrices):
+                if r < n:
+                    want = tall_householder_rotation(_gaussians(rng, n, 1, field, r)[0], m)
+                else:
+                    one = full_ambiguity_action(RepresentationStructure(((n, r),), field))
+                    want = haar_sample(one, rng).blocks[0] @ m
+                assert np.max(np.abs(y[0] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize(
@@ -367,9 +380,11 @@ class TestSampling:
         monkeypatch.setattr(blocks, "_workers", lambda: workers)
         s = RepresentationStructure(((3, 2), (2, 1)), field)
         x = random_signal(s, np.random.default_rng(5))
-        # about two chunks of the 2x2 block, the larger count per chunk (a
-        # one-row tail at offset 1), and five of the 3x3 block
-        n = 2 * (blocks.CHUNK_ENTRIES // (3 + 2 * 1)) + offset
+        # two chunks of the real 2x1 block, whose draws take 2 Gaussians
+        # each (a one-row tail at offset 1), and more of the 3x2 block and
+        # of the complex blocks
+        n = 2 * (blocks.CHUNK_ENTRIES // 2) + offset
+        assert len(blocks.haar_chunks(2, n, 1, "real")) == 2 + (offset > 0)
         got = sample_observations(x, full_ambiguity_action(s), 0.1, n, seed=6).observations
         rng = np.random.default_rng(np.random.SeedSequence(6))
         rows = _unchunked_rotations(x, n, rng)
@@ -631,6 +646,50 @@ class TestExtractGram:
             extract_gram(np.eye(3), s)
 
 
+def _moments(rows, structure):
+    """``(name, mean, standard error)`` over ``(T, d)`` ambient rows: each
+    entry's mean, the ambient second moment ``E[y y*]`` and each block's
+    ``E |y_00|^4``, the errors from the rows' own spread."""
+    count = len(rows)
+    sq = np.abs(rows) ** 2
+    second = rows.T @ rows.conj() / count
+    fourth = sq[:, [sl.start for sl in structure.block_slices]] ** 2
+    return [
+        ("E y", rows.mean(axis=0), rows.std(axis=0) / np.sqrt(count)),
+        ("E y y*", second,
+         np.sqrt(np.maximum(sq.T @ sq / count - np.abs(second) ** 2, 0.0) / count)),
+        ("E |y_00|^4", fourth.mean(axis=0), fourth.std(axis=0) / np.sqrt(count)),
+    ]
+
+
+class TestTallBlockLaw:
+    """The noiseless Gram ``Y* Y = m* m`` holds for any orthogonal or
+    unitary ``Q``, so no Gram check sees a wrong law: the draws' moments
+    are checked here, against their exact values and against those of
+    ``haar_stack(n) @ m``, whose draws use every reflector."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_tall_draws_have_the_moments_of_a_haar_rotation(self, field):
+        s = RepresentationStructure(((8, 4), (3, 2), (4, 1), (2, 1)), field)
+        x = random_signal(s, np.random.default_rng(21))
+        count = 20_000
+        got = sample_observations(x, full_ambiguity_action(s), 0.0, count, 22).observations
+        rng = np.random.default_rng(23)
+        ref = np.concatenate([blocks.flat_block(haar_stack(n, count, field, rng) @ m)
+                              for (n, _), m in zip(s.blocks, x.matrices)], axis=1)
+        # E y = 0, E y y* = kron(G^T, I_n) / n per block, and the first
+        # entry of a Haar rotation of a column c has E |y|^4 = 3 |c|^4 /
+        # (n (n + 2)) (real) or 2 |c|^4 / (n (n + 1)) (complex)
+        tall = [np.linalg.norm(m[:, 0]) ** 4 / (n * (n + 2) if field == "real" else n * (n + 1))
+                for (n, _), m in zip(s.blocks, x.matrices)]
+        exact = [0.0, analytic_second_moment(x),
+                 np.array(tall) * (3.0 if field == "real" else 2.0)]
+        for (name, mean, error), (_, ref_mean, ref_error), want in zip(
+                _moments(got, s), _moments(ref, s), exact):
+            assert np.all(np.abs(mean - want) <= 6.0 * error + 1e-12), name
+            assert np.all(np.abs(mean - ref_mean) <= 6.0 * np.hypot(error, ref_error) + 1e-12), name
+
+
 def _structure(text):
     """``"8x4,3x2"`` or ``"8x4,3x2:complex"`` as a structure."""
     blocks_text, _, field = text.partition(":")
@@ -660,12 +719,17 @@ HAAR_DIGESTS = {
 
 # SHA-256 of the observations of sample_observations(x, action, 0.3, n,
 # 2026), x a random_signal of the seed 2026: full draws that cross the
-# Haar chunks and the noise blocks, cyclic ones that cross the noise blocks
+# Haar chunks and the noise blocks (on 8x4,3x2, and on a tall, a square
+# and a wide block), cyclic ones that cross the noise blocks
 OBSERVATION_DIGESTS = {
     ("full", "8x4,3x2", 10_001):
-        "4f8b52f997b942c93986c0e16737cb8f0bdfcb093962650b69b9e6ace6c78d31",
+        "4ffe8a675dcb835661376cacf143e28aaa18d57c40f37133aeecd0a71b789902",
     ("full", "8x4,3x2:complex", 10_001):
-        "d25941fbc87fce75c115c7fb755dfa943da74334de00de377f06266d8ccfaa15",
+        "3126ee06fc6654b1547eed707041298a8d44c7374bc12410466b524ca9e06b85",
+    ("full", "4x2,3x3,1x2", 10_001):
+        "76a8828518cbe5823e80ee21ad0fdfde14c6a99f98a5f57756b80c4263684ac3",
+    ("full", "4x2,3x3,1x2:complex", 10_001):
+        "48b749a3bff192a8457d82147667f79bfa45eb1cbcea1243393d4c77a4a18cbc",
     ("cyclic", 16, "real", 2000):
         "c1f723ad22d48d4790b7b3f8bcffea1bc427bcd6f0f6050ff44443443bdf9e70",
     ("cyclic", 1024, "real", 10):
@@ -795,6 +859,9 @@ class TestDrawThread:
 
 
 class TestFiniteSignal:
+    """A signal is refused by block when it is built with a NaN or an
+    infinity, and the sampler refuses one written into its arrays after."""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("kind", ["full", "cyclic"])
     def test_a_non_finite_signal_is_refused_by_block_before_any_gaussian(
@@ -802,17 +869,30 @@ class TestFiniteSignal:
         action = (full_ambiguity_action(_structure("8x4,3x2,1x1")) if kind == "full"
                   else cyclic_action(8))
         x = random_signal(action.structure, np.random.default_rng(0))
-        mats = list(x.matrices)
-        mats[1] = mats[1].copy()
-        mats[1][0, -1] = bad
-        x = BlockSignal(action.structure, tuple(mats))
+        x.matrices[1][0, -1] = bad  # written in place, after the signal was built
         monkeypatch.setattr(moments, "_draw_ahead", None)  # a Gaussian draw would fail
         with pytest.raises(ValueError, match="block 1: the signal must be finite"):
             sample_observations(x, action, 0.1, 10, 1)
 
     def test_a_complex_signal_with_a_nan_part_is_refused(self):
         s = _structure("3x2:complex")
-        m = np.ones((3, 2), complex)
-        m[2, 1] = complex(1.0, np.nan)
+        x = BlockSignal(s, (np.ones((3, 2), complex),))
+        x.matrices[0][2, 1] = complex(1.0, np.nan)
         with pytest.raises(ValueError, match="block 0: the signal must be finite"):
-            sample_observations(BlockSignal(s, (m,)), full_ambiguity_action(s), 0.1, 10, 1)
+            sample_observations(x, full_ambiguity_action(s), 0.1, 10, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("text, block", [
+        ("8x4,3x2,1x1", 1), ("8x4,3x2,8x4,1x1", 2), ("8x4,3x2,8x4,3x2", 3)])
+    def test_a_non_finite_block_is_refused_when_the_signal_is_built(self, text, block, bad):
+        """The first non-finite block is named, across shape groups; so
+        ``gram_tuple``, ``rho`` and ``solve_batch`` never see one."""
+        field = "complex" if isinstance(bad, complex) else "real"
+        s = _structure(f"{text}:{field}")
+        mats = [m.copy() for m in random_signal(s, np.random.default_rng(0)).matrices]
+        for l in range(block, s.num_blocks):  # this block and every later one
+            mats[l][-1, 0] = bad
+        with pytest.raises(ValueError, match=f"^block {block}: the signal must be finite"):
+            BlockSignal(s, mats)
+        with pytest.raises(ValueError, match=f"^block {block}: the signal must be finite"):
+            decompose(np.concatenate([m.T.ravel() for m in mats]), s)

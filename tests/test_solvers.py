@@ -584,7 +584,11 @@ class TestSolve:
     def test_nan_aborts_with_diagnostic(self):
         s = RepresentationStructure(((2, 1),))
         measured = gram_tuple(random_signal(s, np.random.default_rng(0)))
-        bad = decompose(np.array([np.nan, 1.0]), s)
+        with pytest.raises(ValueError, match="block 0: the signal must be finite"):
+            decompose(np.array([np.nan, 1.0]), s)
+        # a NaN written into a built signal reaches the iteration
+        bad = decompose(np.array([0.0, 1.0]), s)
+        bad.matrices[0][0, 0] = np.nan
         prior = LinearSubspacePrior(np.eye(2)[:, :1])
         with pytest.raises(FloatingPointError, match="iteration"):
             solve(measured, prior, SolverConfig(), init=bad)
@@ -645,8 +649,8 @@ class TestSolve:
         rng = np.random.default_rng(3)
         prior = random_subspace_prior(s, 3, rng)
         truth = decompose(prior.basis @ rng.standard_normal(3), s)
-        bad = reconstruct(random_signal(s, rng))
-        bad[5] = np.nan
+        bad = random_signal(s, rng)
+        bad.matrices[0][5, 0] = np.nan  # written after the signal was built
         handler = lambda err, flag: None  # noqa: E731
         with np.errstate(over="raise", under="warn", divide="ignore", call=handler):
             before = np.geterr(), np.geterrcall()
@@ -656,7 +660,7 @@ class TestSolve:
                 assert (np.geterr(), np.geterrcall()) == before
                 with pytest.raises(FloatingPointError, match="entering iteration 0"):
                     solve(gram_tuple(truth), prior, SolverConfig(algorithm=algorithm),
-                          init=decompose(bad, s))
+                          init=bad)
                 assert (np.geterr(), np.geterrcall()) == before
 
 
