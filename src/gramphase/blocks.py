@@ -1017,7 +1017,7 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     g = g.reshape(t, -1, g.shape[-1]).transpose(1, 2, 0)  # (P, K, T)
     planes = len(g)
     c = n if m is None else len(m)  # the draw's vectors: n, or r for an R
-    k = min(c, n - 1)  # its reflectors
+    count = min(c, n - 1)  # its reflectors
     # the diagonal: the signs of the betas, then the sign or phase of z
     diag = np.zeros((planes, c, t))
     if c == n:
@@ -1030,8 +1030,8 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
             np.divide(z[1], size, out=diag[1, -1])
         else:
             diag[0, -1] = np.where(z[0] < 0, -1.0, 1.0)
-    if k:
-        v, tv, diag[0, :k] = _reflectors(g, n, k)
+    if count:
+        v, tv, diag[0, :count] = _reflectors(g, n, count)
     # y[:, j, i] holds entry (i, j) of the output matrices, the draws last
     y = np.zeros((planes, r, n, t))
     if m is None:
@@ -1041,22 +1041,22 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
         _times(mt[..., None], diag[:, None], out=y[:, :, :c])
     dest = out[..., None].view(np.float64) if planes == 2 else out[..., None]
     dest = dest.transpose(3, 2, 1, 0)  # the planes of out, laid out as y
-    if k == 0:
+    if count == 0:
         dest[...] = y
         return
     triangular = c < n or m is None
     b = np.empty_like(y)
     p = np.empty((2, *y.shape)) if planes == 2 else None
-    for j in range(k - 1, -1, -1):
-        mj = n - j
-        cols = slice(j if triangular else 0, None)
-        yj, bj, pj = y[:, cols, j:], b[:, cols, :mj], None if p is None else p[:, :, cols, :mj]
+    for k in range(count - 1, -1, -1):
+        mk = n - k
+        cols = slice(k if triangular else 0, None)
+        yk, bk, pk = y[:, cols, k:], b[:, cols, :mk], None if p is None else p[:, :, cols, :mk]
         # w = v* y, then y - (tau v) w; the first reflector, applied last,
         # writes the output
-        _times(v[:, None, j, :mj], yj, bj, pj)
-        _halving_sum(bj, mj)
-        _times(tv[:, None, j, :mj], bj[:, :, :1].copy(), bj, pj)
-        np.subtract(yj, bj, out=dest if j == 0 else yj)
+        _times(v[:, None, k, :mk], yk, bk, pk)
+        _halving_sum(bk, mk)
+        _times(tv[:, None, k, :mk], bk[:, :, :1].copy(), bk, pk)
+        np.subtract(yk, bk, out=dest if k == 0 else yk)
 
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:

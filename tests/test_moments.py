@@ -687,7 +687,8 @@ class TestTallBlockLaw:
         for (name, mean, error), (_, ref_mean, ref_error), want in zip(
                 _moments(got, s), _moments(ref, s), exact):
             assert np.all(np.abs(mean - want) <= 6.0 * error + 1e-12), name
-            assert np.all(np.abs(mean - ref_mean) <= 6.0 * np.hypot(error, ref_error) + 1e-12), name
+            apart = 6.0 * np.hypot(error, ref_error) + 1e-12
+            assert np.all(np.abs(mean - ref_mean) <= apart), name
 
 
 def _structure(text):
