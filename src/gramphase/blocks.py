@@ -863,21 +863,22 @@ def haar_chunks(n: int, count: int, width: int, field: str) -> list[tuple]:
     stop, shape)`` per chunk, whose draws ``start`` to ``stop`` take their
     Gaussians from one ``rng.standard_normal(shape)``.
 
-    Draw ``t`` takes one ``_gaussian(rng, K, field)``: the vectors of
-    lengths ``n, n - 1, ..., n - c + 1`` of its reflectors, one after the
-    other, for the ``c = min(n, width)`` reflectors that a matrix of that
-    width uses (:func:`haar_rotate`).  A square or wide block, or the
-    identity, takes all ``n``, ``K = n (n + 1) / 2``; a tall block takes
-    ``K = c n - c (c - 1) / 2``: 26 for ``8x4``, 5 for ``3x2``.  So
-    ``shape`` is ``(T, K)`` on the real field and ``(T, 2, K)``, each
-    draw's real parts then its imaginary parts, on the complex field.  A
-    chunk's Gaussians fill at most CHUNK_ENTRIES, as a noise block does,
-    and its Gaussians and output entries, ``P K + n * width`` per draw
-    (``P`` = 1 real, 2 complex), at most twice that.  Once the draws are
-    made ahead (:func:`_draw_ahead`), numpy's cost per call of the kernel
-    sets the speed, and larger chunks make fewer calls; the Gaussians' cap
-    keeps the ring of drawn chunks, and the kernel's work arrays, which
-    grow like ``n**2`` per draw, within a few budgets for large blocks.
+    Draw ``t`` takes one ``_gaussian(rng, K, field)``: the first ``c =
+    min(n, width)`` vectors of Stewart's construction, of lengths ``n, n
+    - 1, ..., n - c + 1``, one after the other, as :func:`haar_rotate`
+    uses them.  A square or wide block, or the identity, takes all ``n``
+    (the ``n - 1`` reflectors and the one-entry ``z``), ``K = n (n + 1) /
+    2``; a tall block takes its ``r`` reflectors, ``K = r n - r (r - 1) /
+    2``: 26 for ``8x4``, 5 for ``3x2``.  So ``shape`` is ``(T, K)`` on the
+    real field and ``(T, 2, K)``, each draw's real parts then its
+    imaginary parts, on the complex field.  A chunk's Gaussians fill at
+    most CHUNK_ENTRIES, as a noise block does, and its Gaussians and
+    output entries, ``P K + n * width`` per draw (``P`` = 1 real, 2
+    complex), at most twice that.  Once the draws are made ahead
+    (:func:`_draw_ahead`), numpy's cost per call of the kernel sets the
+    speed, and larger chunks make fewer calls; the Gaussians' cap keeps
+    the ring of drawn chunks, and the kernel's work arrays, which grow
+    like ``n**2`` per draw, within a few budgets for large blocks.
     """
     c = min(n, width)
     k = c * n - c * (c - 1) // 2
