@@ -7,12 +7,15 @@ On ``8x4,3x2``, real and complex, it times ``sample_observations`` of
 100,000 full-ambiguity observations (sigma 0.1) and ``haar_stack(8,
 100_000)``, each with ``blocks._workers`` patched to 1 and to 2, in
 milliseconds per call: the best of several calls in a round.  The
-``sample square`` case draws as many real observations on the square
-blocks ``8x8,3x3``, whose draws use every reflector: a control that a
-change to the tall blocks' draws leaves alone, so that the machine's
-drift between the sides can be read off it.  Each case
-also reports its tracemalloc peak over the output's bytes, from one
-further call at two workers (the traced call is not timed).
+``sample square`` and ``sample wide`` cases draw as many real
+observations on the square blocks ``8x8,3x3`` and on the wide blocks
+``2x6,1x3``, whose draws use every reflector, on the R of one QR per
+block and call since every block takes that path.  The tall ``sample
+real`` and ``sample complex`` cases took that path before, with the
+same bits, so they are the controls for a change to the square and wide
+blocks: the machine's drift between the sides can be read off them.
+Each case also reports its tracemalloc peak over the output's bytes,
+from one further call at two workers (the traced call is not timed).
 
 ``--parent DIR`` repeats everything with ``DIR/src`` on the path,
 alternating with this checkout round by round, and prints the two side
@@ -29,7 +32,7 @@ import _rounds
 
 COUNT = 100_000
 CALLS = 5
-CASES = ("sample real", "sample complex", "sample square", "haar_stack real",
+CASES = ("sample real", "sample complex", "sample square", "sample wide", "haar_stack real",
          "haar_stack complex")
 
 
@@ -48,11 +51,12 @@ def _calls():
             lambda x=x, action=action: sample_observations(x, action, 0.1, COUNT, 7).observations)
         calls[f"haar_stack {field}"] = (
             lambda field=field: blocks.haar_stack(8, COUNT, field, np.random.default_rng(7)))
-    s = RepresentationStructure(((8, 8), (3, 3)))
-    x = random_signal(s, np.random.default_rng(2026))
-    action = full_ambiguity_action(s)
-    calls["sample square"] = (
-        lambda: sample_observations(x, action, 0.1, COUNT, 7).observations)
+    for case, shapes in (("square", ((8, 8), (3, 3))), ("wide", ((2, 6), (1, 3)))):
+        s = RepresentationStructure(shapes)
+        x = random_signal(s, np.random.default_rng(2026))
+        action = full_ambiguity_action(s)
+        calls[f"sample {case}"] = (lambda x=x, action=action:
+                                   sample_observations(x, action, 0.1, COUNT, 7).observations)
     return calls
 
 
@@ -97,7 +101,7 @@ def main():
         print(json.dumps(measure()))
         return
     stats = _rounds.run(__file__, [], args.rounds, args.parent)
-    print(f"{COUNT} draws on 8x4,3x2 (square: 8x8,3x3; haar_stack: 8x8), "
+    print(f"{COUNT} draws on 8x4,3x2 (square: 8x8,3x3; wide: 2x6,1x3; haar_stack: 8x8), "
           f"ms per call (best of {CALLS}) "
           f"and traced peak over the output, median [q1, q3] of {args.rounds} rounds")
     print(f"{'case':<20}{'side':<8}{'1 worker':>24}{'2 workers':>24}{'peak/out':>24}")

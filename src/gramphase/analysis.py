@@ -71,7 +71,9 @@ from .blocks import (
 )
 from .moments import gram_tuple
 from .priors import LinearSubspacePrior
-from .solvers import _psd_root, _unit_vectors, matrix_sqrt_psd
+# matrix_sqrt_psd is no longer called here; bench/measure.py still traces
+# it under this name
+from .solvers import _psd_root, _unit_vectors, matrix_sqrt_psd  # noqa: F401
 
 __all__ = [
     "TransversalityReport",
@@ -134,8 +136,11 @@ def effective_dimension(structure: RepresentationStructure) -> tuple[int, int]:
 
 def sqrt_gram_map(x: BlockSignal) -> tuple[np.ndarray, ...]:
     """Blockwise PSD square root of the Gram tuple; invariant under the
-    ambiguity action."""
-    return tuple(matrix_sqrt_psd(g) for g in gram_tuple(x).grams)
+    ambiguity action.  The Grams of a :class:`~gramphase.moments.GramTuple`
+    were checked when it was built and cannot change, so each goes
+    straight to ``solvers._psd_root``, with the bits of
+    :func:`~gramphase.solvers.matrix_sqrt_psd`."""
+    return tuple(_psd_root(g)[0] for g in gram_tuple(x).grams)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ between ambient vectors and block matrices go through ``block_stacks``
 ``reconstruct`` on signals, so the bijection lives in one place.  Group
 elements likewise come in stacks, one ``(T, n_l, n_l)`` array per block:
 ``haar_chunks`` splits Haar draws into chunks of Gaussians and
-``haar_rotate`` applies each chunk's Householder reflectors to a block
-matrix (the sampler's rotations; a tall block takes only the reflectors
-it uses, applied to the R of its QR) or to the identity (``haar_stack``),
+``haar_rotate`` applies each chunk's Householder reflectors to one kind
+of matrix, the upper trapezoidal R of a QR: a block's (the sampler's
+rotations, a tall block taking only the reflectors it uses) or the
+identity (``haar_stack``),
 ``cyclic_shift_stack`` builds shift elements, and the validated single
 elements of ``haar_sample`` / ``cyclic_shift_element`` are their one-row
 cases.  Every random array follows the one stream rule of ``_gaussian``,
@@ -468,27 +469,38 @@ def _field_array(a, structure: RepresentationStructure) -> np.ndarray:
     return a.astype(structure.dtype, copy=False)
 
 
-def _block_arrays(arrays, structure: RepresentationStructure, shapes, what: str) -> tuple:
-    """One :func:`_field_array` per block, refused unless block ``l`` has
-    the shape ``shapes[l]``; ``what`` names the matrices in the errors."""
-    mats = tuple(_field_array(a, structure) for a in arrays)
+def _block_arrays(arrays, structure: RepresentationStructure, shapes, what: str):
+    """The blocks of ``arrays`` as :func:`_field_array` makes them, refused
+    unless block ``l`` has the shape ``shapes[l]``; ``what`` names the
+    matrices in the errors.
+
+    Returns ``(mats, stacks)``: each shape group of the structure copied
+    once into a read-only ``(G, ...)`` stack, in ``shape_groups`` order,
+    and the blocks as views of those stacks, so that nothing the caller
+    holds can change them."""
+    mats = [np.asarray(m) for m in arrays]
     if len(mats) != structure.num_blocks:
         raise StructureMismatch(f"expected {structure.num_blocks} {what} matrices, got {len(mats)}")
     for l, (m, shape) in enumerate(zip(mats, shapes)):
         if m.shape != shape:
             raise StructureMismatch(f"block {l}: expected {what} shape {shape}, got {m.shape}")
-    return mats
+    # a list of arrays stacks into a new array
+    stacks = [_field_array([mats[l] for l in idx.tolist()], structure)
+              for _, idx in structure.shape_groups]
+    views = [None] * len(mats)
+    for (_, idx), stack in zip(structure.shape_groups, stacks):
+        stack.flags.writeable = False
+        for l, view in zip(idx.tolist(), stack):
+            views[l] = view
+    return tuple(views), stacks
 
 
-def _refuse_non_finite(structure: RepresentationStructure, mats) -> None:
-    """Refuse a signal's block matrices if any holds a NaN or an infinity,
-    naming the first such block: one ``isfinite`` per shape group, so
-    that many blocks of one shape cost one call."""
-    bad = []
-    for _, idx in structure.shape_groups:
-        finite = np.isfinite(np.array([mats[l] for l in idx]))
-        if not finite.all():
-            bad.append(idx[np.argmin(finite.all(axis=(1, 2)))])
+def _refuse_non_finite(structure: RepresentationStructure, stacks) -> None:
+    """Refuse a signal's shape-group stacks (of :func:`_block_arrays`) if
+    any block holds a NaN or an infinity, naming the first such block: one
+    ``isfinite`` per shape group."""
+    bad = [idx[np.isfinite(g).all(axis=(1, 2)).argmin()]
+           for (_, idx), g in zip(structure.shape_groups, stacks) if not np.isfinite(g).all()]
     if bad:
         raise ValueError(f"block {min(bad)}: the signal must be finite, "
                          "got a NaN or an infinity")
@@ -500,8 +512,10 @@ class BlockSignal:
 
     ``matrices[l]`` has shape ``(n_l, r_l)``; column ``i`` is the
     component in the ``i``-th multiplicity copy of block ``l``.  A block
-    with a NaN or an infinity is refused by its index.  Treated as
-    immutable after construction.
+    with a NaN or an infinity is refused by its index.  The blocks are
+    copied once, by shape group, into read-only arrays, so the signal is
+    checked when it is built and cannot change after: writing into
+    ``matrices[l]`` raises ``ValueError``.
     """
 
     structure: RepresentationStructure
@@ -509,8 +523,8 @@ class BlockSignal:
 
     def __post_init__(self):
         s = self.structure
-        mats = _block_arrays(self.matrices, s, s.blocks, "block")
-        _refuse_non_finite(s, mats)
+        mats, stacks = _block_arrays(self.matrices, s, s.blocks, "block")
+        _refuse_non_finite(s, stacks)
         object.__setattr__(self, "matrices", mats)
 
     def norm(self) -> float:
@@ -859,9 +873,9 @@ def _check_orthonormal(b: np.ndarray, what: str) -> None:
 
 def haar_chunks(n: int, count: int, width: int, field: str) -> list[tuple]:
     """The chunks of ``count`` Haar draws of ``n x n`` matrices, for
-    :func:`haar_rotate` to apply to ``(n, width)`` matrices: ``(start,
-    stop, shape)`` per chunk, whose draws ``start`` to ``stop`` take their
-    Gaussians from one ``rng.standard_normal(shape)``.
+    :func:`haar_rotate` to apply to the ``R`` of ``(n, width)`` blocks:
+    ``(start, stop, shape)`` per chunk, whose draws ``start`` to ``stop``
+    take their Gaussians from one ``rng.standard_normal(shape)``.
 
     Draw ``t`` takes one ``_gaussian(rng, K, field)``: the first ``c =
     min(n, width)`` vectors of Stewart's construction, of lengths ``n, n
@@ -974,13 +988,13 @@ def _reflectors(g: np.ndarray, n: int, c: int):
     return v, tv, np.where(beta < 0, -1.0, 1.0)
 
 
-def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
-    """Write ``Q_t @ m`` into ``out[t]``, or a draw of its law, for the Haar
-    draw ``Q_t`` of each draw's Gaussians ``g[t]`` from
-    :func:`haar_chunks`; ``m`` is an ``(n, r)`` matrix, None for the
-    identity, or for a tall block (``r < n``) the ``(r, r)`` upper
-    triangular ``R`` of a thin QR of the block, and ``out`` a ``(T, n, r)``
-    array or view.
+def haar_rotate(g: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """Write a draw of the law of ``Q_t @ m`` into ``out[t]``, for the Haar
+    draw ``Q_t`` of each draw's Gaussians ``g[t]`` from :func:`haar_chunks`
+    and an ``(n, width)`` block ``m`` given by ``r``, the upper trapezoidal
+    ``(c, width)`` factor of a QR of ``m``, ``c = min(n, width)``; ``out``
+    is a ``(T, n, width)`` array or view.  For ``r`` the identity,
+    ``out[t]`` is ``Q_t`` itself.
 
     ``Q_t`` is Householder QR of a Gaussian matrix with the trailing
     update skipped (Stewart 1980).  Reflector ``k`` is built from vector
@@ -993,20 +1007,21 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     QR, exactly Haar (Mezzadri 2007):
     ``Q = H_1 ... H_{n-1} D``, ``D = diag(sign beta_1, ..., sign
     beta_{n-1}, z/|z|)``, with ``z`` the last, one-entry vector and 1 for
-    the sign or phase of 0.  The reflectors go straight onto ``D m``, the
-    last first, and no ``n x n`` matrix is formed for a given ``m``.
+    the sign or phase of 0.
 
-    A tall block uses only its first ``r`` reflectors.  Let ``m = U R`` be
-    a thin QR, ``U`` with orthonormal columns.  Then ``Q m = (Q W) E R``,
-    with ``W`` any orthogonal (unitary) completion of ``U`` and ``E =
-    [I_r; 0]``, and ``Q W`` is Haar by invariance.  The first ``r`` columns
-    of Stewart's ``Q`` are ``H_1 ... H_r E D_r``, since ``H_k E = E`` for
-    ``k > r``.  So ``Q m`` has the law of ``H_1 ... H_r [D_r R; 0]``: the
-    draw holds only the first ``r`` vectors, of lengths ``n, ..., n - r +
-    1``, and no ``z``, and ``out[t]`` is that product.  Any ``R`` with
-    ``R* R = m* m`` gives the law.  On the identity and on ``[D_r R; 0]``,
-    both upper triangular, each reflector skips the columns to its left,
-    which are zero where it acts.
+    Every block goes through its ``R``.  Let ``m = U R`` be a QR, ``U``
+    ``(n, c)`` with orthonormal columns.  Then ``Q m = (Q W) E R``, with
+    ``W`` any orthogonal (unitary) completion of ``U`` and ``E = [I_c;
+    0]``, and ``Q W`` is Haar by invariance.  For ``c < n`` the first ``c``
+    columns of Stewart's ``Q`` are ``H_1 ... H_c E D_c``, since ``H_k E =
+    E`` for ``k > c``.  So ``Q m`` has the law of ``H_1 ... H_c [D_c R;
+    0]`` (of ``Q R`` for ``c = n``): the draw holds only the first ``c``
+    vectors, of lengths ``n, ..., n - c + 1``, with ``z`` only when ``c =
+    n``, and ``out[t]`` is that product.  Any ``R`` with ``R* R = m* m``
+    gives the law.  The reflectors go onto ``D_c R``, the last first, and
+    no ``n x n`` matrix is formed; as it is upper trapezoidal, each
+    reflector skips the columns to its left, which are zero where it
+    acts.
 
     Every work array holds its numbers as float64 planes, ``P = 1`` (real)
     or 2 (real and imaginary parts) on the first axis, and the draws on
@@ -1014,10 +1029,10 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     float64 ufunc, and the sums over a vector are :func:`_halving_sum`, so
     each draw's bits do not depend on the chunk it sits in.
     """
-    t, n, r = out.shape
+    t, n, width = out.shape
     g = g.reshape(t, -1, g.shape[-1]).transpose(1, 2, 0)  # (P, K, T)
     planes = len(g)
-    c = n if m is None else len(m)  # the draw's vectors: n, or r for an R
+    c = len(r)  # the draw's vectors
     count = min(c, n - 1)  # its reflectors
     # the diagonal: the signs of the betas, then the sign or phase of z
     diag = np.zeros((planes, c, t))
@@ -1034,24 +1049,19 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
     if count:
         v, tv, diag[0, :count] = _reflectors(g, n, count)
     # y[:, j, i] holds entry (i, j) of the output matrices, the draws last
-    y = np.zeros((planes, r, n, t))
-    if m is None:
-        y.reshape(planes, n * n, t)[:, :: n + 1] = diag
-    else:
-        mt = np.stack([m.T.real, m.T.imag]) if planes == 2 else m.T[None]
-        _times(mt[..., None], diag[:, None], out=y[:, :, :c])
+    y = np.zeros((planes, width, n, t))
+    rt = np.stack([r.T.real, r.T.imag]) if planes == 2 else r.T[None]
+    _times(rt[..., None], diag[:, None], out=y[:, :, :c])
     dest = out[..., None].view(np.float64) if planes == 2 else out[..., None]
     dest = dest.transpose(3, 2, 1, 0)  # the planes of out, laid out as y
     if count == 0:
         dest[...] = y
         return
-    triangular = c < n or m is None
     b = np.empty_like(y)
     p = np.empty((2, *y.shape)) if planes == 2 else None
     for k in range(count - 1, -1, -1):
         mk = n - k
-        cols = slice(k if triangular else 0, None)
-        yk, bk, pk = y[:, cols, k:], b[:, cols, :mk], None if p is None else p[:, :, cols, :mk]
+        yk, bk, pk = y[:, k:, k:], b[:, k:, :mk], None if p is None else p[:, :, k:, :mk]
         # w = v* y, then y - (tau v) w; the first reflector, applied last,
         # writes the output
         _times(v[:, None, k, :mk], yk, bk, pk)
@@ -1062,11 +1072,11 @@ def haar_rotate(g: np.ndarray, m: np.ndarray | None, out: np.ndarray) -> None:
 
 def haar_stack(n: int, count: int, field: str, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar draws as one ``(count, n, n)`` stack: the reflectors
-    of :func:`haar_chunks` applied to the identity by :func:`haar_rotate`,
-    chunk by chunk, with each chunk's Gaussians drawn ahead by
-    :func:`_draw_ahead`."""
+    of :func:`haar_chunks` applied by :func:`haar_rotate` to the identity,
+    as the ``R`` of a square block, chunk by chunk, with each chunk's
+    Gaussians drawn ahead by :func:`_draw_ahead`."""
     out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
-    _draw_ahead(rng, [(shape, lambda g, y=out[i:j]: haar_rotate(g, None, y))
+    _draw_ahead(rng, [(shape, lambda g, y=out[i:j]: haar_rotate(g, np.eye(n), y))
                       for i, j, shape in haar_chunks(n, count, n, field)])
     return out
 

@@ -15,15 +15,15 @@ distinct shift with the stacked elements of
 most ``CHUNK_ENTRIES // d`` shifts, and gathers the rows into observation
 order; a full-ambiguity action rotates each block of every observation
 by the Haar draws of :func:`~gramphase.blocks.haar_chunks`, one stream
-of draws block after block, in observation order: each chunk's
-Householder reflectors go straight onto the block matrix by
+of draws block after block, in observation order.  Every block takes
+one path: it is factored once per call, ``m = U R``, and each chunk's
+Householder reflectors go straight onto its ``R`` by
 :func:`~gramphase.blocks.haar_rotate`, written into the observation
-array, with no Haar matrix and no rotation product formed.  A tall block
-(fewer columns than rows) is factored once per call, ``m = U R``, and
-only its first ``r`` reflectors go onto ``[R; 0]``: ``Q m`` has the law
-of ``Q [R; 0]``, so its draws take ``r n - r (r - 1) / 2`` Gaussians
-rather than ``n (n + 1) / 2`` (26 rather than 36 for ``8x4``).  The noise
-is then added in place in row blocks.  The Gaussians of both (a
+array, with no Haar matrix and no rotation product formed.  ``Q m`` has
+the law of ``Q [R; 0]``, so a block's draws hold only the reflectors its
+``R`` uses: ``r n - r (r - 1) / 2`` Gaussians for a tall block (26 rather
+than 36 for ``8x4``), ``n (n + 1) / 2`` for a square or wide one.  The
+noise is then added in place in row blocks.  The Gaussians of both (a
 full-ambiguity action's Haar chunks, then the noise blocks of either
 action) come from one ``blocks._draw_ahead`` call: a pool thread draws
 them in stream order into a small ring of buffers, ahead of the
@@ -35,11 +35,12 @@ plus a few budgets: for a full-ambiguity action, the ring and one
 chunk's kernel work arrays, whichever the field; for a cyclic action,
 the ring, one row per distinct shift and the elements of one slice of
 shifts.  Neither the chunking nor the number of CPUs changes a bit:
-every observation is that of one unchunked draw, a square or wide
-full-ambiguity block is that of :func:`~gramphase.blocks.haar_sample`
-applied with :func:`~gramphase.blocks.apply` to rounding, and cyclic
-observations are bitwise those of one ``haar_sample`` per observation
-applied with ``apply``, on the same random stream.  The Gram checks of
+every observation is that of one unchunked draw, a full-ambiguity one
+has the law of :func:`~gramphase.blocks.haar_sample` applied with
+:func:`~gramphase.blocks.apply`, and cyclic observations are bitwise
+those of one ``haar_sample`` per observation applied with ``apply``, on
+the same random stream.  A signal is checked when it is built and cannot
+change after, so the sampler checks nothing again.  The Gram checks of
 :class:`GramTuple` and the PSD clamp of :func:`extract_gram` run once
 per block shape on stacked matrices.
 
@@ -68,7 +69,6 @@ from .blocks import (
     _field_array,
     _gram,
     _one_blas_thread,
-    _refuse_non_finite,
     _whole_number,
     # apply and haar_sample are no longer called here; bench/measure.py
     # still traces them under these names
@@ -100,15 +100,19 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class GramTuple:
-    """The tuple of ``r_l x r_l`` Hermitian PSD Gram matrices, one per block."""
+    """The tuple of ``r_l x r_l`` Hermitian PSD Gram matrices, one per block.
+
+    The Grams are copied once, by shape group, into read-only arrays and
+    checked there, so a Gram tuple cannot change after it is built:
+    writing into ``grams[l]`` raises ``ValueError``."""
 
     structure: RepresentationStructure
     grams: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         s = self.structure
-        mats = _block_arrays(self.grams, s, [(r, r) for _, r in s.blocks], "Gram")
-        _check_grams(s, [np.stack([mats[l] for l in idx])[None] for _, idx in s.shape_groups])
+        mats, stacks = _block_arrays(self.grams, s, [(r, r) for _, r in s.blocks], "Gram")
+        _check_grams(s, [g[None] for g in stacks])
         object.__setattr__(self, "grams", mats)
 
 
@@ -232,12 +236,10 @@ def sample_observations(
     ``N(0, sigma^2)`` noise per real coordinate (per real and imaginary
     part for the complex field).
 
-    A signal with a NaN or an infinity, written into its arrays after it
-    was built, is refused by block, before any Gaussian is drawn.  A
-    full-ambiguity action rotates a square or wide block ``m`` by a Haar
-    draw ``Q``, and a tall one by the first ``r`` reflectors of a shorter
-    draw applied to ``[R; 0]``, ``R`` from one thin QR of ``m`` per call:
-    the same law (see :func:`~gramphase.blocks.haar_rotate`), from fewer
+    A full-ambiguity action rotates every block ``m`` through its ``R``,
+    from one QR of ``m`` per call: the reflectors of a Haar draw ``Q``
+    that ``R`` uses, applied to ``[R; 0]``, give the law of ``Q m`` (see
+    :func:`~gramphase.blocks.haar_rotate`), a tall block's from fewer
     Gaussians.  The Gaussians (a full-ambiguity action's Haar chunks,
     then the noise blocks of either action) come from one
     ``blocks._draw_ahead`` call, which makes them on a pool thread in
@@ -252,33 +254,26 @@ def sample_observations(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = []
     if action.kind == "full_ambiguity":
-        _refuse_non_finite(s, x.matrices)
         # one stream of chunked Haar draws, block after block, each chunk's
-        # reflectors applied to the block and written into its rows
+        # reflectors applied to the block's R and written into its rows
         obs = np.empty((n, s.ambient_dim), dtype=s.dtype)
-        for (dim, r), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
-            if r < dim:  # a tall block: its R, rotated in law as the block
-                m = np.linalg.qr(m, mode="r")
-            draws += [(shape, lambda g, m=m, y=y[i:j]: haar_rotate(g, m, y))
-                      for i, j, shape in haar_chunks(dim, n, r, s.field)]
+        for (dim, width), y, m in zip(s.blocks, block_stacks(obs, s), x.matrices):
+            r = np.linalg.qr(m, mode="r")
+            draws += [(shape, lambda g, r=r, y=y[i:j]: haar_rotate(g, r, y))
+                      for i, j, shape in haar_chunks(dim, n, width, s.field)]
     else:
         # one shifted copy per distinct shift, built over slices of the
         # shifts and gathered into observation order
         shifts, inverse = np.unique(rng.integers(action.cyclic_n, size=n), return_inverse=True)
         rows = np.empty((len(shifts), s.ambient_dim), dtype=s.dtype)
         step = max(1, CHUNK_ENTRIES // s.ambient_dim)
-        with np.errstate(invalid="ignore"):  # the rows of a non-finite signal are refused
-            for i in range(0, len(shifts), step):
-                for d, y, m in zip(
-                    cyclic_shift_stack(action, shifts[i : i + step]),
-                    block_stacks(rows[i : i + step], s),
-                    x.matrices,
-                ):
-                    np.matmul(d, m, out=y)
-        # a non-finite block makes its shifted rows non-finite: one check
-        # of the rows, where one per block cost 0.7 ms on cyclic:1024
-        if not np.isfinite(rows).all():
-            _refuse_non_finite(s, x.matrices)
+        for i in range(0, len(shifts), step):
+            for d, y, m in zip(
+                cyclic_shift_stack(action, shifts[i : i + step]),
+                block_stacks(rows[i : i + step], s),
+                x.matrices,
+            ):
+                np.matmul(d, m, out=y)
         obs = rows[inverse]
     _draw_ahead(rng, draws + _noise_draws(obs, sigma))
     return MraSampleSet(s, obs, float(sigma), int(seed))

@@ -256,39 +256,45 @@ def dense_householder_haar(g: np.ndarray, n: int) -> np.ndarray:
     return q * np.array(signs)
 
 
-def tall_householder_rotation(g: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """One draw of the law of ``Q m``, ``Q`` Haar, for a tall ``(n, r)``
-    block ``m`` (``r < n``), from the draw's Gaussians ``g`` (``(K,)`` real
-    parts, or ``(2, K)`` real then imaginary parts, ``K = sum_{k<r} (n -
-    k)``), written out with plain loops.
+def householder_rotation(g: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """One draw of the law of ``Q m``, ``Q`` Haar, for an ``(n, w)`` block
+    ``m``, from the draw's Gaussians ``g`` (``(K,)`` real parts, or ``(2,
+    K)`` real then imaginary parts, ``K = sum_{k<c} (n - k)``, ``c = min(n,
+    w)``), written out with plain loops.
 
-    The draw holds the first ``r`` vectors of Stewart's construction, of
-    lengths ``n, ..., n - r + 1``; vector ``k`` gives ``larfg``'s reflector
-    ``H_k`` (as in :func:`dense_householder_haar`) and the sign of its
-    beta.  The result is ``H_0 ... H_{r-1} [D R; 0]``, with ``D`` those
-    signs and ``R`` the triangular factor of ``np.linalg.qr(m)``, each
-    reflector ``y - tau v (v* y)`` applied entry by entry, the last first."""
-    n, r = m.shape
+    The draw holds the first ``c`` vectors of Stewart's construction, of
+    lengths ``n, ..., n - c + 1``.  Vector ``k < n - 1`` gives ``larfg``'s
+    reflector ``H_k`` (as in :func:`dense_householder_haar`) and the sign
+    of its beta; when ``c = n``, the last, one-entry vector ``z`` gives the
+    phase ``z / |z|`` (1 for 0).  The result is ``H_0 H_1 ... [D R; 0]``,
+    with ``D`` those signs and phases and ``R`` the upper trapezoidal
+    ``(c, w)`` factor of ``np.linalg.qr(m)``, each reflector ``y - tau v (v*
+    y)`` applied entry by entry, the last first."""
+    n, w = m.shape
     z = g if g.ndim == 1 else g[0] + 1j * g[1]
     rr = np.linalg.qr(m, mode="r")
-    y = np.zeros((n, r), dtype=np.result_type(z, rr))
+    y = np.zeros((n, w), dtype=np.result_type(z, rr))
     reflectors, start = [], 0
-    for k in range(r):
+    for k in range(min(n, w)):
         alpha, x = z[start], z[start + 1 : start + n - k]
         start += n - k
-        xnorm = math.sqrt(sum(abs(e) ** 2 for e in x))
-        if xnorm == 0 and np.imag(alpha) == 0:
-            beta, tau, v = np.real(alpha), 0.0, [1.0] + [0.0] * (n - k - 1)
+        if k == n - 1:  # z
+            sign = alpha / abs(alpha) if alpha != 0 else 1.0
         else:
-            beta = -math.copysign(math.sqrt(abs(alpha) ** 2 + xnorm**2), np.real(alpha))
-            tau = (beta - alpha) / beta
-            v = [1.0] + [e / (alpha - beta) for e in x]
-        reflectors.append((k, tau, v))
-        for j in range(r):
-            y[k, j] = (-1.0 if beta < 0 else 1.0) * rr[k, j]
+            xnorm = math.sqrt(sum(abs(e) ** 2 for e in x))
+            if xnorm == 0 and np.imag(alpha) == 0:
+                beta, tau, v = np.real(alpha), 0.0, [1.0] + [0.0] * (n - k - 1)
+            else:
+                beta = -math.copysign(math.sqrt(abs(alpha) ** 2 + xnorm**2), np.real(alpha))
+                tau = (beta - alpha) / beta
+                v = [1.0] + [e / (alpha - beta) for e in x]
+            reflectors.append((k, tau, v))
+            sign = -1.0 if beta < 0 else 1.0
+        for j in range(w):
+            y[k, j] = sign * rr[k, j]
     for k, tau, v in reversed(reflectors):
-        for j in range(r):
-            w = sum(np.conj(v[i]) * y[k + i, j] for i in range(n - k))
+        for j in range(w):
+            dot = sum(np.conj(v[i]) * y[k + i, j] for i in range(n - k))
             for i in range(n - k):
-                y[k + i, j] -= tau * v[i] * w
+                y[k + i, j] -= tau * v[i] * dot
     return y

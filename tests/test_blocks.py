@@ -34,8 +34,8 @@ from gramphase import (
 )
 from gramphase import blocks, moments, serialize
 from gramphase.blocks import _chunk_map, block_stacks, cyclic_shift_stack, flat_block
-from tests._oracles import (brute_dft, dense_householder_haar, mezzadri_haar,
-                            tall_householder_rotation)
+from tests._oracles import (brute_dft, dense_householder_haar, householder_rotation,
+                            mezzadri_haar)
 
 structures = st.builds(
     lambda blocks, field: RepresentationStructure(tuple(blocks), field),
@@ -635,9 +635,9 @@ class TestOneBlasThread:
                                                                monkeypatch):
         seen = []
 
-        def spy(g, m, out):
+        def spy(g, r, out):
             seen.append(two_blas_threads())
-            blocks.haar_rotate(g, m, out)
+            blocks.haar_rotate(g, r, out)
 
         monkeypatch.setattr(moments, "haar_rotate", spy)
         s = RepresentationStructure(((8, 4),))
@@ -655,12 +655,14 @@ def _draws(rng, n, count, field, width=None):
     return rng.standard_normal((count, k) if field == "real" else (count, 2, k))
 
 
-def _rotate(g, n, field, m=None):
-    """:func:`blocks.haar_rotate` of ``g`` into a new array: the Haar
-    matrices, or their products with ``m``."""
-    out = np.empty((len(g), n, n if m is None else m.shape[1]),
+def _rotate(g, n, field, r=None):
+    """:func:`blocks.haar_rotate` of ``g`` into a new array: on the identity
+    the Haar matrices, or on ``r``, a block's QR factor, the rotated
+    block."""
+    r = np.eye(n) if r is None else r
+    out = np.empty((len(g), n, r.shape[1]),
                    dtype=np.complex128 if field == "complex" else np.float64)
-    blocks.haar_rotate(g, m, out)
+    blocks.haar_rotate(g, r, out)
     return out
 
 
@@ -718,32 +720,38 @@ class TestHaarKernel:
         assert np.allclose(z.ravel(), [0.6 + 0.8j, -1j, 1.0], rtol=0, atol=1e-16)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (3, 2), (8, 4), (5, 9)])
+    @pytest.mark.parametrize("n, r", [(1, 3), (2, 1), (3, 2), (3, 3), (8, 4), (5, 9)])
     def test_a_block_gets_the_draw_times_the_block(self, field, n, r):
+        """On a block's R, ``(c, r)`` with ``c = min(n, r)``, a draw cut to
+        its first ``c`` vectors gives the first ``c`` columns of the whole
+        draw's Haar matrix times R."""
         rng = np.random.default_rng(10 * n + r)
         g = _draws(rng, n, 30, field)
         m = rng.standard_normal((n, r))
         if field == "complex":
             m = m + 1j * rng.standard_normal((n, r))
-        got = _rotate(g, n, field, m)
-        want = _rotate(g, n, field) @ m
+        rr = np.linalg.qr(m, mode="r")
+        c = len(rr)
+        got = _rotate(g[..., : sum(n - j for j in range(c))], n, field, rr)
+        want = _rotate(g, n, field)[..., :c] @ rr
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(m)) * n
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 4), (6, 1), (8, 4)])
-    def test_a_tall_block_gets_its_first_reflectors_on_its_r(self, field, n, r):
-        """Short draws on a tall block's R are the per-draw oracle, on
-        random draws and on the crafted ones, cut to their first ``r``
-        vectors."""
+    @pytest.mark.parametrize("n, r", [(2, 1), (3, 2), (5, 4), (6, 1), (8, 4), (1, 1),
+                                      (3, 3), (1, 3), (2, 5)])
+    def test_a_block_gets_its_first_reflectors_on_its_r(self, field, n, r):
+        """Draws on a block's R are the per-draw oracle, on random draws
+        and on the crafted ones, cut to their first ``min(n, r)`` vectors,
+        for tall, square and wide blocks."""
         rng = np.random.default_rng(10 * n + r)
-        k = sum(n - j for j in range(r))
+        k = sum(n - j for j in range(min(n, r)))
         g = np.concatenate([_draws(rng, n, 20, field, r), _crafted(n, field)[..., :k]])
         m = rng.standard_normal((n, r))
         if field == "complex":
             m = m + 1j * rng.standard_normal((n, r))
         got = _rotate(g, n, field, np.linalg.qr(m, mode="r"))
         for y, draw in zip(got, g):
-            want = tall_householder_rotation(draw, m)
+            want = householder_rotation(draw, m)
             assert np.max(np.abs(y - want)) <= 1e-14 * np.max(np.abs(m)) * n
 
     def test_a_draw_holds_the_reflectors_its_block_uses(self):

@@ -535,8 +535,9 @@ class TestChunkMapDigests:
         assert got == CHUNK_MAP_DIGESTS
 
 
-# SHA-256 of each file scripts/reference_outputs.py writes for its two
-# full-ambiguity simulate runs, whose observations cross the Haar chunks
+# SHA-256 of each file scripts/reference_outputs.py writes for its four
+# simulate runs: two full-ambiguity ones, whose observations cross the Haar
+# chunks, and two cyclic ones
 SIMULATE_DIGESTS = {
     "simulate_full_real/analytic_moment.csv":
         "083ea8947e11fe1f8a79ff17a8a3a66c1d119323b11cfaf27fd0ea7fa7a07ae2",
@@ -562,24 +563,154 @@ SIMULATE_DIGESTS = {
         "9f65692d8cef06811d6e6799753d013e7abb599e2d468977f9780de84d785f40",
     "simulate_full_complex/truth.json":
         "8f69b6e46e5a85f855dcecd4b74e5b95dc068a7b3a688d8604433726dae7581d",
+    "simulate_cyclic_real/analytic_moment.csv":
+        "dcc23a2165aff596eb29d50ac16065e8d845164577dec4f2ac5200f35a0b363c",
+    "simulate_cyclic_real/empirical_moment.csv":
+        "4cd275ea070eddbc5d38098fb914970615a96bd99b2235354e90974656878415",
+    "simulate_cyclic_real/gram_estimated.json":
+        "58f7c17a88e309e13fb0d18e1c8cd786f8c51a7739fe274a062a90ecfe06308b",
+    "simulate_cyclic_real/gram_true.json":
+        "3740940ff49d39ff4f8f6d5ef285d826329aea75f4ea14d89bc2a5dc3990e67e",
+    "simulate_cyclic_real/samples.csv":
+        "771b0c1ea6fa694fcdf9ec8705065ec23d49a7bc8eab8645285e1b4c7e2b1ce6",
+    "simulate_cyclic_real/truth.json":
+        "478b7ebce1dabe063eb747bdaafe8d7e34626c7b65efaf1b63d732fd310dbaa6",
+    "simulate_cyclic_complex/analytic_moment.csv":
+        "19bdb3a3be1950be91f156bfb6d1c932c5baaf5c58fb9689085881eee8f62f17",
+    "simulate_cyclic_complex/empirical_moment.csv":
+        "46af9d2d0f54cfc57bfd762ff496b4711cd8b329cd7a103844d477af8370a29e",
+    "simulate_cyclic_complex/gram_estimated.json":
+        "4eddacc536277278c11be9cf44e4b5017fd627592c8c46f2f34d274ceed5c593",
+    "simulate_cyclic_complex/gram_true.json":
+        "fe6a930f1e1ba9a2d967a90ee36562d4c7eae5535a042875d73a5e69e2b53614",
+    "simulate_cyclic_complex/samples.csv":
+        "612220d0245b1ae139e0c6e417c54353a359b7d39fd7ee5b2457f1a16e1e6cf8",
+    "simulate_cyclic_complex/truth.json":
+        "3850bb131e7abc7b02c969ea9df5101240210eb970c2f78e9b14ad6c4d968513",
+}
+
+# The rows of cyclic_sha256.txt, which scripts/reference_outputs.py
+# writes: a SHA-256 of the blocks of decompose_cyclic and of
+# reconstruct_cyclic per order and field, on a Gaussian signal and on
+# that signal times 0.0 (signed zeros)
+CYCLIC_DIGESTS = {
+    "cyclic:1:real":
+        "0b449e51c1babe308adefee37adec156feb84366a16ecc9d8372c27d46b9dae2",
+    "cyclic:2:real":
+        "49226d55b99f1703744b282e9cfdd92b75a3816ff7602fb50bb298cde92f2a92",
+    "cyclic:3:real":
+        "7956598a51385314626933489b7c1cb2ddc17a59466701d0a3e55ac15ccc9e55",
+    "cyclic:4:real":
+        "b0660db5bb1d97e7c8c1b4cf2fdc2f9ee9076f64c06f95ebbf4064f9f18aa179",
+    "cyclic:5:real":
+        "e38c75b75ea9bcb8120c4c7ac6e5b86c16f6f246aa3715d36a577858c650d4cf",
+    "cyclic:6:real":
+        "2b4ec8b37d779274efe32bb74b1487964ac3ae74f97b889ed442d9de82b93cde",
+    "cyclic:7:real":
+        "68f4225b4780cb5a57eac0f4c31f44c4e439d9f97e68f0f4db736385d2da0164",
+    "cyclic:8:real":
+        "2125c5cb9f3750a2060dd161b7a54ac387dcdca34972a74b97417205267376e7",
+    "cyclic:9:real":
+        "acc2fe26b86c41865a9f7fff0e2b8e3fde1f7cc6b767c87d3fe7b3b494d88c82",
+    "cyclic:10:real":
+        "b4fede9c358035875f88341f6cfc912da3a903cc1c6dc18e378ade2a4a8a67cf",
+    "cyclic:11:real":
+        "552e459b77ee33c37bfe9f35b8327da56ccf992c497e95681c23405e600a8bd5",
+    "cyclic:12:real":
+        "a752d4671feb740eb619b9cee9c87ae29677171349e8a0e7ca59b9daa7dd896a",
+    "cyclic:13:real":
+        "6c624782e5dd3a357b87d9e1454442d66690137d28834f1ffb64fb26b3330318",
+    "cyclic:14:real":
+        "40af281f52f70abf830bac0f82590cc459f48b8d07ef5c54a5a0732b41ac911e",
+    "cyclic:15:real":
+        "517907d3abcf370261b95ee48b0e2e939cf05f972c98af002ef1379a8eab1a0a",
+    "cyclic:16:real":
+        "126a5d9cd1c47ecfa5d8caefe0527f0f50d895b5c64ac07402932eadbd8c9a3f",
+    "cyclic:17:real":
+        "ac22766f272beb42bb3038cc45b8ac3c1eb45d7ea17961939cef443f8402c8d8",
+    "cyclic:64:real":
+        "cadf0ec65629714e0c7b7ec4ff51ab0230509f8142b2c55465a34cbade305416",
+    "cyclic:1024:real":
+        "fea1adb0d40d25eb7261318becb7663bfc618f613105d38eedbb261b7b9d9f19",
+    "cyclic:1:complex":
+        "9c45f9eea95607ae8d01f5d3ab05d821cb46a6e48f99b341a87911f3d1e2451f",
+    "cyclic:2:complex":
+        "3a55e3c11d22ceb591e26479a6d2a8150914bde579c639634ba0981d3c4fda2d",
+    "cyclic:3:complex":
+        "5eac60b764195ec2ec1c35454787935d58ce7cbe39bba08aa618dbeb92080652",
+    "cyclic:4:complex":
+        "1ad52392cae3beb3e9c94ab603b1db49be9705c3d3abdf037370354f193e2ade",
+    "cyclic:5:complex":
+        "5ff48c595f7ec2ef64d43f4a89cba3eebbd9ecef6014bd22a90d23f2cb97a931",
+    "cyclic:6:complex":
+        "2d7ffd03a5c605da2be2e877699b8e96f13c2287fb2b9362fa22575f79076709",
+    "cyclic:7:complex":
+        "8fc1a4e34a8c1dac6eef2498961049cce9c754b04b8e0cd3ad0da5950e13e156",
+    "cyclic:8:complex":
+        "399ec22093ce444aa83bc86748ff40e37580d489be7bfc904e2b759680326fe0",
+    "cyclic:9:complex":
+        "90abd37aee44538ec04b8798e70c3d5944dea61e754ff1a6c08afb2abf13de1e",
+    "cyclic:10:complex":
+        "b044625d28a39a694ac63daa1ecaec8aafb97dbde273a73c62c9aa4767fb347a",
+    "cyclic:11:complex":
+        "d8eae38730390c6e53ecdf605d694373d1ec5b5f9a5069b39fa4f04046ec63a7",
+    "cyclic:12:complex":
+        "2e2b39cb50c30aebf91762ca19f43ea686a7a6d484a5b415bc919004d4af6318",
+    "cyclic:13:complex":
+        "7624b94b0dc515edb0fafd9f03bdb5e8b38d4e36304d124b2dff70ebbaa1b19e",
+    "cyclic:14:complex":
+        "5dfac1384bb0bd59249f59076b73ea656125004c31d7ff440d9b2cf1d26f1444",
+    "cyclic:15:complex":
+        "16b447d1f47c302a23253c9e97749b9a4ed11d782e3174a0364219a877c0479d",
+    "cyclic:16:complex":
+        "3f66774b4aac918d1c40250b6c76296d3019f4c26c63f6ce358c369381542c7d",
+    "cyclic:17:complex":
+        "c88a973e709fa2c25f7ba4959e71518cb5ca30800f7550eec098a043e61ddcc6",
+    "cyclic:64:complex":
+        "04cb53cdd2453155afe7df9fecd8d5887f2d34d552673e8bf8222c7ba8f62e4b",
+    "cyclic:1024:complex":
+        "a6069517d740316238ce537b9ba1992b68532cd3b109afa6dd08c422addd820b",
 }
 
 
 class TestSimulateDigests:
-    """The full-ambiguity simulate runs, pinned by digest at every worker
-    count."""
+    """The simulate runs and the cyclic transforms, pinned by digest at
+    every worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_the_reference_runs_keep_their_digests(self, monkeypatch, tmp_path, workers):
         monkeypatch.setattr(blocks, "_workers", lambda: workers)
-        for name, structure in (("full_real", "8x4,3x2,1x1"), ("full_complex", "8x4,3x2:complex")):
+        for name, structure, action in (
+            ("full_real", "8x4,3x2,1x1", "full"),
+            ("full_complex", "8x4,3x2:complex", "full"),
+            ("cyclic_real", "cyclic:8", "cyclic"),
+            ("cyclic_complex", "cyclic:6:complex", "cyclic"),
+        ):
             run_simulate(ExperimentConfig(
                 experiment="simulate", structure=parse_structure(structure),
-                out=str(tmp_path / f"simulate_{name}"), action="full", n_samples=500,
+                out=str(tmp_path / f"simulate_{name}"), action=action, n_samples=500,
                 sigma=0.3, master_seed=1))
         got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.rglob("*") if p.is_file()}
         assert got == SIMULATE_DIGESTS
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_cyclic_transforms_keep_their_digests(self, monkeypatch, workers):
+        monkeypatch.setattr(blocks, "_workers", lambda: workers)
+        got = {}
+        for field in ("real", "complex"):
+            for n in [*range(1, 18), 64, 1024]:
+                rng = np.random.default_rng([2026, n])
+                x = rng.standard_normal(n)
+                if field == "complex":
+                    x = x + 1j * rng.standard_normal(n)
+                h = hashlib.sha256()
+                for v in (x, 0.0 * x):
+                    signal = blocks.decompose_cyclic(v)
+                    for m in signal.matrices + (blocks.reconstruct_cyclic(signal),):
+                        h.update(np.ascontiguousarray(m).tobytes())
+                got[f"cyclic:{n}:{field}"] = h.hexdigest()
+        assert got == CYCLIC_DIGESTS
 
 
 def _write_instance(path):

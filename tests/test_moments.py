@@ -28,7 +28,7 @@ from gramphase import (
 from gramphase import blocks, moments
 from gramphase.blocks import cyclic_shift_stack, haar_stack
 from gramphase.moments import MraSampleSet, _check_grams, clamp_psd
-from tests._oracles import cyclic_average_outer, tall_householder_rotation
+from tests._oracles import cyclic_average_outer, householder_rotation
 
 
 def _noisy(rows, sigma, rng):
@@ -52,19 +52,18 @@ def _gaussians(rng, n, count, field, width=None):
 def _unchunked_haar_stack(n, count, field, rng):
     """Haar draws with one ``blocks.haar_rotate`` call over the whole stack."""
     out = np.empty((count, n, n), dtype=np.complex128 if field == "complex" else np.float64)
-    blocks.haar_rotate(_gaussians(rng, n, count, field), None, out)
+    blocks.haar_rotate(_gaussians(rng, n, count, field), np.eye(n), out)
     return out
 
 
 def _unchunked_rotations(x, n, rng):
     """``n`` rotated copies of ``x``, each block's by one
-    ``blocks.haar_rotate`` call over all ``n`` draws, blocks in order; a
-    tall block's draws go onto the R of its QR."""
+    ``blocks.haar_rotate`` call over all ``n`` draws on the R of its QR,
+    blocks in order."""
     s = x.structure
     rows = np.empty((n, s.ambient_dim), dtype=s.dtype)
     for (dim, r), y, m in zip(s.blocks, blocks.block_stacks(rows, s), x.matrices):
-        m = np.linalg.qr(m, mode="r") if r < dim else m
-        blocks.haar_rotate(_gaussians(rng, dim, n, s.field, r), m, y)
+        blocks.haar_rotate(_gaussians(rng, dim, n, s.field, r), np.linalg.qr(m, mode="r"), y)
     return rows
 
 
@@ -326,21 +325,17 @@ class TestSampling:
         np.testing.assert_allclose(samples.observations, 2.5 * np.ones((5, 1)), atol=1e-14)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_full_ambiguity_draw_is_haar_sample_on_the_same_stream(self, field):
-        """Square and wide blocks are ``haar_sample``'s draw times the
-        block; a tall block is the per-draw oracle on its short draw."""
-        s = RepresentationStructure(((4, 2), (3, 3), (1, 2), (5, 1)), field)
+    def test_full_ambiguity_draw_is_the_per_draw_oracle_on_the_same_stream(self, field):
+        """Each block, tall, square or wide, is the per-draw oracle on its
+        draw of the stream."""
+        s = RepresentationStructure(((4, 2), (3, 3), (1, 2), (5, 1), (2, 5), (1, 1)), field)
         action = full_ambiguity_action(s)
         x = random_signal(s, np.random.default_rng(2))
         for seed in range(5):
             obs = sample_observations(x, action, 0.0, 1, seed).observations
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             for (n, r), y, m in zip(s.blocks, blocks.block_stacks(obs, s), x.matrices):
-                if r < n:
-                    want = tall_householder_rotation(_gaussians(rng, n, 1, field, r)[0], m)
-                else:
-                    one = full_ambiguity_action(RepresentationStructure(((n, r),), field))
-                    want = haar_sample(one, rng).blocks[0] @ m
+                want = householder_rotation(_gaussians(rng, n, 1, field, r)[0], m)
                 assert np.max(np.abs(y[0] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -662,15 +657,17 @@ def _moments(rows, structure):
     ]
 
 
-class TestTallBlockLaw:
+class TestBlockLaw:
     """The noiseless Gram ``Y* Y = m* m`` holds for any orthogonal or
     unitary ``Q``, so no Gram check sees a wrong law: the draws' moments
-    are checked here, against their exact values and against those of
-    ``haar_stack(n) @ m``, whose draws use every reflector."""
+    are checked here, on tall, square, wide and one-entry blocks, against
+    their exact values and against those of ``haar_stack(n) @ m``, whose
+    draws are the Haar matrices themselves."""
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_tall_draws_have_the_moments_of_a_haar_rotation(self, field):
-        s = RepresentationStructure(((8, 4), (3, 2), (4, 1), (2, 1)), field)
+    def test_every_block_shape_has_the_moments_of_a_haar_rotation(self, field):
+        s = RepresentationStructure(((8, 4), (3, 2), (4, 1), (2, 1), (3, 3), (2, 5), (1, 1)),
+                                    field)
         x = random_signal(s, np.random.default_rng(21))
         count = 20_000
         got = sample_observations(x, full_ambiguity_action(s), 0.0, count, 22).observations
@@ -680,10 +677,10 @@ class TestTallBlockLaw:
         # E y = 0, E y y* = kron(G^T, I_n) / n per block, and the first
         # entry of a Haar rotation of a column c has E |y|^4 = 3 |c|^4 /
         # (n (n + 2)) (real) or 2 |c|^4 / (n (n + 1)) (complex)
-        tall = [np.linalg.norm(m[:, 0]) ** 4 / (n * (n + 2) if field == "real" else n * (n + 1))
-                for (n, _), m in zip(s.blocks, x.matrices)]
+        first = [np.linalg.norm(m[:, 0]) ** 4 / (n * (n + 2) if field == "real" else n * (n + 1))
+                 for (n, _), m in zip(s.blocks, x.matrices)]
         exact = [0.0, analytic_second_moment(x),
-                 np.array(tall) * (3.0 if field == "real" else 2.0)]
+                 np.array(first) * (3.0 if field == "real" else 2.0)]
         for (name, mean, error), (_, ref_mean, ref_error), want in zip(
                 _moments(got, s), _moments(ref, s), exact):
             assert np.all(np.abs(mean - want) <= 6.0 * error + 1e-12), name
@@ -728,9 +725,9 @@ OBSERVATION_DIGESTS = {
     ("full", "8x4,3x2:complex", 10_001):
         "3126ee06fc6654b1547eed707041298a8d44c7374bc12410466b524ca9e06b85",
     ("full", "4x2,3x3,1x2", 10_001):
-        "76a8828518cbe5823e80ee21ad0fdfde14c6a99f98a5f57756b80c4263684ac3",
+        "83d65a1ed089465ef95c8eea8a702831c44f5fbcd37426992a74269bc069f0e3",
     ("full", "4x2,3x3,1x2:complex", 10_001):
-        "48b749a3bff192a8457d82147667f79bfa45eb1cbcea1243393d4c77a4a18cbc",
+        "7f8d63dab47c93342a3e5e4d6b095bc342fed7c39c2c546bdeaa3b132ace12a1",
     ("cyclic", 16, "real", 2000):
         "c1f723ad22d48d4790b7b3f8bcffea1bc427bcd6f0f6050ff44443443bdf9e70",
     ("cyclic", 1024, "real", 10):
@@ -802,11 +799,11 @@ class TestDrawThread:
         threads = started_pool(workers)
         rotate, chunks = blocks.haar_rotate, []
 
-        def failing(g, m, out):
+        def failing(g, r, out):
             chunks.append(len(out))
             if len(chunks) == 2:
                 raise RuntimeError("chunk 2")
-            rotate(g, m, out)
+            rotate(g, r, out)
 
         monkeypatch.setattr(moments, "haar_rotate", failing)
         monkeypatch.setattr(blocks, "haar_rotate", failing)
@@ -861,26 +858,24 @@ class TestDrawThread:
 
 class TestFiniteSignal:
     """A signal is refused by block when it is built with a NaN or an
-    infinity, and the sampler refuses one written into its arrays after."""
+    infinity, and neither a signal nor a Gram tuple can change after."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("kind", ["full", "cyclic"])
-    def test_a_non_finite_signal_is_refused_by_block_before_any_gaussian(
-            self, monkeypatch, kind, bad):
-        action = (full_ambiguity_action(_structure("8x4,3x2,1x1")) if kind == "full"
-                  else cyclic_action(8))
-        x = random_signal(action.structure, np.random.default_rng(0))
-        x.matrices[1][0, -1] = bad  # written in place, after the signal was built
-        monkeypatch.setattr(moments, "_draw_ahead", None)  # a Gaussian draw would fail
-        with pytest.raises(ValueError, match="block 1: the signal must be finite"):
-            sample_observations(x, action, 0.1, 10, 1)
-
-    def test_a_complex_signal_with_a_nan_part_is_refused(self):
-        s = _structure("3x2:complex")
-        x = BlockSignal(s, (np.ones((3, 2), complex),))
-        x.matrices[0][2, 1] = complex(1.0, np.nan)
-        with pytest.raises(ValueError, match="block 0: the signal must be finite"):
-            sample_observations(x, full_ambiguity_action(s), 0.1, 10, 1)
+    def test_a_built_signal_or_gram_tuple_cannot_change(self):
+        s = _structure("8x4,3x2,8x4,1x1")
+        v = np.arange(s.ambient_dim, dtype=float)
+        x = decompose(v, s)
+        g = gram_tuple(x)
+        for l in range(s.num_blocks):
+            with pytest.raises(ValueError, match="read-only"):
+                x.matrices[l][0, 0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                g.grams[l][0, 0] = np.nan
+        v[:] = np.nan  # the caller's arrays are not the signal's or the tuple's
+        assert np.array_equal(reconstruct(x), np.arange(s.ambient_dim))
+        grams = [a.copy() for a in g.grams]
+        h = GramTuple(s, grams)
+        grams[0][0, 0] = np.nan
+        assert np.array_equal(h.grams[0], g.grams[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("text, block", [
